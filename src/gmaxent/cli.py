@@ -192,9 +192,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--output", help="also write the report to this path")
     common.add_argument("--tolerance", type=float, help="dual gradient tolerance override")
     common.add_argument("--max-iter", type=int, help="iteration cap override")
-    common.add_argument(
-        "--seed", type=int, help="seed override for the solver section (the pipeline is deterministic)"
-    )
 
     parser = argparse.ArgumentParser(
         prog="gmaxent",

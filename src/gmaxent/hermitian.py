@@ -45,15 +45,6 @@ class HermitianMatrix:
     def trace(self) -> float:
         return float(np.trace(self.entries).real)
 
-    def __add__(self, other: "HermitianMatrix") -> "HermitianMatrix":
-        return HermitianMatrix(self.entries + other.entries, self.config)
-
-    def __sub__(self, other: "HermitianMatrix") -> "HermitianMatrix":
-        return HermitianMatrix(self.entries - other.entries, self.config)
-
-    def __rmul__(self, scalar: float) -> "HermitianMatrix":
-        return HermitianMatrix(float(scalar) * self.entries, self.config)
-
     @staticmethod
     def zero(dim: int) -> "HermitianMatrix":
         return HermitianMatrix(np.zeros((dim, dim), dtype=complex))

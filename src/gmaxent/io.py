@@ -22,8 +22,8 @@ Problem files::
       ],
       "objective": {"name": "von_neumann"},            # shannon | von_neumann |
                                                        # fiducial (+"measurements")
-      "solver": {"tolerance": 1e-10, "max_iter": 500, "seed": 0}
-    }
+      "solver": {"tolerance": 1e-10, "max_iter": 500}  # optional; a "seed" key
+    }                                                  # is accepted and ignored
 
 Classical and polytope effects/states use "vector" instead of "matrix"; a
 polytope effect vector is the affine form (constant, linear part) over the
@@ -135,6 +135,20 @@ def _require(mapping: dict, key: str, context: str):
     return mapping[key]
 
 
+def _number(raw, context: str) -> float:
+    try:
+        return float(raw)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{context}: expected a number, got {raw!r}") from exc
+
+
+def _real_vector(raw: dict, context: str) -> np.ndarray:
+    try:
+        return np.asarray(_require(raw, "vector", context), dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{context}: vector entries must be numbers") from exc
+
+
 def parse_complex_matrix(raw, context: str) -> np.ndarray:
     try:
         arr = np.asarray(raw, dtype=float)
@@ -152,12 +166,15 @@ def complex_matrix_to_jsonable(m: np.ndarray) -> list:
 
 def parse_model(raw: dict) -> ModelSpace:
     kind = _require(raw, "kind", "model")
-    if kind == CLASSICAL:
-        return Classical(int(_require(raw, "dimension", "model")))
-    if kind == QUANTUM:
-        return Quantum(int(_require(raw, "dimension", "model")))
-    if kind == POLYTOPE:
-        return Polytope(np.asarray(_require(raw, "vertices", "model"), dtype=float))
+    try:
+        if kind == CLASSICAL:
+            return Classical(int(_require(raw, "dimension", "model")))
+        if kind == QUANTUM:
+            return Quantum(int(_require(raw, "dimension", "model")))
+        if kind == POLYTOPE:
+            return Polytope(np.asarray(_require(raw, "vertices", "model"), dtype=float))
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"model: {exc}") from exc
     raise SchemaError(f"model: unknown kind '{kind}'")
 
 
@@ -167,15 +184,20 @@ def model_to_jsonable(model: ModelSpace) -> dict:
     return {"kind": model.kind, "dimension": model.dim}
 
 
+def _quantum_coords(model: Quantum, raw: dict, context: str) -> np.ndarray:
+    """Coordinates of a Hermitian "matrix" entry of the model's dimension."""
+    matrix = parse_complex_matrix(_require(raw, "matrix", context), context)
+    if matrix.shape[0] != model.dim:
+        raise SchemaError(f"{context}: matrix dimension {matrix.shape[0]} != model {model.dim}")
+    if np.max(np.abs(matrix - matrix.conj().T)) > 1e-10:
+        raise SchemaError(f"{context}: matrix is not Hermitian")
+    return model.matrix_to_coords(matrix)
+
+
 def _parse_functional(model: ModelSpace, raw: dict, context: str) -> np.ndarray:
     if model.kind == QUANTUM:
-        matrix = parse_complex_matrix(_require(raw, "matrix", context), context)
-        if matrix.shape[0] != model.dim:
-            raise SchemaError(f"{context}: matrix dimension {matrix.shape[0]} != model {model.dim}")
-        if np.max(np.abs(matrix - matrix.conj().T)) > 1e-10:
-            raise SchemaError(f"{context}: matrix is not Hermitian")
-        return model.matrix_to_coords(matrix)
-    vec = np.asarray(_require(raw, "vector", context), dtype=float)
+        return _quantum_coords(model, raw, context)
+    vec = _real_vector(raw, context)
     if vec.shape != (model.ambient_dim,):
         raise SchemaError(
             f"{context}: expected {model.ambient_dim} components"
@@ -187,17 +209,10 @@ def _parse_functional(model: ModelSpace, raw: dict, context: str) -> np.ndarray:
 
 def _parse_state_coords(model: ModelSpace, raw: dict, context: str) -> np.ndarray:
     if model.kind == QUANTUM:
-        matrix = parse_complex_matrix(_require(raw, "matrix", context), context)
-        if np.max(np.abs(matrix - matrix.conj().T)) > 1e-10:
-            raise SchemaError(f"{context}: state matrix is not Hermitian")
-        return model.matrix_to_coords(matrix)
-    vec = np.asarray(_require(raw, "vector", context), dtype=float)
-    if model.kind == POLYTOPE:
-        if vec.shape == (model.ambient_dim - 1,):
-            return model.embed_point(vec)
-        if vec.shape != (model.ambient_dim,):
-            raise SchemaError(f"{context}: bad state vector shape {vec.shape}")
-        return vec
+        return _quantum_coords(model, raw, context)
+    vec = _real_vector(raw, context)
+    if model.kind == POLYTOPE and vec.shape == (model.ambient_dim - 1,):
+        return model.embed_point(vec)
     if vec.shape != (model.ambient_dim,):
         raise SchemaError(f"{context}: bad state vector shape {vec.shape}")
     return vec
@@ -209,6 +224,32 @@ class ParsedCondition:
     outcome: Optional[str]
     kind: str  # "mean" | "probability"
     target: float
+
+
+def _parse_condition(entry: dict, observables: dict[str, Observable], context: str) -> ParsedCondition:
+    obs_name = _require(entry, "observable", context)
+    if obs_name not in observables:
+        raise SchemaError(f"{context}: unknown observable '{obs_name}'")
+    kind = _require(entry, "type", context)
+    if kind not in ("mean", "probability"):
+        raise SchemaError(f"{context}: type must be 'mean' or 'probability'")
+    outcome = entry.get("outcome")
+    if kind == "probability":
+        if outcome is None:
+            raise SchemaError(f"{context}: probability conditions need an 'outcome'")
+        labels = [out.label for out in observables[obs_name].outcomes]
+        if str(outcome) not in labels:
+            raise SchemaError(f"{context}: observable '{obs_name}' has no outcome '{outcome}'")
+    target = _number(_require(entry, "target", context), context)
+    return ParsedCondition(obs_name, None if outcome is None else str(outcome), kind, target)
+
+
+def _condition_region(cond: ParsedCondition, observables: dict[str, Observable]) -> ConvexRegion:
+    obs = observables[cond.observable]
+    if cond.kind == "mean":
+        return region_from_mean(obs, cond.target)
+    out = next(o for o in obs.outcomes if o.label == cond.outcome)
+    return region_from_effect(out.effect, cond.target)
 
 
 @dataclass
@@ -234,30 +275,16 @@ def parse_problem(raw: dict) -> ParsedProblem:
             functional = _parse_functional(model, entry, context)
             label = str(entry.get("label", i))
             value = entry.get("value")
-            value = None if value is None else float(value)
+            value = None if value is None else _number(value, context)
             outs.append(Outcome(label, Effect(model, functional, check=False), value))
         observables[name] = Observable(model, tuple(outs), check=False)
     state_coords: dict[str, np.ndarray] = {}
     for name, body in raw.get("states", {}).items():
         state_coords[name] = _parse_state_coords(model, body, f"state {name}")
-    conditions = []
-    for i, entry in enumerate(raw.get("conditions", [])):
-        context = f"condition {i}"
-        obs_name = _require(entry, "observable", context)
-        if obs_name not in observables:
-            raise SchemaError(f"{context}: unknown observable '{obs_name}'")
-        kind = _require(entry, "type", context)
-        if kind not in ("mean", "probability"):
-            raise SchemaError(f"{context}: type must be 'mean' or 'probability'")
-        outcome = entry.get("outcome")
-        if kind == "probability":
-            if outcome is None:
-                raise SchemaError(f"{context}: probability conditions need an 'outcome'")
-            labels = [out.label for out in observables[obs_name].outcomes]
-            if str(outcome) not in labels:
-                raise SchemaError(f"{context}: observable '{obs_name}' has no outcome '{outcome}'")
-        target = float(_require(entry, "target", context))
-        conditions.append(ParsedCondition(obs_name, None if outcome is None else str(outcome), kind, target))
+    conditions = [
+        _parse_condition(entry, observables, f"condition {i}")
+        for i, entry in enumerate(raw.get("conditions", []))
+    ]
     objective_raw = raw.get("objective")
     if objective_raw is not None:
         name = _require(objective_raw, "name", "objective")
@@ -286,13 +313,7 @@ def build_region(parsed: ParsedProblem) -> ConvexRegion:
     """The meet of all condition regions."""
     region = whole_space(parsed.model)
     for cond in parsed.conditions:
-        obs = parsed.observables[cond.observable]
-        if cond.kind == "mean":
-            piece = region_from_mean(obs, cond.target)
-        else:
-            out = next(o for o in obs.outcomes if o.label == cond.outcome)
-            piece = region_from_effect(out.effect, cond.target)
-        region = meet(region, piece)
+        region = meet(region, _condition_region(cond, parsed.observables))
     return region
 
 
@@ -349,24 +370,11 @@ def parse_region(raw: dict) -> ParsedRegion:
         context = f"region constraint {i}"
         if "functional" in entry:
             functional = _parse_functional(model, entry["functional"], context)
-            constraints.append(LinearConstraint(model, functional, float(_require(entry, "target", context))))
-            continue
-        obs_name = _require(entry, "observable", context)
-        if obs_name not in parsed.observables:
-            raise SchemaError(f"{context}: unknown observable '{obs_name}'")
-        obs = parsed.observables[obs_name]
-        kind = _require(entry, "type", context)
-        target = float(_require(entry, "target", context))
-        if kind == "mean":
-            constraints.extend(region_from_mean(obs, target).h_rep)
-        elif kind == "probability":
-            outcome = str(_require(entry, "outcome", context))
-            out = next((o for o in obs.outcomes if o.label == outcome), None)
-            if out is None:
-                raise SchemaError(f"{context}: no outcome '{outcome}'")
-            constraints.extend(region_from_effect(out.effect, target).h_rep)
+            target = _number(_require(entry, "target", context), context)
+            constraints.append(LinearConstraint(model, functional, target))
         else:
-            raise SchemaError(f"{context}: type must be 'mean' or 'probability'")
+            cond = _parse_condition(entry, parsed.observables, context)
+            constraints.extend(_condition_region(cond, parsed.observables).h_rep)
     generators = None
     if "generators" in section:
         generators = tuple(

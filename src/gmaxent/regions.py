@@ -162,12 +162,11 @@ def _effective_h_rep(region: ConvexRegion) -> tuple[LinearConstraint, ...]:
 
 def _dedup_constraints(
     constraints: tuple[LinearConstraint, ...], config: RegionConfig
-) -> tuple[tuple[LinearConstraint, ...], bool, int]:
+) -> tuple[tuple[LinearConstraint, ...], bool]:
     """Drop positive rescalings of kept constraints; flag target conflicts."""
     kept: list[LinearConstraint] = []
     normalized: list[tuple[np.ndarray, float]] = []
     empty = False
-    dropped = 0
     for c in constraints:
         norm = float(np.linalg.norm(c.functional))
         fn = c.functional / norm
@@ -179,22 +178,20 @@ def _dedup_constraints(
                 if abs(tn - sn) > max(config.duplicate_rtol, 1e-12 * max(1.0, abs(sn))):
                     empty = True
                 break
-        if duplicate:
-            dropped += 1
-        else:
+        if not duplicate:
             kept.append(c)
             normalized.append((fn, tn))
-    return tuple(kept), empty, dropped
+    return tuple(kept), empty
 
 
 def meet(a: ConvexRegion, b: ConvexRegion) -> ConvexRegion:
     """Lattice meet = set intersection, on H-representations."""
     if a.model != b.model:
         raise ModelMismatch("regions live on different models")
-    if a.known_empty or b.known_empty:
-        return ConvexRegion(a.model, _effective_h_rep(a) + _effective_h_rep(b), None, True, a.config)
     merged = _effective_h_rep(a) + _effective_h_rep(b)
-    kept, empty, _ = _dedup_constraints(merged, a.config)
+    if a.known_empty or b.known_empty:
+        return ConvexRegion(a.model, merged, None, True, a.config)
+    kept, empty = _dedup_constraints(merged, a.config)
     return ConvexRegion(a.model, kept, None, empty, a.config)
 
 
@@ -278,25 +275,33 @@ class FeasibilityResult:
     witness: Optional[State] = None
 
 
-def _weight_system(region: ConvexRegion) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Equality system over mixing weights: rows (sum, constraints), vertex map."""
-    model = region.model
-    if model.kind == CLASSICAL:
-        v = np.eye(model.dim)
-    else:
-        v = np.asarray(model.vertices)
-    rows = [np.ones(v.shape[0])]
-    rhs = [1.0]
-    for c in region.h_rep:
-        rows.append(v @ c.functional)
-        rhs.append(c.target)
-    return np.vstack(rows), np.array(rhs), v
+def _weight_system(model: ModelSpace, constraints) -> tuple[np.ndarray, np.ndarray]:
+    """Equality system over the mixing weights of the model's extreme states.
+
+    Row 0 makes the weights sum to one; row i + 1 is constraint i applied to
+    the mixture. Classical extreme states are the unit vectors, so there the
+    weights are the coordinates and the rows are the functionals themselves.
+    """
+    funcs = np.array([c.functional for c in constraints]).reshape(len(constraints), model.ambient_dim)
+    rows = _weight_rows(model, funcs)
+    a = np.vstack([np.ones(rows.shape[1]), rows])
+    b = np.array([1.0] + [c.target for c in constraints])
+    return a, b
 
 
-def _state_from_weights(model: ModelSpace, w: np.ndarray, v: np.ndarray) -> State:
+def _weight_rows(model: ModelSpace, funcs: np.ndarray) -> np.ndarray:
+    """Linear functionals on coordinates, read as functionals on mixing weights."""
+    return funcs if model.kind == CLASSICAL else (model.vertices @ funcs.T).T
+
+
+def _weights_to_coords(model: ModelSpace, w: np.ndarray) -> np.ndarray:
+    """Coordinates of the mixture with weights w over the extreme states."""
+    return w if model.kind == CLASSICAL else w @ model.vertices
+
+
+def _state_from_weights(model: ModelSpace, w: np.ndarray) -> State:
     w = np.maximum(w, 0.0)
-    w = w / w.sum()
-    return State(model, w @ v)
+    return State(model, _weights_to_coords(model, w / w.sum()))
 
 
 def feasibility(c: ConvexRegion) -> FeasibilityResult:
@@ -310,11 +315,11 @@ def feasibility(c: ConvexRegion) -> FeasibilityResult:
     if not c.h_rep:
         return FeasibilityResult(FeasibilityStatus.FEASIBLE, maximally_mixed(c.model))
     if c.model.kind in (CLASSICAL, POLYTOPE):
-        a, b, v = _weight_system(c)
-        residual, w = phase_one(a, b, pivot_tol=c.config.lp_pivot_tol, feas_tol=c.config.lp_feasibility_tol)
+        a, b = _weight_system(c.model, c.h_rep)
+        _, w = phase_one(a, b, pivot_tol=c.config.lp_pivot_tol, feas_tol=c.config.lp_feasibility_tol)
         if w is None:
             return FeasibilityResult(FeasibilityStatus.INFEASIBLE)
-        return FeasibilityResult(FeasibilityStatus.FEASIBLE, _state_from_weights(c.model, w, v))
+        return FeasibilityResult(FeasibilityStatus.FEASIBLE, _state_from_weights(c.model, w))
     # Quantum: probe with the exponential-family dual; import here to keep the
     # module dependency one-directional at import time.
     from .solver import MaxEntProblem, SolveStatus, VonNeumann, solve_dual
@@ -344,7 +349,7 @@ def enumerate_vertices(c: ConvexRegion) -> list[State]:
         raise Unsupported(
             f"constraint count + ambient dim exceeds the enumeration cap {c.config.enumeration_cap}"
         )
-    a, b, v = _weight_system(c)
+    a, b = _weight_system(c.model, c.h_rep)
     n = a.shape[1]
     rank = int(np.linalg.matrix_rank(a, tol=1e-11))
     scale = max(1.0, float(np.max(np.abs(b))))
@@ -360,7 +365,7 @@ def enumerate_vertices(c: ConvexRegion) -> list[State]:
             continue
         w = np.zeros(n)
         w[list(cols)] = w_sub
-        state = _state_from_weights(c.model, w, v)
+        state = _state_from_weights(c.model, w)
         if all(np.max(np.abs(state.coords - u.coords)) >= c.config.generator_dedup_atol for u in found):
             found.append(state)
     return found

@@ -1,8 +1,10 @@
-"""Dense two-phase simplex for small equality-form LPs.
+"""Dense two-phase simplex for equality-form LPs with few rows.
 
 Solves min/max c.x subject to A x = b, x >= 0 with Bland's anti-cycling rule.
-Instances here are desk scale (tens of variables), so a plain dense tableau is
-the right tool; Bland's rule guarantees termination on degenerate bases.
+Rows are few (one per constraint plus the weight sum), while columns range
+from a handful of polytope vertices to 10^4 classical outcomes in the
+classical dual's Phase I, so a plain dense tableau is the right tool; Bland's
+rule guarantees termination on degenerate bases.
 """
 
 from __future__ import annotations
@@ -66,6 +68,35 @@ def _run_simplex(tableau: np.ndarray, basis: list[int], cost: np.ndarray, pivot_
     raise NumericalFailure("simplex exceeded the pivot budget")
 
 
+def _phase_one(a_eq, b_eq, pivot_tol: float):
+    """Phase I: minimize the sum of artificials after flipping rows to b >= 0.
+
+    Returns the final tableau (n original columns, one artificial per row,
+    then the right-hand side), its basis, n, and the optimal artificial sum.
+    """
+    a = np.atleast_2d(np.asarray(a_eq, dtype=float)).copy()
+    b = np.asarray(b_eq, dtype=float).copy()
+    m, n = a.shape
+    if b.shape != (m,):
+        raise ValueError("inconsistent LP shapes")
+    flip = b < 0
+    a[flip] *= -1.0
+    b[flip] *= -1.0
+    tableau = np.hstack([a, np.eye(m), b[:, None]])
+    basis = list(range(n, n + m))
+    cost = np.concatenate([np.zeros(n), np.ones(m)])
+    if _run_simplex(tableau, basis, cost, pivot_tol) != OPTIMAL:
+        raise NumericalFailure("phase-I subproblem unbounded")  # cannot happen: cost >= 0
+    return tableau, basis, n, float(cost[basis] @ tableau[:, -1])
+
+
+def _basic_solution(tableau: np.ndarray, basis: list[int], n: int) -> np.ndarray:
+    """The basic solution's first n variables, clipped at zero."""
+    x = np.zeros(tableau.shape[1] - 1)
+    x[basis] = tableau[:, -1]
+    return np.maximum(x[:n], 0.0)
+
+
 def solve_lp(
     c,
     a_eq,
@@ -75,23 +106,12 @@ def solve_lp(
     feas_tol: float = 1e-8,
 ) -> LpResult:
     """Two-phase simplex for min (or max) c.x s.t. a_eq x = b_eq, x >= 0."""
-    a = np.atleast_2d(np.asarray(a_eq, dtype=float)).copy()
-    b = np.asarray(b_eq, dtype=float).copy()
     c = np.asarray(c, dtype=float)
-    m, n = a.shape
-    if b.shape != (m,) or c.shape != (n,):
+    tableau, basis, n, residual = _phase_one(a_eq, b_eq, pivot_tol)
+    m = len(basis)
+    if c.shape != (n,):
         raise ValueError("inconsistent LP shapes")
-    flip = b < 0
-    a[flip] *= -1.0
-    b[flip] *= -1.0
-
-    # Phase I: artificial basis, minimize the sum of artificials.
-    tableau = np.hstack([a, np.eye(m), b[:, None]])
-    basis = list(range(n, n + m))
-    cost1 = np.concatenate([np.zeros(n), np.ones(m)])
-    if _run_simplex(tableau, basis, cost1, pivot_tol) != OPTIMAL:
-        raise NumericalFailure("phase-I subproblem unbounded")  # cannot happen: cost >= 0
-    if float(cost1[basis] @ tableau[:, -1]) > feas_tol:
+    if residual > feas_tol:
         return LpResult(INFEASIBLE, None, None)
 
     # Drive leftover artificials out of the basis; all-zero rows are redundant.
@@ -107,12 +127,9 @@ def solve_lp(
     basis = [basis[i] for i in range(m) if keep_rows[i]]
 
     cost2 = -c if maximize else c.copy()
-    status = _run_simplex(tableau, basis, cost2, pivot_tol)
-    if status == UNBOUNDED:
+    if _run_simplex(tableau, basis, cost2, pivot_tol) == UNBOUNDED:
         return LpResult(UNBOUNDED, None, None)
-    x = np.zeros(n)
-    x[basis] = tableau[:, -1]
-    x = np.maximum(x, 0.0)
+    x = _basic_solution(tableau, basis, n)
     return LpResult(OPTIMAL, x, float(c @ x))
 
 
@@ -122,21 +139,5 @@ def phase_one(a_eq, b_eq, pivot_tol: float = 1e-10, feas_tol: float = 1e-8):
     The residual is the phase-I optimum (sum of artificial variables), zero up
     to rounding exactly when the system is feasible.
     """
-    a = np.atleast_2d(np.asarray(a_eq, dtype=float)).copy()
-    b = np.asarray(b_eq, dtype=float).copy()
-    m, n = a.shape
-    flip = b < 0
-    a[flip] *= -1.0
-    b[flip] *= -1.0
-    tableau = np.hstack([a, np.eye(m), b[:, None]])
-    basis = list(range(n, n + m))
-    cost1 = np.concatenate([np.zeros(n), np.ones(m)])
-    _run_simplex(tableau, basis, cost1, pivot_tol)
-    residual = float(cost1[basis] @ tableau[:, -1])
-    if residual > feas_tol:
-        return residual, None
-    x = np.zeros(n)
-    for i, bi in enumerate(basis):
-        if bi < n:
-            x[bi] = tableau[i, -1]
-    return residual, np.maximum(x, 0.0)
+    tableau, basis, n, residual = _phase_one(a_eq, b_eq, pivot_tol)
+    return residual, None if residual > feas_tol else _basic_solution(tableau, basis, n)

@@ -17,14 +17,14 @@ A brute-force grid oracle for small instances lives in ``oracle.py``.
 
 from __future__ import annotations
 
-import warnings
+import logging
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_SOLVER, SolverConfig
+from .config import DEFAULT_NUMERICS, DEFAULT_SOLVER, SolverConfig
 from .errors import (
     IncompatibleObjective,
     ModelMismatch,
@@ -32,7 +32,7 @@ from .errors import (
     Unsupported,
     UnsupportedRepresentation,
 )
-from .hermitian import entropy_from_spectrum
+from .hermitian import _divided_difference, entropy_from_spectrum
 from .models import (
     CLASSICAL,
     POLYTOPE,
@@ -42,8 +42,10 @@ from .models import (
     State,
     evaluate,
 )
-from .regions import ConvexRegion, LinearConstraint
+from .regions import ConvexRegion, LinearConstraint, _weight_rows, _weight_system, _weights_to_coords
 from .simplex import OPTIMAL, phase_one, solve_lp
+
+log = logging.getLogger("gmaxent")
 
 
 class SolveStatus(Enum):
@@ -225,11 +227,7 @@ def _evaluate_quantum(model, operators: list[np.ndarray], lambdas: np.ndarray) -
     def hessian():
         # Kubo-Mori covariance: divided differences of exp on the shifted
         # spectrum, contracted with the rotated constraint operators.
-        x = k - shift
-        dx = x[:, None] - x[None, :]
-        close = np.abs(dx) <= 1e-9 * np.maximum(1.0, np.maximum(np.abs(x[:, None]), np.abs(x[None, :])))
-        phi = np.where(close, np.exp((x[:, None] + x[None, :]) / 2.0), np.exp(x[:, None]) - np.exp(x[None, :]))
-        phi = np.where(close, phi, phi / np.where(close, 1.0, dx))
+        phi = _divided_difference(k - shift, DEFAULT_NUMERICS.dd_degeneracy_rtol)
         if rotated:
             stack = np.stack(rotated)
             h = np.einsum("iab,jab,ab->ij", stack.conj(), stack, phi).real / z
@@ -288,22 +286,27 @@ def _select_independent(funcs: np.ndarray, targets: np.ndarray, config: SolverCo
         if abs(implied - targets[i]) > config.residual_tol * max(1.0, abs(targets[i])):
             return kept, dropped, True
         dropped.append(i)
-        warnings.warn(f"dropping redundant constraint {i} (consistent with kept set)")
+        log.warning("dropping redundant constraint %d (consistent with kept set)", i)
     return kept, dropped, False
 
 
-def _solution_from_eval(problem, ev, lambdas, iterations, status, diag):
-    state = State(problem.model, ev.state_coords)
-    residuals = np.array([c.residual(state) for c in problem.region.h_rep])
+def _solution(problem, coords, multipliers, lambda0, iterations, status, diag) -> MaxEntSolution:
+    state = State(problem.model, coords)
     return MaxEntSolution(
         state=state,
-        multipliers=np.asarray(lambdas, dtype=float),
-        lambda0=ev.lnz,
+        multipliers=np.asarray(multipliers, dtype=float),
+        lambda0=lambda0,
         entropy=entropy(problem.objective, state),
         iterations=iterations,
-        residuals=residuals,
+        residuals=problem.region.residuals(state),
         status=status,
         diagnostics=diag,
+    )
+
+
+def _infeasible(diag, multipliers=(), iterations: int = 0) -> MaxEntSolution:
+    return MaxEntSolution(
+        None, np.asarray(multipliers, dtype=float), None, None, iterations, None, SolveStatus.INFEASIBLE, diag
     )
 
 
@@ -322,7 +325,7 @@ def solve_dual(problem: MaxEntProblem, config: SolverConfig = DEFAULT_SOLVER) ->
     region = problem.region
     diag = SolveDiagnostics()
     if region.known_empty:
-        return MaxEntSolution(None, np.zeros(0), None, None, 0, None, SolveStatus.INFEASIBLE, diag)
+        return _infeasible(diag)
     if not region.h_rep and region.v_rep is not None:
         raise UnsupportedRepresentation("solve_dual needs an H-representation")
 
@@ -330,23 +333,18 @@ def solve_dual(problem: MaxEntProblem, config: SolverConfig = DEFAULT_SOLVER) ->
     funcs = _functional_matrix(constraints)
     targets = np.array([c.target for c in constraints])
 
-    if constraints:
-        kept, dropped, contradiction = _select_independent(funcs, targets, config)
-        if contradiction:
-            return MaxEntSolution(None, np.zeros(0), None, None, 0, None, SolveStatus.INFEASIBLE, diag)
-    else:
-        kept, dropped = [], []
+    kept, dropped, contradiction = _select_independent(funcs, targets, config)
+    if contradiction:
+        return _infeasible(diag)
     diag.kept_indices = tuple(kept)
     diag.dropped_indices = tuple(dropped)
     active = [constraints[i] for i in kept]
-    r = targets[kept] if kept else np.zeros(0)
+    r = targets[kept]
 
     if problem.model.kind == CLASSICAL and active:
-        rows = np.vstack([np.ones(problem.model.dim), funcs[kept]])
-        rhs = np.concatenate([[1.0], r])
-        _, witness = phase_one(rows, rhs)
+        _, witness = phase_one(*_weight_system(problem.model, active))
         if witness is None:
-            return MaxEntSolution(None, np.zeros(0), None, None, 0, None, SolveStatus.INFEASIBLE, diag)
+            return _infeasible(diag)
 
     lambdas = np.zeros(len(active))
     ev = _evaluate(problem.model, active, lambdas)
@@ -411,8 +409,8 @@ def solve_dual(problem: MaxEntProblem, config: SolverConfig = DEFAULT_SOLVER) ->
             break
 
     if status is SolveStatus.INFEASIBLE:
-        return MaxEntSolution(None, lambdas, None, None, iterations, None, status, diag)
-    return _solution_from_eval(problem, ev, lambdas, iterations, status, diag)
+        return _infeasible(diag, lambdas, iterations)
+    return _solution(problem, ev.state_coords, lambdas, ev.lnz, iterations, status, diag)
 
 
 # ---------------------------------------------------------------------------
@@ -469,26 +467,16 @@ def solve_polytope(problem: MaxEntProblem, config: SolverConfig = DEFAULT_SOLVER
     region = problem.region
     diag = SolveDiagnostics()
     if region.known_empty:
-        return MaxEntSolution(None, np.zeros(0), None, None, 0, None, SolveStatus.INFEASIBLE, diag)
+        return _infeasible(diag)
     if not region.h_rep and region.v_rep is not None:
         raise UnsupportedRepresentation("solve_polytope needs an H-representation")
 
-    if problem.model.kind == CLASSICAL:
-        v = np.eye(problem.model.dim)
-    else:
-        v = np.asarray(problem.model.vertices)
-    n = v.shape[0]
-    rows = [np.ones(n)]
-    rhs = [1.0]
-    for c in region.h_rep:
-        rows.append(v @ c.functional)
-        rhs.append(c.target)
-    a = np.vstack(rows)
-    b = np.array(rhs)
-
+    model = problem.model
+    a, b = _weight_system(model, region.h_rep)
+    n = a.shape[1]
     residual, _ = phase_one(a, b, pivot_tol=config.rank_pivot_tol)
     if residual > 1e-8:
-        return MaxEntSolution(None, np.zeros(0), None, None, 0, None, SolveStatus.INFEASIBLE, diag)
+        return _infeasible(diag)
 
     # Interior-ish start: average the vertices that maximize each weight.
     starts = []
@@ -498,18 +486,18 @@ def solve_polytope(problem: MaxEntProblem, config: SolverConfig = DEFAULT_SOLVER
         result = solve_lp(c_obj, a, b, maximize=True)
         if result.status == OPTIMAL:
             starts.append(result.x)
-    x = np.mean(starts, axis=0) @ v
+    x = _weights_to_coords(model, np.mean(starts, axis=0))
 
     value, grad = _objective_callables(problem)
     status = SolveStatus.NON_CONVERGENCE
     iterations = 0
     for iterations in range(1, config.fw_max_iter + 1):
         g = grad(x)
-        lp = solve_lp(v @ g, a, b, maximize=True)
+        lp = solve_lp(_weight_rows(model, g), a, b, maximize=True)
         if lp.status != OPTIMAL:
             status = SolveStatus.NON_CONVERGENCE
             break
-        s = lp.x @ v
+        s = _weights_to_coords(model, lp.x)
         gap = float(g @ (s - x))
         diag.fw_gap = gap
         if gap <= config.fw_gap_tol:
@@ -529,18 +517,7 @@ def solve_polytope(problem: MaxEntProblem, config: SolverConfig = DEFAULT_SOLVER
             status = SolveStatus.CONVERGED if gap <= 10 * config.fw_gap_tol else SolveStatus.NON_CONVERGENCE
             break
 
-    state = State(problem.model, x)
-    residuals = np.array([c.residual(state) for c in region.h_rep])
-    return MaxEntSolution(
-        state=state,
-        multipliers=np.zeros(0),
-        lambda0=None,
-        entropy=entropy(problem.objective, state),
-        iterations=iterations,
-        residuals=residuals,
-        status=status,
-        diagnostics=diag,
-    )
+    return _solution(problem, x, (), None, iterations, status, diag)
 
 
 def solve(problem: MaxEntProblem, config: SolverConfig = DEFAULT_SOLVER) -> MaxEntSolution:

@@ -42,6 +42,36 @@ class TestValidate:
         code, _ = run(capsys, "validate", str(bad))
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["validate", "solve"])
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            {
+                "model": {"kind": "quantum", "dimension": 2},
+                "states": {"rho": {"matrix": [[[1 / 3, 0]] * 3] * 3}},
+            },
+            {
+                "model": {"kind": "classical", "dimension": 2},
+                "observables": {"A": {"outcomes": [{"vector": ["x", 1]}, {"vector": [1, 0]}]}},
+            },
+            {
+                "model": {"kind": "classical", "dimension": 2},
+                "observables": {"A": {"outcomes": [
+                    {"vector": [1, 0], "value": 0.0}, {"vector": [0, 1], "value": 1.0},
+                ]}},
+                "conditions": [{"observable": "A", "type": "mean", "target": "high"}],
+            },
+            {"model": {"kind": "classical", "dimension": 0}},
+        ],
+        ids=["state-dimension", "vector-entry", "target", "dimension-zero"],
+    )
+    def test_malformed_file_is_a_schema_error(self, tmp_path, capsys, command, raw):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        code, out = run(capsys, command, str(bad))
+        assert code == 2
+        assert out == ""
+
 
 class TestSolve:
     def test_gibbs(self, capsys):

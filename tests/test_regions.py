@@ -1,5 +1,7 @@
 """Tests for constraint regions and the lattice operations."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from gmaxent import (
     Classical,
     ConvexRegion,
     DegenerateInput,
+    Effect,
     FeasibilityStatus,
     InvalidTarget,
     ModelMismatch,
@@ -246,6 +249,24 @@ class TestFeasibility:
         np.testing.assert_allclose(
             result.witness.density_matrix().entries, np.diag([1.0, 0.0]), atol=1e-3
         )
+
+    def test_classical_feasibility_memory_is_linear_in_dimension(self):
+        # The mixing weights of a classical model are its coordinates, so the
+        # LP has d columns and no d x d vertex matrix (128 MB at d = 4000).
+        model = Classical(4000)
+        rng = np.random.default_rng(5)
+        region = meet(
+            region_from_effect(Effect(model, rng.uniform(0.0, 1.0, 4000)), 0.5),
+            region_from_effect(Effect(model, rng.uniform(0.0, 1.0, 4000)), 0.4),
+        )
+        tracemalloc.start()
+        try:
+            result = feasibility(region)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.status == FeasibilityStatus.FEASIBLE
+        assert peak < 10e6
 
     def test_random_witnesses_satisfy_constraints(self):
         rng = np.random.default_rng(13)

@@ -173,7 +173,7 @@ class TestSolveDualQuantum:
         assert sol.status == SolveStatus.INFEASIBLE
         assert sol.state is None
 
-    def test_redundant_constraint_dropped(self):
+    def test_redundant_constraint_dropped(self, caplog):
         model = Quantum(2)
         f = model.matrix_to_coords(SZ)
         region = ConvexRegion(
@@ -184,8 +184,11 @@ class TestSolveDualQuantum:
             ),
         )
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+            warnings.simplefilter("error")
             sol = solve_dual(MaxEntProblem(model, region, VonNeumann()))
+        assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [
+            ("gmaxent", "WARNING", "dropping redundant constraint 1 (consistent with kept set)")
+        ]
         assert sol.status == SolveStatus.CONVERGED
         assert len(sol.multipliers) == 1
         assert len(sol.residuals) == 2
