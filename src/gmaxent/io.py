@@ -129,16 +129,29 @@ def dumps_17g(obj: Any, indent: int = 2) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _of_type(value, kind: type, context: str):
+    """``value`` when it is a JSON object (kind dict) or array (kind list)."""
+    if not isinstance(value, kind):
+        raise SchemaError(f"{context}: expected {'an object' if kind is dict else 'an array'}, got {value!r}")
+    return value
+
+
+def _section(raw: dict, key: str, kind: type):
+    """An optional section of ``raw``, empty when absent."""
+    return _of_type(raw.get(key, kind()), kind, f"{key} section")
+
+
 def _require(mapping: dict, key: str, context: str):
+    _of_type(mapping, dict, context)
     if key not in mapping:
         raise SchemaError(f"{context}: missing '{key}'")
     return mapping[key]
 
 
-def _number(raw, context: str) -> float:
+def _number(raw, context: str, kind: type = float):
     try:
-        return float(raw)
-    except (TypeError, ValueError) as exc:
+        return kind(raw)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{context}: expected a number, got {raw!r}") from exc
 
 
@@ -259,7 +272,7 @@ class ParsedProblem:
     state_coords: dict[str, np.ndarray]
     conditions: list[ParsedCondition]
     objective_raw: Optional[dict]
-    solver_raw: dict
+    solver_settings: dict  # SolverConfig fields set by the "solver" section
     raw: dict
 
 
@@ -268,9 +281,10 @@ def parse_problem(raw: dict) -> ParsedProblem:
         raise SchemaError("problem file must be a JSON object")
     model = parse_model(_require(raw, "model", "problem"))
     observables: dict[str, Observable] = {}
-    for name, body in raw.get("observables", {}).items():
+    for name, body in _section(raw, "observables", dict).items():
         outs = []
-        for i, entry in enumerate(_require(body, "outcomes", f"observable {name}")):
+        outcomes = _require(body, "outcomes", f"observable {name}")
+        for i, entry in enumerate(_of_type(outcomes, list, f"observable {name} outcomes")):
             context = f"observable {name}, outcome {i}"
             functional = _parse_functional(model, entry, context)
             label = str(entry.get("label", i))
@@ -279,11 +293,11 @@ def parse_problem(raw: dict) -> ParsedProblem:
             outs.append(Outcome(label, Effect(model, functional, check=False), value))
         observables[name] = Observable(model, tuple(outs), check=False)
     state_coords: dict[str, np.ndarray] = {}
-    for name, body in raw.get("states", {}).items():
+    for name, body in _section(raw, "states", dict).items():
         state_coords[name] = _parse_state_coords(model, body, f"state {name}")
     conditions = [
         _parse_condition(entry, observables, f"condition {i}")
-        for i, entry in enumerate(raw.get("conditions", []))
+        for i, entry in enumerate(_section(raw, "conditions", list))
     ]
     objective_raw = raw.get("objective")
     if objective_raw is not None:
@@ -291,13 +305,11 @@ def parse_problem(raw: dict) -> ParsedProblem:
         if name not in ("shannon", "von_neumann", "fiducial"):
             raise SchemaError(f"objective: unknown name '{name}'")
         if name == "fiducial":
-            for m in _require(objective_raw, "measurements", "objective"):
-                if m not in observables:
+            for m in _of_type(_require(objective_raw, "measurements", "objective"), list, "objective"):
+                if not isinstance(m, str) or m not in observables:
                     raise SchemaError(f"objective: unknown measurement '{m}'")
-    solver_raw = raw.get("solver", {})
-    if not isinstance(solver_raw, dict):
-        raise SchemaError("solver section must be an object")
-    return ParsedProblem(model, observables, state_coords, conditions, objective_raw, solver_raw, raw)
+    solver_settings = _solver_settings(_section(raw, "solver", dict))
+    return ParsedProblem(model, observables, state_coords, conditions, objective_raw, solver_settings, raw)
 
 
 def load_problem(path) -> ParsedProblem:
@@ -335,13 +347,17 @@ def build_objective(parsed: ParsedProblem) -> Objective:
     return FiducialMeasurementEntropy(measurements)
 
 
-def solver_config_from(parsed: ParsedProblem, tolerance=None, max_iter=None) -> SolverConfig:
-    changes = {}
-    raw = parsed.solver_raw
+def _solver_settings(raw: dict) -> dict:
+    settings = {}
     if "tolerance" in raw:
-        changes["grad_tol"] = float(raw["tolerance"])
+        settings["grad_tol"] = _number(raw["tolerance"], "solver tolerance")
     if "max_iter" in raw:
-        changes["max_iter"] = int(raw["max_iter"])
+        settings["max_iter"] = _number(raw["max_iter"], "solver max_iter", int)
+    return settings
+
+
+def solver_config_from(parsed: ParsedProblem, tolerance=None, max_iter=None) -> SolverConfig:
+    changes = dict(parsed.solver_settings)
     if tolerance is not None:
         changes["grad_tol"] = float(tolerance)
     if max_iter is not None:
@@ -364,11 +380,11 @@ class ParsedRegion:
 def parse_region(raw: dict) -> ParsedRegion:
     parsed = parse_problem({k: v for k, v in raw.items() if k != "region"} | {"conditions": []})
     model = parsed.model
-    section = raw.get("region", {})
+    section = _section(raw, "region", dict)
     constraints = []
-    for i, entry in enumerate(section.get("constraints", [])):
+    for i, entry in enumerate(_section(section, "constraints", list)):
         context = f"region constraint {i}"
-        if "functional" in entry:
+        if "functional" in _of_type(entry, dict, context):
             functional = _parse_functional(model, entry["functional"], context)
             target = _number(_require(entry, "target", context), context)
             constraints.append(LinearConstraint(model, functional, target))
@@ -379,7 +395,7 @@ def parse_region(raw: dict) -> ParsedRegion:
     if "generators" in section:
         generators = tuple(
             State(model, _parse_state_coords(model, entry, f"region generator {i}"))
-            for i, entry in enumerate(section["generators"])
+            for i, entry in enumerate(_of_type(section["generators"], list, "region generators"))
         )
     region = ConvexRegion(model, tuple(constraints), generators)
     return ParsedRegion(model, region, raw)

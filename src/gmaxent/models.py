@@ -7,8 +7,12 @@ effect families resolving u. Three concrete models are provided:
 
 * ``Classical(d)``: probability vectors on d outcomes; u = all-ones.
 * ``Quantum(d)``: density matrices on a d-dimensional Hilbert space, carried
-  as d^2 real coordinates in an orthonormal Hermitian operator basis; u is
-  the trace functional. Born-rule probabilities tr(E rho) become plain dot
+  as d^2 real coordinates in the generalized Gell-Mann basis, which is
+  orthonormal under the trace inner product; u is the trace functional.
+  The layout is [I/sqrt(d), then (symmetric, antisymmetric) off-diagonal
+  generators per pair i < j, then the d - 1 diagonal generators].
+  Coordinates and matrices convert by closed index formulas in O(d^2), with
+  no stored basis. Born-rule probabilities tr(E rho) become plain dot
   products in these coordinates, which is what lets every model share one
   evaluation path.
 * ``Polytope(vertices)``: a finite convex state space. User vertices in R^k
@@ -44,35 +48,7 @@ CLASSICAL = "classical"
 QUANTUM = "quantum"
 POLYTOPE = "polytope"
 
-
-def hermitian_basis(d: int) -> np.ndarray:
-    """Orthonormal (trace inner product) Hermitian basis of d x d operators.
-
-    Order: normalized identity, then symmetric and antisymmetric off-diagonal
-    generators for each i < j, then the d-1 diagonal traceless generators.
-    """
-    basis = np.zeros((d * d, d, d), dtype=complex)
-    basis[0] = np.eye(d) / np.sqrt(d)
-    idx = 1
-    for i in range(d):
-        for j in range(i + 1, d):
-            sym = np.zeros((d, d), dtype=complex)
-            sym[i, j] = sym[j, i] = 1.0 / np.sqrt(2.0)
-            basis[idx] = sym
-            idx += 1
-            anti = np.zeros((d, d), dtype=complex)
-            anti[i, j] = 1j / np.sqrt(2.0)
-            anti[j, i] = -1j / np.sqrt(2.0)
-            basis[idx] = anti
-            idx += 1
-    for level in range(1, d):
-        diag = np.zeros(d)
-        diag[:level] = 1.0
-        diag[level] = -level
-        basis[idx] = np.diag(diag / np.sqrt(level * (level + 1))).astype(complex)
-        idx += 1
-    basis.setflags(write=False)
-    return basis
+_SQRT_HALF = np.sqrt(0.5)
 
 
 class ModelSpace:
@@ -126,24 +102,61 @@ class Classical(ModelSpace):
 
 
 class Quantum(ModelSpace):
-    """Density matrices on C^d, carried as d^2 real coordinates."""
+    """Density matrices on C^d, carried as d^2 real coordinates.
+
+    The coordinates are those in the generalized Gell-Mann basis, which is
+    orthonormal under the trace inner product: first I/sqrt(d); then, for
+    each pair i < j in row-major order, the symmetric and antisymmetric
+    off-diagonal generators, coordinates sqrt(2) Re M_ij and sqrt(2) Im M_ij
+    of a Hermitian M; last the d - 1 traceless diagonal generators. Both
+    conversions use these closed index formulas, so they cost O(d^2) and no
+    basis is stored.
+    """
 
     kind = QUANTUM
 
     def __init__(self, dim: int, config: ModelConfig = DEFAULT_MODEL):
         if dim < 1:
             raise ValueError("dimension must be positive")
-        self.dim = int(dim)
-        self.basis = hermitian_basis(dim)
-        unit = self.matrix_to_coords(np.eye(dim, dtype=complex))
-        super().__init__(dim * dim, unit, config)
+        d = self.dim = int(dim)
+        i, j = np.triu_indices(d, 1)
+        self._upper = i * d + j  # flat indices of M_ij and M_ji, i < j
+        self._lower = j * d + i
+        self._off = slice(1, d * d - d + 1)
+        self._diagonal_coords = np.r_[0, d * d - d + 1 : d * d]
+        # Orthogonal map from the diagonal of M to its diagonal coordinates:
+        # row 0 is the identity, row l the generator (1, ..., 1, -l, 0, ...).
+        g = np.tri(d, k=-1) - np.diag(np.arange(d, dtype=float))
+        g[0] = 1.0
+        self._diagonal_map = g / np.linalg.norm(g, axis=1)[:, None]
+        unit = np.zeros(d * d)
+        unit[0] = np.sqrt(d)
+        super().__init__(d * d, unit, config)
 
     def matrix_to_coords(self, matrix) -> np.ndarray:
+        """Coordinates of a d x d matrix; those of its Hermitian part when it is not Hermitian."""
         m = matrix.entries if isinstance(matrix, HermitianMatrix) else np.asarray(matrix, dtype=complex)
-        return np.einsum("kij,ji->k", self.basis, m).real
+        if m.shape != (self.dim, self.dim):
+            raise ValueError(f"expected a {self.dim} x {self.dim} matrix, got shape {m.shape}")
+        f = m.ravel()
+        z = f[self._upper]
+        z += f[self._lower].conj()
+        coords = np.empty(self.ambient_dim)
+        # z.view(float) interleaves (Re, Im): the (sym, anti) order of the pairs.
+        np.multiply(z.view(float), _SQRT_HALF, out=coords[self._off])
+        coords[self._diagonal_coords] = self._diagonal_map.dot(f[:: self.dim + 1].real)
+        return coords
 
     def coords_to_matrix(self, coords: np.ndarray) -> HermitianMatrix:
-        raw = np.einsum("k,kij->ij", np.asarray(coords, dtype=float), self.basis)
+        c = np.ascontiguousarray(coords, dtype=float)
+        if c.shape != (self.ambient_dim,):
+            raise ValueError(f"expected {self.ambient_dim} coordinates, got shape {c.shape}")
+        z = (c[self._off] * _SQRT_HALF).view(complex)
+        raw = np.empty((self.dim, self.dim), dtype=complex)
+        f = raw.reshape(-1)
+        f[self._upper] = z
+        f[self._lower] = z.conj()
+        f[:: self.dim + 1] = self._diagonal_map.T.dot(c[self._diagonal_coords])
         return HermitianMatrix(raw)
 
     def cone_residual(self, coords):

@@ -24,6 +24,38 @@ from gmaxent import (
 from gmaxent.regions import LinearConstraint
 
 
+def hermitian_basis(d):
+    """Dense orthonormal Hermitian basis of d x d operators, in the coordinate
+    order of ``Quantum(d)``: the reference its closed-form conversions are
+    checked against.
+
+    Order: normalized identity, then symmetric and antisymmetric off-diagonal
+    generators for each i < j, then the d-1 diagonal traceless generators.
+    """
+    basis = np.zeros((d * d, d, d), dtype=complex)
+    basis[0] = np.eye(d) / np.sqrt(d)
+    idx = 1
+    for i in range(d):
+        for j in range(i + 1, d):
+            sym = np.zeros((d, d), dtype=complex)
+            sym[i, j] = sym[j, i] = 1.0 / np.sqrt(2.0)
+            basis[idx] = sym
+            idx += 1
+            anti = np.zeros((d, d), dtype=complex)
+            anti[i, j] = 1j / np.sqrt(2.0)
+            anti[j, i] = -1j / np.sqrt(2.0)
+            basis[idx] = anti
+            idx += 1
+    for level in range(1, d):
+        diag = np.zeros(d)
+        diag[:level] = 1.0
+        diag[level] = -level
+        basis[idx] = np.diag(diag / np.sqrt(level * (level + 1))).astype(complex)
+        idx += 1
+    basis.setflags(write=False)
+    return basis
+
+
 def random_hermitian(rng, d, scale=1.0):
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     return HermitianMatrix(scale * (g + g.conj().T) / 2.0)

@@ -62,8 +62,14 @@ class TestValidate:
                 "conditions": [{"observable": "A", "type": "mean", "target": "high"}],
             },
             {"model": {"kind": "classical", "dimension": 0}},
+            {"model": {"kind": "classical", "dimension": 2}, "observables": []},
+            {"model": {"kind": "classical", "dimension": 2}, "conditions": [1]},
+            {"model": {"kind": "classical", "dimension": 2}, "solver": {"max_iter": "many"}},
+            {"model": {"kind": "classical", "dimension": 2}, "observables": {"A": {"outcomes": 3}}},
+            {"model": {"kind": "classical", "dimension": 2}, "objective": {"name": "fiducial", "measurements": 3}},
         ],
-        ids=["state-dimension", "vector-entry", "target", "dimension-zero"],
+        ids=["state-dimension", "vector-entry", "target", "dimension-zero",
+             "observables-array", "condition-number", "max-iter-text", "outcomes-number", "measurements-number"],
     )
     def test_malformed_file_is_a_schema_error(self, tmp_path, capsys, command, raw):
         bad = tmp_path / "bad.json"
@@ -166,6 +172,18 @@ class TestLattice:
         assert code == 0
         report = json.loads(out)
         assert len(report["generators"]) == 2
+
+    @pytest.mark.parametrize(
+        "region",
+        [[], {"constraints": [1]}, {"constraints": {}}, {"generators": 5}],
+        ids=["region-array", "constraint-number", "constraints-object", "generators-number"],
+    )
+    def test_malformed_region_file_is_a_schema_error(self, tmp_path, capsys, region):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"model": {"kind": "classical", "dimension": 2}, "region": region}))
+        code, out = run(capsys, "lattice", "meet", str(bad), str(bad))
+        assert code == 2
+        assert out == ""
 
     def test_join_then_meet_classical(self, capsys):
         code, out = run(capsys, "lattice", "meet", "problems/region_classical3_pair.json", "problems/region_classical3_plane.json")

@@ -1,5 +1,7 @@
 """Tests for models, states, effects, observables, and the axiom checker."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -35,9 +37,7 @@ from gmaxent import (
     validate_povm,
     State,
 )
-from gmaxent.models import hermitian_basis
-
-from helpers import random_density, random_projector_family, squarebit_model
+from helpers import hermitian_basis, random_density, random_projector_family, squarebit_model
 
 MODELS = [Classical(3), Quantum(2), squarebit_model()]
 
@@ -56,6 +56,32 @@ class TestHermitianBasis:
         m = random_density(rng, 3)
         coords = model.matrix_to_coords(m)
         np.testing.assert_allclose(model.coords_to_matrix(coords).entries, m, atol=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
+    def test_conversions_match_dense_basis(self, d):
+        rng = np.random.default_rng(40 + d)
+        model = Quantum(d)
+        basis = hermitian_basis(d)
+        for _ in range(5):
+            g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            for m in (g, (g + g.conj().T) / 2.0):  # non-Hermitian, then Hermitian
+                expected = np.einsum("kij,ji->k", basis, m).real
+                np.testing.assert_allclose(model.matrix_to_coords(m), expected, rtol=0, atol=1e-12)
+            coords = rng.standard_normal(d * d)
+            matrix = model.coords_to_matrix(coords).entries
+            np.testing.assert_allclose(matrix, np.einsum("k,kij->ij", coords, basis), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(model.matrix_to_coords(matrix), coords, rtol=0, atol=1e-12)
+
+    def test_model_memory_is_quadratic_in_dimension(self):
+        # A dense (d^2, d, d) complex basis alone would take 85 MB at d = 48.
+        tracemalloc.start()
+        try:
+            model = Quantum(48)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert model.ambient_dim == 48 * 48
+        assert peak < 4e6
 
 
 class TestModelSpaces:

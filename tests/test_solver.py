@@ -221,6 +221,22 @@ class TestSolveDualQuantum:
             assert np.max(np.abs(sol.state.density_matrix().entries - reconstructed)) <= 1e-8
             assert abs(sol.lambda0 - partition_function(model, [problem.region.h_rep[i] for i in sol.diagnostics.kept_indices], sol.multipliers)[1]) <= 1e-10
 
+    def test_constraint_operators_converted_once_per_solve(self, monkeypatch):
+        problem = random_quantum_problem(np.random.default_rng(5), 4, 3)
+        original = Quantum.coords_to_matrix
+        calls = []
+
+        def counted(model, coords):
+            calls.append(1)
+            return original(model, coords)
+
+        monkeypatch.setattr(Quantum, "coords_to_matrix", counted)
+        sol = solve_dual(problem)
+        assert sol.status == SolveStatus.CONVERGED
+        assert sol.iterations >= 2
+        # m conversions of the operators, plus the checks on the solved state.
+        assert len(calls) <= 3 + 5
+
     def test_hessian_psd_at_every_step(self):
         rng = np.random.default_rng(7)
         for _ in range(10):
