@@ -4,10 +4,12 @@
 The objective is the summed outcome entropy of the two fiducial measurements
 (x and y). Fixing p(x = +1) slides the state along the x axis while the y
 marginal stays uniform, so the solution should sit at (2p - 1, 0). A coarse
-grid oracle cross-checks each solve.
+grid oracle cross-checks each solve; the script exits 1 when a Frank-Wolfe
+entropy falls more than twice the oracle resolution below the oracle.
 """
 
 import argparse
+import sys
 
 import numpy as np
 
@@ -46,6 +48,7 @@ def main():
     model, mx, my = squarebit()
     objective = FiducialMeasurementEntropy((mx, my))
     print(f"{'p(x+)':>8} {'x':>10} {'y':>10} {'entropy':>12} {'oracle':>12} {'delta':>10}")
+    worst_gap = -np.inf
     for p in np.linspace(0.1, 0.9, args.steps):
         region = region_from_effect(mx.outcomes[0].effect, float(p))
         problem = MaxEntProblem(model, region, objective)
@@ -53,7 +56,11 @@ def main():
         oracle = oracle_maxent(problem, args.oracle_resolution)
         x, y = sol.state.point()
         delta = abs(sol.entropy - oracle.entropy)
+        worst_gap = max(worst_gap, oracle.entropy - sol.entropy)  # positive iff the oracle beat the solver
         print(f"{p:8.3f} {x:10.6f} {y:10.6f} {sol.entropy:12.8f} {oracle.entropy:12.8f} {delta:10.2e}")
+    print(f"\nworst oracle-minus-solver gap: {worst_gap:+.3e} (bound {2 * args.oracle_resolution:.1e})")
+    if worst_gap > 2 * args.oracle_resolution:
+        sys.exit(1)
 
 
 if __name__ == "__main__":

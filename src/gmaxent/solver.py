@@ -9,8 +9,9 @@ Two routes:
   by damped Newton steps. The quantum Hessian is the Kubo-Mori covariance,
   computed from the divided-difference derivative of the matrix exponential.
 * ``solve_polytope``: any concave objective with a gradient on classical or
-  polytope models via Frank-Wolfe over mixing weights, with the linear
-  subproblem solved by a Phase-I-seeded simplex.
+  polytope models via Frank-Wolfe over mixing weights. One Phase I per
+  solve finds a feasible simplex basis; every linear subproblem is then a
+  Phase II that starts from the previous subproblem's optimal basis.
 
 A brute-force grid oracle for small instances lives in ``oracle.py``.
 """
@@ -44,7 +45,7 @@ from .models import (
     evaluate,
 )
 from .regions import ConvexRegion, LinearConstraint, _weight_rows, _weight_system, _weights_to_coords
-from .simplex import OPTIMAL, phase_one, solve_lp
+from .simplex import OPTIMAL, feasible_basis, phase_one
 
 log = logging.getLogger("gmaxent")
 
@@ -249,13 +250,9 @@ class _QuantumEvaluation(_DualEvaluation):
 
 
 def _evaluator(model: ModelSpace, constraints: Sequence[LinearConstraint]) -> Callable[[np.ndarray], _DualEvaluation]:
-    """The dual as a function of the multipliers; quantum operators are converted once, here."""
+    """The dual as a function of the multipliers; the constraints are stacked or converted once, here."""
     if model.kind == CLASSICAL:
-        # Each evaluation stacks its own functional matrix. Holding one stack
-        # across the solve moved the heap layout so that the allocator gave the
-        # heap top back and re-faulted it on every solve: Classical(10^4),
-        # m = 16, about 2000 more page faults per solve and a 6-15% slower p50.
-        return lambda lambdas: _ClassicalEvaluation(_functional_matrix(model, constraints), lambdas)
+        return partial(_ClassicalEvaluation, _functional_matrix(model, constraints))
     if model.kind == QUANTUM:
         operators = np.array([model.coords_to_matrix(c.functional).entries for c in constraints], dtype=complex)
         return partial(_QuantumEvaluation, model, operators.reshape(-1, model.dim, model.dim))
@@ -310,13 +307,14 @@ def _select_independent(funcs: np.ndarray, targets: np.ndarray, config: SolverCo
     return kept, dropped, False
 
 
-def _solution(problem, coords, multipliers, lambda0, iterations, status, diag) -> MaxEntSolution:
+def _solution(problem, coords, multipliers, lambda0, iterations, status, diag, value=None) -> MaxEntSolution:
+    """The result at the solved coordinates; value is the objective there, computed when None."""
     state = State(problem.model, coords)
     return MaxEntSolution(
         state=state,
         multipliers=np.asarray(multipliers, dtype=float),
         lambda0=lambda0,
-        entropy=entropy(problem.objective, state),
+        entropy=entropy(problem.objective, state) if value is None else value,
         iterations=iterations,
         residuals=problem.region.residuals(state),
         status=status,
@@ -350,10 +348,10 @@ def solve_dual(problem: MaxEntProblem, config: SolverConfig = DEFAULT_SOLVER) ->
         raise UnsupportedRepresentation("solve_dual needs an H-representation")
 
     constraints = region.h_rep
-    funcs = _functional_matrix(problem.model, constraints)
     targets = np.array([c.target for c in constraints])
-
+    funcs = _functional_matrix(problem.model, constraints)
     kept, dropped, contradiction = _select_independent(funcs, targets, config)
+    del funcs  # the evaluator stacks the kept constraints
     if contradiction:
         return _infeasible(diag)
     diag.kept_indices = tuple(kept)
@@ -440,7 +438,7 @@ def solve_dual(problem: MaxEntProblem, config: SolverConfig = DEFAULT_SOLVER) ->
         coords = ev.state_coords
     else:
         coords[:] = ev.state_coords
-    return _solution(problem, coords, lambdas, ev.lnz, iterations, status, diag)
+    return _solution(problem, coords, lambdas, ev.lnz, iterations, status, diag, entropy_from_spectrum(ev.spectrum))
 
 
 # ---------------------------------------------------------------------------
@@ -485,10 +483,11 @@ def _objective_callables(problem: MaxEntProblem):
 def solve_polytope(problem: MaxEntProblem, config: SolverConfig = DEFAULT_SOLVER) -> MaxEntSolution:
     """Frank-Wolfe maximization of a concave objective over the feasible hull.
 
-    The linear subproblem is an LP over mixing weights solved by the
-    two-phase simplex; the iterate stays a convex combination of feasible
-    vertices throughout. Stops when the Frank-Wolfe gap falls below the
-    configured tolerance.
+    The linear subproblem is an LP over mixing weights; Phase I runs once,
+    and each LP is a Phase II warm-started from the previous optimal basis,
+    all with the region's LP tolerances. The iterate stays a convex
+    combination of feasible vertices throughout. Stops when the Frank-Wolfe
+    gap falls below the configured tolerance.
     """
     if problem.model.kind not in (CLASSICAL, POLYTOPE):
         raise IncompatibleObjective("solve_polytope handles classical and polytope models")
@@ -504,8 +503,8 @@ def solve_polytope(problem: MaxEntProblem, config: SolverConfig = DEFAULT_SOLVER
     model = problem.model
     a, b = _weight_system(model, region.h_rep)
     n = a.shape[1]
-    residual, _ = phase_one(a, b, pivot_tol=config.rank_pivot_tol)
-    if residual > 1e-8:
+    basis = feasible_basis(a, b, pivot_tol=region.config.lp_pivot_tol, feas_tol=region.config.lp_feasibility_tol)
+    if basis is None:
         return _infeasible(diag)
 
     # Interior-ish start: average the vertices that maximize each weight.
@@ -513,7 +512,7 @@ def solve_polytope(problem: MaxEntProblem, config: SolverConfig = DEFAULT_SOLVER
     for i in range(n):
         c_obj = np.zeros(n)
         c_obj[i] = 1.0
-        result = solve_lp(c_obj, a, b, maximize=True)
+        result = basis.optimize(c_obj, maximize=True)
         if result.status == OPTIMAL:
             starts.append(result.x)
     x = _weights_to_coords(model, np.mean(starts, axis=0))
@@ -523,7 +522,7 @@ def solve_polytope(problem: MaxEntProblem, config: SolverConfig = DEFAULT_SOLVER
     iterations = 0
     for iterations in range(1, config.fw_max_iter + 1):
         g = grad(x)
-        lp = solve_lp(_weight_rows(model, g), a, b, maximize=True)
+        lp = basis.optimize(_weight_rows(model, g), maximize=True)
         if lp.status != OPTIMAL:
             status = SolveStatus.NON_CONVERGENCE
             break

@@ -22,6 +22,7 @@ from gmaxent import (
     whole_space,
 )
 from gmaxent.regions import LinearConstraint
+from gmaxent.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LpResult
 
 
 def hermitian_basis(d):
@@ -54,6 +55,111 @@ def hermitian_basis(d):
         idx += 1
     basis.setflags(write=False)
     return basis
+
+
+# ---------------------------------------------------------------------------
+# Dense-tableau two-phase simplex with Bland's rule: the reference the
+# revised simplex in ``gmaxent.simplex`` is checked against.
+# ---------------------------------------------------------------------------
+
+
+def _tableau_pivot(tableau, basis, row, col):
+    tableau[row] /= tableau[row, col]
+    for i in range(tableau.shape[0]):
+        if i != row and tableau[i, col] != 0.0:
+            tableau[i] -= tableau[i, col] * tableau[row]
+    basis[row] = col
+
+
+def _tableau_simplex(tableau, basis, cost, pivot_tol):
+    """Minimize cost over the tableau in place. Returns OPTIMAL or UNBOUNDED."""
+    m = tableau.shape[0]
+    n = tableau.shape[1] - 1
+    for _ in range(200_000):
+        reduced = cost - cost[basis] @ tableau[:, :n]
+        entering = next((j for j in range(n) if reduced[j] < -pivot_tol), -1)
+        if entering < 0:
+            return OPTIMAL
+        leaving = -1
+        best_ratio = np.inf
+        for i in range(m):
+            a = tableau[i, entering]
+            if a > pivot_tol:
+                ratio = tableau[i, n] / a
+                if ratio < best_ratio - pivot_tol or (
+                    abs(ratio - best_ratio) <= pivot_tol and (leaving < 0 or basis[i] < basis[leaving])
+                ):
+                    best_ratio = ratio
+                    leaving = i
+        if leaving < 0:
+            return UNBOUNDED
+        _tableau_pivot(tableau, basis, leaving, entering)
+    raise RuntimeError("reference simplex exceeded the pivot budget")
+
+
+def _tableau_phase_one(a_eq, b_eq, pivot_tol):
+    a = np.atleast_2d(np.asarray(a_eq, dtype=float)).copy()
+    b = np.asarray(b_eq, dtype=float).copy()
+    m, n = a.shape
+    flip = b < 0
+    a[flip] *= -1.0
+    b[flip] *= -1.0
+    tableau = np.hstack([a, np.eye(m), b[:, None]])
+    basis = list(range(n, n + m))
+    cost = np.concatenate([np.zeros(n), np.ones(m)])
+    _tableau_simplex(tableau, basis, cost, pivot_tol)
+    return tableau, basis, n, float(cost[basis] @ tableau[:, -1])
+
+
+def _tableau_solution(tableau, basis, n):
+    x = np.zeros(tableau.shape[1] - 1)
+    x[basis] = tableau[:, -1]
+    return np.maximum(x[:n], 0.0)
+
+
+def reference_phase_one(a_eq, b_eq, pivot_tol=1e-10, feas_tol=1e-8):
+    """(artificial sum, x or None), as ``gmaxent.simplex.phase_one``."""
+    tableau, basis, n, residual = _tableau_phase_one(a_eq, b_eq, pivot_tol)
+    return residual, None if residual > feas_tol else _tableau_solution(tableau, basis, n)
+
+
+def reference_solve_lp(c, a_eq, b_eq, maximize=False, pivot_tol=1e-10, feas_tol=1e-8):
+    """Two-phase dense-tableau simplex, as ``gmaxent.simplex.solve_lp``."""
+    c = np.asarray(c, dtype=float)
+    tableau, basis, n, residual = _tableau_phase_one(a_eq, b_eq, pivot_tol)
+    if residual > feas_tol:
+        return LpResult(INFEASIBLE, None, None)
+    m = len(basis)
+    keep_rows = np.ones(m, dtype=bool)
+    for i in range(m):
+        if basis[i] >= n:
+            j = next((j for j in range(n) if abs(tableau[i, j]) > pivot_tol), None)
+            if j is None:
+                keep_rows[i] = False
+            else:
+                _tableau_pivot(tableau, basis, i, j)
+    tableau = np.hstack([tableau[keep_rows][:, :n], tableau[keep_rows][:, -1:]])
+    basis = [basis[i] for i in range(m) if keep_rows[i]]
+    if _tableau_simplex(tableau, basis, -c if maximize else c.copy(), pivot_tol) == UNBOUNDED:
+        return LpResult(UNBOUNDED, None, None)
+    x = _tableau_solution(tableau, basis, n)
+    return LpResult(OPTIMAL, x, float(c @ x))
+
+
+class ReferenceBasis:
+    """Stands in for ``gmaxent.simplex.Basis``: every LP is a cold two-phase tableau solve."""
+
+    def __init__(self, a_eq, b_eq, pivot_tol, feas_tol):
+        self.a_eq, self.b_eq, self.pivot_tol, self.feas_tol = a_eq, b_eq, pivot_tol, feas_tol
+
+    def optimize(self, c, maximize=False):
+        return reference_solve_lp(c, self.a_eq, self.b_eq, maximize, self.pivot_tol, self.feas_tol)
+
+
+def reference_feasible_basis(a_eq, b_eq, pivot_tol=1e-10, feas_tol=1e-8):
+    """``gmaxent.simplex.feasible_basis`` on the reference kernel."""
+    residual, _ = reference_phase_one(a_eq, b_eq, pivot_tol, feas_tol)
+    return None if residual > feas_tol else ReferenceBasis(a_eq, b_eq, pivot_tol, feas_tol)
 
 
 def random_hermitian(rng, d, scale=1.0):

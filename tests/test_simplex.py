@@ -1,8 +1,13 @@
-"""LP core tests: two-phase simplex with Bland's rule."""
+"""LP core tests: revised two-phase simplex with Bland's rule."""
 
 import numpy as np
+import pytest
 
+from gmaxent import Classical, random_effect, random_state
+from gmaxent.regions import LinearConstraint, _weight_system
 from gmaxent.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, phase_one, solve_lp
+
+from helpers import reference_phase_one, reference_solve_lp
 
 
 def test_maximize_over_simplex():
@@ -77,3 +82,124 @@ def test_random_lps_match_bruteforce_vertices():
         assert np.min(result.x) >= -1e-12
         # optimality vs. the anchor point (a known feasible point)
         assert result.value >= float(c @ anchor) - 1e-8
+
+
+# ---------------------------------------------------------------------------
+# Property test: the revised simplex against the dense-tableau reference in
+# helpers.py and against HiGHS.
+# ---------------------------------------------------------------------------
+
+LP_FAMILIES = ("generic", "degenerate", "redundant", "negative_rhs", "infeasible", "unbounded")
+
+
+def _random_lp(rng, family):
+    """(c, a, b) of one family; feasible and bounded unless the family says otherwise."""
+    m = int(rng.integers(2, 5))
+    n = int(rng.integers(m + 2, 10))
+    if family == "degenerate":
+        # Small integer entries tie ratio tests; a duplicated column ties
+        # pricing; a sparse anchor makes the feasible vertex degenerate.
+        a = np.vstack([np.ones(n), rng.integers(-1, 3, (m - 1, n))]).astype(float)
+        a[:, -1] = a[:, 0]
+        anchor = np.zeros(n)
+        anchor[rng.choice(n, size=max(1, m - 1), replace=False)] = 1.0
+        anchor /= anchor.sum()
+        c = rng.integers(-2, 3, n).astype(float)
+        return c, a, a @ anchor
+    c = rng.standard_normal(n)
+    anchor = rng.dirichlet(np.ones(n))
+    if family == "unbounded":
+        # Columns u and -u make a recession direction along which c decreases.
+        a = rng.standard_normal((m, n))
+        a[:, 1] = -a[:, 0]
+        c[1] = -c[0] - 1.0
+        return c, a, a @ anchor
+    a = np.vstack([np.ones(n), rng.standard_normal((m - 1, n))])
+    b = a @ anchor
+    if family == "redundant":
+        mix = rng.standard_normal((2, m))
+        a, b = np.vstack([a, mix @ a]), np.concatenate([b, mix @ b])
+    elif family == "negative_rhs":
+        flip = np.arange(len(b)) % 2 == 1
+        a[flip] *= -1.0
+        b[flip] *= -1.0
+        b[0] = -b[0]
+        a[0] = -a[0]
+    elif family == "infeasible":
+        b[-1] = np.max(a[-1]) + 0.5  # beyond every convex combination of the columns
+    return c, a, b
+
+
+def _wide_weight_system(rng):
+    """The classical dual's Phase I system: Classical(10^4), m = 32 random effects."""
+    model = Classical(10_000)
+    interior = random_state(model, rng)
+    functionals = [random_effect(model, rng).functional for _ in range(32)]
+    constraints = [LinearConstraint(model, f, float(f @ interior.coords)) for f in functionals]
+    return _weight_system(model, constraints)
+
+
+def _highs(c, a, b, maximize):
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    res = linprog(-c if maximize else c, A_eq=a, b_eq=b, bounds=(0, None), method="highs")
+    status = {0: OPTIMAL, 2: INFEASIBLE, 3: UNBOUNDED}[res.status]
+    return status, (None if status != OPTIMAL else (-res.fun if maximize else res.fun))
+
+
+def _check_against_references(c, a, b, maximize):
+    result = solve_lp(c, a, b, maximize=maximize)
+    reference = reference_solve_lp(c, a, b, maximize=maximize)
+    highs_status, highs_value = _highs(c, a, b, maximize)
+    assert result.status == reference.status == highs_status
+    if result.status == OPTIMAL:
+        scale = max(1.0, abs(reference.value))
+        assert abs(result.value - reference.value) <= 1e-9 * scale
+        assert abs(result.value - highs_value) <= 1e-9 * scale
+        assert np.min(result.x) >= 0.0
+        assert np.max(np.abs(a @ result.x - b)) <= 1e-8
+        assert abs(result.value - float(c @ result.x)) <= 1e-12 * scale
+
+    residual, x = phase_one(a, b)
+    ref_residual, ref_x = reference_phase_one(a, b)
+    assert (x is None) == (ref_x is None) == (result.status == INFEASIBLE)
+    if x is not None:
+        assert residual <= 1e-8
+        assert np.max(np.abs(a @ x - b)) <= 1e-8
+        np.testing.assert_allclose(x, ref_x, atol=1e-9)  # the same Bland pivots as the reference
+    else:
+        assert abs(residual - ref_residual) <= 1e-9 * max(1.0, ref_residual)
+
+
+@pytest.mark.parametrize("family", LP_FAMILIES)
+@pytest.mark.parametrize("seed", range(4))
+def test_random_lps_match_reference_and_highs(family, seed):
+    rng = np.random.default_rng([seed, LP_FAMILIES.index(family)])
+    for _ in range(10):
+        c, a, b = _random_lp(rng, family)
+        for maximize in (False, True):
+            _check_against_references(c, a, b, maximize)
+
+
+def test_wide_classical_weight_system():
+    rng = np.random.default_rng(11)
+    a, b = _wide_weight_system(rng)
+    residual, x = phase_one(a, b)
+    _, ref_x = reference_phase_one(a, b)
+    assert residual <= 1e-12
+    assert np.max(np.abs(a @ x - b)) <= 1e-8
+    np.testing.assert_allclose(x, ref_x, atol=1e-12)  # the same Bland pivots as the reference
+
+    c = rng.standard_normal(a.shape[1])
+    result = solve_lp(c, a, b)
+    highs_status, highs_value = _highs(c, a, b, False)
+    assert result.status == highs_status == OPTIMAL
+    assert abs(result.value - highs_value) <= 1e-9 * max(1.0, abs(highs_value))
+    assert np.max(np.abs(a @ result.x - b)) <= 1e-8
+
+
+def test_cost_shape_checked_before_phase_one(monkeypatch):
+    import gmaxent.simplex
+
+    monkeypatch.setattr(gmaxent.simplex, "_phase_one", lambda *args: pytest.fail("Phase I ran"))
+    with pytest.raises(ValueError):
+        solve_lp([1.0, 2.0, 3.0], [[1.0, 1.0]], [1.0])

@@ -9,8 +9,10 @@ from gmaxent import (
     Classical,
     ConvexRegion,
     CustomObjective,
+    FiducialMeasurementEntropy,
     IncompatibleObjective,
     MaxEntProblem,
+    Polytope,
     Quantum,
     Shannon,
     SolveStatus,
@@ -19,11 +21,15 @@ from gmaxent import (
     VonNeumann,
     dual_gradient,
     entropy,
+    evaluate,
     indicator_observable,
     matrix_exp,
     maximally_mixed,
     meet,
     partition_function,
+    random_effect,
+    random_povm,
+    random_state,
     region_from_effect,
     region_from_mean,
     effect_from_matrix,
@@ -39,6 +45,7 @@ from gmaxent.regions import LinearConstraint
 from helpers import (
     random_classical_problem,
     random_quantum_problem,
+    reference_feasible_basis,
     squarebit_measurements,
     squarebit_model,
     squarebit_problem,
@@ -237,6 +244,24 @@ class TestSolveDualQuantum:
         # m conversions of the operators, plus the checks on the solved state.
         assert len(calls) <= 3 + 5
 
+    def test_entropy_read_from_the_final_spectrum(self, monkeypatch):
+        problem = random_quantum_problem(np.random.default_rng(5), 4, 3)
+        original = Quantum.coords_to_matrix
+        calls = []
+
+        def counted(model, coords):
+            calls.append(1)
+            return original(model, coords)
+
+        monkeypatch.setattr(Quantum, "coords_to_matrix", counted)
+        sol = solve_dual(problem)
+        assert sol.status == SolveStatus.CONVERGED
+        # m operator conversions and the State cone check; the entropy
+        # converts nothing.
+        assert len(calls) <= 3 + 1
+        monkeypatch.undo()
+        assert sol.entropy == pytest.approx(entropy(VonNeumann(), sol.state), abs=1e-12)
+
     def test_hessian_psd_at_every_step(self):
         rng = np.random.default_rng(7)
         for _ in range(10):
@@ -388,6 +413,40 @@ class TestSolvePolytope:
         assert sol.status == SolveStatus.CONVERGED
         np.testing.assert_allclose(sol.state.point(), target, atol=1e-3)
         assert sol.entropy == pytest.approx(0.0, abs=1e-6)
+
+    def test_one_phase_one_per_solve(self, monkeypatch):
+        import gmaxent.simplex
+        import gmaxent.solver
+
+        rng = np.random.default_rng(3)
+        angles = 2.0 * np.pi * np.arange(16) / 16
+        model = Polytope(np.column_stack([np.cos(angles), np.sin(angles)]))
+        objective = FiducialMeasurementEntropy((random_povm(model, rng, 3), random_povm(model, rng, 3)))
+        effect = random_effect(model, rng)
+        region = region_from_effect(effect, evaluate(effect, random_state(model, rng)))
+        problem = MaxEntProblem(model, region, objective)
+
+        original = gmaxent.simplex._phase_one
+        systems = []
+
+        def counted(a_eq, b_eq, pivot_tol):
+            systems.append(np.shape(a_eq))
+            return original(a_eq, b_eq, pivot_tol)
+
+        monkeypatch.setattr(gmaxent.simplex, "_phase_one", counted)
+        sol = solve_polytope(problem)
+        assert sol.status == SolveStatus.CONVERGED
+        assert sol.iterations >= 2
+        # One Phase I on the weight system (sum and condition rows), then the
+        # membership LP of the result's State cone check (a row per coordinate).
+        assert systems == [(2, 16), (3, 16)]
+
+        # Every LP a cold two-phase solve on the dense-tableau reference.
+        monkeypatch.setattr(gmaxent.solver, "feasible_basis", reference_feasible_basis)
+        reference = solve_polytope(problem)
+        assert reference.status == SolveStatus.CONVERGED
+        assert sol.iterations == reference.iterations
+        assert sol.entropy == pytest.approx(reference.entropy, abs=1e-9)
 
     def test_objective_compatibility(self):
         with pytest.raises(IncompatibleObjective):
