@@ -4,8 +4,9 @@
 The objective is the summed outcome entropy of the two fiducial measurements
 (x and y). Fixing p(x = +1) slides the state along the x axis while the y
 marginal stays uniform, so the solution should sit at (2p - 1, 0). A coarse
-grid oracle cross-checks each solve; the script exits 1 when a Frank-Wolfe
-entropy falls more than twice the oracle resolution below the oracle.
+grid oracle cross-checks each solve; the script exits 1 when a solve does
+not converge or its entropy falls more than twice the oracle resolution
+below the oracle.
 """
 
 import argparse
@@ -20,6 +21,7 @@ from gmaxent import (
     Observable,
     Outcome,
     Polytope,
+    SolveStatus,
     oracle_maxent,
     region_from_effect,
     solve_polytope,
@@ -47,8 +49,9 @@ def main():
 
     model, mx, my = squarebit()
     objective = FiducialMeasurementEntropy((mx, my))
-    print(f"{'p(x+)':>8} {'x':>10} {'y':>10} {'entropy':>12} {'oracle':>12} {'delta':>10}")
+    print(f"{'p(x+)':>8} {'x':>10} {'y':>10} {'entropy':>12} {'oracle':>12} {'delta':>10}  status")
     worst_gap = -np.inf
+    unconverged = 0
     for p in np.linspace(0.1, 0.9, args.steps):
         region = region_from_effect(mx.outcomes[0].effect, float(p))
         problem = MaxEntProblem(model, region, objective)
@@ -57,9 +60,11 @@ def main():
         x, y = sol.state.point()
         delta = abs(sol.entropy - oracle.entropy)
         worst_gap = max(worst_gap, oracle.entropy - sol.entropy)  # positive iff the oracle beat the solver
-        print(f"{p:8.3f} {x:10.6f} {y:10.6f} {sol.entropy:12.8f} {oracle.entropy:12.8f} {delta:10.2e}")
+        unconverged += sol.status is not SolveStatus.CONVERGED
+        print(f"{p:8.3f} {x:10.6f} {y:10.6f} {sol.entropy:12.8f} {oracle.entropy:12.8f} {delta:10.2e}  {sol.status.value}")
     print(f"\nworst oracle-minus-solver gap: {worst_gap:+.3e} (bound {2 * args.oracle_resolution:.1e})")
-    if worst_gap > 2 * args.oracle_resolution:
+    print(f"solves not converged: {unconverged} of {args.steps}")
+    if worst_gap > 2 * args.oracle_resolution or unconverged:
         sys.exit(1)
 
 

@@ -9,9 +9,13 @@ Two routes:
   by damped Newton steps. The quantum Hessian is the Kubo-Mori covariance,
   computed from the divided-difference derivative of the matrix exponential.
 * ``solve_polytope``: any concave objective with a gradient on classical or
-  polytope models via Frank-Wolfe over mixing weights. One Phase I per
-  solve finds a feasible simplex basis; every linear subproblem is then a
-  Phase II that starts from the previous subproblem's optimal basis.
+  polytope models via away-step Frank-Wolfe over mixing weights. The
+  iterate is a convex mixture of an active set of feasible vertices; each
+  step moves toward the Frank-Wolfe vertex or away from the worst active
+  one, by an exact line search on the objective's slope, and the
+  Frank-Wolfe gap certifies convergence. One Phase I per solve finds a
+  feasible simplex basis; every linear subproblem is then a Phase II that
+  starts from the previous subproblem's optimal basis.
 
 A brute-force grid oracle for small instances lives in ``oracle.py``.
 """
@@ -446,26 +450,26 @@ def solve_dual(problem: MaxEntProblem, config: SolverConfig = DEFAULT_SOLVER) ->
 # ---------------------------------------------------------------------------
 
 
-def _objective_callables(problem: MaxEntProblem):
+# Active-set vertices closer than this (max-norm, in coordinates) are one vertex.
+_ATOM_ATOL = 1e-12
+# The line search stops once the slope at its left end has fallen below this
+# fraction of the slope at the start, or the bracket below this fraction of
+# its right end.
+_SLOPE_RTOL = 1e-10
+_BRACKET_RTOL = 1e-14
+
+
+def _objective_gradient(problem: MaxEntProblem) -> Callable[[np.ndarray], np.ndarray]:
     obj = problem.objective
     if isinstance(obj, Shannon):
-        def value(x):
-            return entropy_from_spectrum(x)
-
         def grad(x):
             return -(1.0 + np.log(np.maximum(x, 1e-300)))
 
-        return value, grad
+        return grad
     if isinstance(obj, FiducialMeasurementEntropy):
         effect_rows = [
             np.stack([out.effect.functional for out in m.outcomes]) for m in obj.measurements
         ]
-
-        def value(x):
-            total = 0.0
-            for rows in effect_rows:
-                total += entropy_from_spectrum(np.clip(rows @ x, 0.0, 1.0))
-            return total
 
         def grad(x):
             g = np.zeros_like(x)
@@ -474,20 +478,69 @@ def _objective_callables(problem: MaxEntProblem):
                 g -= (1.0 + np.log(probs)) @ rows
             return g
 
-        return value, grad
+        return grad
     if isinstance(obj, CustomObjective):
-        return obj.value, obj.gradient
+        return obj.gradient
     raise IncompatibleObjective("solve_polytope needs a gradient-equipped objective")
 
 
-def solve_polytope(problem: MaxEntProblem, config: SolverConfig = DEFAULT_SOLVER) -> MaxEntSolution:
-    """Frank-Wolfe maximization of a concave objective over the feasible hull.
+def _slope_search(grad, x: np.ndarray, d: np.ndarray, t_max: float, slope0: float, max_evals: int) -> float:
+    """The step in [0, t_max] along d that maximizes a concave objective, found from its slope.
 
-    The linear subproblem is an LP over mixing weights; Phase I runs once,
-    and each LP is a Phase II warm-started from the previous optimal basis,
-    all with the region's LP tolerances. The iterate stays a convex
-    combination of feasible vertices throughout. Stops when the Frank-Wolfe
-    gap falls below the configured tolerance.
+    The slope h(t) = grad(x + t d) . d is non-increasing, and h(0) = slope0 > 0.
+    If h(t_max) >= 0 the step is t_max. Otherwise the root of h is bracketed
+    by the Illinois variant of regula falsi (a secant step, bisection when the
+    secant leaves the bracket) and the step is the bracket's left end, where
+    h >= 0, so the objective does not decrease. 0 means no trial had h >= 0.
+    At most max_evals gradients are evaluated.
+    """
+    def slope(t):
+        return float(grad(x + t * d) @ d)
+
+    if max_evals < 1:
+        return 0.0
+    h_hi = slope(t_max)
+    if h_hi >= 0.0:
+        return t_max
+    lo, hi, h_lo = 0.0, t_max, slope0
+    secant_lo, secant_hi = h_lo, h_hi  # the values the secant uses; Illinois halves a stale one
+    kept = 0  # +1 when the last trial moved lo, -1 when it moved hi
+    for _ in range(max_evals - 1):
+        t = (lo * secant_hi - hi * secant_lo) / (secant_hi - secant_lo)
+        if not lo < t < hi:
+            t = 0.5 * (lo + hi)
+        h = slope(t)
+        if h >= 0.0:
+            lo, h_lo, secant_lo = t, h, h
+            if kept > 0:
+                secant_hi *= 0.5
+            kept = 1
+        else:
+            hi, secant_hi = t, h
+            if kept < 0:
+                secant_lo *= 0.5
+            kept = -1
+        if h_lo <= _SLOPE_RTOL * slope0 or hi - lo <= _BRACKET_RTOL * hi:
+            break
+    return lo
+
+
+def solve_polytope(problem: MaxEntProblem, config: SolverConfig = DEFAULT_SOLVER) -> MaxEntSolution:
+    """Away-step Frank-Wolfe maximization of a concave objective over the feasible hull.
+
+    The iterate is a convex combination of an active set of feasible vertices
+    (basic solutions of the mixing-weight system). The start mixes the
+    optima of the n LPs that maximize each weight, in proportion to how
+    often each occurs. Each iteration takes the Frank-Wolfe vertex s from an
+    LP over mixing weights; the gap g.(s - x) is the stopping certificate
+    (CONVERGED once it is at most ``fw_gap_tol``). It then moves toward s,
+    or away from the active vertex v that minimizes g.v when g.(x - v) is
+    the larger gap, and a step that reaches its bound drops a vertex. The
+    step is an exact line search on the objective's slope (``_slope_search``,
+    at most ``max_backtracks`` gradients), so the objective never decreases
+    and no objective value is evaluated. Phase I runs once per solve, and
+    each LP is a Phase II warm-started from the previous optimal basis, all
+    with the region's LP tolerances (Lacoste-Julien & Jaggi, NeurIPS 2015).
     """
     if problem.model.kind not in (CLASSICAL, POLYTOPE):
         raise IncompatibleObjective("solve_polytope handles classical and polytope models")
@@ -507,24 +560,27 @@ def solve_polytope(problem: MaxEntProblem, config: SolverConfig = DEFAULT_SOLVER
     if basis is None:
         return _infeasible(diag)
 
-    # Interior-ish start: average the vertices that maximize each weight.
+    # The active set: vertices (rows of atoms) with convex weights alpha. It
+    # starts as the distinct vertices that maximize each weight, weighted by
+    # how often each occurs.
     starts = []
     for i in range(n):
         c_obj = np.zeros(n)
         c_obj[i] = 1.0
         result = basis.optimize(c_obj, maximize=True)
         if result.status == OPTIMAL:
-            starts.append(result.x)
-    x = _weights_to_coords(model, np.mean(starts, axis=0))
+            starts.append(_weights_to_coords(model, result.x))
+    atoms, counts = np.unique(starts, axis=0, return_counts=True)
+    alpha = counts / counts.sum()
+    x = alpha @ atoms
 
-    value, grad = _objective_callables(problem)
+    grad = _objective_gradient(problem)
     status = SolveStatus.NON_CONVERGENCE
     iterations = 0
     for iterations in range(1, config.fw_max_iter + 1):
         g = grad(x)
         lp = basis.optimize(_weight_rows(model, g), maximize=True)
         if lp.status != OPTIMAL:
-            status = SolveStatus.NON_CONVERGENCE
             break
         s = _weights_to_coords(model, lp.x)
         gap = float(g @ (s - x))
@@ -532,19 +588,32 @@ def solve_polytope(problem: MaxEntProblem, config: SolverConfig = DEFAULT_SOLVER
         if gap <= config.fw_gap_tol:
             status = SolveStatus.CONVERGED
             break
-        f0 = value(x)
-        step = 1.0
-        moved = False
-        for _ in range(config.max_backtracks):
-            trial = x + step * (s - x)
-            if value(trial) >= f0 + config.armijo_c * step * gap:
-                x = trial
-                moved = True
-                break
-            step /= 2.0
-        if not moved:
+        scores = atoms @ g
+        away = int(np.argmin(scores))
+        toward = gap >= float(g @ x) - scores[away]
+        if toward:
+            d, t_max = s - x, 1.0
+        else:
+            d, t_max = x - atoms[away], alpha[away] / (1.0 - alpha[away])
+        t = _slope_search(grad, x, d, t_max, float(g @ d), config.max_backtracks)
+        if t == 0.0:
             status = SolveStatus.CONVERGED if gap <= 10 * config.fw_gap_tol else SolveStatus.NON_CONVERGENCE
             break
+        if toward and t == t_max:
+            atoms, alpha = s[None, :], np.ones(1)
+        elif toward:
+            alpha *= 1.0 - t
+            same = np.flatnonzero(np.max(np.abs(atoms - s), axis=1) <= _ATOM_ATOL)
+            if same.size:
+                alpha[same[0]] += t
+            else:
+                atoms, alpha = np.vstack([atoms, s]), np.append(alpha, t)
+        else:
+            alpha *= 1.0 + t
+            alpha[away] -= t
+            if t == t_max or alpha[away] <= 0.0:
+                atoms, alpha = np.delete(atoms, away, axis=0), np.delete(alpha, away)
+        x = alpha @ atoms
 
     return _solution(problem, x, (), None, iterations, status, diag)
 

@@ -15,9 +15,13 @@ from gmaxent import (
     Quantum,
     Shannon,
     VonNeumann,
+    evaluate,
     includes,
     indicator_observable,
+    random_effect,
+    random_povm,
     random_state,
+    region_from_effect,
     region_from_mean,
     whole_space,
 )
@@ -241,6 +245,47 @@ def squarebit_problem(region=None, model=None):
     mx, my = squarebit_measurements(model)
     objective = FiducialMeasurementEntropy((mx, my))
     return MaxEntProblem(model, region if region is not None else whole_space(model), objective)
+
+
+def sphere_polytope(n_vertices, dim, rng):
+    """A polytope whose vertices are random points on the unit sphere in R^dim."""
+    raw = rng.standard_normal((n_vertices, dim))
+    return Polytope(raw / np.linalg.norm(raw, axis=1, keepdims=True))
+
+
+def fiducial_polytope_problem(model, rng):
+    """Two random 3-outcome fiducial measurements and one random effect condition.
+
+    The condition's target is the effect's value at a random interior state,
+    so the region is non-empty.
+    """
+    objective = FiducialMeasurementEntropy((random_povm(model, rng, 3), random_povm(model, rng, 3)))
+    effect = random_effect(model, rng)
+    region = region_from_effect(effect, evaluate(effect, random_state(model, rng)))
+    return MaxEntProblem(model, region, objective)
+
+
+def fiducial_gradient(objective, coords):
+    """Gradient of the summed fiducial outcome entropies at coords."""
+    g = np.zeros_like(coords)
+    for measurement in objective.measurements:
+        rows = np.stack([out.effect.functional for out in measurement.outcomes])
+        g -= (1.0 + np.log(np.maximum(rows @ coords, 1e-300))) @ rows
+    return g
+
+
+def highs_fw_gap(problem, coords):
+    """The Frank-Wolfe gap of a fiducial polytope problem at coords, its LP solved by HiGHS."""
+    from scipy.optimize import linprog
+
+    v = problem.model.vertices
+    constraints = problem.region.h_rep
+    a_eq = np.vstack([np.ones(len(v))] + [v @ c.functional for c in constraints])
+    b_eq = np.array([1.0] + [c.target for c in constraints])
+    g = fiducial_gradient(problem.objective, coords)
+    lp = linprog(-(v @ g), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    assert lp.status == 0
+    return -lp.fun - float(g @ coords)
 
 
 def random_region(model, rng):

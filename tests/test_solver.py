@@ -43,9 +43,13 @@ from gmaxent.hermitian import HermitianMatrix
 from gmaxent.regions import LinearConstraint
 
 from helpers import (
+    fiducial_gradient,
+    fiducial_polytope_problem,
+    highs_fw_gap,
     random_classical_problem,
     random_quantum_problem,
     reference_feasible_basis,
+    sphere_polytope,
     squarebit_measurements,
     squarebit_model,
     squarebit_problem,
@@ -447,6 +451,93 @@ class TestSolvePolytope:
         assert reference.status == SolveStatus.CONVERGED
         assert sol.iterations == reference.iterations
         assert sol.entropy == pytest.approx(reference.entropy, abs=1e-9)
+
+    @staticmethod
+    def _assert_certified(problem, sol, max_iterations):
+        assert sol.status == SolveStatus.CONVERGED
+        assert sol.iterations <= max_iterations
+        assert np.max(np.abs(sol.residuals)) <= 1e-8
+        assert highs_fw_gap(problem, np.asarray(sol.state.coords)) <= 1e-6
+
+    # The benchmark's sphere polytopes (seeds 1-4, four rounds of nv = 8, 16)
+    # on which vanilla Frank-Wolfe stopped at fw_max_iter: (seed, instance).
+    @pytest.mark.parametrize("seed,index", [(2, 0), (2, 2), (2, 3), (3, 4), (4, 3), (4, 4)])
+    def test_sphere_polytopes_converge(self, seed, index):
+        pytest.importorskip("scipy")
+        rng = np.random.default_rng(seed)
+        problems = [
+            fiducial_polytope_problem(sphere_polytope(nv, 3, rng), rng) for _ in range(4) for nv in (8, 16)
+        ]
+        problem = problems[index]
+        self._assert_certified(problem, solve_polytope(problem), 500)
+
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_24_vertex_polytope_in_r4_converges(self, seed):
+        pytest.importorskip("scipy")
+        rng = np.random.default_rng(seed)
+        problem = fiducial_polytope_problem(sphere_polytope(24, 4, rng), rng)
+        self._assert_certified(problem, solve_polytope(problem), 500)
+
+    def test_exact_line_search_on_a_segment(self):
+        # A polygon cut by one condition is a segment: one step of an exact
+        # line search reaches the optimum, and the next iteration certifies it.
+        angles = 2.0 * np.pi * np.arange(16) / 16
+        model = Polytope(np.column_stack([np.cos(angles), np.sin(angles)]))
+        for seed in range(8):
+            sol = solve_polytope(fiducial_polytope_problem(model, np.random.default_rng(seed)))
+            assert sol.status == SolveStatus.CONVERGED
+            assert sol.iterations <= 3, seed
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_monotone_ascent_through_feasible_mixtures(self, seed, monkeypatch):
+        import gmaxent.solver
+
+        rng = np.random.default_rng(100 + seed)
+        model = Polytope(rng.standard_normal((int(rng.integers(4, 13)), 2)))
+        fiducial = fiducial_polytope_problem(model, rng)
+        events = []  # ("grad", point) and ("lp", None), in call order
+        value_calls = []
+
+        def value(coords):
+            value_calls.append(coords)
+            return entropy(fiducial.objective, State(model, coords))
+
+        def gradient(coords):
+            events.append(("grad", np.array(coords)))
+            return fiducial_gradient(fiducial.objective, coords)
+
+        feasible_basis = gmaxent.solver.feasible_basis
+
+        def recording_basis(*args, **kwargs):
+            basis = feasible_basis(*args, **kwargs)
+            optimize = basis.optimize
+
+            def recorded(c, maximize=False):
+                events.append(("lp", None))
+                return optimize(c, maximize)
+
+            basis.optimize = recorded
+            return basis
+
+        monkeypatch.setattr(gmaxent.solver, "feasible_basis", recording_basis)
+        problem = MaxEntProblem(model, fiducial.region, CustomObjective(value, gradient))
+        sol = solve_polytope(problem)
+        assert sol.status == SolveStatus.CONVERGED
+        # The objective's value is read once, for the reported entropy.
+        assert len(value_calls) == 1
+
+        # An iterate is the point whose gradient prices the next Frank-Wolfe LP.
+        iterates = [p for (kind, p), (after, _) in zip(events, events[1:]) if kind == "grad" and after == "lp"]
+        assert len(iterates) == sol.iterations
+        values = [value(p) for p in iterates]
+        assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
+        (condition,) = problem.region.h_rep
+        for p in iterates:  # value() built a State at each, so each lies in the polytope
+            assert abs(float(condition.functional @ p) - condition.target) <= 1e-9
+        # The result is the last iterate: the active-set mixture that was certified.
+        np.testing.assert_allclose(sol.state.coords, iterates[-1], rtol=0, atol=1e-15)
+        assert np.max(np.abs(sol.residuals)) <= 1e-9
+        assert sol.entropy == pytest.approx(values[-1], abs=1e-12)
 
     def test_objective_compatibility(self):
         with pytest.raises(IncompatibleObjective):
