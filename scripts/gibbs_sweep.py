@@ -3,14 +3,27 @@
 
 For H = diag(0, 1) and the condition <H> = t, the entropy maximizer is the
 Gibbs state diag(1-t, t) with multiplier ln((1-t)/t), so every solver output
-can be checked analytically.
+can be checked analytically. The script exits 1 when a solve does not
+converge or a multiplier or entropy deviates from its closed form by more
+than MAX_DEVIATION.
 """
 
 import argparse
+import sys
 
 import numpy as np
 
-from gmaxent import MaxEntProblem, Quantum, VonNeumann, region_from_mean, solve_dual, spectral_observable
+from gmaxent import (
+    MaxEntProblem,
+    Quantum,
+    SolveStatus,
+    VonNeumann,
+    region_from_mean,
+    solve_dual,
+    spectral_observable,
+)
+
+MAX_DEVIATION = 1e-8
 
 
 def main():
@@ -22,9 +35,14 @@ def main():
     hamiltonian = spectral_observable(model, np.diag([0.0, 1.0]).astype(complex))
     print(f"{'target':>8} {'lambda1':>12} {'lambda1*':>12} {'entropy':>12} {'entropy*':>12} {'iters':>6}")
     worst = 0.0
+    unconverged = 0
     for t in np.linspace(0.05, 0.95, args.steps):
         problem = MaxEntProblem(model, region_from_mean(hamiltonian, float(t)), VonNeumann())
         sol = solve_dual(problem)
+        if sol.status is not SolveStatus.CONVERGED:
+            unconverged += 1
+            print(f"{t:8.3f} {sol.status.value}")
+            continue
         lam_exact = np.log((1.0 - t) / t)
         ent_exact = -(t * np.log(t) + (1.0 - t) * np.log(1.0 - t))
         worst = max(worst, abs(sol.multipliers[0] - lam_exact), abs(sol.entropy - ent_exact))
@@ -32,7 +50,10 @@ def main():
             f"{t:8.3f} {sol.multipliers[0]:12.8f} {lam_exact:12.8f} "
             f"{sol.entropy:12.8f} {ent_exact:12.8f} {sol.iterations:6d}"
         )
-    print(f"\nworst deviation from closed form: {worst:.3e}")
+    print(f"\nworst deviation from closed form: {worst:.3e} (bound {MAX_DEVIATION:.1e})")
+    print(f"solves not converged: {unconverged} of {args.steps}")
+    if worst > MAX_DEVIATION or unconverged:
+        sys.exit(1)
 
 
 if __name__ == "__main__":

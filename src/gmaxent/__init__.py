@@ -31,9 +31,7 @@ from .errors import (
     NoValues,
     NotAProjection,
     NotOrthogonal,
-    NotPositive,
     NumericalFailure,
-    Overflow,
     Unsupported,
     UnsupportedRepresentation,
 )
@@ -42,9 +40,6 @@ from .hermitian import (
     HermitianMatrix,
     eig,
     entropy_from_spectrum,
-    frechet_exp_directional,
-    matrix_exp,
-    matrix_log,
 )
 from .models import (
     Classical,

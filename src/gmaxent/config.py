@@ -14,8 +14,6 @@ class NumericsConfig:
     hermiticity_atol: float = 1e-12     # construction check |A - A^dagger|
     reconstruction_rtol: float = 1e-10  # eig: |U diag(k) U^dagger - A|
     unitarity_atol: float = 1e-10       # eig: |U^dagger U - I|
-    exp_overflow: float = 700.0         # max eigenvalue before exp overflows
-    log_negative_atol: float = 1e-10    # eigenvalues below -this raise NotPositive
     log_zero_floor: float = 1e-300      # eigenvalues below this contribute ln = 0
     dd_degeneracy_rtol: float = 1e-9    # divided-difference pair merging
 

@@ -9,14 +9,6 @@ class NumericalFailure(GmaxentError):
     """An iterative numerical routine failed to converge."""
 
 
-class Overflow(GmaxentError):
-    """Matrix exponential would overflow; the caller must pre-shift the spectrum."""
-
-
-class NotPositive(GmaxentError):
-    """Operation requires a positive-semidefinite input."""
-
-
 class ModelMismatch(GmaxentError):
     """Operands belong to different model spaces."""
 

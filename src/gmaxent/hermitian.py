@@ -1,8 +1,8 @@
 """Dense complex Hermitian matrix algebra.
 
-Eigendecomposition, spectral matrix functions (exp, log), and the
-divided-difference directional derivative of the matrix exponential that the
-quantum dual solver needs for its Hessian. All values are immutable and all
+Hermitian matrices, a checked eigendecomposition, the divided-difference
+kernel of exp that the quantum dual solver contracts into its Kubo-Mori
+Hessian, and the entropy of a spectrum. All values are immutable and all
 functions are pure.
 """
 
@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import DEFAULT_NUMERICS, NumericsConfig
-from .errors import NotPositive, NumericalFailure, Overflow
+from .errors import NumericalFailure
 
 
 @dataclass(frozen=True)
@@ -78,12 +78,6 @@ class EigenDecomposition:
         return (u * self.eigenvalues) @ u.conj().T
 
 
-def _hermitize(raw: np.ndarray, config: NumericsConfig) -> HermitianMatrix:
-    # For internally computed results: symmetrize first so the construction
-    # check never trips on rounding noise at large norms.
-    return HermitianMatrix((raw + raw.conj().T) / 2.0, config)
-
-
 def eig(m: HermitianMatrix) -> EigenDecomposition:
     """Full eigendecomposition with ascending eigenvalues.
 
@@ -104,36 +98,6 @@ def eig(m: HermitianMatrix) -> EigenDecomposition:
     return decomp
 
 
-def matrix_exp(m: HermitianMatrix) -> HermitianMatrix:
-    """exp(m) via the spectral decomposition; Hermitian positive-definite.
-
-    Raises Overflow when the top eigenvalue exceeds the safe range; callers
-    that normalize anyway (partition functions) must pre-shift the spectrum.
-    """
-    decomp = eig(m)
-    k = decomp.eigenvalues
-    if k[-1] > m.config.exp_overflow:
-        raise Overflow(f"max eigenvalue {k[-1]:.3g} exceeds exp range; pre-shift the spectrum")
-    u = decomp.eigenvectors
-    return _hermitize((u * np.exp(k)) @ u.conj().T, m.config)
-
-
-def matrix_log(m: HermitianMatrix) -> HermitianMatrix:
-    """Spectral logarithm of a positive-semidefinite matrix.
-
-    Eigenvalues below the zero floor are assigned ln = 0 so that entropy-style
-    contractions obey the 0 ln 0 = 0 convention; eigenvalues meaningfully
-    negative raise NotPositive.
-    """
-    decomp = eig(m)
-    k = decomp.eigenvalues
-    if k[0] < -m.config.log_negative_atol:
-        raise NotPositive(f"eigenvalue {k[0]:.3g} is negative")
-    logk = np.where(k > m.config.log_zero_floor, np.log(np.maximum(k, m.config.log_zero_floor)), 0.0)
-    u = decomp.eigenvectors
-    return _hermitize((u * logk) @ u.conj().T, m.config)
-
-
 def _divided_difference(k: np.ndarray, rtol: float) -> np.ndarray:
     """phi(x, y) = (e^x - e^y)/(x - y), with phi(x, x) = e^x.
 
@@ -147,21 +111,6 @@ def _divided_difference(k: np.ndarray, rtol: float) -> np.ndarray:
     safe = np.where(close, 1.0, dx)
     phi = (np.exp(x) - np.exp(y)) / safe
     return np.where(close, np.exp((x + y) / 2.0), phi)
-
-
-def frechet_exp_directional(m: HermitianMatrix, h: HermitianMatrix) -> HermitianMatrix:
-    """Directional derivative of the matrix exponential at m along h.
-
-    In the eigenbasis of m the derivative is the entrywise product of the
-    rotated direction with the divided-difference kernel of exp.
-    """
-    if m.dim != h.dim:
-        raise ValueError(f"dimension mismatch: {m.dim} vs {h.dim}")
-    decomp = eig(m)
-    u = decomp.eigenvectors
-    hp = u.conj().T @ h.entries @ u
-    phi = _divided_difference(decomp.eigenvalues, m.config.dd_degeneracy_rtol)
-    return _hermitize(u @ (hp * phi) @ u.conj().T, m.config)
 
 
 def entropy_from_spectrum(eigenvalues: np.ndarray, config: NumericsConfig = DEFAULT_NUMERICS) -> float:

@@ -155,6 +155,13 @@ def _number(raw, context: str, kind: type = float):
         raise SchemaError(f"{context}: expected a number, got {raw!r}") from exc
 
 
+def _iteration_cap(raw, context: str) -> int:
+    cap = _number(raw, context, int)
+    if cap < 0:
+        raise SchemaError(f"{context}: expected a non-negative integer, got {raw!r}")
+    return cap
+
+
 def _real_vector(raw: dict, context: str) -> np.ndarray:
     try:
         return np.asarray(_require(raw, "vector", context), dtype=float)
@@ -352,7 +359,7 @@ def _solver_settings(raw: dict) -> dict:
     if "tolerance" in raw:
         settings["grad_tol"] = _number(raw["tolerance"], "solver tolerance")
     if "max_iter" in raw:
-        settings["max_iter"] = _number(raw["max_iter"], "solver max_iter", int)
+        settings["max_iter"] = _iteration_cap(raw["max_iter"], "solver max_iter")
     return settings
 
 
@@ -361,7 +368,7 @@ def solver_config_from(parsed: ParsedProblem, tolerance=None, max_iter=None) -> 
     if tolerance is not None:
         changes["grad_tol"] = float(tolerance)
     if max_iter is not None:
-        changes["max_iter"] = int(max_iter)
+        changes["max_iter"] = _iteration_cap(max_iter, "--max-iter")
     return dataclasses.replace(DEFAULT_SOLVER, **changes) if changes else DEFAULT_SOLVER
 
 

@@ -9,13 +9,14 @@ Two routes:
   by damped Newton steps. The quantum Hessian is the Kubo-Mori covariance,
   computed from the divided-difference derivative of the matrix exponential.
 * ``solve_polytope``: any concave objective with a gradient on classical or
-  polytope models via away-step Frank-Wolfe over mixing weights. The
-  iterate is a convex mixture of an active set of feasible vertices; each
-  step moves toward the Frank-Wolfe vertex or away from the worst active
-  one, by an exact line search on the objective's slope, and the
-  Frank-Wolfe gap certifies convergence. One Phase I per solve finds a
-  feasible simplex basis; every linear subproblem is then a Phase II that
-  starts from the previous subproblem's optimal basis.
+  polytope models via away-step Frank-Wolfe over mixing weights. One Phase
+  I per solve finds a feasible simplex basis, and its basic solution is the
+  first iterate; every linear subproblem is then a Phase II that starts
+  from the previous subproblem's optimal basis. The iterate is a convex
+  mixture of an active set of feasible vertices; each step moves toward the
+  Frank-Wolfe vertex or away from the worst active one, by an exact line
+  search on the objective's slope, and only the Frank-Wolfe gap certifies
+  convergence.
 
 A brute-force grid oracle for small instances lives in ``oracle.py``.
 """
@@ -46,7 +47,6 @@ from .models import (
     ModelSpace,
     Observable,
     State,
-    evaluate,
 )
 from .regions import ConvexRegion, LinearConstraint, _weight_rows, _weight_system, _weights_to_coords
 from .simplex import OPTIMAL, feasible_basis, phase_one
@@ -153,10 +153,16 @@ def entropy(objective: Objective, state: State) -> float:
     if isinstance(objective, FiducialMeasurementEntropy):
         total = 0.0
         for m in objective.measurements:
-            probs = np.array([evaluate(out.effect, state) for out in m.outcomes])
-            total += entropy_from_spectrum(probs)
+            if m.model != state.model:
+                raise ModelMismatch("fiducial measurement and state live on different models")
+            total += entropy_from_spectrum(_effect_rows(m) @ state.coords)
         return total
     return float(objective.value(state.coords))
+
+
+def _effect_rows(measurement: Observable) -> np.ndarray:
+    """The outcome functionals stacked as rows: one product gives every outcome probability."""
+    return np.stack([out.effect.functional for out in measurement.outcomes])
 
 
 def default_objective(model: ModelSpace) -> Objective:
@@ -376,7 +382,7 @@ def solve_dual(problem: MaxEntProblem, config: SolverConfig = DEFAULT_SOLVER) ->
     dual_at = _evaluator(problem.model, active)
     lambdas = np.zeros(len(active))
     ev = dual_at(lambdas)
-    status = None
+    status = SolveStatus.NON_CONVERGENCE
     iterations = 0
     initial_res = None
 
@@ -467,9 +473,7 @@ def _objective_gradient(problem: MaxEntProblem) -> Callable[[np.ndarray], np.nda
 
         return grad
     if isinstance(obj, FiducialMeasurementEntropy):
-        effect_rows = [
-            np.stack([out.effect.functional for out in m.outcomes]) for m in obj.measurements
-        ]
+        effect_rows = [_effect_rows(m) for m in obj.measurements]
 
         def grad(x):
             g = np.zeros_like(x)
@@ -529,18 +533,19 @@ def solve_polytope(problem: MaxEntProblem, config: SolverConfig = DEFAULT_SOLVER
     """Away-step Frank-Wolfe maximization of a concave objective over the feasible hull.
 
     The iterate is a convex combination of an active set of feasible vertices
-    (basic solutions of the mixing-weight system). The start mixes the
-    optima of the n LPs that maximize each weight, in proportion to how
-    often each occurs. Each iteration takes the Frank-Wolfe vertex s from an
-    LP over mixing weights; the gap g.(s - x) is the stopping certificate
-    (CONVERGED once it is at most ``fw_gap_tol``). It then moves toward s,
-    or away from the active vertex v that minimizes g.v when g.(x - v) is
-    the larger gap, and a step that reaches its bound drops a vertex. The
-    step is an exact line search on the objective's slope (``_slope_search``,
-    at most ``max_backtracks`` gradients), so the objective never decreases
-    and no objective value is evaluated. Phase I runs once per solve, and
-    each LP is a Phase II warm-started from the previous optimal basis, all
-    with the region's LP tolerances (Lacoste-Julien & Jaggi, NeurIPS 2015).
+    (basic solutions of the mixing-weight system), starting from the one
+    vertex that Phase I finds. Each iteration takes the Frank-Wolfe vertex s
+    from an LP over mixing weights; the gap g.(s - x) is the stopping
+    certificate, and CONVERGED means it is at most ``fw_gap_tol``. It then
+    moves toward s, or away from the active vertex v that minimizes g.v when
+    g.(x - v) is the larger gap, and a step that reaches its bound drops a
+    vertex. The step is an exact line search on the objective's slope
+    (``_slope_search``, at most ``max_backtracks`` gradients), so the
+    objective never decreases and no objective value is evaluated. A search
+    that cannot move ends the solve with NON_CONVERGENCE, as does
+    ``fw_max_iter``. Phase I runs once per solve, and each LP is a Phase II
+    warm-started from the previous optimal basis, all with the region's LP
+    tolerances (Lacoste-Julien & Jaggi, NeurIPS 2015).
     """
     if problem.model.kind not in (CLASSICAL, POLYTOPE):
         raise IncompatibleObjective("solve_polytope handles classical and polytope models")
@@ -555,24 +560,14 @@ def solve_polytope(problem: MaxEntProblem, config: SolverConfig = DEFAULT_SOLVER
 
     model = problem.model
     a, b = _weight_system(model, region.h_rep)
-    n = a.shape[1]
     basis = feasible_basis(a, b, pivot_tol=region.config.lp_pivot_tol, feas_tol=region.config.lp_feasibility_tol)
     if basis is None:
         return _infeasible(diag)
 
     # The active set: vertices (rows of atoms) with convex weights alpha. It
-    # starts as the distinct vertices that maximize each weight, weighted by
-    # how often each occurs.
-    starts = []
-    for i in range(n):
-        c_obj = np.zeros(n)
-        c_obj[i] = 1.0
-        result = basis.optimize(c_obj, maximize=True)
-        if result.status == OPTIMAL:
-            starts.append(_weights_to_coords(model, result.x))
-    atoms, counts = np.unique(starts, axis=0, return_counts=True)
-    alpha = counts / counts.sum()
-    x = alpha @ atoms
+    # starts as the Phase I basic solution alone.
+    x = _weights_to_coords(model, basis.x())
+    atoms, alpha = x[None, :], np.ones(1)
 
     grad = _objective_gradient(problem)
     status = SolveStatus.NON_CONVERGENCE
@@ -597,7 +592,6 @@ def solve_polytope(problem: MaxEntProblem, config: SolverConfig = DEFAULT_SOLVER
             d, t_max = x - atoms[away], alpha[away] / (1.0 - alpha[away])
         t = _slope_search(grad, x, d, t_max, float(g @ d), config.max_backtracks)
         if t == 0.0:
-            status = SolveStatus.CONVERGED if gap <= 10 * config.fw_gap_tol else SolveStatus.NON_CONVERGENCE
             break
         if toward and t == t_max:
             atoms, alpha = s[None, :], np.ones(1)

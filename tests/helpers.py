@@ -15,6 +15,7 @@ from gmaxent import (
     Quantum,
     Shannon,
     VonNeumann,
+    eig,
     evaluate,
     includes,
     indicator_observable,
@@ -25,6 +26,7 @@ from gmaxent import (
     region_from_mean,
     whole_space,
 )
+from gmaxent.hermitian import _divided_difference
 from gmaxent.regions import LinearConstraint
 from gmaxent.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LpResult
 
@@ -59,6 +61,64 @@ def hermitian_basis(d):
         idx += 1
     basis.setflags(write=False)
     return basis
+
+
+# ---------------------------------------------------------------------------
+# Spectral matrix functions: references for the quantum dual's closed forms.
+# ---------------------------------------------------------------------------
+
+# Top eigenvalue above which matrix_exp refuses rather than overflow.
+EXP_OVERFLOW = 700.0
+# Eigenvalues below -this make matrix_log refuse.
+LOG_NEGATIVE_ATOL = 1e-10
+
+
+def _hermitize(raw):
+    # Symmetrize first so the construction check never trips on rounding
+    # noise at large norms.
+    return HermitianMatrix((raw + raw.conj().T) / 2.0)
+
+
+def matrix_exp(m):
+    """exp(m) via the spectral decomposition; OverflowError past the safe range."""
+    decomp = eig(m)
+    k = decomp.eigenvalues
+    if k[-1] > EXP_OVERFLOW:
+        raise OverflowError(f"max eigenvalue {k[-1]:.3g} exceeds exp range; pre-shift the spectrum")
+    u = decomp.eigenvectors
+    return _hermitize((u * np.exp(k)) @ u.conj().T)
+
+
+def matrix_log(m):
+    """Spectral logarithm of a positive-semidefinite matrix.
+
+    Eigenvalues below the zero floor are assigned ln = 0 (the 0 ln 0 = 0
+    convention of entropy contractions); eigenvalues meaningfully negative
+    raise ValueError.
+    """
+    decomp = eig(m)
+    k = decomp.eigenvalues
+    if k[0] < -LOG_NEGATIVE_ATOL:
+        raise ValueError(f"eigenvalue {k[0]:.3g} is negative")
+    floor = m.config.log_zero_floor
+    logk = np.where(k > floor, np.log(np.maximum(k, floor)), 0.0)
+    u = decomp.eigenvectors
+    return _hermitize((u * logk) @ u.conj().T)
+
+
+def frechet_exp_directional(m, h):
+    """Directional derivative of the matrix exponential at m along h.
+
+    In the eigenbasis of m it is the entrywise product of the rotated
+    direction with the divided-difference kernel of exp.
+    """
+    if m.dim != h.dim:
+        raise ValueError(f"dimension mismatch: {m.dim} vs {h.dim}")
+    decomp = eig(m)
+    u = decomp.eigenvectors
+    hp = u.conj().T @ h.entries @ u
+    phi = _divided_difference(decomp.eigenvalues, m.config.dd_degeneracy_rtol)
+    return _hermitize(u @ (hp * phi) @ u.conj().T)
 
 
 # ---------------------------------------------------------------------------
@@ -151,19 +211,28 @@ def reference_solve_lp(c, a_eq, b_eq, maximize=False, pivot_tol=1e-10, feas_tol=
 
 
 class ReferenceBasis:
-    """Stands in for ``gmaxent.simplex.Basis``: every LP is a cold two-phase tableau solve."""
+    """Stands in for ``gmaxent.simplex.Basis``: every LP is a cold two-phase tableau solve.
 
-    def __init__(self, a_eq, b_eq, pivot_tol, feas_tol):
-        self.a_eq, self.b_eq, self.pivot_tol, self.feas_tol = a_eq, b_eq, pivot_tol, feas_tol
+    ``x()`` is the basic solution Phase I ended at, then the last LP's optimum.
+    """
+
+    def __init__(self, a_eq, b_eq, pivot_tol, feas_tol, x):
+        self.a_eq, self.b_eq, self.pivot_tol, self.feas_tol, self._x = a_eq, b_eq, pivot_tol, feas_tol, x
+
+    def x(self):
+        return self._x.copy()
 
     def optimize(self, c, maximize=False):
-        return reference_solve_lp(c, self.a_eq, self.b_eq, maximize, self.pivot_tol, self.feas_tol)
+        result = reference_solve_lp(c, self.a_eq, self.b_eq, maximize, self.pivot_tol, self.feas_tol)
+        if result.status == OPTIMAL:
+            self._x = result.x
+        return result
 
 
 def reference_feasible_basis(a_eq, b_eq, pivot_tol=1e-10, feas_tol=1e-8):
     """``gmaxent.simplex.feasible_basis`` on the reference kernel."""
-    residual, _ = reference_phase_one(a_eq, b_eq, pivot_tol, feas_tol)
-    return None if residual > feas_tol else ReferenceBasis(a_eq, b_eq, pivot_tol, feas_tol)
+    residual, x = reference_phase_one(a_eq, b_eq, pivot_tol, feas_tol)
+    return None if x is None else ReferenceBasis(a_eq, b_eq, pivot_tol, feas_tol, x)
 
 
 def random_hermitian(rng, d, scale=1.0):

@@ -22,7 +22,6 @@ from gmaxent import (
     effect_from_matrix,
     includes,
     join,
-    matrix_exp,
     meet,
     oracle_maxent,
     partition_function,
@@ -36,6 +35,7 @@ from gmaxent.cli import main
 from gmaxent.regions import LinearConstraint
 
 from helpers import (
+    matrix_exp,
     random_classical_problem,
     random_density,
     random_projector_family,

@@ -67,9 +67,11 @@ class TestValidate:
             {"model": {"kind": "classical", "dimension": 2}, "solver": {"max_iter": "many"}},
             {"model": {"kind": "classical", "dimension": 2}, "observables": {"A": {"outcomes": 3}}},
             {"model": {"kind": "classical", "dimension": 2}, "objective": {"name": "fiducial", "measurements": 3}},
+            {"model": {"kind": "classical", "dimension": 2}, "solver": {"max_iter": -1}},
         ],
         ids=["state-dimension", "vector-entry", "target", "dimension-zero",
-             "observables-array", "condition-number", "max-iter-text", "outcomes-number", "measurements-number"],
+             "observables-array", "condition-number", "max-iter-text", "outcomes-number", "measurements-number",
+             "max-iter-negative"],
     )
     def test_malformed_file_is_a_schema_error(self, tmp_path, capsys, command, raw):
         bad = tmp_path / "bad.json"
@@ -124,6 +126,11 @@ class TestSolve:
         code, out = run(capsys, "solve", "problems/gibbs_qubit.json", "--max-iter", "1")
         assert code == 5
         assert json.loads(out)["status"] == "non_convergence"
+
+    def test_negative_max_iter_flag_is_a_schema_error(self, capsys):
+        code, out = run(capsys, "solve", "--max-iter=-1", "problems/gibbs_qubit.json")
+        assert code == 2
+        assert out == ""
 
     def test_invalid_povm_blocks_solve(self, tmp_path, capsys):
         raw = json.loads(open("problems/povm_invalid.json").read())

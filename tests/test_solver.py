@@ -14,7 +14,9 @@ from gmaxent import (
     MaxEntProblem,
     Polytope,
     Quantum,
+    DEFAULT_SOLVER,
     Shannon,
+    SolverConfig,
     SolveStatus,
     State,
     UnsupportedRepresentation,
@@ -23,7 +25,6 @@ from gmaxent import (
     entropy,
     evaluate,
     indicator_observable,
-    matrix_exp,
     maximally_mixed,
     meet,
     partition_function,
@@ -45,7 +46,9 @@ from gmaxent.regions import LinearConstraint
 from helpers import (
     fiducial_gradient,
     fiducial_polytope_problem,
+    frechet_exp_directional,
     highs_fw_gap,
+    matrix_exp,
     random_classical_problem,
     random_quantum_problem,
     reference_feasible_basis,
@@ -155,6 +158,11 @@ class TestSolveDualQuantum:
         assert sol.lambda0 == pytest.approx(GIBBS_LNZ, abs=1e-9)
         assert sol.entropy == pytest.approx(GIBBS_ENTROPY, abs=1e-10)
         assert np.max(sol.residuals) <= 1e-8
+
+    def test_negative_iteration_cap_is_non_convergence(self):
+        sol = solve_dual(gibbs_problem(), SolverConfig(max_iter=-1))
+        assert sol.status == SolveStatus.NON_CONVERGENCE
+        assert sol.iterations == 0
 
     def test_effect_condition_same_code_path(self):
         model = Quantum(2)
@@ -288,7 +296,6 @@ class TestSolveDualQuantum:
 
     def test_hessian_matches_frechet_formula(self):
         # H_ij = tr(R_i . Dexp_{-sum(lam R)}[R_j]) / Z - <R_i><R_j>
-        from gmaxent.hermitian import frechet_exp_directional
         from gmaxent.solver import _evaluate
 
         rng = np.random.default_rng(21)
@@ -451,6 +458,64 @@ class TestSolvePolytope:
         assert reference.status == SolveStatus.CONVERGED
         assert sol.iterations == reference.iterations
         assert sol.entropy == pytest.approx(reference.entropy, abs=1e-9)
+
+    def test_one_lp_per_iteration(self, monkeypatch):
+        # The solve starts at the Phase I vertex: every LP after Phase I prices
+        # one Frank-Wolfe iteration.
+        import gmaxent.solver
+
+        feasible_basis = gmaxent.solver.feasible_basis
+        calls = []
+
+        def counting_basis(*args, **kwargs):
+            basis = feasible_basis(*args, **kwargs)
+            optimize = basis.optimize
+
+            def counted(c, maximize=False):
+                calls.append(c)
+                return optimize(c, maximize)
+
+            basis.optimize = counted
+            return basis
+
+        monkeypatch.setattr(gmaxent.solver, "feasible_basis", counting_basis)
+        rng = np.random.default_rng(5)
+        problems = [squarebit_problem()]
+        for n in (8, 16, 32):
+            angles = 2.0 * np.pi * np.arange(n) / n
+            problems.append(fiducial_polytope_problem(Polytope(np.column_stack([np.cos(angles), np.sin(angles)])), rng))
+        problems.append(fiducial_polytope_problem(sphere_polytope(16, 3, rng), rng))
+        for problem in problems:
+            calls.clear()
+            sol = solve_polytope(problem)
+            assert sol.status == SolveStatus.CONVERGED
+            assert len(calls) == sol.iterations
+
+    def test_stalled_search_is_not_converged(self):
+        # The objective peaks with a kink at the first iterate, the Phase I
+        # vertex, which is the origin here, so no trial point rounds back onto
+        # it. The supergradient reported there has a Frank-Wolfe gap in
+        # (fw_gap_tol, 10 fw_gap_tol], but every step lowers the objective, so
+        # the gap never falls to fw_gap_tol and convergence is not certified.
+        from gmaxent.regions import _weight_system, _weights_to_coords
+        from gmaxent.simplex import feasible_basis
+
+        model = Polytope([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        region = whole_space(model)
+        start = _weights_to_coords(model, feasible_basis(*_weight_system(model, region.h_rep)).x())
+        np.testing.assert_array_equal(start, [1.0, 0.0, 0.0])
+        slope = 5.0 * DEFAULT_SOLVER.fw_gap_tol * np.array([0.0, 1.0, -2.0])
+
+        def value(coords):
+            return float(slope @ coords - np.sum(np.abs(coords - start)))
+
+        def gradient(coords):
+            return slope - np.sign(coords - start)
+
+        sol = solve_polytope(MaxEntProblem(model, region, CustomObjective(value, gradient)))
+        assert DEFAULT_SOLVER.fw_gap_tol < sol.diagnostics.fw_gap <= 10 * DEFAULT_SOLVER.fw_gap_tol
+        assert sol.status == SolveStatus.NON_CONVERGENCE
+        np.testing.assert_array_equal(sol.state.coords, start)
 
     @staticmethod
     def _assert_certified(problem, sol, max_iterations):
