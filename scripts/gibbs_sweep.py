@@ -3,9 +3,11 @@
 
 For H = diag(0, 1) and the condition <H> = t, the entropy maximizer is the
 Gibbs state diag(1-t, t) with multiplier ln((1-t)/t), so every solver output
-can be checked analytically. The script exits 1 when a solve does not
-converge or a multiplier or entropy deviates from its closed form by more
-than MAX_DEVIATION.
+can be checked analytically. Targets on the boundary t in {0, 1} must be
+reported boundary-only, and targets just outside [0, 1] infeasible. The
+script exits 1 when a solve inside does not converge, a multiplier or
+entropy deviates from its closed form by more than MAX_DEVIATION, or a
+boundary or outside target gets another status.
 """
 
 import argparse
@@ -24,6 +26,14 @@ from gmaxent import (
 )
 
 MAX_DEVIATION = 1e-8
+EXPECTED_STATUS = {
+    -1e-3: SolveStatus.INFEASIBLE,
+    -1e-6: SolveStatus.INFEASIBLE,
+    0.0: SolveStatus.BOUNDARY_ONLY,
+    1.0: SolveStatus.BOUNDARY_ONLY,
+    1.0 + 1e-6: SolveStatus.INFEASIBLE,
+    1.0 + 1e-3: SolveStatus.INFEASIBLE,
+}
 
 
 def main():
@@ -33,12 +43,15 @@ def main():
 
     model = Quantum(2)
     hamiltonian = spectral_observable(model, np.diag([0.0, 1.0]).astype(complex))
+
+    def solve_at(t):
+        return solve_dual(MaxEntProblem(model, region_from_mean(hamiltonian, float(t)), VonNeumann()))
+
     print(f"{'target':>8} {'lambda1':>12} {'lambda1*':>12} {'entropy':>12} {'entropy*':>12} {'iters':>6}")
     worst = 0.0
     unconverged = 0
     for t in np.linspace(0.05, 0.95, args.steps):
-        problem = MaxEntProblem(model, region_from_mean(hamiltonian, float(t)), VonNeumann())
-        sol = solve_dual(problem)
+        sol = solve_at(t)
         if sol.status is not SolveStatus.CONVERGED:
             unconverged += 1
             print(f"{t:8.3f} {sol.status.value}")
@@ -50,9 +63,16 @@ def main():
             f"{t:8.3f} {sol.multipliers[0]:12.8f} {lam_exact:12.8f} "
             f"{sol.entropy:12.8f} {ent_exact:12.8f} {sol.iterations:6d}"
         )
+    print(f"\n{'target':>10} {'status':>14} {'expected':>14} {'iters':>6}")
+    mismatched = 0
+    for t, expected in EXPECTED_STATUS.items():
+        sol = solve_at(t)
+        mismatched += sol.status is not expected
+        print(f"{t:10.6f} {sol.status.value:>14} {expected.value:>14} {sol.iterations:6d}")
     print(f"\nworst deviation from closed form: {worst:.3e} (bound {MAX_DEVIATION:.1e})")
     print(f"solves not converged: {unconverged} of {args.steps}")
-    if worst > MAX_DEVIATION or unconverged:
+    print(f"boundary and outside targets with another status: {mismatched} of {len(EXPECTED_STATUS)}")
+    if worst > MAX_DEVIATION or unconverged or mismatched:
         sys.exit(1)
 
 

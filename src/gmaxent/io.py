@@ -162,6 +162,13 @@ def _iteration_cap(raw, context: str) -> int:
     return cap
 
 
+def _tolerance(raw, context: str) -> float:
+    tol = _number(raw, context)
+    if not 0.0 < tol < np.inf:
+        raise SchemaError(f"{context}: expected a positive finite number, got {raw!r}")
+    return tol
+
+
 def _real_vector(raw: dict, context: str) -> np.ndarray:
     try:
         return np.asarray(_require(raw, "vector", context), dtype=float)
@@ -357,7 +364,7 @@ def build_objective(parsed: ParsedProblem) -> Objective:
 def _solver_settings(raw: dict) -> dict:
     settings = {}
     if "tolerance" in raw:
-        settings["grad_tol"] = _number(raw["tolerance"], "solver tolerance")
+        settings["grad_tol"] = _tolerance(raw["tolerance"], "solver tolerance")
     if "max_iter" in raw:
         settings["max_iter"] = _iteration_cap(raw["max_iter"], "solver max_iter")
     return settings
@@ -366,7 +373,7 @@ def _solver_settings(raw: dict) -> dict:
 def solver_config_from(parsed: ParsedProblem, tolerance=None, max_iter=None) -> SolverConfig:
     changes = dict(parsed.solver_settings)
     if tolerance is not None:
-        changes["grad_tol"] = float(tolerance)
+        changes["grad_tol"] = _tolerance(tolerance, "--tolerance")
     if max_iter is not None:
         changes["max_iter"] = _iteration_cap(max_iter, "--max-iter")
     return dataclasses.replace(DEFAULT_SOLVER, **changes) if changes else DEFAULT_SOLVER

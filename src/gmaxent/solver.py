@@ -49,7 +49,7 @@ from .models import (
     State,
 )
 from .regions import ConvexRegion, LinearConstraint, _weight_rows, _weight_system, _weights_to_coords
-from .simplex import OPTIMAL, feasible_basis, phase_one
+from .simplex import OPTIMAL, feasible_basis
 
 log = logging.getLogger("gmaxent")
 
@@ -187,14 +187,22 @@ def _functional_matrix(model: ModelSpace, constraints: Sequence[LinearConstraint
 class _DualEvaluation:
     """The dual at one multiplier vector.
 
-    ``lnz`` and ``spectrum`` (classical probabilities or quantum eigenvalues)
-    are computed on construction from one decomposition; the means, the
-    state coordinates and the Hessian are computed on first use and cached.
-    A rejected line-search trial reads only ``lnz``.
+    ``lnz``, ``spectrum`` (classical probabilities or quantum eigenvalues)
+    and ``top``, the largest eigenvalue of the exponent -sum_i lambda_i R_i,
+    are set on construction from one decomposition; the means, the state
+    coordinates and the Hessian are computed on first use and cached. A
+    rejected line-search trial reads only ``lnz``.
     """
 
-    lnz: float
-    spectrum: np.ndarray
+    def _gibbs(self, energy: np.ndarray) -> np.ndarray:
+        """Set ``top``, ``lnz`` and ``spectrum`` from the exponent's eigenvalues ``energy``; return energy - top."""
+        self.top = float(np.max(energy))
+        shifted = energy - self.top
+        weights = np.exp(shifted)
+        self._z = float(np.sum(weights))
+        self.lnz = self.top + float(np.log(self._z))
+        self.spectrum = weights / self._z
+        return shifted
 
     def hessian(self) -> np.ndarray:
         return self._hessian
@@ -202,13 +210,8 @@ class _DualEvaluation:
 
 class _ClassicalEvaluation(_DualEvaluation):
     def __init__(self, funcs: np.ndarray, lambdas: np.ndarray):
-        energy = -(lambdas @ funcs)
-        shift = float(np.max(energy))
-        weights = np.exp(energy - shift)
-        z = float(np.sum(weights))
-        self.lnz = shift + float(np.log(z))
-        self.spectrum = self.state_coords = weights / z
-        self._funcs = funcs
+        self._gibbs(-(lambdas @ funcs))
+        self.state_coords, self._funcs = self.spectrum, funcs
 
     @cached_property
     def means(self) -> np.ndarray:
@@ -228,12 +231,7 @@ class _QuantumEvaluation(_DualEvaluation):
             k, u = np.linalg.eigh(exponent)
         except np.linalg.LinAlgError as exc:
             raise NumericalFailure(f"eigensolver did not converge: {exc}") from exc
-        shifted = k - k[-1]
-        weights = np.exp(shifted)
-        z = float(np.sum(weights))
-        self.lnz = float(k[-1]) + float(np.log(z))
-        self.spectrum = weights / z
-        self._model, self._operators, self._shifted, self._u, self._z = model, operators, shifted, u, z
+        self._model, self._operators, self._u, self._shifted = model, operators, u, self._gibbs(k)
 
     @cached_property
     def _rotated(self) -> np.ndarray:
@@ -342,11 +340,15 @@ def solve_dual(problem: MaxEntProblem, config: SolverConfig = DEFAULT_SOLVER) ->
     """Minimize the exponential-family dual by damped Newton iteration.
 
     Statuses: CONVERGED when the dual gradient drops below tolerance and the
-    solved state has full support; BOUNDARY_ONLY when the gradient converges
-    onto a rank-deficient limiting state (the infimum is unattained inside
-    the exponential family) or multipliers diverge with vanishing residuals;
-    INFEASIBLE on contradictions, an empty classical LP, or diverging
-    multipliers with stalled residuals; NON_CONVERGENCE at the iteration cap.
+    solved state has full support; BOUNDARY_ONLY when it converges onto a
+    rank-deficient limiting state. Past ``multiplier_bound`` the recession
+    certificate c = u . r + lambda_max(-sum_i u_i R_i), u = lambda/|lambda|,
+    decides for both models: a state meeting the conditions would give
+    c >= 0, so c < -``residual_tol`` is INFEASIBLE with the multipliers as
+    witness (Boyd & Vandenberghe, Convex Optimization, 5.8); otherwise the
+    status is BOUNDARY_ONLY when the residuals are within
+    ``boundary_residual_tol``, else NON_CONVERGENCE, as at the iteration cap.
+    Contradictory linear conditions are INFEASIBLE before any Newton step.
     """
     if not isinstance(problem.objective, (Shannon, VonNeumann)):
         raise IncompatibleObjective("solve_dual handles Shannon and von Neumann objectives")
@@ -359,20 +361,12 @@ def solve_dual(problem: MaxEntProblem, config: SolverConfig = DEFAULT_SOLVER) ->
 
     constraints = region.h_rep
     targets = np.array([c.target for c in constraints])
-    funcs = _functional_matrix(problem.model, constraints)
-    kept, dropped, contradiction = _select_independent(funcs, targets, config)
-    del funcs  # the evaluator stacks the kept constraints
+    kept, dropped, contradiction = _select_independent(_functional_matrix(problem.model, constraints), targets, config)
     if contradiction:
         return _infeasible(diag)
-    diag.kept_indices = tuple(kept)
-    diag.dropped_indices = tuple(dropped)
+    diag.kept_indices, diag.dropped_indices = tuple(kept), tuple(dropped)
     active = [constraints[i] for i in kept]
     r = targets[kept]
-
-    if problem.model.kind == CLASSICAL and active:
-        _, witness = phase_one(*_weight_system(problem.model, active))
-        if witness is None:
-            return _infeasible(diag)
 
     # A quantum solve holds an (m, d, d) operator stack throughout. Its state
     # coordinates are allocated before that stack, so that a caller keeping
@@ -384,21 +378,18 @@ def solve_dual(problem: MaxEntProblem, config: SolverConfig = DEFAULT_SOLVER) ->
     ev = dual_at(lambdas)
     status = SolveStatus.NON_CONVERGENCE
     iterations = 0
-    initial_res = None
 
     for iterations in range(config.max_iter + 1):
         g = r - ev.means
         res_norm = float(np.max(np.abs(g))) if len(g) else 0.0
-        if initial_res is None:
-            initial_res = res_norm
-        diag.dual_values.append(ev.lnz + float(lambdas @ r))
+        d0 = ev.lnz + float(lambdas @ r)
+        diag.dual_values.append(d0)
         diag.residual_norms.append(res_norm)
         if res_norm <= config.grad_tol:
             boundary = float(np.min(ev.spectrum)) < config.boundary_rank_tol
             status = SolveStatus.BOUNDARY_ONLY if boundary else SolveStatus.CONVERGED
             break
         if iterations == config.max_iter:
-            status = SolveStatus.NON_CONVERGENCE
             break
 
         h = ev.hessian()
@@ -413,7 +404,6 @@ def solve_dual(problem: MaxEntProblem, config: SolverConfig = DEFAULT_SOLVER) ->
             slope = float(g @ g)
             diag.gradient_fallbacks += 1
         # Descent direction for D is -direction: D'(t) = -g . direction at t=0.
-        d0 = ev.lnz + float(lambdas @ r)
         if slope <= 1e-14 * (1.0 + abs(d0)) and float(np.max(np.abs(direction))) <= 1.0:
             # Predicted decrease is below the float resolution of D, so the
             # line search cannot see it; this is the quadratic regime, where
@@ -431,15 +421,14 @@ def solve_dual(problem: MaxEntProblem, config: SolverConfig = DEFAULT_SOLVER) ->
                 break
             step /= 2.0
         if accepted is None or np.array_equal(accepted[0], lambdas):
-            status = SolveStatus.NON_CONVERGENCE
             break
         lambdas, ev = accepted
         if float(np.max(np.abs(lambdas))) > config.multiplier_bound:
-            res_now = float(np.max(np.abs(r - ev.means)))
-            shrinking = res_now <= config.boundary_residual_tol or (
-                initial_res > 0 and res_now < 0.1 * initial_res
-            )
-            status = SolveStatus.BOUNDARY_ONLY if shrinking else SolveStatus.INFEASIBLE
+            unit = lambdas / np.linalg.norm(lambdas)
+            if dual_at(unit).top + float(unit @ r) < -config.residual_tol:
+                status = SolveStatus.INFEASIBLE
+            elif float(np.max(np.abs(r - ev.means))) <= config.boundary_residual_tol:
+                status = SolveStatus.BOUNDARY_ONLY
             break
 
     if status is SolveStatus.INFEASIBLE:
@@ -541,11 +530,12 @@ def solve_polytope(problem: MaxEntProblem, config: SolverConfig = DEFAULT_SOLVER
     g.(x - v) is the larger gap, and a step that reaches its bound drops a
     vertex. The step is an exact line search on the objective's slope
     (``_slope_search``, at most ``max_backtracks`` gradients), so the
-    objective never decreases and no objective value is evaluated. A search
-    that cannot move ends the solve with NON_CONVERGENCE, as does
-    ``fw_max_iter``. Phase I runs once per solve, and each LP is a Phase II
-    warm-started from the previous optimal basis, all with the region's LP
-    tolerances (Lacoste-Julien & Jaggi, NeurIPS 2015).
+    objective never decreases and no objective value is evaluated. A step
+    that leaves x unchanged, including one that rounds back to it, ends the
+    solve with NON_CONVERGENCE, as does ``fw_max_iter``. Phase I runs once
+    per solve, and each LP is a Phase II warm-started from the previous
+    optimal basis, all with the region's LP tolerances (Lacoste-Julien &
+    Jaggi, NeurIPS 2015).
     """
     if problem.model.kind not in (CLASSICAL, POLYTOPE):
         raise IncompatibleObjective("solve_polytope handles classical and polytope models")
@@ -607,7 +597,10 @@ def solve_polytope(problem: MaxEntProblem, config: SolverConfig = DEFAULT_SOLVER
             alpha[away] -= t
             if t == t_max or alpha[away] <= 0.0:
                 atoms, alpha = np.delete(atoms, away, axis=0), np.delete(alpha, away)
-        x = alpha @ atoms
+        moved = alpha @ atoms
+        if np.array_equal(moved, x):
+            break
+        x = moved
 
     return _solution(problem, x, (), None, iterations, status, diag)
 

@@ -68,10 +68,11 @@ class TestValidate:
             {"model": {"kind": "classical", "dimension": 2}, "observables": {"A": {"outcomes": 3}}},
             {"model": {"kind": "classical", "dimension": 2}, "objective": {"name": "fiducial", "measurements": 3}},
             {"model": {"kind": "classical", "dimension": 2}, "solver": {"max_iter": -1}},
+            {"model": {"kind": "classical", "dimension": 2}, "solver": {"tolerance": -1e-10}},
         ],
         ids=["state-dimension", "vector-entry", "target", "dimension-zero",
              "observables-array", "condition-number", "max-iter-text", "outcomes-number", "measurements-number",
-             "max-iter-negative"],
+             "max-iter-negative", "tolerance-negative"],
     )
     def test_malformed_file_is_a_schema_error(self, tmp_path, capsys, command, raw):
         bad = tmp_path / "bad.json"
@@ -129,6 +130,12 @@ class TestSolve:
 
     def test_negative_max_iter_flag_is_a_schema_error(self, capsys):
         code, out = run(capsys, "solve", "--max-iter=-1", "problems/gibbs_qubit.json")
+        assert code == 2
+        assert out == ""
+
+    @pytest.mark.parametrize("value", ["-1", "0", "nan", "inf"])
+    def test_bad_tolerance_flag_is_a_schema_error(self, capsys, value):
+        code, out = run(capsys, "solve", f"--tolerance={value}", "problems/gibbs_qubit.json")
         assert code == 2
         assert out == ""
 

@@ -60,6 +60,7 @@ from helpers import (
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+SY = np.array([[0.0, -1j], [1j, 0.0]], dtype=complex)
 
 GIBBS_LAMBDA = np.log(7.0 / 3.0)
 GIBBS_LNZ = np.log(10.0 / 7.0)
@@ -71,6 +72,47 @@ def gibbs_problem():
     model = Quantum(2)
     obs = spectral_observable(model, np.diag([0.0, 1.0]).astype(complex))
     return MaxEntProblem(model, region_from_mean(obs, 0.3), VonNeumann())
+
+
+def near_boundary_problem(family, t):
+    """Targets scaled by t against a face of the state space at t = 1 (t = 0 for the qutrit)."""
+    if family == "classical":
+        model = Classical(2)
+        return MaxEntProblem(model, region_from_mean(indicator_observable(model, [0.0, 1.0]), t), Shannon())
+    if family == "sigmaz":
+        model = Quantum(2)
+        return MaxEntProblem(model, region_from_mean(spectral_observable(model, SZ), t), VonNeumann())
+    if family == "bloch":
+        model = Quantum(2)
+        direction = np.array([1.0, 2.0, 2.0]) / 3.0
+        regions = [region_from_mean(spectral_observable(model, p), t * x) for p, x in zip((SX, SY, SZ), direction)]
+        return MaxEntProblem(model, meet(meet(regions[0], regions[1]), regions[2]), VonNeumann())
+    model = Quantum(3)
+    projector = np.full((3, 3), 1.0 / 3.0, dtype=complex)
+    return MaxEntProblem(model, region_from_mean(spectral_observable(model, projector), t), VonNeumann())
+
+
+def recession_certificate(problem, sol):
+    """u . r + lambda_max(-sum_i u_i R_i) over the kept conditions, u = multipliers / |multipliers|."""
+    model = problem.model
+    kept = [problem.region.h_rep[i] for i in sol.diagnostics.kept_indices]
+    u = sol.multipliers / np.linalg.norm(sol.multipliers)
+    if model.kind == "classical":
+        top = np.max(-(u @ np.stack([c.functional for c in kept])))
+    else:
+        exponent = -sum(ui * model.coords_to_matrix(c.functional).entries for ui, c in zip(u, kept))
+        top = np.linalg.eigvalsh(exponent)[-1]
+    return float(u @ [c.target for c in kept]) + float(top)
+
+
+def assert_near_boundary_status(problem, expected):
+    sol = solve_dual(problem)
+    assert sol.status == expected
+    if expected == SolveStatus.INFEASIBLE:
+        assert sol.state is None
+        assert recession_certificate(problem, sol) < -DEFAULT_SOLVER.residual_tol
+    else:
+        assert np.max(np.abs(sol.residuals)) <= 1e-8
 
 
 class TestPartitionFunction:
@@ -181,6 +223,25 @@ class TestSolveDualQuantum:
         sol = solve_dual(MaxEntProblem(model, region, VonNeumann()))
         assert sol.status == SolveStatus.BOUNDARY_ONLY
         np.testing.assert_allclose(sol.state.density_matrix().entries, np.diag([1.0, 0.0]), atol=1e-3)
+
+    @pytest.mark.parametrize(
+        "family,target,expected",
+        [
+            ("sigmaz", 1.001, SolveStatus.INFEASIBLE),
+            ("sigmaz", 1.01, SolveStatus.INFEASIBLE),
+            ("sigmaz", 1.05, SolveStatus.INFEASIBLE),
+            ("sigmaz", 1.0 + 1e-6, SolveStatus.INFEASIBLE),
+            ("bloch", 1.006, SolveStatus.INFEASIBLE),
+            ("bloch", 1.063, SolveStatus.INFEASIBLE),
+            ("qutrit", -1e-4, SolveStatus.INFEASIBLE),
+            ("qutrit", -1e-6, SolveStatus.INFEASIBLE),
+            ("sigmaz", 1.0, SolveStatus.BOUNDARY_ONLY),
+            ("sigmaz", 0.999, SolveStatus.CONVERGED),
+            ("sigmaz", 1.0 - 1e-6, SolveStatus.CONVERGED),
+        ],
+    )
+    def test_near_boundary_targets(self, family, target, expected):
+        assert_near_boundary_status(near_boundary_problem(family, target), expected)
 
     def test_contradictory_meet_infeasible(self):
         model = Quantum(2)
@@ -353,7 +414,25 @@ class TestSolveDualClassical:
         region = region_from_mean(indicator_observable(model, [0.0, 1.0]), 2.0)
         sol = solve_dual(MaxEntProblem(model, region, Shannon()))
         assert sol.status == SolveStatus.INFEASIBLE
-        assert sol.iterations == 0
+        assert sol.state is None
+        # The recession certificate: the multiplier diverges downward, since
+        # the target 2 lies above the largest outcome value 1.
+        assert sol.multipliers[0] < 0
+        assert sol.iterations <= 20
+
+    @pytest.mark.parametrize(
+        "target,expected",
+        [
+            (1.0 + 1e-6, SolveStatus.INFEASIBLE),
+            (-1e-6, SolveStatus.INFEASIBLE),
+            (1.0 - 1e-6, SolveStatus.CONVERGED),
+            (1e-6, SolveStatus.CONVERGED),
+            (0.0, SolveStatus.BOUNDARY_ONLY),
+            (1.0, SolveStatus.BOUNDARY_ONLY),
+        ],
+    )
+    def test_near_boundary_targets(self, target, expected):
+        assert_near_boundary_status(near_boundary_problem("classical", target), expected)
 
     def test_boundary_target(self):
         model = Classical(2)
@@ -516,6 +595,24 @@ class TestSolvePolytope:
         assert DEFAULT_SOLVER.fw_gap_tol < sol.diagnostics.fw_gap <= 10 * DEFAULT_SOLVER.fw_gap_tol
         assert sol.status == SolveStatus.NON_CONVERGENCE
         np.testing.assert_array_equal(sol.state.coords, start)
+
+    def test_step_that_rounds_back_ends_the_solve(self):
+        # The kink sits at the square's centre, reached in a few steps; from
+        # there every accepted step t > 0 is too small to change the iterate.
+        model = Polytope([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        centre = np.array([1.0, 0.5, 0.5])
+        slope = 5.0 * DEFAULT_SOLVER.fw_gap_tol * np.array([0.0, 1.0, -2.0])
+
+        def value(coords):
+            return float(slope @ coords - np.sum(np.abs(coords - centre)))
+
+        def gradient(coords):
+            return slope - np.sign(coords - centre)
+
+        sol = solve_polytope(MaxEntProblem(model, whole_space(model), CustomObjective(value, gradient)))
+        assert sol.status == SolveStatus.NON_CONVERGENCE
+        assert sol.iterations <= 10
+        np.testing.assert_allclose(sol.state.coords, centre, atol=1e-12)
 
     @staticmethod
     def _assert_certified(problem, sol, max_iterations):
