@@ -211,7 +211,8 @@ class _DualEvaluation:
 class _ClassicalEvaluation(_DualEvaluation):
     def __init__(self, funcs: np.ndarray, lambdas: np.ndarray):
         self._gibbs(-(lambdas @ funcs))
-        self.state_coords, self._funcs = self.spectrum, funcs
+        self.state_coords = self.spectrum
+        self._funcs = funcs
 
     @cached_property
     def means(self) -> np.ndarray:
@@ -231,7 +232,8 @@ class _QuantumEvaluation(_DualEvaluation):
             k, u = np.linalg.eigh(exponent)
         except np.linalg.LinAlgError as exc:
             raise NumericalFailure(f"eigensolver did not converge: {exc}") from exc
-        self._model, self._operators, self._u, self._shifted = model, operators, u, self._gibbs(k)
+        self._shifted = self._gibbs(k)
+        self._model, self._operators, self._u = model, operators, u
 
     @cached_property
     def _rotated(self) -> np.ndarray:
@@ -347,8 +349,9 @@ def solve_dual(problem: MaxEntProblem, config: SolverConfig = DEFAULT_SOLVER) ->
     c >= 0, so c < -``residual_tol`` is INFEASIBLE with the multipliers as
     witness (Boyd & Vandenberghe, Convex Optimization, 5.8); otherwise the
     status is BOUNDARY_ONLY when the residuals are within
-    ``boundary_residual_tol``, else NON_CONVERGENCE, as at the iteration cap.
-    Contradictory linear conditions are INFEASIBLE before any Newton step.
+    ``boundary_residual_tol``, else NON_CONVERGENCE, as at the iteration cap,
+    which also ends a solve whose cap comes before the bound. Contradictory
+    linear conditions are INFEASIBLE before any Newton step.
     """
     if not isinstance(problem.objective, (Shannon, VonNeumann)):
         raise IncompatibleObjective("solve_dual handles Shannon and von Neumann objectives")
@@ -361,10 +364,13 @@ def solve_dual(problem: MaxEntProblem, config: SolverConfig = DEFAULT_SOLVER) ->
 
     constraints = region.h_rep
     targets = np.array([c.target for c in constraints])
-    kept, dropped, contradiction = _select_independent(_functional_matrix(problem.model, constraints), targets, config)
+    funcs = _functional_matrix(problem.model, constraints)
+    kept, dropped, contradiction = _select_independent(funcs, targets, config)
+    del funcs  # the evaluator stacks the kept constraints
     if contradiction:
         return _infeasible(diag)
-    diag.kept_indices, diag.dropped_indices = tuple(kept), tuple(dropped)
+    diag.kept_indices = tuple(kept)
+    diag.dropped_indices = tuple(dropped)
     active = [constraints[i] for i in kept]
     r = targets[kept]
 
@@ -382,8 +388,7 @@ def solve_dual(problem: MaxEntProblem, config: SolverConfig = DEFAULT_SOLVER) ->
     for iterations in range(config.max_iter + 1):
         g = r - ev.means
         res_norm = float(np.max(np.abs(g))) if len(g) else 0.0
-        d0 = ev.lnz + float(lambdas @ r)
-        diag.dual_values.append(d0)
+        diag.dual_values.append(ev.lnz + float(lambdas @ r))
         diag.residual_norms.append(res_norm)
         if res_norm <= config.grad_tol:
             boundary = float(np.min(ev.spectrum)) < config.boundary_rank_tol
@@ -404,6 +409,7 @@ def solve_dual(problem: MaxEntProblem, config: SolverConfig = DEFAULT_SOLVER) ->
             slope = float(g @ g)
             diag.gradient_fallbacks += 1
         # Descent direction for D is -direction: D'(t) = -g . direction at t=0.
+        d0 = ev.lnz + float(lambdas @ r)
         if slope <= 1e-14 * (1.0 + abs(d0)) and float(np.max(np.abs(direction))) <= 1.0:
             # Predicted decrease is below the float resolution of D, so the
             # line search cannot see it; this is the quadratic regime, where
@@ -424,8 +430,8 @@ def solve_dual(problem: MaxEntProblem, config: SolverConfig = DEFAULT_SOLVER) ->
             break
         lambdas, ev = accepted
         if float(np.max(np.abs(lambdas))) > config.multiplier_bound:
-            unit = lambdas / np.linalg.norm(lambdas)
-            if dual_at(unit).top + float(unit @ r) < -config.residual_tol:
+            # lambda_max is positively homogeneous, so c at u = lambda/|lambda| is this over |lambda|.
+            if ev.top + float(lambdas @ r) < -config.residual_tol * np.linalg.norm(lambdas):
                 status = SolveStatus.INFEASIBLE
             elif float(np.max(np.abs(r - ev.means))) <= config.boundary_residual_tol:
                 status = SolveStatus.BOUNDARY_ONLY
@@ -531,11 +537,11 @@ def solve_polytope(problem: MaxEntProblem, config: SolverConfig = DEFAULT_SOLVER
     vertex. The step is an exact line search on the objective's slope
     (``_slope_search``, at most ``max_backtracks`` gradients), so the
     objective never decreases and no objective value is evaluated. A step
-    that leaves x unchanged, including one that rounds back to it, ends the
-    solve with NON_CONVERGENCE, as does ``fw_max_iter``. Phase I runs once
-    per solve, and each LP is a Phase II warm-started from the previous
-    optimal basis, all with the region's LP tolerances (Lacoste-Julien &
-    Jaggi, NeurIPS 2015).
+    that neither drops a vertex nor changes x (also when x + t d rounds back
+    to x) ends the solve with NON_CONVERGENCE, as does ``fw_max_iter``.
+    Phase I runs once per solve, and each LP is a Phase II warm-started from
+    the previous optimal basis, all with the region's LP tolerances
+    (Lacoste-Julien & Jaggi, NeurIPS 2015).
     """
     if problem.model.kind not in (CLASSICAL, POLYTOPE):
         raise IncompatibleObjective("solve_polytope handles classical and polytope models")
@@ -583,6 +589,7 @@ def solve_polytope(problem: MaxEntProblem, config: SolverConfig = DEFAULT_SOLVER
         t = _slope_search(grad, x, d, t_max, float(g @ d), config.max_backtracks)
         if t == 0.0:
             break
+        n_atoms = len(alpha)
         if toward and t == t_max:
             atoms, alpha = s[None, :], np.ones(1)
         elif toward:
@@ -598,7 +605,7 @@ def solve_polytope(problem: MaxEntProblem, config: SolverConfig = DEFAULT_SOLVER
             if t == t_max or alpha[away] <= 0.0:
                 atoms, alpha = np.delete(atoms, away, axis=0), np.delete(alpha, away)
         moved = alpha @ atoms
-        if np.array_equal(moved, x):
+        if np.array_equal(moved, x) and len(alpha) >= n_atoms:
             break
         x = moved
 

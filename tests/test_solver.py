@@ -421,6 +421,18 @@ class TestSolveDualClassical:
         assert sol.iterations <= 20
 
     @pytest.mark.parametrize(
+        "max_iter,expected",
+        [(0, SolveStatus.NON_CONVERGENCE), (2, SolveStatus.NON_CONVERGENCE), (3, SolveStatus.INFEASIBLE)],
+    )
+    def test_infeasible_needs_iterations_to_certify(self, max_iter, expected):
+        # The certificate is computed only past multiplier_bound, which the
+        # target 2 reaches in the step of iteration 2; a smaller cap stops first.
+        model = Classical(2)
+        region = region_from_mean(indicator_observable(model, [0.0, 1.0]), 2.0)
+        sol = solve_dual(MaxEntProblem(model, region, Shannon()), SolverConfig(max_iter=max_iter))
+        assert sol.status == expected
+
+    @pytest.mark.parametrize(
         "target,expected",
         [
             (1.0 + 1e-6, SolveStatus.INFEASIBLE),
