@@ -7,18 +7,7 @@ over it: Shannon (classical), von Neumann (quantum, via the exponential-family
 dual), or a pluggable concave objective (general polytope models).
 """
 
-from .config import (
-    DEFAULT_MODEL,
-    DEFAULT_NUMERICS,
-    DEFAULT_ORACLE,
-    DEFAULT_REGION,
-    DEFAULT_SOLVER,
-    ModelConfig,
-    NumericsConfig,
-    OracleConfig,
-    RegionConfig,
-    SolverConfig,
-)
+from .config import DEFAULT_SOLVER, SolverConfig
 from .errors import (
     DegenerateInput,
     GmaxentError,

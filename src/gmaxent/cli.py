@@ -34,6 +34,7 @@ from .io import (
     dumps_17g,
     load_problem,
     load_region,
+    positive_finite,
     region_report,
     solution_report,
     solver_config_from,
@@ -169,7 +170,7 @@ def cmd_oracle(args) -> int:
     region = build_region(parsed)
     objective = build_objective(parsed)
     problem = MaxEntProblem(parsed.model, region, objective)
-    result = oracle_maxent(problem, args.resolution)
+    result = oracle_maxent(problem, positive_finite(args.resolution, "--resolution"))
     report = {
         "status": result.status,
         "entropy": result.entropy,
@@ -191,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", help="also write the report to this path")
     common.add_argument("--tolerance", type=float, help="dual gradient tolerance override")
-    common.add_argument("--max-iter", type=int, help="iteration cap override")
+    common.add_argument("--max-iter", type=int, help="Newton and Frank-Wolfe iteration cap override")
 
     parser = argparse.ArgumentParser(
         prog="gmaxent",

@@ -50,7 +50,7 @@ class UnsupportedRepresentation(GmaxentError):
 
 
 class Unsupported(GmaxentError):
-    """Instance exceeds the configured desk-scale caps."""
+    """Instance exceeds a fixed desk-scale cap, or the oracle or enumeration does not cover it."""
 
 
 class IncompatibleObjective(GmaxentError):

@@ -25,6 +25,8 @@ Problem files::
       "solver": {"tolerance": 1e-10, "max_iter": 500}  # optional; a "seed" key
     }                                                  # is accepted and ignored
 
+"max_iter" caps Newton and Frank-Wolfe iterations alike.
+
 Classical and polytope effects/states use "vector" instead of "matrix"; a
 polytope effect vector is the affine form (constant, linear part) over the
 vertex coordinates, and a polytope state vector is its bare point in R^k.
@@ -162,7 +164,7 @@ def _iteration_cap(raw, context: str) -> int:
     return cap
 
 
-def _tolerance(raw, context: str) -> float:
+def positive_finite(raw, context: str) -> float:
     tol = _number(raw, context)
     if not 0.0 < tol < np.inf:
         raise SchemaError(f"{context}: expected a positive finite number, got {raw!r}")
@@ -364,18 +366,18 @@ def build_objective(parsed: ParsedProblem) -> Objective:
 def _solver_settings(raw: dict) -> dict:
     settings = {}
     if "tolerance" in raw:
-        settings["grad_tol"] = _tolerance(raw["tolerance"], "solver tolerance")
+        settings["grad_tol"] = positive_finite(raw["tolerance"], "solver tolerance")
     if "max_iter" in raw:
-        settings["max_iter"] = _iteration_cap(raw["max_iter"], "solver max_iter")
+        settings["max_iter"] = settings["fw_max_iter"] = _iteration_cap(raw["max_iter"], "solver max_iter")
     return settings
 
 
 def solver_config_from(parsed: ParsedProblem, tolerance=None, max_iter=None) -> SolverConfig:
     changes = dict(parsed.solver_settings)
     if tolerance is not None:
-        changes["grad_tol"] = _tolerance(tolerance, "--tolerance")
+        changes["grad_tol"] = positive_finite(tolerance, "--tolerance")
     if max_iter is not None:
-        changes["max_iter"] = _iteration_cap(max_iter, "--max-iter")
+        changes["max_iter"] = changes["fw_max_iter"] = _iteration_cap(max_iter, "--max-iter")
     return dataclasses.replace(DEFAULT_SOLVER, **changes) if changes else DEFAULT_SOLVER
 
 

@@ -30,7 +30,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_MODEL, ModelConfig
 from .errors import (
     DegenerateInput,
     InvalidEffect,
@@ -42,7 +41,7 @@ from .errors import (
     NotOrthogonal,
 )
 from .hermitian import HermitianMatrix, eig
-from .simplex import phase_one
+from .simplex import FEASIBILITY_TOL, phase_one
 
 CLASSICAL = "classical"
 QUANTUM = "quantum"
@@ -50,18 +49,28 @@ POLYTOPE = "polytope"
 
 _SQRT_HALF = np.sqrt(0.5)
 
+_UNIT_ATOL = 1e-10              # |u(omega) - 1|
+_CONE_ATOL = 1e-10              # classical/quantum cone membership slack
+_PURITY_ATOL = 1e-8             # |rho^2 - rho| and vertex coincidence
+_EFFECT_RANGE_ATOL = 1e-10      # effect spectrum slack outside [0, 1]
+_COMPLETENESS_ATOL = 1e-10      # POVM sum-to-unit residual, componentwise
+_CLAMP_ATOL = 1e-10             # evaluate() clamps within this of [0, 1]
+_PROJECTION_ATOL = 1e-8         # axiom checker: |P^2 - P| and |P_i P_j|
+_AXIOM_ATOL = 1e-9              # axiom residual pass threshold
+_MIXTURE_WEIGHT_FLOOR = 1e-12   # spectral_mixture drops smaller weights
+_EIGENVALUE_MERGE_RTOL = 1e-9   # spectral_observable: one projector per eigenvalue cluster
+
 
 class ModelSpace:
     """Base model: ambient dimension, unit functional, cone membership."""
 
     kind: str = ""
 
-    def __init__(self, ambient_dim: int, unit_functional: np.ndarray, config: ModelConfig):
+    def __init__(self, ambient_dim: int, unit_functional: np.ndarray):
         self.ambient_dim = int(ambient_dim)
         u = np.asarray(unit_functional, dtype=float)
         u.setflags(write=False)
         self.unit_functional = u
-        self.config = config
 
     def unit_value(self, coords: np.ndarray) -> float:
         return float(self.unit_functional @ coords)
@@ -88,10 +97,10 @@ class Classical(ModelSpace):
 
     kind = CLASSICAL
 
-    def __init__(self, dim: int, config: ModelConfig = DEFAULT_MODEL):
+    def __init__(self, dim: int):
         if dim < 1:
             raise ValueError("dimension must be positive")
-        super().__init__(dim, np.ones(dim), config)
+        super().__init__(dim, np.ones(dim))
         self.dim = int(dim)
 
     def cone_residual(self, coords):
@@ -115,7 +124,7 @@ class Quantum(ModelSpace):
 
     kind = QUANTUM
 
-    def __init__(self, dim: int, config: ModelConfig = DEFAULT_MODEL):
+    def __init__(self, dim: int):
         if dim < 1:
             raise ValueError("dimension must be positive")
         d = self.dim = int(dim)
@@ -131,7 +140,7 @@ class Quantum(ModelSpace):
         self._diagonal_map = g / np.linalg.norm(g, axis=1)[:, None]
         unit = np.zeros(d * d)
         unit[0] = np.sqrt(d)
-        super().__init__(d * d, unit, config)
+        super().__init__(d * d, unit)
 
     def matrix_to_coords(self, matrix) -> np.ndarray:
         """Coordinates of a d x d matrix; those of its Hermitian part when it is not Hermitian."""
@@ -176,7 +185,7 @@ class Polytope(ModelSpace):
 
     kind = POLYTOPE
 
-    def __init__(self, vertices, config: ModelConfig = DEFAULT_MODEL):
+    def __init__(self, vertices):
         pts = np.atleast_2d(np.asarray(vertices, dtype=float))
         if pts.shape[0] < 1:
             raise ValueError("at least one vertex required")
@@ -186,7 +195,7 @@ class Polytope(ModelSpace):
         self.vertices = emb
         unit = np.zeros(pts.shape[1] + 1)
         unit[0] = 1.0
-        super().__init__(pts.shape[1] + 1, unit, config)
+        super().__init__(pts.shape[1] + 1, unit)
 
     def embed_point(self, point) -> np.ndarray:
         return np.concatenate([[1.0], np.asarray(point, dtype=float)])
@@ -194,7 +203,7 @@ class Polytope(ModelSpace):
     def cone_residual(self, coords):
         # Convex-combination membership: coords = V^T w, w >= 0. The weight
         # sum is forced to 1 by the leading coordinate.
-        residual, _ = phase_one(self.vertices.T, coords, feas_tol=self.config.membership_lp_tol)
+        residual, _ = phase_one(self.vertices.T, coords)
         return residual
 
     def _key(self):
@@ -212,11 +221,10 @@ class State:
         c = np.asarray(self.coords, dtype=float)
         if c.shape != (self.model.ambient_dim,):
             raise InvalidState(f"expected {self.model.ambient_dim} coordinates, got {c.shape}")
-        cfg = self.model.config
-        if abs(self.model.unit_value(c) - 1.0) > cfg.unit_atol:
+        if abs(self.model.unit_value(c) - 1.0) > _UNIT_ATOL:
             raise InvalidState(f"unit functional is {self.model.unit_value(c):.12g}, not 1")
         residual = self.model.cone_residual(c)
-        tol = cfg.membership_lp_tol if self.model.kind == POLYTOPE else cfg.cone_atol
+        tol = FEASIBILITY_TOL if self.model.kind == POLYTOPE else _CONE_ATOL
         if residual > tol:
             raise InvalidState(f"cone membership violated by {residual:.3g}")
         c.setflags(write=False)
@@ -258,8 +266,7 @@ class Effect:
         object.__setattr__(self, "functional", f)
         if self.check:
             lo, hi = self.range_on_states()
-            atol = self.model.config.effect_range_atol
-            if lo < -atol or hi > 1.0 + atol:
+            if lo < -_EFFECT_RANGE_ATOL or hi > 1.0 + _EFFECT_RANGE_ATOL:
                 raise InvalidEffect(f"effect range [{lo:.6g}, {hi:.6g}] leaves [0, 1]")
 
     def range_on_states(self) -> tuple[float, float]:
@@ -311,7 +318,7 @@ class Observable:
                 raise ModelMismatch("outcome effect belongs to a different model")
         if self.check:
             residual = self.completeness_residual()
-            if residual > self.model.config.completeness_atol:
+            if residual > _COMPLETENESS_ATOL:
                 raise InvalidObservable(f"effects miss the unit functional by {residual:.3g}")
 
     def completeness_residual(self) -> float:
@@ -339,10 +346,9 @@ def evaluate(e: Effect, s: State) -> float:
     if e.model != s.model:
         raise ModelMismatch("effect and state live on different models")
     p = float(e.functional @ s.coords)
-    atol = e.model.config.clamp_atol
-    if -atol <= p < 0.0:
+    if -_CLAMP_ATOL <= p < 0.0:
         return 0.0
-    if 1.0 < p <= 1.0 + atol:
+    if 1.0 < p <= 1.0 + _CLAMP_ATOL:
         return 1.0
     return p
 
@@ -378,18 +384,17 @@ class PovmValidation:
 
 def validate_povm(obs: Observable) -> PovmValidation:
     """Check completeness and the [0, 1] range of every effect, as a report."""
-    cfg = obs.model.config
     residual = obs.completeness_residual()
     negative = []
     above = []
     for idx, out in enumerate(obs.outcomes):
         lo, hi = out.effect.range_on_states()
-        if lo < -cfg.effect_range_atol:
+        if lo < -_EFFECT_RANGE_ATOL:
             negative.append((idx, lo))
-        if hi > 1.0 + cfg.effect_range_atol:
+        if hi > 1.0 + _EFFECT_RANGE_ATOL:
             above.append((idx, hi))
     return PovmValidation(
-        completeness_residual=residual if residual > cfg.completeness_atol else 0.0,
+        completeness_residual=residual if residual > _COMPLETENESS_ATOL else 0.0,
         negative_effects=tuple(negative),
         above_unit_effects=tuple(above),
     )
@@ -410,22 +415,20 @@ def pure_state_from_vector(model: Quantum, amplitudes) -> State:
 
 def is_pure(s: State) -> bool:
     """True for extreme points of the state space."""
-    cfg = s.model.config
     if s.model.kind == CLASSICAL:
-        return bool(np.max(s.coords) >= 1.0 - cfg.purity_atol)
+        return bool(np.max(s.coords) >= 1.0 - _PURITY_ATOL)
     if s.model.kind == QUANTUM:
         rho = s.density_matrix().entries
-        return bool(np.max(np.abs(rho @ rho - rho)) <= cfg.purity_atol)
+        return bool(np.max(np.abs(rho @ rho - rho)) <= _PURITY_ATOL)
     gaps = np.max(np.abs(s.model.vertices - s.coords), axis=1)
-    return bool(np.min(gaps) <= cfg.purity_atol)
+    return bool(np.min(gaps) <= _PURITY_ATOL)
 
 
 def spectral_mixture(s: State) -> list[tuple[float, State]]:
     """Decompose a quantum state into weighted orthogonal pure states.
 
-    Weights are the eigenvalues above the configured floor, in descending
-    order; the basis is not unique for degenerate spectra, only the
-    reconstruction is.
+    Weights are the eigenvalues above 1e-12, in descending order; the basis
+    is not unique for degenerate spectra, only the reconstruction is.
     """
     if s.model.kind != QUANTUM:
         raise ModelMismatch("spectral mixtures are quantum-only")
@@ -433,7 +436,7 @@ def spectral_mixture(s: State) -> list[tuple[float, State]]:
     terms = []
     for i in range(len(decomp.eigenvalues) - 1, -1, -1):
         w = float(decomp.eigenvalues[i])
-        if w <= s.model.config.mixture_weight_floor:
+        if w <= _MIXTURE_WEIGHT_FLOOR:
             continue
         vec = decomp.eigenvectors[:, i]
         terms.append((w, State(s.model, s.model.matrix_to_coords(np.outer(vec, vec.conj())))))
@@ -467,14 +470,13 @@ def check_state_axioms(s: State, projections: Sequence[HermitianMatrix]) -> Stat
     """
     if s.model.kind != QUANTUM:
         raise ModelMismatch("state axioms are stated over quantum projections")
-    cfg = s.model.config
     mats = [p.entries for p in projections]
     for i, p in enumerate(mats):
-        if np.max(np.abs(p @ p - p)) > cfg.projection_atol:
+        if np.max(np.abs(p @ p - p)) > _PROJECTION_ATOL:
             raise NotAProjection(f"operator {i} is not idempotent")
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
-            if np.max(np.abs(mats[i] @ mats[j])) > cfg.projection_atol:
+            if np.max(np.abs(mats[i] @ mats[j])) > _PROJECTION_ATOL:
                 raise NotOrthogonal(f"operators {i} and {j} are not orthogonal")
     rho = s.density_matrix().entries
     prob = lambda p: float(np.trace(rho @ p).real)
@@ -486,7 +488,7 @@ def check_state_axioms(s: State, projections: Sequence[HermitianMatrix]) -> Stat
         add_res = abs(prob(total) - sum(prob(p) for p in mats))
     else:
         add_res = 0.0
-    return StateAxiomReport(zero_res, comp, add_res, cfg.axiom_atol)
+    return StateAxiomReport(zero_res, comp, add_res, _AXIOM_ATOL)
 
 
 def maximally_mixed(model: ModelSpace) -> State:
@@ -498,7 +500,7 @@ def maximally_mixed(model: ModelSpace) -> State:
     return State(model, model.vertices.mean(axis=0))
 
 
-def spectral_observable(model: Quantum, matrix, atol: float = 1e-9) -> Observable:
+def spectral_observable(model: Quantum, matrix) -> Observable:
     """Eigenprojector observable of a Hermitian operator, values = eigenvalues."""
     m = matrix if isinstance(matrix, HermitianMatrix) else HermitianMatrix(matrix)
     decomp = eig(m)
@@ -507,7 +509,7 @@ def spectral_observable(model: Quantum, matrix, atol: float = 1e-9) -> Observabl
     k = decomp.eigenvalues
     while i < len(k):
         j = i
-        while j + 1 < len(k) and abs(k[j + 1] - k[i]) <= atol * max(1.0, abs(k[i])):
+        while j + 1 < len(k) and abs(k[j + 1] - k[i]) <= _EIGENVALUE_MERGE_RTOL * max(1.0, abs(k[i])):
             j += 1
         block = decomp.eigenvectors[:, i : j + 1]
         proj = block @ block.conj().T

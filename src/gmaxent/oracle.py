@@ -21,13 +21,19 @@ from typing import Optional
 
 import numpy as np
 
-from .config import DEFAULT_ORACLE, OracleConfig
 from .errors import Unsupported, UnsupportedRepresentation
 from .models import CLASSICAL, QUANTUM, State
 from .solver import CustomObjective, FiducialMeasurementEntropy, MaxEntProblem, Shannon, VonNeumann
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
+
+_CLASSICAL_MAX_DIM = 4
+_QUANTUM_MAX_DIM = 2
+_POLYTOPE_MAX_VERTICES = 4
+_MAX_GRID_POINTS = 4e7        # estimated points before Unsupported
+_CHUNK = 1_000_000
+_CONSISTENCY_TOL = 1e-9       # affine-system lstsq residual => infeasible
 
 _SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 _SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -187,17 +193,15 @@ class _PolytopeSearch(_GridSearch):
         return State(self.model, (q / q.sum()) @ self.vertex_map)
 
 
-def oracle_maxent(
-    problem: MaxEntProblem, resolution: float, config: OracleConfig = DEFAULT_ORACLE
-) -> OracleResult:
+def oracle_maxent(problem: MaxEntProblem, resolution: float) -> OracleResult:
     """Grid search over the constraint slice of a small state space.
 
     Supported instances: classical d <= 4, quantum d = 2, polytopes with at
     most 4 vertices. Larger instances, or slices whose grids would exceed the
     point cap, raise Unsupported.
     """
-    if resolution <= 0:
-        raise ValueError("resolution must be positive")
+    if not 0.0 < resolution < np.inf:
+        raise ValueError("resolution must be positive and finite")
     model = problem.model
     region = problem.region
     if region.known_empty:
@@ -206,20 +210,20 @@ def oracle_maxent(
         raise UnsupportedRepresentation("oracle needs an H-representation")
 
     if model.kind == CLASSICAL:
-        if model.dim > config.classical_max_dim:
-            raise Unsupported(f"classical oracle capped at d = {config.classical_max_dim}")
+        if model.dim > _CLASSICAL_MAX_DIM:
+            raise Unsupported(f"classical oracle capped at d = {_CLASSICAL_MAX_DIM}")
         if not isinstance(problem.objective, Shannon):
             raise Unsupported("classical oracle evaluates Shannon entropy")
         search: _GridSearch = _ClassicalSearch(model, region, resolution)
     elif model.kind == QUANTUM:
-        if model.dim != config.quantum_max_dim:
-            raise Unsupported(f"quantum oracle capped at d = {config.quantum_max_dim}")
+        if model.dim != _QUANTUM_MAX_DIM:
+            raise Unsupported(f"quantum oracle capped at d = {_QUANTUM_MAX_DIM}")
         if not isinstance(problem.objective, VonNeumann):
             raise Unsupported("quantum oracle evaluates von Neumann entropy")
         search = _QubitSearch(model, region, resolution)
     else:
-        if model.vertices.shape[0] > config.polytope_max_vertices:
-            raise Unsupported(f"polytope oracle capped at {config.polytope_max_vertices} vertices")
+        if model.vertices.shape[0] > _POLYTOPE_MAX_VERTICES:
+            raise Unsupported(f"polytope oracle capped at {_POLYTOPE_MAX_VERTICES} vertices")
         search = _PolytopeSearch(model, region, resolution, problem.objective)
 
     nvar = search.nvar
@@ -229,7 +233,7 @@ def oracle_maxent(
     if a.shape[0]:
         v0, *_ = np.linalg.lstsq(a, b, rcond=None)
         scale = max(1.0, float(np.max(np.abs(b))))
-        if np.max(np.abs(a @ v0 - b)) > config.consistency_tol * scale:
+        if np.max(np.abs(a @ v0 - b)) > _CONSISTENCY_TOL * scale:
             return OracleResult(INFEASIBLE, None, None, 0)
     else:
         v0 = np.zeros(nvar)
@@ -238,19 +242,20 @@ def oracle_maxent(
 
     # Any feasible point x satisfies |x - v0| <= |x| <= 1 in these models
     # (v0 is the projection of the origin onto the affine slice), so the
-    # slice coordinates are bounded by 1 plus slack.
-    steps = int(math.ceil((1.0 + resolution) / resolution))
+    # slice coordinates are bounded by 1 plus slack. The point count is
+    # checked before the axis is allocated, with steps capped so that it
+    # stays finite, and a point slice (k = 0) needs no axis.
+    steps = math.ceil(min((1.0 + resolution) / resolution, _MAX_GRID_POINTS)) if k else 0
+    total = (2 * steps + 1) ** k
+    if total > _MAX_GRID_POINTS:
+        raise Unsupported(f"grid would need at least {total:.3g} points; cap is {_MAX_GRID_POINTS:.3g}")
     axis = np.arange(-steps, steps + 1, dtype=float) * resolution
-    total = len(axis) ** k if k else 1
-    if total > config.max_grid_points:
-        raise Unsupported(f"grid would need {total:.3g} points; cap is {config.max_grid_points:.3g}")
 
     best_key = -np.inf
     best_point = None
     scanned = 0
-    chunk = max(1, int(config.chunk))
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total))
+    for start in range(0, total, _CHUNK):
+        idx = np.arange(start, min(start + _CHUNK, total))
         if k:
             t = np.empty((len(idx), k))
             rem = idx

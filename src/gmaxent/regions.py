@@ -16,13 +16,12 @@ only through caller-supplied generators.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
 import numpy as np
 
-from .config import DEFAULT_REGION, RegionConfig
 from .errors import (
     DegenerateInput,
     InvalidTarget,
@@ -34,6 +33,12 @@ from .errors import (
 )
 from .models import CLASSICAL, POLYTOPE, Effect, ModelSpace, Observable, State, maximally_mixed
 from .simplex import phase_one
+
+_CONSTRAINT_ATOL = 1e-8       # generator-vs-constraint residual
+_DUPLICATE_RTOL = 1e-10       # normalized-functional duplicate detection
+_GENERATOR_DEDUP_ATOL = 1e-8  # pairwise distance for v-rep dedup
+_VERTEX_NONNEG_ATOL = 1e-9    # BFS weight nonnegativity slack
+_ENUMERATION_CAP = 12         # constraint count + ambient dim limit
 
 
 @dataclass(frozen=True)
@@ -72,7 +77,6 @@ class ConvexRegion:
     h_rep: tuple[LinearConstraint, ...] = ()
     v_rep: Optional[tuple[State, ...]] = None
     known_empty: bool = False
-    config: RegionConfig = field(default=DEFAULT_REGION, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "h_rep", tuple(self.h_rep))
@@ -85,7 +89,7 @@ class ConvexRegion:
                 if s.model != self.model:
                     raise ModelMismatch("generator belongs to a different model")
                 for c in self.h_rep:
-                    if c.residual(s) > self.config.constraint_atol:
+                    if c.residual(s) > _CONSTRAINT_ATOL:
                         raise ValueError("v_rep generator violates an h_rep constraint")
 
     def is_whole_space(self) -> bool:
@@ -94,16 +98,15 @@ class ConvexRegion:
     def residuals(self, s: State) -> np.ndarray:
         return np.array([c.residual(s) for c in self.h_rep])
 
-    def contains(self, s: State, atol: Optional[float] = None) -> bool:
+    def contains(self, s: State) -> bool:
         """Membership test; uses the hull when generators are the definition."""
         if s.model != self.model:
             raise ModelMismatch("state belongs to a different model")
         if self.known_empty:
             return False
-        tol = self.config.constraint_atol if atol is None else atol
         if self.v_rep is not None:
-            return _in_hull(self.v_rep, s, self.config)
-        return all(c.residual(s) <= tol for c in self.h_rep)
+            return _in_hull(self.v_rep, s)
+        return all(c.residual(s) <= _CONSTRAINT_ATOL for c in self.h_rep)
 
 
 def whole_space(model: ModelSpace) -> ConvexRegion:
@@ -160,9 +163,7 @@ def _effective_h_rep(region: ConvexRegion) -> tuple[LinearConstraint, ...]:
     return affine_hull_constraints(region.model, region.v_rep)
 
 
-def _dedup_constraints(
-    constraints: tuple[LinearConstraint, ...], config: RegionConfig
-) -> tuple[tuple[LinearConstraint, ...], bool]:
+def _dedup_constraints(constraints: tuple[LinearConstraint, ...]) -> tuple[tuple[LinearConstraint, ...], bool]:
     """Drop positive rescalings of kept constraints; flag target conflicts."""
     kept: list[LinearConstraint] = []
     normalized: list[tuple[np.ndarray, float]] = []
@@ -173,9 +174,9 @@ def _dedup_constraints(
         tn = c.target / norm
         duplicate = False
         for gn, sn in normalized:
-            if np.max(np.abs(fn - gn)) <= config.duplicate_rtol:
+            if np.max(np.abs(fn - gn)) <= _DUPLICATE_RTOL:
                 duplicate = True
-                if abs(tn - sn) > max(config.duplicate_rtol, 1e-12 * max(1.0, abs(sn))):
+                if abs(tn - sn) > max(_DUPLICATE_RTOL, 1e-12 * max(1.0, abs(sn))):
                     empty = True
                 break
         if not duplicate:
@@ -190,9 +191,9 @@ def meet(a: ConvexRegion, b: ConvexRegion) -> ConvexRegion:
         raise ModelMismatch("regions live on different models")
     merged = _effective_h_rep(a) + _effective_h_rep(b)
     if a.known_empty or b.known_empty:
-        return ConvexRegion(a.model, merged, None, True, a.config)
-    kept, empty = _dedup_constraints(merged, a.config)
-    return ConvexRegion(a.model, kept, None, empty, a.config)
+        return ConvexRegion(a.model, merged, None, True)
+    kept, empty = _dedup_constraints(merged)
+    return ConvexRegion(a.model, kept, None, empty)
 
 
 def _generators(region: ConvexRegion) -> tuple[State, ...]:
@@ -214,19 +215,19 @@ def join(a: ConvexRegion, b: ConvexRegion) -> ConvexRegion:
     gens = list(_generators(a)) + list(_generators(b))
     unique: list[State] = []
     for g in gens:
-        if all(np.max(np.abs(g.coords - u.coords)) >= a.config.generator_dedup_atol for u in unique):
+        if all(np.max(np.abs(g.coords - u.coords)) >= _GENERATOR_DEDUP_ATOL for u in unique):
             unique.append(g)
-    return ConvexRegion(a.model, (), tuple(unique), known_empty=not unique, config=a.config)
+    return ConvexRegion(a.model, (), tuple(unique), known_empty=not unique)
 
 
-def _in_hull(generators: tuple[State, ...], s: State, config: RegionConfig) -> bool:
+def _in_hull(generators: tuple[State, ...], s: State) -> bool:
     if not generators:
         return False
     v = np.stack([g.coords for g in generators])
     a = np.vstack([v.T, np.ones((1, len(generators)))])
     b = np.concatenate([s.coords, [1.0]])
-    residual, _ = phase_one(a, b, pivot_tol=config.lp_pivot_tol, feas_tol=config.lp_feasibility_tol)
-    return residual <= config.lp_feasibility_tol
+    _, w = phase_one(a, b)
+    return w is not None
 
 
 def _constraint_is_trivial(c: LinearConstraint) -> bool:
@@ -255,11 +256,10 @@ def includes(outer: ConvexRegion, inner: ConvexRegion) -> bool:
         return True
     if outer.known_empty:
         return False
-    tol = outer.config.constraint_atol
-    if not all(c.residual(g) <= tol for g in gens for c in outer.h_rep):
+    if not all(c.residual(g) <= _CONSTRAINT_ATOL for g in gens for c in outer.h_rep):
         return False
     if outer.v_rep is not None:
-        return all(_in_hull(outer.v_rep, g, outer.config) for g in gens)
+        return all(_in_hull(outer.v_rep, g) for g in gens)
     return True
 
 
@@ -316,7 +316,7 @@ def feasibility(c: ConvexRegion) -> FeasibilityResult:
         return FeasibilityResult(FeasibilityStatus.FEASIBLE, maximally_mixed(c.model))
     if c.model.kind in (CLASSICAL, POLYTOPE):
         a, b = _weight_system(c.model, c.h_rep)
-        _, w = phase_one(a, b, pivot_tol=c.config.lp_pivot_tol, feas_tol=c.config.lp_feasibility_tol)
+        _, w = phase_one(a, b)
         if w is None:
             return FeasibilityResult(FeasibilityStatus.INFEASIBLE)
         return FeasibilityResult(FeasibilityStatus.FEASIBLE, _state_from_weights(c.model, w))
@@ -345,10 +345,8 @@ def enumerate_vertices(c: ConvexRegion) -> list[State]:
         raise Unsupported("vertex enumeration is exact for classical/polytope models only")
     if c.known_empty:
         return []
-    if len(c.h_rep) + c.model.ambient_dim > c.config.enumeration_cap:
-        raise Unsupported(
-            f"constraint count + ambient dim exceeds the enumeration cap {c.config.enumeration_cap}"
-        )
+    if len(c.h_rep) + c.model.ambient_dim > _ENUMERATION_CAP:
+        raise Unsupported(f"constraint count + ambient dim exceeds the enumeration cap {_ENUMERATION_CAP}")
     a, b = _weight_system(c.model, c.h_rep)
     n = a.shape[1]
     rank = int(np.linalg.matrix_rank(a, tol=1e-11))
@@ -361,11 +359,11 @@ def enumerate_vertices(c: ConvexRegion) -> list[State]:
         w_sub, *_ = np.linalg.lstsq(sub, b, rcond=None)
         if np.max(np.abs(sub @ w_sub - b)) > 1e-9 * scale:
             continue
-        if np.min(w_sub) < -c.config.vertex_nonneg_atol:
+        if np.min(w_sub) < -_VERTEX_NONNEG_ATOL:
             continue
         w = np.zeros(n)
         w[list(cols)] = w_sub
         state = _state_from_weights(c.model, w)
-        if all(np.max(np.abs(state.coords - u.coords)) >= c.config.generator_dedup_atol for u in found):
+        if all(np.max(np.abs(state.coords - u.coords)) >= _GENERATOR_DEDUP_ATOL for u in found):
             found.append(state)
     return found

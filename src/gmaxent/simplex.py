@@ -38,6 +38,8 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 _MAX_PIVOTS = 200_000
+_PIVOT_TOL = 1e-10      # reduced costs, pivot entries and ratio-test ties
+FEASIBILITY_TOL = 1e-8  # Phase I residual above this => infeasible
 _BLOCK = 256            # columns priced per block
 # Pivots between recomputations of B^-1 from the basis columns. It bounds the
 # drift of the rank-1 updates: max |A x - b| after 1.4e5 pivots on a
@@ -61,14 +63,14 @@ class Basis:
     side as [B^-1 | x_B], so that one rank-1 update per pivot moves both.
     """
 
-    def __init__(self, a_eq, b_eq, pivot_tol: float):
+    def __init__(self, a_eq, b_eq):
         a = np.atleast_2d(np.asarray(a_eq, dtype=float))
         b = np.asarray(b_eq, dtype=float)
         m, n = a.shape
         if b.shape != (m,):
             raise ValueError("inconsistent LP shapes")
         self.n = n
-        self._a, self._b, self._tol = a, b, pivot_tol
+        self._a, self._b = a, b
         self._sign = np.copysign(1.0, b)
         self._inv_x = np.zeros((m, m + 1))
         np.fill_diagonal(self._inv_x, self._sign)
@@ -120,21 +122,21 @@ class Basis:
             self._refactor()
 
     def _entering(self, c: np.ndarray, y: np.ndarray) -> int:
-        """Bland: the smallest nonbasic column with reduced cost below -tol, or -1.
+        """Bland: the smallest nonbasic column with reduced cost below -_PIVOT_TOL, or -1.
 
         Basic columns are masked: their reduced costs are zero only up to
         rounding (down to -3.5e-11 on Classical(10^4) systems with costs of
         order 100), and a basic column entering would pivot on itself forever.
         """
-        a, n, tol, nonbasic = self._a, self.n, self._tol, self._nonbasic
+        a, n, nonbasic = self._a, self.n, self._nonbasic
         for start in range(0, n, _BLOCK):
             stop = min(start + _BLOCK, n)
-            improving = (c[start:stop] - y @ a[:, start:stop] < -tol) & nonbasic[start:stop]
+            improving = (c[start:stop] - y @ a[:, start:stop] < -_PIVOT_TOL) & nonbasic[start:stop]
             j = int(improving.argmax())
             if improving[j]:
                 return start + j
         if len(c) > n:  # Phase I: the artificial columns come last
-            improving = (c[n:] - y * self._sign < -tol) & nonbasic[n:]
+            improving = (c[n:] - y * self._sign < -_PIVOT_TOL) & nonbasic[n:]
             j = int(improving.argmax())
             if improving[j]:
                 return n + j
@@ -146,18 +148,18 @@ class Basis:
         c has one entry per original column, and in Phase I one more per row
         for the artificials.
         """
-        n, tol = self.n, self._tol
+        n = self.n
         for _ in range(_MAX_PIVOTS):
             binv = self._inv_x[:, :-1]
             col = self._entering(c, c[self._basis] @ binv)
             if col < 0:
                 return OPTIMAL
             d = binv @ self._a[:, col] if col < n else binv[:, col - n] * self._sign[col - n]
-            rows = (d > tol).nonzero()[0]
+            rows = (d > _PIVOT_TOL).nonzero()[0]
             if not rows.size:
                 return UNBOUNDED
             ratios = self._inv_x[rows, -1] / d[rows]
-            ties = rows[ratios <= ratios.min() + tol]
+            ties = rows[ratios <= ratios.min() + _PIVOT_TOL]
             self._pivot(int(ties[self._basis[ties].argmin()]), col, d)
         raise NumericalFailure("simplex exceeded the pivot budget")
 
@@ -173,7 +175,7 @@ class Basis:
             if self._basis[row] < n:
                 continue
             binv = self._inv_x[:, :-1]
-            candidates = np.flatnonzero(np.abs(binv[row] @ self._a) > self._tol)
+            candidates = np.flatnonzero(np.abs(binv[row] @ self._a) > _PIVOT_TOL)
             if candidates.size:
                 col = int(candidates[0])
                 self._pivot(row, col, binv @ self._a[:, col])
@@ -188,7 +190,7 @@ class Basis:
             self._refactor()
 
 
-def _phase_one(a_eq, b_eq, pivot_tol: float) -> tuple[Basis, float]:
+def _phase_one(a_eq, b_eq) -> tuple[Basis, float]:
     """Phase I: minimize the sum of artificials from the all-artificial basis.
 
     Returns the final basis and its residual |a_eq x - b_eq|_1 at the basic
@@ -196,46 +198,39 @@ def _phase_one(a_eq, b_eq, pivot_tol: float) -> tuple[Basis, float]:
     b rather than read from the updated x_B, so rounding in the updates cannot
     flip a feasibility verdict.
     """
-    basis = Basis(a_eq, b_eq, pivot_tol)
+    basis = Basis(a_eq, b_eq)
     m, n = len(basis._b), basis.n
     if basis._run(np.concatenate([np.zeros(n), np.ones(m)])) != OPTIMAL:
         raise NumericalFailure("phase-I subproblem unbounded")  # cannot happen: cost >= 0
     return basis, float(np.sum(np.abs(basis._a @ basis.x() - basis._b)))
 
 
-def feasible_basis(a_eq, b_eq, pivot_tol: float = 1e-10, feas_tol: float = 1e-8) -> Basis | None:
+def feasible_basis(a_eq, b_eq) -> Basis | None:
     """A Phase-II-ready basis of {x >= 0 : a_eq x = b_eq}, or None when it is empty."""
-    basis, residual = _phase_one(a_eq, b_eq, pivot_tol)
-    if residual > feas_tol:
+    basis, residual = _phase_one(a_eq, b_eq)
+    if residual > FEASIBILITY_TOL:
         return None
     basis._drive_out_artificials()
     return basis
 
 
-def solve_lp(
-    c,
-    a_eq,
-    b_eq,
-    maximize: bool = False,
-    pivot_tol: float = 1e-10,
-    feas_tol: float = 1e-8,
-) -> LpResult:
+def solve_lp(c, a_eq, b_eq, maximize: bool = False) -> LpResult:
     """Two-phase simplex for min (or max) c.x s.t. a_eq x = b_eq, x >= 0."""
     c = np.asarray(c, dtype=float)
     if c.shape != (np.atleast_2d(np.asarray(a_eq)).shape[1],):
         raise ValueError("inconsistent LP shapes")
-    basis = feasible_basis(a_eq, b_eq, pivot_tol, feas_tol)
+    basis = feasible_basis(a_eq, b_eq)
     if basis is None:
         return LpResult(INFEASIBLE, None, None)
     return basis.optimize(c, maximize)
 
 
-def phase_one(a_eq, b_eq, pivot_tol: float = 1e-10, feas_tol: float = 1e-8):
+def phase_one(a_eq, b_eq):
     """Feasibility of {x >= 0 : a_eq x = b_eq}. Returns (residual, x or None).
 
     The residual is |a_eq x - b_eq|_1 at the Phase I basic solution: the
     Phase I optimum (the sum of the artificial variables), zero up to
     rounding exactly when the system is feasible.
     """
-    basis, residual = _phase_one(a_eq, b_eq, pivot_tol)
-    return residual, None if residual > feas_tol else basis.x()
+    basis, residual = _phase_one(a_eq, b_eq)
+    return residual, None if residual > FEASIBILITY_TOL else basis.x()

@@ -31,7 +31,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_NUMERICS, DEFAULT_SOLVER, SolverConfig
+from .config import DEFAULT_SOLVER, SolverConfig
 from .errors import (
     IncompatibleObjective,
     ModelMismatch,
@@ -253,7 +253,7 @@ class _QuantumEvaluation(_DualEvaluation):
     def _hessian(self) -> np.ndarray:
         # Kubo-Mori covariance: divided differences of exp on the shifted
         # spectrum, contracted with the rotated constraint operators.
-        phi = _divided_difference(self._shifted, DEFAULT_NUMERICS.dd_degeneracy_rtol)
+        phi = _divided_difference(self._shifted)
         rotated = self._rotated.reshape(-1, phi.size)
         h = ((rotated.conj() * phi.ravel()) @ rotated.T).real / self._z
         return h - np.outer(self.means, self.means)
@@ -540,8 +540,7 @@ def solve_polytope(problem: MaxEntProblem, config: SolverConfig = DEFAULT_SOLVER
     that neither drops a vertex nor changes x (also when x + t d rounds back
     to x) ends the solve with NON_CONVERGENCE, as does ``fw_max_iter``.
     Phase I runs once per solve, and each LP is a Phase II warm-started from
-    the previous optimal basis, all with the region's LP tolerances
-    (Lacoste-Julien & Jaggi, NeurIPS 2015).
+    the previous optimal basis (Lacoste-Julien & Jaggi, NeurIPS 2015).
     """
     if problem.model.kind not in (CLASSICAL, POLYTOPE):
         raise IncompatibleObjective("solve_polytope handles classical and polytope models")
@@ -556,7 +555,7 @@ def solve_polytope(problem: MaxEntProblem, config: SolverConfig = DEFAULT_SOLVER
 
     model = problem.model
     a, b = _weight_system(model, region.h_rep)
-    basis = feasible_basis(a, b, pivot_tol=region.config.lp_pivot_tol, feas_tol=region.config.lp_feasibility_tol)
+    basis = feasible_basis(a, b)
     if basis is None:
         return _infeasible(diag)
 

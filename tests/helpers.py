@@ -26,7 +26,7 @@ from gmaxent import (
     region_from_mean,
     whole_space,
 )
-from gmaxent.hermitian import _divided_difference
+from gmaxent.hermitian import _LOG_ZERO_FLOOR, _divided_difference
 from gmaxent.regions import LinearConstraint
 from gmaxent.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LpResult
 
@@ -100,8 +100,7 @@ def matrix_log(m):
     k = decomp.eigenvalues
     if k[0] < -LOG_NEGATIVE_ATOL:
         raise ValueError(f"eigenvalue {k[0]:.3g} is negative")
-    floor = m.config.log_zero_floor
-    logk = np.where(k > floor, np.log(np.maximum(k, floor)), 0.0)
+    logk = np.where(k > _LOG_ZERO_FLOOR, np.log(np.maximum(k, _LOG_ZERO_FLOOR)), 0.0)
     u = decomp.eigenvectors
     return _hermitize((u * logk) @ u.conj().T)
 
@@ -117,7 +116,7 @@ def frechet_exp_directional(m, h):
     decomp = eig(m)
     u = decomp.eigenvectors
     hp = u.conj().T @ h.entries @ u
-    phi = _divided_difference(decomp.eigenvalues, m.config.dd_degeneracy_rtol)
+    phi = _divided_difference(decomp.eigenvalues)
     return _hermitize(u @ (hp * phi) @ u.conj().T)
 
 

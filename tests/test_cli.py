@@ -1,6 +1,8 @@
 """CLI behavior: exit codes, report contents, determinism."""
 
+import glob
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,9 @@ import pytest
 from gmaxent.cli import main
 
 GIBBS_ENTROPY = -(0.7 * np.log(0.7) + 0.3 * np.log(0.3))
+
+# (validate, solve) exit codes of the shipped files; every other file gives (0, 0).
+SHIPPED_EXIT_CODES = {"povm_invalid": (1, 1), "boundary_sigmaz": (0, 4), "infeasible_bloch": (0, 3)}
 
 
 def run(capsys, *argv):
@@ -128,6 +133,13 @@ class TestSolve:
         assert code == 5
         assert json.loads(out)["status"] == "non_convergence"
 
+    def test_max_iter_caps_frank_wolfe(self, capsys):
+        code, out = run(capsys, "solve", "problems/squarebit_x09.json", "--max-iter", "0")
+        assert code == 5
+        report = json.loads(out)
+        assert report["status"] == "non_convergence"
+        assert report["iterations"] == 0
+
     def test_negative_max_iter_flag_is_a_schema_error(self, capsys):
         code, out = run(capsys, "solve", "--max-iter=-1", "problems/gibbs_qubit.json")
         assert code == 2
@@ -140,7 +152,7 @@ class TestSolve:
         assert out == ""
 
     def test_invalid_povm_blocks_solve(self, tmp_path, capsys):
-        raw = json.loads(open("problems/povm_invalid.json").read())
+        raw = json.loads(Path("problems/povm_invalid.json").read_text())
         raw["conditions"] = []
         path = tmp_path / "p.json"
         path.write_text(json.dumps(raw))
@@ -236,6 +248,19 @@ class TestOracle:
         code, out = run(capsys, "oracle", "problems/infeasible_bloch.json", "--resolution", "1e-3")
         assert code == 0
         assert json.loads(out)["status"] == "infeasible"
+
+    @pytest.mark.parametrize("value,expected", [("0", 2), ("-1", 2), ("nan", 2), ("inf", 2), ("1e-300", 7)])
+    def test_bad_resolution(self, capsys, value, expected):
+        code, out = run(capsys, "oracle", "problems/gibbs_qubit.json", f"--resolution={value}")
+        assert code == expected
+        assert out == ""
+
+
+@pytest.mark.parametrize("path", sorted(glob.glob("problems/*.json")))
+def test_shipped_file_exit_codes(capsys, path):
+    validate_code, _ = run(capsys, "validate", path)
+    solve_code, _ = run(capsys, "solve", path)
+    assert (validate_code, solve_code) == SHIPPED_EXIT_CODES.get(Path(path).stem, (0, 0))
 
 
 def test_missing_file(capsys):

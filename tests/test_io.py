@@ -156,6 +156,13 @@ class TestSolverSection:
         config = solver_config_from(parsed, tolerance=1e-6, max_iter=17)
         assert config.grad_tol == 1e-6 and config.max_iter == 17
 
+    def test_max_iter_caps_frank_wolfe(self):
+        parsed = load_problem("problems/squarebit_x09.json")
+        assert solver_config_from(parsed).fw_max_iter == 5000
+        assert solver_config_from(parsed, max_iter=17).fw_max_iter == 17
+        parsed.raw["solver"] = {"max_iter": 9}
+        assert solver_config_from(parse_problem(parsed.raw)).fw_max_iter == 9
+
     def test_polytope_objective_required_information(self):
         raw = {
             "model": {"kind": "polytope", "vertices": [[1.0], [-1.0]]},

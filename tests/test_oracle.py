@@ -11,6 +11,7 @@ from gmaxent import (
     SolveStatus,
     Unsupported,
     VonNeumann,
+    indicator_observable,
     meet,
     oracle_maxent,
     region_from_effect,
@@ -86,6 +87,15 @@ class TestOracleCaps:
         model = Quantum(2)
         with pytest.raises(Unsupported):
             oracle_maxent(MaxEntProblem(model, whole_space(model), VonNeumann()), 1e-3)
+
+    def test_point_slice_needs_no_grid_axis(self):
+        # A mean condition pins Classical(2) to one point, so a resolution
+        # too fine for any grid axis still scans that one point.
+        model = Classical(2)
+        region = region_from_mean(indicator_observable(model, [0.0, 1.0]), 0.3)
+        result = oracle_maxent(MaxEntProblem(model, region, Shannon()), 1e-300)
+        assert result.points_scanned == 1
+        np.testing.assert_allclose(result.state.coords, [0.7, 0.3], atol=1e-12)
 
     def test_unconstrained_qubit_coarse(self):
         model = Quantum(2)

@@ -531,9 +531,9 @@ class TestSolvePolytope:
         original = gmaxent.simplex._phase_one
         systems = []
 
-        def counted(a_eq, b_eq, pivot_tol):
+        def counted(a_eq, b_eq):
             systems.append(np.shape(a_eq))
-            return original(a_eq, b_eq, pivot_tol)
+            return original(a_eq, b_eq)
 
         monkeypatch.setattr(gmaxent.simplex, "_phase_one", counted)
         sol = solve_polytope(problem)
