@@ -191,7 +191,7 @@ def cmd_oracle(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", help="also write the report to this path")
-    common.add_argument("--tolerance", type=float, help="dual gradient tolerance override")
+    common.add_argument("--tolerance", type=float, help="Newton gradient and Frank-Wolfe gap tolerance override")
     common.add_argument("--max-iter", type=int, help="Newton and Frank-Wolfe iteration cap override")
 
     parser = argparse.ArgumentParser(

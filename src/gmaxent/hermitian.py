@@ -42,6 +42,18 @@ class HermitianMatrix:
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
 
+    @classmethod
+    def _exact(cls, entries: np.ndarray) -> "HermitianMatrix":
+        """Wrap a complex array that is exactly Hermitian by construction, unchecked.
+
+        The array is stored as it is and made read-only; the checked
+        constructor would return an equal copy.
+        """
+        m = object.__new__(cls)
+        entries.setflags(write=False)
+        object.__setattr__(m, "entries", entries)
+        return m
+
     @property
     def dim(self) -> int:
         return self.entries.shape[0]

@@ -25,7 +25,8 @@ Problem files::
       "solver": {"tolerance": 1e-10, "max_iter": 500}  # optional; a "seed" key
     }                                                  # is accepted and ignored
 
-"max_iter" caps Newton and Frank-Wolfe iterations alike.
+"max_iter" caps Newton and Frank-Wolfe iterations alike; "tolerance" bounds
+the dual gradient of a Newton solve and the gap of a Frank-Wolfe solve.
 
 Classical and polytope effects/states use "vector" instead of "matrix"; a
 polytope effect vector is the affine form (constant, linear part) over the
@@ -366,7 +367,7 @@ def build_objective(parsed: ParsedProblem) -> Objective:
 def _solver_settings(raw: dict) -> dict:
     settings = {}
     if "tolerance" in raw:
-        settings["grad_tol"] = positive_finite(raw["tolerance"], "solver tolerance")
+        settings["grad_tol"] = settings["fw_gap_tol"] = positive_finite(raw["tolerance"], "solver tolerance")
     if "max_iter" in raw:
         settings["max_iter"] = settings["fw_max_iter"] = _iteration_cap(raw["max_iter"], "solver max_iter")
     return settings
@@ -375,7 +376,7 @@ def _solver_settings(raw: dict) -> dict:
 def solver_config_from(parsed: ParsedProblem, tolerance=None, max_iter=None) -> SolverConfig:
     changes = dict(parsed.solver_settings)
     if tolerance is not None:
-        changes["grad_tol"] = positive_finite(tolerance, "--tolerance")
+        changes["grad_tol"] = changes["fw_gap_tol"] = positive_finite(tolerance, "--tolerance")
     if max_iter is not None:
         changes["max_iter"] = changes["fw_max_iter"] = _iteration_cap(max_iter, "--max-iter")
     return dataclasses.replace(DEFAULT_SOLVER, **changes) if changes else DEFAULT_SOLVER

@@ -25,7 +25,7 @@ All values are immutable; random generation takes an explicit generator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -80,7 +80,7 @@ class ModelSpace:
         raise NotImplementedError
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, ModelSpace) and self._key() == other._key()
+        return self is other or (isinstance(other, ModelSpace) and self._key() == other._key())
 
     def __hash__(self):
         return hash(self._key())
@@ -166,7 +166,7 @@ class Quantum(ModelSpace):
         f[self._upper] = z
         f[self._lower] = z.conj()
         f[:: self.dim + 1] = self._diagonal_map.T.dot(c[self._diagonal_coords])
-        return HermitianMatrix(raw)
+        return HermitianMatrix._exact(raw)
 
     def cone_residual(self, coords):
         k = np.linalg.eigvalsh(self.coords_to_matrix(coords).entries)
@@ -193,6 +193,7 @@ class Polytope(ModelSpace):
         emb = np.hstack([np.ones((pts.shape[0], 1)), pts])
         emb.setflags(write=False)
         self.vertices = emb
+        self._vertex_key = (POLYTOPE, emb.shape, tuple(np.round(emb, 12).ravel()))
         unit = np.zeros(pts.shape[1] + 1)
         unit[0] = 1.0
         super().__init__(pts.shape[1] + 1, unit)
@@ -201,32 +202,47 @@ class Polytope(ModelSpace):
         return np.concatenate([[1.0], np.asarray(point, dtype=float)])
 
     def cone_residual(self, coords):
-        # Convex-combination membership: coords = V^T w, w >= 0. The weight
-        # sum is forced to 1 by the leading coordinate.
+        """Phase I residual of coords = V^T w, w >= 0 (the leading coordinate forces sum w = 1).
+
+        This LP searches for mixing weights; a caller that already holds them
+        passes them to ``State``, which checks them instead.
+        """
         residual, _ = phase_one(self.vertices.T, coords)
         return residual
 
     def _key(self):
-        return (POLYTOPE, self.vertices.shape, tuple(np.round(self.vertices, 12).ravel()))
+        return self._vertex_key
 
 
 @dataclass(frozen=True)
 class State:
-    """A point of the model's state space: u(coords) = 1, inside the cone."""
+    """A point of the model's state space: u(coords) = 1, inside the cone.
+
+    A polytope state is a mixture w @ V of the embedded vertices V, with
+    w >= 0 and sum w = 1. A caller that built it from such weights passes
+    them as ``weights``, and they are checked in O(nk): every weight is at
+    least -1e-8, their sum is within 1e-10 of 1, and their mixture is within
+    1e-8 of coords in every coordinate. Without weights, a Phase I LP searches
+    for them (``Polytope.cone_residual``). The weights are not stored.
+    """
 
     model: ModelSpace
     coords: np.ndarray
+    weights: InitVar[Optional[np.ndarray]] = field(default=None, kw_only=True)
 
-    def __post_init__(self):
+    def __post_init__(self, weights):
         c = np.asarray(self.coords, dtype=float)
         if c.shape != (self.model.ambient_dim,):
             raise InvalidState(f"expected {self.model.ambient_dim} coordinates, got {c.shape}")
         if abs(self.model.unit_value(c) - 1.0) > _UNIT_ATOL:
             raise InvalidState(f"unit functional is {self.model.unit_value(c):.12g}, not 1")
-        residual = self.model.cone_residual(c)
-        tol = FEASIBILITY_TOL if self.model.kind == POLYTOPE else _CONE_ATOL
-        if residual > tol:
-            raise InvalidState(f"cone membership violated by {residual:.3g}")
+        if weights is not None:
+            _check_mixture(self.model, np.asarray(weights, dtype=float), c)
+        else:
+            residual = self.model.cone_residual(c)
+            tol = FEASIBILITY_TOL if self.model.kind == POLYTOPE else _CONE_ATOL
+            if residual > tol:
+                raise InvalidState(f"cone membership violated by {residual:.3g}")
         c.setflags(write=False)
         object.__setattr__(self, "coords", c)
 
@@ -244,6 +260,22 @@ class State:
         if self.model.kind != POLYTOPE:
             raise ModelMismatch("point is defined for polytope states only")
         return self.coords[1:]
+
+
+def _check_mixture(model: ModelSpace, w: np.ndarray, coords: np.ndarray) -> None:
+    """Raise InvalidState unless w are mixing weights of the polytope's vertices giving coords."""
+    if model.kind != POLYTOPE:
+        raise ModelMismatch("mixing weights certify polytope states only")
+    if w.shape != (model.vertices.shape[0],):
+        raise InvalidState(f"expected {model.vertices.shape[0]} mixing weights, got {w.shape}")
+    # Each test is written so that a NaN fails it.
+    if not np.min(w) >= -FEASIBILITY_TOL:
+        raise InvalidState(f"mixing weight {np.min(w):.3g} is negative")
+    if not abs(np.sum(w) - 1.0) <= _UNIT_ATOL:
+        raise InvalidState(f"mixing weights sum to {np.sum(w):.12g}, not 1")
+    miss = float(np.max(np.abs(w @ model.vertices - coords)))
+    if not miss <= FEASIBILITY_TOL:
+        raise InvalidState(f"mixing weights miss the coordinates by {miss:.3g}")
 
 
 @dataclass(frozen=True)
@@ -497,7 +529,8 @@ def maximally_mixed(model: ModelSpace) -> State:
         return State(model, np.full(model.dim, 1.0 / model.dim))
     if model.kind == QUANTUM:
         return State(model, model.matrix_to_coords(np.eye(model.dim) / model.dim))
-    return State(model, model.vertices.mean(axis=0))
+    n = model.vertices.shape[0]
+    return State(model, model.vertices.mean(axis=0), weights=np.full(n, 1.0 / n))
 
 
 def spectral_observable(model: Quantum, matrix) -> Observable:
@@ -546,7 +579,7 @@ def random_state(model: ModelSpace, rng: np.random.Generator) -> State:
         rho /= np.trace(rho).real
         return State(model, model.matrix_to_coords(rho))
     w = rng.dirichlet(np.ones(model.vertices.shape[0]))
-    return State(model, w @ model.vertices)
+    return State(model, w @ model.vertices, weights=w)
 
 
 def random_effect(model: ModelSpace, rng: np.random.Generator) -> Effect:

@@ -190,7 +190,8 @@ class _PolytopeSearch(_GridSearch):
 
     def to_state(self, point):
         q = np.clip(point, 0.0, None)
-        return State(self.model, (q / q.sum()) @ self.vertex_map)
+        w = q / q.sum()
+        return State(self.model, w @ self.vertex_map, weights=w)
 
 
 def oracle_maxent(problem: MaxEntProblem, resolution: float) -> OracleResult:

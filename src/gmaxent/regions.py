@@ -301,7 +301,8 @@ def _weights_to_coords(model: ModelSpace, w: np.ndarray) -> np.ndarray:
 
 def _state_from_weights(model: ModelSpace, w: np.ndarray) -> State:
     w = np.maximum(w, 0.0)
-    return State(model, _weights_to_coords(model, w / w.sum()))
+    w = w / w.sum()
+    return State(model, _weights_to_coords(model, w), weights=w if model.kind == POLYTOPE else None)
 
 
 def feasibility(c: ConvexRegion) -> FeasibilityResult:

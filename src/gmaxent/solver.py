@@ -317,9 +317,14 @@ def _select_independent(funcs: np.ndarray, targets: np.ndarray, config: SolverCo
     return kept, dropped, False
 
 
-def _solution(problem, coords, multipliers, lambda0, iterations, status, diag, value=None) -> MaxEntSolution:
-    """The result at the solved coordinates; value is the objective there, computed when None."""
-    state = State(problem.model, coords)
+def _solution(
+    problem, coords, multipliers, lambda0, iterations, status, diag, value=None, weights=None
+) -> MaxEntSolution:
+    """The result at the solved coordinates; value is the objective there, computed when None.
+
+    weights, when given, are the polytope mixing weights that certify the state.
+    """
+    state = State(problem.model, coords, weights=weights)
     return MaxEntSolution(
         state=state,
         multipliers=np.asarray(multipliers, dtype=float),
@@ -540,7 +545,10 @@ def solve_polytope(problem: MaxEntProblem, config: SolverConfig = DEFAULT_SOLVER
     that neither drops a vertex nor changes x (also when x + t d rounds back
     to x) ends the solve with NON_CONVERGENCE, as does ``fw_max_iter``.
     Phase I runs once per solve, and each LP is a Phase II warm-started from
-    the previous optimal basis (Lacoste-Julien & Jaggi, NeurIPS 2015).
+    the previous optimal basis (Lacoste-Julien & Jaggi, NeurIPS 2015). Each
+    active vertex keeps the LP's mixing weights that produced it, so a
+    polytope result is certified by alpha times those weights, which
+    ``State`` checks in O(nk) instead of solving a membership LP.
     """
     if problem.model.kind not in (CLASSICAL, POLYTOPE):
         raise IncompatibleObjective("solve_polytope handles classical and polytope models")
@@ -559,10 +567,12 @@ def solve_polytope(problem: MaxEntProblem, config: SolverConfig = DEFAULT_SOLVER
     if basis is None:
         return _infeasible(diag)
 
-    # The active set: vertices (rows of atoms) with convex weights alpha. It
-    # starts as the Phase I basic solution alone.
-    x = _weights_to_coords(model, basis.x())
-    atoms, alpha = x[None, :], np.ones(1)
+    # The active set: vertices (rows of atoms) with convex weights alpha, and
+    # the mixing weights over the model's extreme states that give each
+    # vertex (rows of mixes). It starts as the Phase I basic solution alone.
+    w = basis.x()
+    x = _weights_to_coords(model, w)
+    atoms, mixes, alpha = x[None, :], w[None, :], np.ones(1)
 
     grad = _objective_gradient(problem)
     status = SolveStatus.NON_CONVERGENCE
@@ -590,25 +600,26 @@ def solve_polytope(problem: MaxEntProblem, config: SolverConfig = DEFAULT_SOLVER
             break
         n_atoms = len(alpha)
         if toward and t == t_max:
-            atoms, alpha = s[None, :], np.ones(1)
+            atoms, mixes, alpha = s[None, :], lp.x[None, :], np.ones(1)
         elif toward:
             alpha *= 1.0 - t
             same = np.flatnonzero(np.max(np.abs(atoms - s), axis=1) <= _ATOM_ATOL)
             if same.size:
                 alpha[same[0]] += t
             else:
-                atoms, alpha = np.vstack([atoms, s]), np.append(alpha, t)
+                atoms, mixes, alpha = np.vstack([atoms, s]), np.vstack([mixes, lp.x]), np.append(alpha, t)
         else:
             alpha *= 1.0 + t
             alpha[away] -= t
             if t == t_max or alpha[away] <= 0.0:
-                atoms, alpha = np.delete(atoms, away, axis=0), np.delete(alpha, away)
+                atoms, mixes, alpha = (np.delete(a, away, axis=0) for a in (atoms, mixes, alpha))
         moved = alpha @ atoms
         if np.array_equal(moved, x) and len(alpha) >= n_atoms:
             break
         x = moved
 
-    return _solution(problem, x, (), None, iterations, status, diag)
+    weights = alpha @ mixes if model.kind == POLYTOPE else None
+    return _solution(problem, x, (), None, iterations, status, diag, weights=weights)
 
 
 def solve(problem: MaxEntProblem, config: SolverConfig = DEFAULT_SOLVER) -> MaxEntSolution:

@@ -315,6 +315,12 @@ def squarebit_problem(region=None, model=None):
     return MaxEntProblem(model, region if region is not None else whole_space(model), objective)
 
 
+def regular_polygon(n):
+    """The regular n-gon inscribed in the unit circle, as a polytope model."""
+    angles = 2.0 * np.pi * np.arange(n) / n
+    return Polytope(np.column_stack([np.cos(angles), np.sin(angles)]))
+
+
 def sphere_polytope(n_vertices, dim, rng):
     """A polytope whose vertices are random points on the unit sphere in R^dim."""
     raw = rng.standard_normal((n_vertices, dim))

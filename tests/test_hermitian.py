@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gmaxent import HermitianMatrix, eig, entropy_from_spectrum
+from gmaxent import HermitianMatrix, Quantum, eig, entropy_from_spectrum
 
 from helpers import frechet_exp_directional, matrix_exp, matrix_log, random_hermitian
 
@@ -28,6 +28,18 @@ class TestHermitianMatrix:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
             HermitianMatrix(np.array([[0.0, 1.0], [0.5, 0.0]]))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 8])
+    def test_coords_to_matrix_equals_the_checked_construction(self, d):
+        # coords_to_matrix skips the Hermiticity check; what it stores must be
+        # bit for bit what the checked constructor stores.
+        model = Quantum(d)
+        rng = np.random.default_rng(d)
+        for _ in range(20):
+            m = model.coords_to_matrix(rng.standard_normal(d * d))
+            assert not m.entries.flags.writeable
+            checked = HermitianMatrix(np.array(m.entries)).entries
+            assert m.entries.tobytes() == checked.tobytes()
 
     def test_symmetrizes_small_noise(self):
         noisy = np.array([[1.0, 0.5 + 1e-14j], [0.5 - 3e-14j, 2.0]])

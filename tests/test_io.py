@@ -163,6 +163,14 @@ class TestSolverSection:
         parsed.raw["solver"] = {"max_iter": 9}
         assert solver_config_from(parse_problem(parsed.raw)).fw_max_iter == 9
 
+    def test_tolerance_sets_both_solvers(self):
+        parsed = load_problem("problems/squarebit_x09.json")
+        config = solver_config_from(parsed, tolerance=1e-3)
+        assert config.grad_tol == config.fw_gap_tol == 1e-3
+        parsed.raw["solver"] = {"tolerance": 1e-3}
+        config = solver_config_from(parse_problem(parsed.raw))
+        assert config.grad_tol == config.fw_gap_tol == 1e-3
+
     def test_polytope_objective_required_information(self):
         raw = {
             "model": {"kind": "polytope", "vertices": [[1.0], [-1.0]]},

@@ -16,6 +16,7 @@ from gmaxent import (
     NoValues,
     Observable,
     Outcome,
+    Polytope,
     Quantum,
     DegenerateInput,
     NotAProjection,
@@ -117,6 +118,22 @@ class TestModelSpaces:
         assert np.all(p.vertices @ p.unit_functional > 0)
 
 
+class TestPolytopeEquality:
+    def test_same_vertices_equal_and_hash_equal(self):
+        a = squarebit_model()
+        b = squarebit_model()
+        assert a is not b
+        assert a == b and hash(a) == hash(b)
+        assert a == a
+
+    def test_different_vertices_unequal(self):
+        a = squarebit_model()
+        b = Polytope([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -0.5]])
+        assert a != b
+        assert a != Polytope([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0]])
+        assert a != Classical(3)
+
+
 class TestState:
     def test_rejects_unnormalized(self):
         with pytest.raises(InvalidState):
@@ -135,6 +152,56 @@ class TestState:
         model = squarebit_model()
         with pytest.raises(InvalidState):
             State(model, model.embed_point([1.5, 0.0]))
+
+    def _mixture(self):
+        model = squarebit_model()
+        w = np.array([0.1, 0.2, 0.3, 0.4])
+        return model, w, w @ model.vertices
+
+    def test_accepts_its_mixing_weights(self):
+        model, w, coords = self._mixture()
+        s = State(model, coords, weights=w)
+        np.testing.assert_array_equal(s.coords, coords)
+        assert s == State(model, coords)
+        # Slack within the tolerances passes.
+        State(model, coords, weights=w + np.array([-5e-9, 5e-9, 0.0, 0.0]))
+
+    def test_rejects_a_negative_weight(self):
+        model = squarebit_model()
+        bad = np.array([-2e-8, 0.3 + 2e-8, 0.3, 0.4])  # sums to 1 and gives its coords
+        with pytest.raises(InvalidState, match="negative"):
+            State(model, bad @ model.vertices, weights=bad)
+
+    def test_rejects_weights_off_the_unit_sum(self):
+        model, w, coords = self._mixture()
+        with pytest.raises(InvalidState, match="sum"):
+            State(model, coords, weights=w * (1.0 + 2e-10))
+
+    def test_rejects_weights_of_wrong_length(self):
+        model, w, coords = self._mixture()
+        with pytest.raises(InvalidState, match="mixing weights"):
+            State(model, coords, weights=w[:3])
+
+    def test_rejects_weights_that_miss_the_coordinates(self):
+        model, w, coords = self._mixture()
+        with pytest.raises(InvalidState, match="miss"):
+            State(model, coords + np.array([0.0, 2e-8, 0.0]), weights=w)
+
+    def test_rejects_nan_weights(self):
+        model, w, coords = self._mixture()
+        w[1] = np.nan
+        with pytest.raises(InvalidState):
+            State(model, coords, weights=w)
+
+    def test_weights_are_polytope_only(self):
+        with pytest.raises(ModelMismatch):
+            State(Classical(2), np.array([0.5, 0.5]), weights=np.array([0.5, 0.5]))
+
+    def test_weights_are_keyword_only_and_not_stored(self):
+        model, w, coords = self._mixture()
+        with pytest.raises(TypeError):
+            State(model, coords, w)
+        assert "weights" not in vars(State(model, coords, weights=w))
 
     @pytest.mark.parametrize("model", MODELS, ids=["classical", "quantum", "polytope"])
     def test_random_states_valid(self, model):

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gmaxent import (
     Classical,
@@ -42,6 +44,7 @@ from gmaxent import (
 )
 from gmaxent.hermitian import HermitianMatrix
 from gmaxent.regions import LinearConstraint
+from gmaxent.simplex import FEASIBILITY_TOL
 
 from helpers import (
     fiducial_gradient,
@@ -52,6 +55,7 @@ from helpers import (
     random_classical_problem,
     random_quantum_problem,
     reference_feasible_basis,
+    regular_polygon,
     sphere_polytope,
     squarebit_measurements,
     squarebit_model,
@@ -539,9 +543,9 @@ class TestSolvePolytope:
         sol = solve_polytope(problem)
         assert sol.status == SolveStatus.CONVERGED
         assert sol.iterations >= 2
-        # One Phase I on the weight system (sum and condition rows), then the
-        # membership LP of the result's State cone check (a row per coordinate).
-        assert systems == [(2, 16), (3, 16)]
+        # One Phase I on the weight system (sum and condition rows); the
+        # result's State checks the Frank-Wolfe mixing weights, with no LP.
+        assert systems == [(2, 16)]
 
         # Every LP a cold two-phase solve on the dense-tableau reference.
         monkeypatch.setattr(gmaxent.solver, "feasible_basis", reference_feasible_basis)
@@ -644,6 +648,20 @@ class TestSolvePolytope:
         ]
         problem = problems[index]
         self._assert_certified(problem, solve_polytope(problem), 500)
+
+    # Frank-Wolfe results and random states are certified by their mixing
+    # weights; the membership LP that those weights replace must agree.
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["n=8", "n=16", "n=32", "sphere8", "sphere16"]))
+    def test_weight_certified_states_pass_the_membership_lp(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        if kind.startswith("sphere"):
+            model = sphere_polytope(int(kind[6:]), 3, rng)
+        else:
+            model = regular_polygon(int(kind[2:]))
+        sol = solve_polytope(fiducial_polytope_problem(model, rng))
+        for state in (sol.state, random_state(model, rng)):
+            assert model.cone_residual(state.coords) <= FEASIBILITY_TOL
 
     @pytest.mark.parametrize("seed", [0, 2])
     def test_24_vertex_polytope_in_r4_converges(self, seed):
