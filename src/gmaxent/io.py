@@ -3,7 +3,8 @@
 One structured JSON format. Complex numbers are two-element arrays [re, im],
 matrices are row-major nested lists of those pairs, and every float is
 emitted with 17 significant digits so that parse -> serialize -> parse is
-lossless.
+lossless. Every number read must be finite: NaN, Infinity and literals that
+overflow to inf are schema errors.
 
 Problem files::
 
@@ -90,12 +91,12 @@ def _format_float(x: float) -> str:
     return text
 
 
-def dumps_17g(obj: Any, indent: int = 2) -> str:
+def dumps_17g(obj: Any) -> str:
     """JSON text with floats at 17 significant digits (lossless round trip)."""
 
     def emit(o, depth):
-        pad = " " * (indent * depth)
-        pad_in = " " * (indent * (depth + 1))
+        pad = "  " * depth
+        pad_in = "  " * (depth + 1)
         if o is None:
             return "null"
         if isinstance(o, bool):
@@ -151,18 +152,18 @@ def _require(mapping: dict, key: str, context: str):
     return mapping[key]
 
 
-def _number(raw, context: str, kind: type = float):
+def _number(raw, context: str) -> float:
     try:
-        return kind(raw)
+        return float(raw)
     except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{context}: expected a number, got {raw!r}") from exc
 
 
-def _iteration_cap(raw, context: str) -> int:
-    cap = _number(raw, context, int)
-    if cap < 0:
-        raise SchemaError(f"{context}: expected a non-negative integer, got {raw!r}")
-    return cap
+def _integer(raw, context: str, minimum: int) -> int:
+    """``raw`` when it is an integer of at least ``minimum``; a float, a boolean or a string is not one."""
+    if isinstance(raw, bool) or not isinstance(raw, int) or raw < minimum:
+        raise SchemaError(f"{context}: expected an integer >= {minimum}, got {raw!r}")
+    return raw
 
 
 def positive_finite(raw, context: str) -> float:
@@ -198,9 +199,9 @@ def parse_model(raw: dict) -> ModelSpace:
     kind = _require(raw, "kind", "model")
     try:
         if kind == CLASSICAL:
-            return Classical(int(_require(raw, "dimension", "model")))
+            return Classical(_integer(_require(raw, "dimension", "model"), "model dimension", 1))
         if kind == QUANTUM:
-            return Quantum(int(_require(raw, "dimension", "model")))
+            return Quantum(_integer(_require(raw, "dimension", "model"), "model dimension", 1))
         if kind == POLYTOPE:
             return Polytope(np.asarray(_require(raw, "vertices", "model"), dtype=float))
     except (TypeError, ValueError) as exc:
@@ -210,7 +211,7 @@ def parse_model(raw: dict) -> ModelSpace:
 
 def model_to_jsonable(model: ModelSpace) -> dict:
     if model.kind == POLYTOPE:
-        return {"kind": POLYTOPE, "vertices": model.user_vertices.tolist()}
+        return {"kind": POLYTOPE, "vertices": model.vertices[:, 1:].tolist()}
     return {"kind": model.kind, "dimension": model.dim}
 
 
@@ -329,9 +330,21 @@ def parse_problem(raw: dict) -> ParsedProblem:
     return ParsedProblem(model, observables, state_coords, conditions, objective_raw, solver_settings, raw)
 
 
-def load_problem(path) -> ParsedProblem:
+def _finite_float(text: str) -> float:
+    """A JSON number literal or the constant NaN, Infinity or -Infinity, accepted only when finite."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise SchemaError(f"number {text} is not finite")
+    return value
+
+
+def _load_json(path):
     with open(path, encoding="utf-8") as fh:
-        return parse_problem(json.load(fh))
+        return json.load(fh, parse_float=_finite_float, parse_constant=_finite_float)
+
+
+def load_problem(path) -> ParsedProblem:
+    return parse_problem(_load_json(path))
 
 
 def serialize_problem(parsed: ParsedProblem) -> str:
@@ -369,7 +382,7 @@ def _solver_settings(raw: dict) -> dict:
     if "tolerance" in raw:
         settings["grad_tol"] = settings["fw_gap_tol"] = positive_finite(raw["tolerance"], "solver tolerance")
     if "max_iter" in raw:
-        settings["max_iter"] = settings["fw_max_iter"] = _iteration_cap(raw["max_iter"], "solver max_iter")
+        settings["max_iter"] = settings["fw_max_iter"] = _integer(raw["max_iter"], "solver max_iter", 0)
     return settings
 
 
@@ -378,7 +391,7 @@ def solver_config_from(parsed: ParsedProblem, tolerance=None, max_iter=None) -> 
     if tolerance is not None:
         changes["grad_tol"] = changes["fw_gap_tol"] = positive_finite(tolerance, "--tolerance")
     if max_iter is not None:
-        changes["max_iter"] = changes["fw_max_iter"] = _iteration_cap(max_iter, "--max-iter")
+        changes["max_iter"] = changes["fw_max_iter"] = _integer(max_iter, "--max-iter", 0)
     return dataclasses.replace(DEFAULT_SOLVER, **changes) if changes else DEFAULT_SOLVER
 
 
@@ -419,8 +432,7 @@ def parse_region(raw: dict) -> ParsedRegion:
 
 
 def load_region(path) -> ParsedRegion:
-    with open(path, encoding="utf-8") as fh:
-        return parse_region(json.load(fh))
+    return parse_region(_load_json(path))
 
 
 # ---------------------------------------------------------------------------

@@ -179,8 +179,9 @@ class Quantum(ModelSpace):
 class Polytope(ModelSpace):
     """Convex hull of finitely many points, homogeneously embedded.
 
-    ``vertices`` are the user's points in R^k; states live in R^(k+1) with a
-    leading coordinate pinned to 1 by the unit functional.
+    The constructor takes points in R^k; ``vertices`` is a read-only copy of
+    them embedded in R^(k+1), where states live, with a leading coordinate
+    pinned to 1 by the unit functional.
     """
 
     kind = POLYTOPE
@@ -189,7 +190,6 @@ class Polytope(ModelSpace):
         pts = np.atleast_2d(np.asarray(vertices, dtype=float))
         if pts.shape[0] < 1:
             raise ValueError("at least one vertex required")
-        self.user_vertices = pts
         emb = np.hstack([np.ones((pts.shape[0], 1)), pts])
         emb.setflags(write=False)
         self.vertices = emb
@@ -597,19 +597,11 @@ def random_effect(model: ModelSpace, rng: np.random.Generator) -> Effect:
     return Effect(model, (raw - lo * model.unit_functional) / (hi - lo))
 
 
-def random_povm(
-    model: ModelSpace,
-    rng: np.random.Generator,
-    n_outcomes: int = 2,
-    with_values: bool = False,
-) -> Observable:
+def random_povm(model: ModelSpace, rng: np.random.Generator, n_outcomes: int = 2) -> Observable:
     """A random valid observable: scaled random effects plus a complement."""
     if n_outcomes < 2:
         raise ValueError("a POVM needs at least two outcomes")
     funcs = [random_effect(model, rng).functional / n_outcomes for _ in range(n_outcomes - 1)]
     funcs.append(model.unit_functional - np.sum(funcs, axis=0))
-    outs = []
-    for i, f in enumerate(funcs):
-        value = float(i) if with_values else None
-        outs.append(Outcome(label=str(i), effect=Effect(model, f), value=value))
-    return Observable(model, tuple(outs))
+    outs = tuple(Outcome(label=str(i), effect=Effect(model, f)) for i, f in enumerate(funcs))
+    return Observable(model, outs)

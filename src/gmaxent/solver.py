@@ -119,11 +119,8 @@ class MaxEntProblem:
 
 @dataclass
 class SolveDiagnostics:
-    """Per-iteration traces for tests and debugging."""
+    """The constraints a dual solve kept and dropped, its steepest-descent fallbacks, the last Frank-Wolfe gap."""
 
-    dual_values: list[float] = field(default_factory=list)
-    residual_norms: list[float] = field(default_factory=list)
-    hessian_min_eigs: list[float] = field(default_factory=list)
     kept_indices: tuple[int, ...] = ()
     dropped_indices: tuple[int, ...] = ()
     gradient_fallbacks: int = 0
@@ -295,6 +292,15 @@ def dual_gradient(model: ModelSpace, constraints: Sequence[LinearConstraint], ta
     return targets - _evaluate(model, constraints, lambdas).means
 
 
+_MULTIPLIER_BOUND = 1e4       # max |lambda| past this => recession certificate decides
+_HESSIAN_RIDGE = 1e-12
+_RANK_PIVOT_TOL = 1e-10       # constraint independence threshold
+_BOUNDARY_RANK_TOL = 1e-9     # min spectrum below this => BoundaryOnly
+_BOUNDARY_RESIDUAL_TOL = 1e-3 # past the bound, no certificate, residual below => BoundaryOnly
+_ARMIJO_C = 1e-4
+_MAX_BACKTRACKS = 60          # also the gradient cap of a Frank-Wolfe line search
+
+
 def _select_independent(funcs: np.ndarray, targets: np.ndarray, config: SolverConfig):
     """Greedy rank filter; returns (kept indices, dropped, contradiction?)."""
     kept: list[int] = []
@@ -304,7 +310,7 @@ def _select_independent(funcs: np.ndarray, targets: np.ndarray, config: SolverCo
         res = f.astype(float).copy()
         for q in basis:
             res -= (res @ q) * q
-        if np.linalg.norm(res) > config.rank_pivot_tol * max(1.0, np.linalg.norm(f)):
+        if np.linalg.norm(res) > _RANK_PIVOT_TOL * max(1.0, np.linalg.norm(f)):
             basis.append(res / np.linalg.norm(res))
             kept.append(i)
             continue
@@ -348,13 +354,13 @@ def solve_dual(problem: MaxEntProblem, config: SolverConfig = DEFAULT_SOLVER) ->
 
     Statuses: CONVERGED when the dual gradient drops below tolerance and the
     solved state has full support; BOUNDARY_ONLY when it converges onto a
-    rank-deficient limiting state. Past ``multiplier_bound`` the recession
+    rank-deficient limiting state. Past ``_MULTIPLIER_BOUND`` the recession
     certificate c = u . r + lambda_max(-sum_i u_i R_i), u = lambda/|lambda|,
     decides for both models: a state meeting the conditions would give
     c >= 0, so c < -``residual_tol`` is INFEASIBLE with the multipliers as
     witness (Boyd & Vandenberghe, Convex Optimization, 5.8); otherwise the
     status is BOUNDARY_ONLY when the residuals are within
-    ``boundary_residual_tol``, else NON_CONVERGENCE, as at the iteration cap,
+    ``_BOUNDARY_RESIDUAL_TOL``, else NON_CONVERGENCE, as at the iteration cap,
     which also ends a solve whose cap comes before the bound. Contradictory
     linear conditions are INFEASIBLE before any Newton step.
     """
@@ -393,19 +399,16 @@ def solve_dual(problem: MaxEntProblem, config: SolverConfig = DEFAULT_SOLVER) ->
     for iterations in range(config.max_iter + 1):
         g = r - ev.means
         res_norm = float(np.max(np.abs(g))) if len(g) else 0.0
-        diag.dual_values.append(ev.lnz + float(lambdas @ r))
-        diag.residual_norms.append(res_norm)
         if res_norm <= config.grad_tol:
-            boundary = float(np.min(ev.spectrum)) < config.boundary_rank_tol
+            boundary = float(np.min(ev.spectrum)) < _BOUNDARY_RANK_TOL
             status = SolveStatus.BOUNDARY_ONLY if boundary else SolveStatus.CONVERGED
             break
         if iterations == config.max_iter:
             break
 
         h = ev.hessian()
-        diag.hessian_min_eigs.append(float(np.min(np.linalg.eigvalsh(h))))
         try:
-            direction = np.linalg.solve(h + config.hessian_ridge * np.eye(len(g)), g)
+            direction = np.linalg.solve(h + _HESSIAN_RIDGE * np.eye(len(g)), g)
         except np.linalg.LinAlgError:
             direction = g
         slope = float(g @ direction)
@@ -424,21 +427,21 @@ def solve_dual(problem: MaxEntProblem, config: SolverConfig = DEFAULT_SOLVER) ->
             continue
         step = 1.0
         accepted = None
-        for _ in range(config.max_backtracks):
+        for _ in range(_MAX_BACKTRACKS):
             trial = lambdas - step * direction
             ev_trial = dual_at(trial)
-            if ev_trial.lnz + float(trial @ r) <= d0 - config.armijo_c * step * slope:
+            if ev_trial.lnz + float(trial @ r) <= d0 - _ARMIJO_C * step * slope:
                 accepted = (trial, ev_trial)
                 break
             step /= 2.0
         if accepted is None or np.array_equal(accepted[0], lambdas):
             break
         lambdas, ev = accepted
-        if float(np.max(np.abs(lambdas))) > config.multiplier_bound:
+        if float(np.max(np.abs(lambdas))) > _MULTIPLIER_BOUND:
             # lambda_max is positively homogeneous, so c at u = lambda/|lambda| is this over |lambda|.
             if ev.top + float(lambdas @ r) < -config.residual_tol * np.linalg.norm(lambdas):
                 status = SolveStatus.INFEASIBLE
-            elif float(np.max(np.abs(r - ev.means))) <= config.boundary_residual_tol:
+            elif float(np.max(np.abs(r - ev.means))) <= _BOUNDARY_RESIDUAL_TOL:
                 status = SolveStatus.BOUNDARY_ONLY
             break
 
@@ -488,7 +491,7 @@ def _objective_gradient(problem: MaxEntProblem) -> Callable[[np.ndarray], np.nda
     raise IncompatibleObjective("solve_polytope needs a gradient-equipped objective")
 
 
-def _slope_search(grad, x: np.ndarray, d: np.ndarray, t_max: float, slope0: float, max_evals: int) -> float:
+def _slope_search(grad, x: np.ndarray, d: np.ndarray, t_max: float, slope0: float) -> float:
     """The step in [0, t_max] along d that maximizes a concave objective, found from its slope.
 
     The slope h(t) = grad(x + t d) . d is non-increasing, and h(0) = slope0 > 0.
@@ -496,20 +499,18 @@ def _slope_search(grad, x: np.ndarray, d: np.ndarray, t_max: float, slope0: floa
     by the Illinois variant of regula falsi (a secant step, bisection when the
     secant leaves the bracket) and the step is the bracket's left end, where
     h >= 0, so the objective does not decrease. 0 means no trial had h >= 0.
-    At most max_evals gradients are evaluated.
+    At most ``_MAX_BACKTRACKS`` gradients are evaluated.
     """
     def slope(t):
         return float(grad(x + t * d) @ d)
 
-    if max_evals < 1:
-        return 0.0
     h_hi = slope(t_max)
     if h_hi >= 0.0:
         return t_max
     lo, hi, h_lo = 0.0, t_max, slope0
     secant_lo, secant_hi = h_lo, h_hi  # the values the secant uses; Illinois halves a stale one
     kept = 0  # +1 when the last trial moved lo, -1 when it moved hi
-    for _ in range(max_evals - 1):
+    for _ in range(_MAX_BACKTRACKS - 1):
         t = (lo * secant_hi - hi * secant_lo) / (secant_hi - secant_lo)
         if not lo < t < hi:
             t = 0.5 * (lo + hi)
@@ -540,7 +541,7 @@ def solve_polytope(problem: MaxEntProblem, config: SolverConfig = DEFAULT_SOLVER
     moves toward s, or away from the active vertex v that minimizes g.v when
     g.(x - v) is the larger gap, and a step that reaches its bound drops a
     vertex. The step is an exact line search on the objective's slope
-    (``_slope_search``, at most ``max_backtracks`` gradients), so the
+    (``_slope_search``, at most ``_MAX_BACKTRACKS`` gradients), so the
     objective never decreases and no objective value is evaluated. A step
     that neither drops a vertex nor changes x (also when x + t d rounds back
     to x) ends the solve with NON_CONVERGENCE, as does ``fw_max_iter``.
@@ -595,7 +596,7 @@ def solve_polytope(problem: MaxEntProblem, config: SolverConfig = DEFAULT_SOLVER
             d, t_max = s - x, 1.0
         else:
             d, t_max = x - atoms[away], alpha[away] / (1.0 - alpha[away])
-        t = _slope_search(grad, x, d, t_max, float(g @ d), config.max_backtracks)
+        t = _slope_search(grad, x, d, t_max, float(g @ d))
         if t == 0.0:
             break
         n_atoms = len(alpha)

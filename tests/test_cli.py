@@ -11,6 +11,13 @@ from gmaxent.cli import main
 
 GIBBS_ENTROPY = -(0.7 * np.log(0.7) + 0.3 * np.log(0.3))
 
+# A classical problem with one mean condition whose target is TARGET.
+MEAN_CONDITION = json.dumps({
+    "model": {"kind": "classical", "dimension": 2},
+    "observables": {"A": {"outcomes": [{"vector": [1, 0], "value": 0.0}, {"vector": [0, 1], "value": 1.0}]}},
+    "conditions": [{"observable": "A", "type": "mean", "target": "TARGET"}],
+})
+
 # (validate, solve) exit codes of the shipped files; every other file gives (0, 0).
 SHIPPED_EXIT_CODES = {"povm_invalid": (1, 1), "boundary_sigmaz": (0, 4), "infeasible_bloch": (0, 3)}
 
@@ -74,14 +81,33 @@ class TestValidate:
             {"model": {"kind": "classical", "dimension": 2}, "objective": {"name": "fiducial", "measurements": 3}},
             {"model": {"kind": "classical", "dimension": 2}, "solver": {"max_iter": -1}},
             {"model": {"kind": "classical", "dimension": 2}, "solver": {"tolerance": -1e-10}},
+            MEAN_CONDITION.replace('"TARGET"', "NaN"),
+            MEAN_CONDITION.replace('"TARGET"', "Infinity"),
+            MEAN_CONDITION.replace('"TARGET"', "-Infinity"),
+            MEAN_CONDITION.replace('"TARGET"', "1e999"),
+            {
+                "model": {"kind": "quantum", "dimension": 2},
+                "observables": {"Z": {"outcomes": [
+                    {"matrix": [[[float("nan"), 0], [0, 0]], [[0, 0], [0, 0]]]},
+                    {"matrix": [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]},
+                ]}},
+            },
+            {"model": {"kind": "classical", "dimension": 2.5}},
+            {"model": {"kind": "quantum", "dimension": True}},
+            {"model": {"kind": "classical", "dimension": "2"}},
+            {"model": {"kind": "classical", "dimension": 2}, "solver": {"max_iter": 2.5}},
+            {"model": {"kind": "classical", "dimension": 2}, "solver": {"max_iter": True}},
+            {"model": {"kind": "classical", "dimension": 2}, "solver": {"max_iter": "7"}},
         ],
         ids=["state-dimension", "vector-entry", "target", "dimension-zero",
              "observables-array", "condition-number", "max-iter-text", "outcomes-number", "measurements-number",
-             "max-iter-negative", "tolerance-negative"],
+             "max-iter-negative", "tolerance-negative", "target-nan", "target-infinity", "target-minus-infinity",
+             "target-overflow", "matrix-nan", "dimension-float", "dimension-bool", "dimension-string",
+             "max-iter-float", "max-iter-bool", "max-iter-string"],
     )
     def test_malformed_file_is_a_schema_error(self, tmp_path, capsys, command, raw):
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(raw))
+        bad.write_text(raw if isinstance(raw, str) else json.dumps(raw))
         code, out = run(capsys, command, str(bad))
         assert code == 2
         assert out == ""
@@ -201,12 +227,20 @@ class TestLattice:
 
     @pytest.mark.parametrize(
         "region",
-        [[], {"constraints": [1]}, {"constraints": {}}, {"generators": 5}],
-        ids=["region-array", "constraint-number", "constraints-object", "generators-number"],
+        [
+            [], {"constraints": [1]}, {"constraints": {}}, {"generators": 5},
+            '{"constraints": [{"functional": {"vector": [1, 0]}, "target": NaN}]}',
+            '{"constraints": [{"functional": {"vector": [1, Infinity]}, "target": 0.5}]}',
+            '{"constraints": [{"functional": {"vector": [1, 0]}, "target": -Infinity}]}',
+            '{"generators": [{"vector": [1e999, 0]}]}',
+        ],
+        ids=["region-array", "constraint-number", "constraints-object", "generators-number",
+             "target-nan", "functional-infinity", "target-minus-infinity", "generator-overflow"],
     )
     def test_malformed_region_file_is_a_schema_error(self, tmp_path, capsys, region):
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"model": {"kind": "classical", "dimension": 2}, "region": region}))
+        region = region if isinstance(region, str) else json.dumps(region)
+        bad.write_text('{"model": {"kind": "classical", "dimension": 2}, "region": ' + region + "}")
         code, out = run(capsys, "lattice", "meet", str(bad), str(bad))
         assert code == 2
         assert out == ""

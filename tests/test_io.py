@@ -1,12 +1,13 @@
 """File-format tests: lossless round trips and schema rejection."""
 
+import dataclasses
 import glob
 import json
 
 import numpy as np
 import pytest
 
-from gmaxent import SolveStatus, solve
+from gmaxent import Polytope, SolverConfig, SolveStatus, solve
 from gmaxent.io import (
     SchemaError,
     build_objective,
@@ -14,6 +15,7 @@ from gmaxent.io import (
     dumps_17g,
     load_problem,
     load_region,
+    model_to_jsonable,
     parse_problem,
     serialize_problem,
     solution_report,
@@ -121,6 +123,17 @@ class TestSchemaErrors:
 
 
 class TestReports:
+    def test_polytope_model_written_as_constructed(self):
+        # The caller's array stays writable; the model and its report keep the points it held.
+        points = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
+        model = Polytope(points)
+        points[0, 0] = 5.0
+        assert model_to_jsonable(model) == {
+            "kind": "polytope",
+            "vertices": [[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]],
+        }
+        np.testing.assert_array_equal(model.vertices[0], [1.0, 1.0, 1.0])
+
     def test_solution_report_round_trips(self):
         parsed = load_problem("problems/gibbs_qubit.json")
         problem_region = build_region(parsed)
@@ -149,6 +162,12 @@ class TestReports:
 
 
 class TestSolverSection:
+    def test_every_field_has_a_caller(self):
+        # --tolerance, --max-iter and the solver section set four fields; the
+        # benchmark checks dual residuals against residual_tol.
+        names = [f.name for f in dataclasses.fields(SolverConfig)]
+        assert names == ["grad_tol", "residual_tol", "max_iter", "fw_gap_tol", "fw_max_iter"]
+
     def test_overrides(self):
         parsed = load_problem("problems/gibbs_qubit.json")
         config = solver_config_from(parsed)
