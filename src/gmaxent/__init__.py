@@ -24,12 +24,7 @@ from .errors import (
     Unsupported,
     UnsupportedRepresentation,
 )
-from .hermitian import (
-    EigenDecomposition,
-    HermitianMatrix,
-    eig,
-    entropy_from_spectrum,
-)
+from .hermitian import HermitianMatrix, entropy_from_spectrum
 from .models import (
     Classical,
     Effect,
@@ -45,14 +40,10 @@ from .models import (
     effect_from_matrix,
     evaluate,
     indicator_observable,
-    is_pure,
     maximally_mixed,
-    mean_value,
-    pure_state_from_vector,
     random_effect,
     random_povm,
     random_state,
-    spectral_mixture,
     spectral_observable,
     unit_effect,
     validate_povm,
@@ -81,9 +72,7 @@ from .solver import (
     SolveStatus,
     VonNeumann,
     default_objective,
-    dual_gradient,
     entropy,
-    partition_function,
     solve,
     solve_dual,
     solve_polytope,

@@ -1,9 +1,8 @@
 """Dense complex Hermitian matrix algebra.
 
-Hermitian matrices, a checked eigendecomposition, the divided-difference
-kernel of exp that the quantum dual solver contracts into its Kubo-Mori
-Hessian, and the entropy of a spectrum. All values are immutable and all
-functions are pure.
+Hermitian matrices, the divided-difference kernel of exp that the quantum
+dual solver contracts into its Kubo-Mori Hessian, and the entropy of a
+spectrum. All values are immutable and all functions are pure.
 """
 
 from __future__ import annotations
@@ -12,11 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalFailure
-
 _HERMITICITY_ATOL = 1e-12     # construction check |A - A^dagger|
-_RECONSTRUCTION_RTOL = 1e-10  # eig: |U diag(k) U^dagger - A|
-_UNITARITY_ATOL = 1e-10       # eig: |U^dagger U - I|
 _LOG_ZERO_FLOOR = 1e-300      # eigenvalues below this contribute ln = 0
 _DD_DEGENERACY_RTOL = 1e-9    # divided-difference pair merging
 
@@ -72,45 +67,6 @@ class HermitianMatrix:
     @staticmethod
     def diagonal(values) -> "HermitianMatrix":
         return HermitianMatrix(np.diag(np.asarray(values, dtype=float)).astype(complex))
-
-
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Eigenvalues (ascending) and unitary eigenvector columns of a Hermitian matrix."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def __post_init__(self):
-        k = np.asarray(self.eigenvalues, dtype=float)
-        u = np.asarray(self.eigenvectors, dtype=complex)
-        k.setflags(write=False)
-        u.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", k)
-        object.__setattr__(self, "eigenvectors", u)
-
-    def reconstruct(self) -> np.ndarray:
-        u = self.eigenvectors
-        return (u * self.eigenvalues) @ u.conj().T
-
-
-def eig(m: HermitianMatrix) -> EigenDecomposition:
-    """Full eigendecomposition with ascending eigenvalues.
-
-    Raises NumericalFailure if the underlying iterative solver exhausts its
-    iteration budget without converging.
-    """
-    try:
-        k, u = np.linalg.eigh(m.entries)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"eigensolver did not converge: {exc}") from exc
-    decomp = EigenDecomposition(k, u)
-    scale = 1.0 + float(np.max(np.abs(k)))
-    if np.max(np.abs(decomp.reconstruct() - m.entries)) > _RECONSTRUCTION_RTOL * scale:
-        raise NumericalFailure("eigendecomposition failed the reconstruction bound")
-    if np.max(np.abs(u.conj().T @ u - np.eye(m.dim))) > _UNITARITY_ATOL:
-        raise NumericalFailure("eigenvector matrix is not unitary within tolerance")
-    return decomp
 
 
 def _divided_difference(k: np.ndarray) -> np.ndarray:

@@ -3,8 +3,8 @@
 One structured JSON format. Complex numbers are two-element arrays [re, im],
 matrices are row-major nested lists of those pairs, and every float is
 emitted with 17 significant digits so that parse -> serialize -> parse is
-lossless. Every number read must be finite: NaN, Infinity and literals that
-overflow to inf are schema errors.
+lossless. Every number read must be a finite JSON number: NaN, Infinity,
+literals that overflow to inf, strings and booleans are schema errors.
 
 Problem files::
 
@@ -152,11 +152,25 @@ def _require(mapping: dict, key: str, context: str):
     return mapping[key]
 
 
-def _number(raw, context: str) -> float:
+def _numbers(raw, context: str, expected: str) -> np.ndarray:
+    """Nested lists of JSON numbers as a float array; a string, a boolean or any other leaf is a schema error."""
+    pending = [raw]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, list):
+            pending.extend(item)
+        elif isinstance(item, bool) or not isinstance(item, (int, float)):
+            raise SchemaError(f"{context}: {expected}, got {item!r}")
     try:
-        return float(raw)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise SchemaError(f"{context}: expected a number, got {raw!r}") from exc
+        return np.asarray(raw, dtype=float)
+    except (ValueError, OverflowError) as exc:
+        raise SchemaError(f"{context}: {expected}") from exc
+
+
+def _number(raw, context: str) -> float:
+    if isinstance(raw, list):
+        raise SchemaError(f"{context}: expected a number, got {raw!r}")
+    return float(_numbers(raw, context, "expected a number"))
 
 
 def _integer(raw, context: str, minimum: int) -> int:
@@ -174,17 +188,11 @@ def positive_finite(raw, context: str) -> float:
 
 
 def _real_vector(raw: dict, context: str) -> np.ndarray:
-    try:
-        return np.asarray(_require(raw, "vector", context), dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{context}: vector entries must be numbers") from exc
+    return _numbers(_require(raw, "vector", context), context, "vector entries must be numbers")
 
 
 def parse_complex_matrix(raw, context: str) -> np.ndarray:
-    try:
-        arr = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{context}: matrix entries must be [re, im] pairs") from exc
+    arr = _numbers(raw, context, "matrix entries must be [re, im] pairs of numbers")
     if arr.ndim != 3 or arr.shape[0] != arr.shape[1] or arr.shape[2] != 2:
         raise SchemaError(f"{context}: expected d x d x 2 nested arrays, got {arr.shape}")
     return arr[..., 0] + 1j * arr[..., 1]
@@ -203,7 +211,7 @@ def parse_model(raw: dict) -> ModelSpace:
         if kind == QUANTUM:
             return Quantum(_integer(_require(raw, "dimension", "model"), "model dimension", 1))
         if kind == POLYTOPE:
-            return Polytope(np.asarray(_require(raw, "vertices", "model"), dtype=float))
+            return Polytope(_numbers(_require(raw, "vertices", "model"), "model", "vertex coordinates must be numbers"))
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"model: {exc}") from exc
     raise SchemaError(f"model: unknown kind '{kind}'")
@@ -345,10 +353,6 @@ def _load_json(path):
 
 def load_problem(path) -> ParsedProblem:
     return parse_problem(_load_json(path))
-
-
-def serialize_problem(parsed: ParsedProblem) -> str:
-    return dumps_17g(parsed.raw)
 
 
 def build_region(parsed: ParsedProblem) -> ConvexRegion:

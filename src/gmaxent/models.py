@@ -31,7 +31,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import (
-    DegenerateInput,
     InvalidEffect,
     InvalidObservable,
     InvalidState,
@@ -39,8 +38,9 @@ from .errors import (
     NoValues,
     NotAProjection,
     NotOrthogonal,
+    NumericalFailure,
 )
-from .hermitian import HermitianMatrix, eig
+from .hermitian import HermitianMatrix
 from .simplex import FEASIBILITY_TOL, phase_one
 
 CLASSICAL = "classical"
@@ -51,14 +51,14 @@ _SQRT_HALF = np.sqrt(0.5)
 
 _UNIT_ATOL = 1e-10              # |u(omega) - 1|
 _CONE_ATOL = 1e-10              # classical/quantum cone membership slack
-_PURITY_ATOL = 1e-8             # |rho^2 - rho| and vertex coincidence
 _EFFECT_RANGE_ATOL = 1e-10      # effect spectrum slack outside [0, 1]
 _COMPLETENESS_ATOL = 1e-10      # POVM sum-to-unit residual, componentwise
 _CLAMP_ATOL = 1e-10             # evaluate() clamps within this of [0, 1]
 _PROJECTION_ATOL = 1e-8         # axiom checker: |P^2 - P| and |P_i P_j|
 _AXIOM_ATOL = 1e-9              # axiom residual pass threshold
-_MIXTURE_WEIGHT_FLOOR = 1e-12   # spectral_mixture drops smaller weights
 _EIGENVALUE_MERGE_RTOL = 1e-9   # spectral_observable: one projector per eigenvalue cluster
+_RECONSTRUCTION_RTOL = 1e-10    # spectral_observable: |U diag(k) U^dagger - A| / (1 + max|k|)
+_UNITARITY_ATOL = 1e-10         # spectral_observable: |U^dagger U - I|
 
 
 class ModelSpace:
@@ -385,12 +385,6 @@ def evaluate(e: Effect, s: State) -> float:
     return p
 
 
-def mean_value(obs: Observable, s: State) -> float:
-    """Sum of outcome values weighted by their probabilities."""
-    values = obs.values()
-    return float(sum(v * evaluate(out.effect, s) for v, out in zip(values, obs.outcomes)))
-
-
 @dataclass(frozen=True)
 class PovmValidation:
     """Per-condition findings; empty findings means the family is a POVM."""
@@ -430,49 +424,6 @@ def validate_povm(obs: Observable) -> PovmValidation:
         negative_effects=tuple(negative),
         above_unit_effects=tuple(above),
     )
-
-
-def pure_state_from_vector(model: Quantum, amplitudes) -> State:
-    """Normalize a state vector and return its rank-one density matrix."""
-    if model.kind != QUANTUM:
-        raise ModelMismatch("pure states from vectors are quantum-only")
-    v = np.asarray(amplitudes, dtype=complex)
-    norm = np.linalg.norm(v)
-    if norm < 1e-14:
-        raise DegenerateInput("zero amplitude vector")
-    v = v / norm
-    rho = np.outer(v, v.conj())
-    return State(model, model.matrix_to_coords(rho))
-
-
-def is_pure(s: State) -> bool:
-    """True for extreme points of the state space."""
-    if s.model.kind == CLASSICAL:
-        return bool(np.max(s.coords) >= 1.0 - _PURITY_ATOL)
-    if s.model.kind == QUANTUM:
-        rho = s.density_matrix().entries
-        return bool(np.max(np.abs(rho @ rho - rho)) <= _PURITY_ATOL)
-    gaps = np.max(np.abs(s.model.vertices - s.coords), axis=1)
-    return bool(np.min(gaps) <= _PURITY_ATOL)
-
-
-def spectral_mixture(s: State) -> list[tuple[float, State]]:
-    """Decompose a quantum state into weighted orthogonal pure states.
-
-    Weights are the eigenvalues above 1e-12, in descending order; the basis
-    is not unique for degenerate spectra, only the reconstruction is.
-    """
-    if s.model.kind != QUANTUM:
-        raise ModelMismatch("spectral mixtures are quantum-only")
-    decomp = eig(s.density_matrix())
-    terms = []
-    for i in range(len(decomp.eigenvalues) - 1, -1, -1):
-        w = float(decomp.eigenvalues[i])
-        if w <= _MIXTURE_WEIGHT_FLOOR:
-            continue
-        vec = decomp.eigenvectors[:, i]
-        terms.append((w, State(s.model, s.model.matrix_to_coords(np.outer(vec, vec.conj())))))
-    return terms
 
 
 @dataclass(frozen=True)
@@ -534,17 +485,27 @@ def maximally_mixed(model: ModelSpace) -> State:
 
 
 def spectral_observable(model: Quantum, matrix) -> Observable:
-    """Eigenprojector observable of a Hermitian operator, values = eigenvalues."""
+    """Eigenprojector observable of a Hermitian operator, values = eigenvalues.
+
+    Raises NumericalFailure when the eigensolver does not converge, or when
+    its result fails the reconstruction or the unitarity bound.
+    """
     m = matrix if isinstance(matrix, HermitianMatrix) else HermitianMatrix(matrix)
-    decomp = eig(m)
+    try:
+        k, u = np.linalg.eigh(m.entries)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"eigensolver did not converge: {exc}") from exc
+    if np.max(np.abs((u * k) @ u.conj().T - m.entries)) > _RECONSTRUCTION_RTOL * (1.0 + np.max(np.abs(k))):
+        raise NumericalFailure("eigendecomposition failed the reconstruction bound")
+    if np.max(np.abs(u.conj().T @ u - np.eye(m.dim))) > _UNITARITY_ATOL:
+        raise NumericalFailure("eigenvector matrix is not unitary within tolerance")
     outcomes = []
     i = 0
-    k = decomp.eigenvalues
     while i < len(k):
         j = i
         while j + 1 < len(k) and abs(k[j + 1] - k[i]) <= _EIGENVALUE_MERGE_RTOL * max(1.0, abs(k[i])):
             j += 1
-        block = decomp.eigenvectors[:, i : j + 1]
+        block = u[:, i : j + 1]
         proj = block @ block.conj().T
         outcomes.append(Outcome(label=f"{k[i]:.6g}", effect=effect_from_matrix(model, proj), value=float(k[i])))
         i = j + 1

@@ -266,32 +266,6 @@ def _evaluator(model: ModelSpace, constraints: Sequence[LinearConstraint]) -> Ca
     raise Unsupported("partition functions are defined for classical and quantum models")
 
 
-def _evaluate(model, constraints, lambdas) -> _DualEvaluation:
-    return _evaluator(model, constraints)(np.asarray(lambdas, dtype=float))
-
-
-def partition_function(model: ModelSpace, constraints: Sequence[LinearConstraint], lambdas) -> tuple[float, float]:
-    """(Z, ln Z) for Z = tr exp(-sum_i lambda_i R_i), spectrum pre-shifted.
-
-    Z itself may overflow to inf for extreme multipliers; ln Z never does.
-    """
-    lambdas = np.asarray(lambdas, dtype=float)
-    if len(lambdas) != len(constraints):
-        raise ValueError("one multiplier per constraint")
-    lnz = _evaluate(model, constraints, lambdas).lnz
-    with np.errstate(over="ignore"):
-        return float(np.exp(lnz)), lnz
-
-
-def dual_gradient(model: ModelSpace, constraints: Sequence[LinearConstraint], targets, lambdas) -> np.ndarray:
-    """Gradient of D(lambda) = ln Z + lambda . r, i.e. r_i - <R_i> at rho(lambda)."""
-    targets = np.asarray(targets, dtype=float)
-    lambdas = np.asarray(lambdas, dtype=float)
-    if len(targets) != len(constraints) or len(lambdas) != len(constraints):
-        raise ValueError("constraints, targets, and multipliers must align")
-    return targets - _evaluate(model, constraints, lambdas).means
-
-
 _MULTIPLIER_BOUND = 1e4       # max |lambda| past this => recession certificate decides
 _HESSIAN_RIDGE = 1e-12
 _RANK_PIVOT_TOL = 1e-10       # constraint independence threshold

@@ -15,7 +15,6 @@ from gmaxent import (
     Quantum,
     Shannon,
     VonNeumann,
-    eig,
     evaluate,
     includes,
     indicator_observable,
@@ -81,11 +80,9 @@ def _hermitize(raw):
 
 def matrix_exp(m):
     """exp(m) via the spectral decomposition; OverflowError past the safe range."""
-    decomp = eig(m)
-    k = decomp.eigenvalues
+    k, u = np.linalg.eigh(m.entries)
     if k[-1] > EXP_OVERFLOW:
         raise OverflowError(f"max eigenvalue {k[-1]:.3g} exceeds exp range; pre-shift the spectrum")
-    u = decomp.eigenvectors
     return _hermitize((u * np.exp(k)) @ u.conj().T)
 
 
@@ -96,12 +93,10 @@ def matrix_log(m):
     convention of entropy contractions); eigenvalues meaningfully negative
     raise ValueError.
     """
-    decomp = eig(m)
-    k = decomp.eigenvalues
+    k, u = np.linalg.eigh(m.entries)
     if k[0] < -LOG_NEGATIVE_ATOL:
         raise ValueError(f"eigenvalue {k[0]:.3g} is negative")
     logk = np.where(k > _LOG_ZERO_FLOOR, np.log(np.maximum(k, _LOG_ZERO_FLOOR)), 0.0)
-    u = decomp.eigenvectors
     return _hermitize((u * logk) @ u.conj().T)
 
 
@@ -113,10 +108,9 @@ def frechet_exp_directional(m, h):
     """
     if m.dim != h.dim:
         raise ValueError(f"dimension mismatch: {m.dim} vs {h.dim}")
-    decomp = eig(m)
-    u = decomp.eigenvectors
+    k, u = np.linalg.eigh(m.entries)
     hp = u.conj().T @ h.entries @ u
-    phi = _divided_difference(decomp.eigenvalues)
+    phi = _divided_difference(k)
     return _hermitize(u @ (hp * phi) @ u.conj().T)
 
 

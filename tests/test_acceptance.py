@@ -24,7 +24,6 @@ from gmaxent import (
     join,
     meet,
     oracle_maxent,
-    partition_function,
     region_from_effect,
     region_from_mean,
     solve_dual,
@@ -33,6 +32,7 @@ from gmaxent import (
 )
 from gmaxent.cli import main
 from gmaxent.regions import LinearConstraint
+from gmaxent.solver import _evaluator
 
 from helpers import (
     matrix_exp,
@@ -76,7 +76,7 @@ def test_criterion_1_gibbs_state_reproduction():
     assert np.max(np.abs(sol.state.density_matrix().entries - np.diag([0.7, 0.3]))) <= 1e-8
     assert abs(sol.multipliers[0] - GIBBS_LAMBDA) <= 1e-8
     assert abs(sol.lambda0 - np.log(10.0 / 7.0)) <= 1e-8
-    _, lnz = partition_function(model, list(problem.region.h_rep), sol.multipliers)
+    lnz = _evaluator(model, problem.region.h_rep)(sol.multipliers).lnz
     assert abs(sol.lambda0 - lnz) <= 1e-8
     assert abs(sol.entropy - GIBBS_ENTROPY) <= 1e-8
     assert elapsed < 0.050, f"solve took {elapsed * 1e3:.1f} ms"
@@ -91,11 +91,12 @@ def test_criterion_2_dual_stationarity():
         assert sol.status == SolveStatus.CONVERGED
         kept = [problem.region.h_rep[i] for i in sol.diagnostics.kept_indices]
         targets = np.array([c.target for c in kept])
+        dual = _evaluator(problem.model, kept)
         for i in range(len(kept)):
             delta = np.zeros(len(kept))
             delta[i] = eps
-            _, up = partition_function(problem.model, kept, sol.multipliers + delta)
-            _, down = partition_function(problem.model, kept, sol.multipliers - delta)
+            up = dual(sol.multipliers + delta).lnz
+            down = dual(sol.multipliers - delta).lnz
             assert (up - down) / (2.0 * eps) == pytest.approx(-targets[i], abs=1e-5)
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0, f"took {elapsed:.1f} s"

@@ -98,12 +98,28 @@ class TestValidate:
             {"model": {"kind": "classical", "dimension": 2}, "solver": {"max_iter": 2.5}},
             {"model": {"kind": "classical", "dimension": 2}, "solver": {"max_iter": True}},
             {"model": {"kind": "classical", "dimension": 2}, "solver": {"max_iter": "7"}},
+            MEAN_CONDITION.replace('"TARGET"', '"0.25"'),
+            {"model": {"kind": "classical", "dimension": 2}, "solver": {"tolerance": "1e-3"}},
+            {
+                "model": {"kind": "classical", "dimension": 2},
+                "observables": {"A": {"outcomes": [{"vector": [True, False]}, {"vector": [False, True]}]}},
+            },
+            MEAN_CONDITION.replace('"value": 0.0', '"value": true').replace('"TARGET"', "0.5"),
+            {
+                "model": {"kind": "quantum", "dimension": 2},
+                "states": {"rho": {"matrix": [[["0.5", 0], [0, 0]], [[0, 0], [0.5, 0]]]}},
+            },
+            {
+                "model": {"kind": "polytope", "vertices": [["1", 1], [1, -1], [-1, 1], [-1, -1]]},
+                "observables": {"X": {"outcomes": [{"vector": [0.5, 0.5, 0]}, {"vector": [0.5, -0.5, 0]}]}},
+            },
         ],
         ids=["state-dimension", "vector-entry", "target", "dimension-zero",
              "observables-array", "condition-number", "max-iter-text", "outcomes-number", "measurements-number",
              "max-iter-negative", "tolerance-negative", "target-nan", "target-infinity", "target-minus-infinity",
              "target-overflow", "matrix-nan", "dimension-float", "dimension-bool", "dimension-string",
-             "max-iter-float", "max-iter-bool", "max-iter-string"],
+             "max-iter-float", "max-iter-bool", "max-iter-string", "target-string", "tolerance-string",
+             "vector-bool", "value-bool", "matrix-string", "vertices-string"],
     )
     def test_malformed_file_is_a_schema_error(self, tmp_path, capsys, command, raw):
         bad = tmp_path / "bad.json"

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gmaxent import HermitianMatrix, Quantum, eig, entropy_from_spectrum
+from gmaxent import HermitianMatrix, NumericalFailure, Quantum, entropy_from_spectrum, spectral_observable
 
 from helpers import frechet_exp_directional, matrix_exp, matrix_log, random_hermitian
 
@@ -47,33 +47,60 @@ class TestHermitianMatrix:
         assert np.max(np.abs(m.entries - m.entries.conj().T)) == 0.0
 
 
+def spectrum(matrix):
+    """Values and eigenprojectors of ``spectral_observable``, in outcome order."""
+    obs = spectral_observable(Quantum(matrix.dim), matrix)
+    return obs.values(), [out.effect.matrix().entries for out in obs.outcomes]
+
+
 class TestEig:
+    """The checked eigendecomposition behind ``spectral_observable``."""
+
     def test_diagonal(self):
-        decomp = eig(HermitianMatrix.diagonal([3.0, 1.0]))
-        np.testing.assert_allclose(decomp.eigenvalues, [1.0, 3.0])
-        # for a diagonal input, eigenvectors are a signed permutation of identity columns
-        np.testing.assert_allclose(np.abs(decomp.eigenvectors), np.eye(2)[:, ::-1], atol=1e-12)
+        values, projectors = spectrum(HermitianMatrix.diagonal([3.0, 1.0]))
+        np.testing.assert_allclose(values, [1.0, 3.0])
+        np.testing.assert_allclose(projectors, [np.diag([0.0, 1.0]), np.diag([1.0, 0.0])], atol=1e-12)
 
     def test_sigma_x(self):
-        decomp = eig(HermitianMatrix(SIGMA_X))
+        values, projectors = spectrum(HermitianMatrix(SIGMA_X))
         # characteristic polynomial k^2 - 1 = 0
-        np.testing.assert_allclose(decomp.eigenvalues, [-1.0, 1.0], atol=1e-12)
+        np.testing.assert_allclose(values, [-1.0, 1.0], atol=1e-12)
+        np.testing.assert_allclose(projectors[1], (np.eye(2) + SIGMA_X) / 2.0, atol=1e-12)
 
     def test_identity(self):
-        decomp = eig(HermitianMatrix.identity(4))
-        np.testing.assert_allclose(decomp.eigenvalues, np.ones(4))
+        # four equal eigenvalues make one outcome
+        values, projectors = spectrum(HermitianMatrix.identity(4))
+        np.testing.assert_allclose(values, [1.0])
+        np.testing.assert_allclose(projectors[0], np.eye(4), atol=1e-12)
 
     def test_reconstruction_and_unitarity_random(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
             d = int(rng.integers(2, 9))
             m = random_hermitian(rng, d)
-            decomp = eig(m)
-            assert np.all(np.diff(decomp.eigenvalues) >= 0)
-            scale = 1.0 + np.max(np.abs(decomp.eigenvalues))
-            assert np.max(np.abs(decomp.reconstruct() - m.entries)) <= 1e-10 * scale
-            u = decomp.eigenvectors
-            assert np.max(np.abs(u.conj().T @ u - np.eye(d))) <= 1e-10
+            values, projectors = spectrum(m)
+            assert np.all(np.diff(values) > 0)
+            scale = 1.0 + np.max(np.abs(values))
+            recon = sum(v * p for v, p in zip(values, projectors))
+            assert np.max(np.abs(recon - m.entries)) <= 1e-10 * scale
+            assert np.max(np.abs(sum(projectors) - np.eye(d))) <= 1e-10
+
+    @pytest.mark.parametrize("fault", ["no-convergence", "wrong-values", "not-unitary"])
+    def test_failed_decomposition_is_a_numerical_failure(self, monkeypatch, fault):
+        eigh = np.linalg.eigh
+
+        def faulty(a):
+            if fault == "no-convergence":
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            k, u = eigh(a)
+            if fault == "wrong-values":
+                return k + 1e-6, u
+            # a longer eigenvector of eigenvalue 0 still reconstructs the matrix
+            return k, u * [2.0, 1.0]
+
+        monkeypatch.setattr(np.linalg, "eigh", faulty)
+        with pytest.raises(NumericalFailure):
+            spectral_observable(Quantum(2), np.diag([0.0, 1.0]))
 
 
 class TestMatrixExp:

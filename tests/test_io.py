@@ -17,7 +17,6 @@ from gmaxent.io import (
     load_region,
     model_to_jsonable,
     parse_problem,
-    serialize_problem,
     solution_report,
     solver_config_from,
 )
@@ -52,7 +51,7 @@ class TestProblemRoundTrip:
     @pytest.mark.parametrize("path", PROBLEM_FILES)
     def test_shipped_files_round_trip(self, path):
         first = load_problem(path)
-        text = serialize_problem(first)
+        text = dumps_17g(first.raw)
         second = parse_problem(json.loads(text))
         assert first.raw == second.raw
         assert list(first.observables) == list(second.observables)

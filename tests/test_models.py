@@ -18,21 +18,17 @@ from gmaxent import (
     Outcome,
     Polytope,
     Quantum,
-    DegenerateInput,
     NotAProjection,
     NotOrthogonal,
     check_state_axioms,
     effect_from_matrix,
     evaluate,
     indicator_observable,
-    is_pure,
     maximally_mixed,
-    mean_value,
-    pure_state_from_vector,
     random_effect,
     random_povm,
     random_state,
-    spectral_mixture,
+    region_from_mean,
     spectral_observable,
     unit_effect,
     validate_povm,
@@ -112,7 +108,7 @@ class TestModelSpaces:
         rng = np.random.default_rng(2)
         for _ in range(20):
             v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            s = pure_state_from_vector(q, v)
+            s = pure_state(q, v / np.linalg.norm(v))
             assert q.unit_value(s.coords) > 0
         p = squarebit_model()
         assert np.all(p.vertices @ p.unit_functional > 0)
@@ -262,29 +258,34 @@ class TestEvaluate:
             assert abs(evaluate(e, s) + evaluate(e_comp, s) - 1.0) <= 1e-10
 
 
+def region_mean(obs, s):
+    """The mean of ``obs`` in ``s``, read through the functional of its mean-value region."""
+    return float(region_from_mean(obs, 0.0).h_rep[0].functional @ s.coords)
+
+
 class TestMeanValue:
     def test_sigma_z_symmetric(self):
         model = Quantum(2)
         obs = spectral_observable(model, np.diag([1.0, -1.0]).astype(complex))
-        assert mean_value(obs, maximally_mixed(model)) == pytest.approx(0.0, abs=1e-12)
+        assert region_mean(obs, maximally_mixed(model)) == pytest.approx(0.0, abs=1e-12)
 
     def test_sigma_z_tilted(self):
         model = Quantum(2)
         obs = spectral_observable(model, np.diag([1.0, -1.0]).astype(complex))
         s = State(model, model.matrix_to_coords(np.diag([0.75, 0.25]).astype(complex)))
-        assert mean_value(obs, s) == pytest.approx(0.5, abs=1e-12)
+        assert region_mean(obs, s) == pytest.approx(0.5, abs=1e-12)
 
     def test_classical(self):
         model = Classical(2)
         obs = indicator_observable(model, [0.0, 1.0])
         s = State(model, np.array([0.7, 0.3]))
-        assert mean_value(obs, s) == pytest.approx(0.3, abs=1e-12)
+        assert region_mean(obs, s) == pytest.approx(0.3, abs=1e-12)
 
     def test_no_values(self):
         model = Classical(2)
         obs = indicator_observable(model)
         with pytest.raises(NoValues):
-            mean_value(obs, State(model, np.array([0.7, 0.3])))
+            region_mean(obs, State(model, np.array([0.7, 0.3])))
 
 
 class TestValidatePovm:
@@ -332,77 +333,74 @@ class TestValidatePovm:
             assert not validate_povm(mutated).valid
 
 
+def pure_state(model, amplitudes):
+    v = np.asarray(amplitudes, dtype=complex)
+    return State(model, model.matrix_to_coords(np.outer(v, v.conj())))
+
+
 class TestPureStates:
+    """Rank-one density matrices lie on the boundary of the cone, and State accepts them."""
+
     def test_basis_vector(self):
-        model = Quantum(2)
-        s = pure_state_from_vector(model, [1.0, 0.0])
+        s = pure_state(Quantum(2), [1.0, 0.0])
         np.testing.assert_allclose(s.density_matrix().entries, np.diag([1.0, 0.0]), atol=1e-12)
 
     def test_normalization_forced(self):
         model = Quantum(2)
-        s = pure_state_from_vector(model, [1.0, 1.0])
+        s = pure_state(model, np.array([1.0, 1.0]) / np.sqrt(2.0))
         np.testing.assert_allclose(s.density_matrix().entries, 0.5 * np.ones((2, 2)), atol=1e-12)
+        with pytest.raises(InvalidState):
+            pure_state(model, [1.0, 1.0])
 
     def test_complex_amplitudes(self):
-        model = Quantum(2)
-        s = pure_state_from_vector(model, [3.0, 4.0j])
-        rho = s.density_matrix().entries
+        rho = pure_state(Quantum(2), [0.6, 0.8j]).density_matrix().entries
         assert rho[0, 0] == pytest.approx(0.36, abs=1e-12)
         assert rho[1, 1] == pytest.approx(0.64, abs=1e-12)
         assert rho[0, 1] == pytest.approx(-0.48j, abs=1e-12)
 
     def test_zero_vector(self):
-        with pytest.raises(DegenerateInput):
-            pure_state_from_vector(Quantum(2), [0.0, 0.0])
-
-    def test_purity(self):
-        model = Quantum(2)
-        assert is_pure(pure_state_from_vector(model, [1.0, 0.0]))
-        assert not is_pure(maximally_mixed(model))
-        assert not is_pure(State(Classical(3), np.array([0.5, 0.5, 0.0])))
-        poly = squarebit_model()
-        assert is_pure(State(poly, poly.vertices[0]))
-        assert not is_pure(maximally_mixed(poly))
+        with pytest.raises(InvalidState):
+            pure_state(Quantum(2), [0.0, 0.0])
 
 
 class TestSpectralMixture:
+    """A state's spectral mixture is the eigenprojector observable of its density matrix."""
+
     def test_diagonal(self):
-        model = Quantum(2)
-        s = State(model, model.matrix_to_coords(np.diag([0.7, 0.3]).astype(complex)))
-        mix = spectral_mixture(s)
-        weights = sorted(w for w, _ in mix)
-        np.testing.assert_allclose(weights, [0.3, 0.7], atol=1e-12)
-        for _, component in mix:
-            assert is_pure(component)
+        obs = spectral_observable(Quantum(2), np.diag([0.7, 0.3]).astype(complex))
+        np.testing.assert_allclose(obs.values(), [0.3, 0.7], atol=1e-12)
+        for out in obs.outcomes:
+            p = out.effect.matrix().entries
+            assert np.trace(p).real == pytest.approx(1.0, abs=1e-12)
+            assert np.max(np.abs(p @ p - p)) <= 1e-12
 
     def test_reconstruction(self):
         model = Quantum(3)
         rng = np.random.default_rng(37)
         for _ in range(25):
             s = random_state(model, rng)
-            mix = spectral_mixture(s)
-            total = sum(w for w, _ in mix)
-            assert abs(total - 1.0) <= 1e-10
-            recon = np.sum([w * c.density_matrix().entries for w, c in mix], axis=0)
-            assert np.max(np.abs(recon - s.density_matrix().entries)) <= 1e-9
+            rho = s.density_matrix().entries
+            obs = spectral_observable(model, rho)
+            assert abs(np.sum(obs.values()) - 1.0) <= 1e-10
+            recon = np.sum([out.value * out.effect.matrix().entries for out in obs.outcomes], axis=0)
+            assert np.max(np.abs(recon - rho)) <= 1e-9
 
     def test_rank_one_single_term(self):
         model = Quantum(2)
         s = State(model, model.matrix_to_coords(0.5 * np.ones((2, 2), dtype=complex)))
-        mix = spectral_mixture(s)
-        assert len(mix) == 1
-        assert mix[0][0] == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_allclose(mix[0][1].coords, s.coords, atol=1e-9)
+        obs = spectral_observable(model, s.density_matrix())
+        weighted = [out for out in obs.outcomes if out.value > 1e-12]
+        assert len(weighted) == 1
+        assert weighted[0].value == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(weighted[0].effect.functional, s.coords, atol=1e-9)
 
     def test_weights_match_eigenvalues(self):
         model = Quantum(4)
         rng = np.random.default_rng(41)
         for _ in range(20):
-            s = random_state(model, rng)
-            eigs = np.sort(np.linalg.eigvalsh(s.density_matrix().entries))
-            eigs = eigs[eigs > 1e-12]
-            weights = np.sort([w for w, _ in spectral_mixture(s)])
-            np.testing.assert_allclose(weights, eigs, atol=1e-9)
+            rho = random_state(model, rng).density_matrix().entries
+            eigs = np.sort(np.linalg.eigvalsh(rho))
+            np.testing.assert_allclose(spectral_observable(model, rho).values(), eigs, atol=1e-9)
 
 
 class TestStateAxioms:

@@ -23,13 +23,11 @@ from gmaxent import (
     State,
     UnsupportedRepresentation,
     VonNeumann,
-    dual_gradient,
     entropy,
     evaluate,
     indicator_observable,
     maximally_mixed,
     meet,
-    partition_function,
     random_effect,
     random_povm,
     random_state,
@@ -45,6 +43,7 @@ from gmaxent import (
 from gmaxent.hermitian import HermitianMatrix
 from gmaxent.regions import LinearConstraint
 from gmaxent.simplex import FEASIBILITY_TOL
+from gmaxent.solver import _evaluator
 
 from helpers import (
     fiducial_gradient,
@@ -123,48 +122,49 @@ class TestPartitionFunction:
     def test_quantum_zero_multiplier(self):
         model = Quantum(2)
         c = LinearConstraint(model, model.matrix_to_coords(SZ), 0.0)
-        z, lnz = partition_function(model, [c], [0.0])
-        assert z == pytest.approx(2.0, abs=1e-12)
+        lnz = _evaluator(model, [c])(np.array([0.0])).lnz
+        assert np.exp(lnz) == pytest.approx(2.0, abs=1e-12)
         assert lnz == pytest.approx(np.log(2.0), abs=1e-12)
 
     def test_classical(self):
         model = Classical(2)
         c = LinearConstraint(model, np.array([0.0, 1.0]), 0.3)
-        z, lnz = partition_function(model, [c], [GIBBS_LAMBDA])
-        assert z == pytest.approx(10.0 / 7.0, abs=1e-12)
+        lnz = _evaluator(model, [c])(np.array([GIBBS_LAMBDA])).lnz
+        assert np.exp(lnz) == pytest.approx(10.0 / 7.0, abs=1e-12)
 
     def test_quantum_diagonal_reduces_to_classical(self):
         model = Quantum(2)
         c = LinearConstraint(model, model.matrix_to_coords(np.diag([0.0, 1.0])), 0.3)
-        z, _ = partition_function(model, [c], [GIBBS_LAMBDA])
-        assert z == pytest.approx(10.0 / 7.0, abs=1e-12)
+        lnz = _evaluator(model, [c])(np.array([GIBBS_LAMBDA])).lnz
+        assert np.exp(lnz) == pytest.approx(10.0 / 7.0, abs=1e-12)
 
     def test_shift_avoids_overflow(self):
+        # Z = 2 cosh(1000) overflows a float; ln Z does not.
         model = Quantum(2)
         c = LinearConstraint(model, model.matrix_to_coords(SZ), 0.0)
-        z, lnz = partition_function(model, [c], [-1000.0])
-        assert np.isinf(z) and lnz == pytest.approx(1000.0, abs=1e-6)
+        lnz = _evaluator(model, [c])(np.array([-1000.0])).lnz
+        assert lnz == pytest.approx(1000.0, abs=1e-6)
 
 
 class TestDualGradient:
+    """The gradient of D(lambda) = ln Z + lambda . r is r - means."""
+
     def test_zero_multiplier_satisfied(self):
         model = Quantum(2)
         c = LinearConstraint(model, model.matrix_to_coords(SZ), 0.0)
-        g = dual_gradient(model, [c], [0.0], [0.0])
+        g = 0.0 - _evaluator(model, [c])(np.array([0.0])).means
         np.testing.assert_allclose(g, [0.0], atol=1e-12)
 
     def test_zero_multiplier_residual(self):
         model = Quantum(2)
         c = LinearConstraint(model, model.matrix_to_coords(np.diag([0.0, 1.0])), 0.3)
-        g = dual_gradient(model, [c], [0.3], [0.0])
+        g = 0.3 - _evaluator(model, [c])(np.array([0.0])).means
         np.testing.assert_allclose(g, [-0.2], atol=1e-12)
 
     def test_stationary_at_converged_point(self):
         problem = gibbs_problem()
         sol = solve_dual(problem)
-        g = dual_gradient(
-            problem.model, problem.region.h_rep, [0.3], sol.multipliers
-        )
+        g = 0.3 - _evaluator(problem.model, problem.region.h_rep)(sol.multipliers).means
         assert np.max(np.abs(g)) <= 1e-10
 
     def test_matches_finite_difference_of_dual(self):
@@ -172,17 +172,16 @@ class TestDualGradient:
         for _ in range(10):
             problem = random_quantum_problem(rng, 3, 2)
             constraints = problem.region.h_rep
+            dual = _evaluator(problem.model, constraints)
             targets = np.array([c.target for c in constraints])
             lambdas = rng.standard_normal(2) * 0.5
-            g = dual_gradient(problem.model, constraints, targets, lambdas)
+            g = targets - dual(lambdas).means
             eps = 1e-6
             for i in range(2):
                 delta = np.zeros(2)
                 delta[i] = eps
-                _, up = partition_function(problem.model, constraints, lambdas + delta)
-                _, down = partition_function(problem.model, constraints, lambdas - delta)
-                d_up = up + float((lambdas + delta) @ targets)
-                d_down = down + float((lambdas - delta) @ targets)
+                d_up = dual(lambdas + delta).lnz + float((lambdas + delta) @ targets)
+                d_down = dual(lambdas - delta).lnz + float((lambdas - delta) @ targets)
                 assert (d_up - d_down) / (2 * eps) == pytest.approx(g[i], abs=1e-5)
 
 
@@ -303,7 +302,8 @@ class TestSolveDualQuantum:
                 exponent -= lam * model.coords_to_matrix(problem.region.h_rep[idx].functional).entries
             reconstructed = matrix_exp(HermitianMatrix(exponent)).entries
             assert np.max(np.abs(sol.state.density_matrix().entries - reconstructed)) <= 1e-8
-            assert abs(sol.lambda0 - partition_function(model, [problem.region.h_rep[i] for i in sol.diagnostics.kept_indices], sol.multipliers)[1]) <= 1e-10
+            kept = [problem.region.h_rep[i] for i in sol.diagnostics.kept_indices]
+            assert abs(sol.lambda0 - _evaluator(model, kept)(sol.multipliers).lnz) <= 1e-10
 
     def test_constraint_operators_converted_once_per_solve(self, monkeypatch):
         problem = random_quantum_problem(np.random.default_rng(5), 4, 3)
@@ -361,21 +361,17 @@ class TestSolveDualQuantum:
             assert all(h >= -1e-9 for h in min_eigs)
 
     def test_hessian_symmetric_and_covariance_like(self):
-        from gmaxent.solver import _evaluate
-
         rng = np.random.default_rng(15)
         for _ in range(10):
             problem = random_quantum_problem(rng, 3, 3)
             lambdas = rng.standard_normal(3)
-            ev = _evaluate(problem.model, list(problem.region.h_rep), lambdas)
+            ev = _evaluator(problem.model, problem.region.h_rep)(lambdas)
             h = ev.hessian()
             assert np.max(np.abs(h - h.T)) <= 1e-12
             assert np.min(np.linalg.eigvalsh(h)) >= -1e-9
 
     def test_hessian_matches_frechet_formula(self):
         # H_ij = tr(R_i . Dexp_{-sum(lam R)}[R_j]) / Z - <R_i><R_j>
-        from gmaxent.solver import _evaluate
-
         rng = np.random.default_rng(21)
         for _ in range(5):
             problem = random_quantum_problem(rng, 3, 2)
@@ -384,7 +380,8 @@ class TestSolveDualQuantum:
             lambdas = 0.5 * rng.standard_normal(2)
             ops = [model.coords_to_matrix(c.functional).entries for c in constraints]
             exponent = HermitianMatrix(-sum(l * op for l, op in zip(lambdas, ops)))
-            z, _ = partition_function(model, constraints, lambdas)
+            ev = _evaluator(model, constraints)(lambdas)
+            z = np.exp(ev.lnz)
             rho = matrix_exp(exponent).entries / z
             means = [np.trace(rho @ op).real for op in ops]
             expected = np.zeros((2, 2))
@@ -392,8 +389,7 @@ class TestSolveDualQuantum:
                 dexp = frechet_exp_directional(exponent, HermitianMatrix(opj)).entries
                 for i, opi in enumerate(ops):
                     expected[i, j] = np.trace(opi @ dexp).real / z - means[i] * means[j]
-            actual = _evaluate(model, constraints, lambdas).hessian()
-            np.testing.assert_allclose(actual, expected, atol=1e-9)
+            np.testing.assert_allclose(ev.hessian(), expected, atol=1e-9)
 
     def test_monotone_under_meets(self):
         rng = np.random.default_rng(9)
@@ -762,9 +758,9 @@ class TestEntropy:
         assert entropy(Shannon(), maximally_mixed(model)) == pytest.approx(np.log(5.0), abs=1e-12)
 
     def test_pure_quantum(self):
-        from gmaxent import pure_state_from_vector
-
-        s = pure_state_from_vector(Quantum(2), [1.0, 2.0])
+        model = Quantum(2)
+        v = np.array([1.0, 2.0]) / np.sqrt(5.0)
+        s = State(model, model.matrix_to_coords(np.outer(v, v.conj())))
         assert entropy(VonNeumann(), s) == pytest.approx(0.0, abs=1e-10)
 
     def test_binary(self):
