@@ -1,13 +1,14 @@
 """Batch front door: validate, solve, lattice queries, and oracle runs.
 
-Exit codes: 0 ok/converged, 1 validation failure, 2 parse error,
-3 infeasible, 4 boundary-only, 5 non-convergence, 6 unsupported
-representation, 7 oracle unsupported.
+Exit codes: 0 ok/converged, 1 validation failure, 2 parse error or an
+--output path that cannot be written, 3 infeasible, 4 boundary-only,
+5 non-convergence, 6 unsupported representation, 7 oracle unsupported.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -71,11 +72,18 @@ def _configure_logging():
     logging.basicConfig(level=level, stream=sys.stderr, format="%(levelname)s %(message)s")
 
 
+class _WriteFailure(Exception):
+    """The report could not be written to the ``--output`` path."""
+
+
 def _emit(text: str, output_path):
     sys.stdout.write(text)
     if output_path:
-        with open(output_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(output_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _WriteFailure(f"cannot write {output_path}: {exc.strerror or exc}") from exc
 
 
 def _computational_basis(dim: int) -> list[HermitianMatrix]:
@@ -188,7 +196,9 @@ def cmd_oracle(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``gmaxent`` argument parser, built once per process; parsing leaves it unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", help="also write the report to this path")
     common.add_argument("--tolerance", type=float, help="Newton gradient and Frank-Wolfe gap tolerance override")
@@ -232,6 +242,9 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     except SchemaError as exc:
         log.error("schema error: %s", exc)
+        return EXIT_PARSE
+    except _WriteFailure as exc:
+        log.error("%s", exc)
         return EXIT_PARSE
     except FileNotFoundError as exc:
         log.error("cannot read %s", exc.filename)

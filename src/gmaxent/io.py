@@ -86,7 +86,7 @@ def _format_float(x: float) -> str:
     if not np.isfinite(x):
         raise ValueError("cannot serialize non-finite float")
     text = format(float(x), ".17g")
-    if not any(ch in text for ch in ".eE") and "inf" not in text and "nan" not in text:
+    if not any(ch in text for ch in ".eE"):
         text += ".0"
     return text
 
@@ -112,10 +112,11 @@ def dumps_17g(obj: Any) -> str:
         if isinstance(o, (list, tuple)):
             if not o:
                 return "[]"
-            inner = ", ".join(emit(v, depth + 1) for v in o)
+            parts = [emit(v, depth + 1) for v in o]
+            inner = ", ".join(parts)
             if len(inner) <= 72 and "\n" not in inner:
                 return f"[{inner}]"
-            body = (",\n" + pad_in).join(emit(v, depth + 1) for v in o)
+            body = (",\n" + pad_in).join(parts)
             return "[\n" + pad_in + body + "\n" + pad + "]"
         if isinstance(o, dict):
             if not o:

@@ -207,6 +207,14 @@ class TestSolve:
         assert code == 0
         assert target.read_text() == out
 
+    @pytest.mark.parametrize("target", ["missing-directory", "directory"])
+    def test_output_write_failure(self, tmp_path, capsys, caplog, target):
+        path = tmp_path / "missing" / "report.json" if target == "missing-directory" else tmp_path
+        code, out = run(capsys, "solve", "problems/gibbs_qubit.json", "--output", str(path))
+        assert code == 2
+        assert json.loads(out)["status"] == "converged"
+        assert f"cannot write {path}: " in caplog.text
+
     def test_deterministic_given_seed(self, capsys):
         _, out1 = run(capsys, "solve", "problems/gibbs_qubit.json")
         _, out2 = run(capsys, "solve", "problems/gibbs_qubit.json")
@@ -304,6 +312,38 @@ class TestOracle:
         code, out = run(capsys, "oracle", "problems/gibbs_qubit.json", f"--resolution={value}")
         assert code == expected
         assert out == ""
+
+
+class TestRepeatedCalls:
+    """One process calls ``main`` many times; no call sees another's arguments."""
+
+    def test_overrides_do_not_carry_over(self, capsys):
+        _, plain = run(capsys, "solve", "problems/gibbs_qubit.json")
+        _, overridden = run(capsys, "solve", "problems/gibbs_qubit.json", "--tolerance", "1e-3", "--max-iter", "3")
+        _, plain_again = run(capsys, "solve", "problems/gibbs_qubit.json")
+        reports = [json.loads(text) for text in (plain, overridden, plain_again)]
+        for report in reports:
+            report.pop("wall_time_ms")
+        assert reports[1] != reports[0]
+        assert reports[2] == reports[0]
+
+    def test_subcommands_in_sequence(self, capsys):
+        code, out = run(capsys, "lattice", "leq", "problems/region_sigmaz_mean0.json", "problems/region_whole_quantum.json")
+        assert (code, json.loads(out)) == (0, {"result": True})
+        code, out = run(capsys, "validate", "problems/validate_demo.json")
+        assert code == 0
+        assert "observable E: PASS" in out
+        code, out = run(capsys, "solve", "problems/gibbs_qubit.json")
+        assert code == 0
+        assert json.loads(out)["status"] == "converged"
+
+    def test_good_call_after_argument_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "problems/gibbs_qubit.json", "--max-iter", "many"])
+        assert exc.value.code == 2
+        code, out = run(capsys, "solve", "problems/gibbs_qubit.json")
+        assert code == 0
+        assert json.loads(out)["status"] == "converged"
 
 
 @pytest.mark.parametrize("path", sorted(glob.glob("problems/*.json")))

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from gmaxent import Polytope, SolverConfig, SolveStatus, solve
+from gmaxent import MaxEntSolution, Polytope, Quantum, SolverConfig, SolveStatus, State, solve
 from gmaxent.io import (
     SchemaError,
     build_objective,
@@ -25,6 +25,60 @@ PROBLEM_FILES = [p for p in sorted(glob.glob("problems/*.json")) if "region_" no
 REGION_FILES = [p for p in sorted(glob.glob("problems/region_*.json"))]
 
 TRICKY_FLOATS = [0.1, 1.0 / 3.0, 1e-17, 123456789.123456789, np.pi, 2.0 ** -1074, -0.3e-8, 1.0]
+
+GOLDEN_LAYOUT = """\
+{
+  "empty_list": [],
+  "empty_dict": {},
+  "short": [1, 2.0, -0.5, true, null, "x"],
+  "wraps": [
+    0.10000000000000001,
+    0.33333333333333331,
+    1e-300,
+    12345678901234568.0,
+    -2.4999999999999999e-08,
+    7,
+    false
+  ],
+  "dicts": [
+    {
+      "a": 1,
+      "b": []
+    },
+    {
+      "c": [1.5, {}]
+    }
+  ],
+  "report": {
+    "status": "converged",
+    "state": {
+      "matrix": [
+        [
+          [0.33333333333333343, 0.0],
+          [0.088388347648318447, -0.044194173824159223],
+          [0.0, 0.022097086912079612]
+        ],
+        [
+          [0.088388347648318447, 0.044194173824159223],
+          [0.33333333333333343, 0.0],
+          [-0.070710678118654766, 0.0]
+        ],
+        [
+          [0.0, -0.022097086912079612],
+          [-0.070710678118654766, -0.0],
+          [0.33333333333333343, 0.0]
+        ]
+      ]
+    },
+    "multipliers": [0.75, -0.0015],
+    "lambda0": 1.0986122886681098,
+    "entropy": 1.0859000000000001,
+    "residuals": [3.0000000000000001e-12, -9.9999999999999994e-12],
+    "iterations": 4,
+    "wall_time_ms": 1.25
+  }
+}
+"""
 
 
 class TestDumps17g:
@@ -45,6 +99,32 @@ class TestDumps17g:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             dumps_17g({"x": float("nan")})
+
+    def test_golden_layout(self):
+        # Every layout branch: empty containers, a list short enough for one
+        # line, one that wraps, dicts inside a list, and a qutrit report whose
+        # matrix nests wrapped lists three deep. The state's only diagonal
+        # coordinate is the identity's, so its matrix is the same on any BLAS.
+        model = Quantum(3)
+        coords = np.array([1 / np.sqrt(3), 0.125, -0.0625, 0.0, 0.03125, -0.1, 0.0, 0.0, 0.0])
+        solution = MaxEntSolution(
+            state=State(model, coords),
+            multipliers=np.array([0.75, -1.5e-3]),
+            lambda0=1.0986122886681098,
+            entropy=1.0859,
+            iterations=np.int64(4),
+            residuals=np.array([3e-12, -1e-11]),
+            status=SolveStatus.CONVERGED,
+        )
+        obj = {
+            "empty_list": [],
+            "empty_dict": {},
+            "short": [1, 2.0, -0.5, True, None, "x"],
+            "wraps": [0.1, 1 / 3, 1e-300, 12345678901234567.0, -2.5e-8, 7, False],
+            "dicts": [{"a": 1, "b": []}, {"c": [1.5, {}]}],
+            "report": solution_report(solution, wall_time_ms=1.25),
+        }
+        assert dumps_17g(obj) == GOLDEN_LAYOUT
 
 
 class TestProblemRoundTrip:
