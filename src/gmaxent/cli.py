@@ -69,7 +69,10 @@ def _configure_logging():
     level = {"quiet": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}.get(
         os.environ.get("GMAXENT_LOG", "info"), logging.INFO
     )
-    logging.basicConfig(level=level, stream=sys.stderr, format="%(levelname)s %(message)s")
+    # basicConfig installs the stderr handler once per process; the level is
+    # set on the package logger so that every call applies GMAXENT_LOG.
+    logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(message)s")
+    log.setLevel(level)
 
 
 class _WriteFailure(Exception):

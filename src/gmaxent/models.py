@@ -25,6 +25,7 @@ All values are immutable; random generation takes an explicit generator.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import InitVar, dataclass, field
 from typing import Optional, Sequence
 
@@ -110,6 +111,26 @@ class Classical(ModelSpace):
         return (CLASSICAL, self.dim)
 
 
+@functools.lru_cache(maxsize=16)
+def _quantum_tables(d: int) -> tuple[np.ndarray, ...]:
+    """Read-only index tables, diagonal map and unit functional of Quantum(d)."""
+    i, j = np.triu_indices(d, 1)
+    upper = i * d + j  # flat indices of M_ij and M_ji, i < j
+    lower = j * d + i
+    diagonal_coords = np.r_[0, d * d - d + 1 : d * d]
+    # Orthogonal map from the diagonal of M to its diagonal coordinates:
+    # row 0 is the identity, row l the generator (1, ..., 1, -l, 0, ...).
+    g = np.tri(d, k=-1) - np.diag(np.arange(d, dtype=float))
+    g[0] = 1.0
+    diagonal_map = g / np.linalg.norm(g, axis=1)[:, None]
+    unit = np.zeros(d * d)
+    unit[0] = np.sqrt(d)
+    tables = (upper, lower, diagonal_coords, diagonal_map, unit)
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
 class Quantum(ModelSpace):
     """Density matrices on C^d, carried as d^2 real coordinates.
 
@@ -119,7 +140,7 @@ class Quantum(ModelSpace):
     off-diagonal generators, coordinates sqrt(2) Re M_ij and sqrt(2) Im M_ij
     of a Hermitian M; last the d - 1 traceless diagonal generators. Both
     conversions use these closed index formulas, so they cost O(d^2) and no
-    basis is stored.
+    basis is stored; the index tables are built once per dimension and shared.
     """
 
     kind = QUANTUM
@@ -128,18 +149,8 @@ class Quantum(ModelSpace):
         if dim < 1:
             raise ValueError("dimension must be positive")
         d = self.dim = int(dim)
-        i, j = np.triu_indices(d, 1)
-        self._upper = i * d + j  # flat indices of M_ij and M_ji, i < j
-        self._lower = j * d + i
+        self._upper, self._lower, self._diagonal_coords, self._diagonal_map, unit = _quantum_tables(d)
         self._off = slice(1, d * d - d + 1)
-        self._diagonal_coords = np.r_[0, d * d - d + 1 : d * d]
-        # Orthogonal map from the diagonal of M to its diagonal coordinates:
-        # row 0 is the identity, row l the generator (1, ..., 1, -l, 0, ...).
-        g = np.tri(d, k=-1) - np.diag(np.arange(d, dtype=float))
-        g[0] = 1.0
-        self._diagonal_map = g / np.linalg.norm(g, axis=1)[:, None]
-        unit = np.zeros(d * d)
-        unit[0] = np.sqrt(d)
         super().__init__(d * d, unit)
 
     def matrix_to_coords(self, matrix) -> np.ndarray:

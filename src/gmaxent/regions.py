@@ -36,6 +36,7 @@ from .simplex import phase_one
 
 _CONSTRAINT_ATOL = 1e-8       # generator-vs-constraint residual
 _DUPLICATE_RTOL = 1e-10       # normalized-functional duplicate detection
+_SCREEN_BLOCK = 1 << 20       # max entries of one duplicate-screen broadcast block
 _GENERATOR_DEDUP_ATOL = 1e-8  # pairwise distance for v-rep dedup
 _VERTEX_NONNEG_ATOL = 1e-9    # BFS weight nonnegativity slack
 _ENUMERATION_CAP = 12         # constraint count + ambient dim limit
@@ -164,25 +165,42 @@ def _effective_h_rep(region: ConvexRegion) -> tuple[LinearConstraint, ...]:
 
 
 def _dedup_constraints(constraints: tuple[LinearConstraint, ...]) -> tuple[tuple[LinearConstraint, ...], bool]:
-    """Drop positive rescalings of kept constraints; flag target conflicts."""
-    kept: list[LinearConstraint] = []
-    normalized: list[tuple[np.ndarray, float]] = []
+    """Drop positive rescalings of kept constraints; flag target conflicts.
+
+    A constraint duplicates the first kept one whose functional, both divided
+    by their 2-norms, lies within ``_DUPLICATE_RTOL`` in max-abs; the region
+    is empty when their normalized targets disagree. Pairs are screened on
+    every max(1, n // 64)-th coordinate first. The sampled entries are
+    bitwise the quotients the full test compares, and a max over a subset is
+    at most the max over all, so every duplicate passes the screen and the
+    result is that of testing all pairs in full.
+    """
+    k = len(constraints)
+    if k < 2:
+        return tuple(constraints), False
+    norms = [float(np.linalg.norm(c.functional)) for c in constraints]
+    stride = max(1, constraints[0].functional.size // 64)
+    sample = np.array([c.functional[::stride] / norm for c, norm in zip(constraints, norms)])
+    rows = max(1, _SCREEN_BLOCK // sample.size)  # bounds the broadcast's memory
+    close = np.concatenate([
+        np.max(np.abs(sample[i:i + rows, None] - sample), axis=2) <= _DUPLICATE_RTOL
+        for i in range(0, k, rows)
+    ])
+    # Only rows with a screened partner are normalized in full.
+    unit = {i: constraints[i].functional / norms[i] for i in np.flatnonzero(close.sum(axis=1) > 1)}
+    kept = np.ones(k, dtype=bool)
     empty = False
-    for c in constraints:
-        norm = float(np.linalg.norm(c.functional))
-        fn = c.functional / norm
-        tn = c.target / norm
-        duplicate = False
-        for gn, sn in normalized:
-            if np.max(np.abs(fn - gn)) <= _DUPLICATE_RTOL:
-                duplicate = True
+    # argmax is each row's first screened partner; only rows whose first
+    # partner comes before them can be duplicates.
+    for i in np.flatnonzero(close.argmax(axis=1) < np.arange(k)):
+        for j in np.flatnonzero(close[i, :i] & kept[:i]):
+            if np.max(np.abs(unit[i] - unit[j])) <= _DUPLICATE_RTOL:
+                kept[i] = False
+                tn, sn = constraints[i].target / norms[i], constraints[j].target / norms[j]
                 if abs(tn - sn) > max(_DUPLICATE_RTOL, 1e-12 * max(1.0, abs(sn))):
                     empty = True
                 break
-        if not duplicate:
-            kept.append(c)
-            normalized.append((fn, tn))
-    return tuple(kept), empty
+    return tuple(itertools.compress(constraints, kept)), empty
 
 
 def meet(a: ConvexRegion, b: ConvexRegion) -> ConvexRegion:

@@ -26,7 +26,7 @@ from gmaxent import (
     whole_space,
 )
 from gmaxent.hermitian import _LOG_ZERO_FLOOR, _divided_difference
-from gmaxent.regions import LinearConstraint
+from gmaxent.regions import _DUPLICATE_RTOL, LinearConstraint
 from gmaxent.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LpResult
 
 
@@ -375,3 +375,26 @@ def random_region(model, rng):
 def region_eq(a, b):
     """Region equality as mutual inclusion (after vertex enumeration)."""
     return includes(a, b) and includes(b, a)
+
+
+def reference_dedup_constraints(constraints):
+    """The all-pairs duplicate loop ``regions._dedup_constraints`` must agree
+    with: kept constraints by identity and order, and the empty flag."""
+    kept = []
+    normalized = []
+    empty = False
+    for c in constraints:
+        norm = float(np.linalg.norm(c.functional))
+        fn = c.functional / norm
+        tn = c.target / norm
+        duplicate = False
+        for gn, sn in normalized:
+            if np.max(np.abs(fn - gn)) <= _DUPLICATE_RTOL:
+                duplicate = True
+                if abs(tn - sn) > max(_DUPLICATE_RTOL, 1e-12 * max(1.0, abs(sn))):
+                    empty = True
+                break
+        if not duplicate:
+            kept.append(c)
+            normalized.append((fn, tn))
+    return tuple(kept), empty

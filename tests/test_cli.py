@@ -2,11 +2,15 @@
 
 import glob
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gmaxent
 from gmaxent.cli import main
 
 GIBBS_ENTROPY = -(0.7 * np.log(0.7) + 0.3 * np.log(0.3))
@@ -358,10 +362,28 @@ def test_missing_file(capsys):
     assert code == 2
 
 
-def test_log_level_env_var(monkeypatch, capsys):
-    monkeypatch.setenv("GMAXENT_LOG", "debug")
-    code, _ = run(capsys, "validate", "problems/validate_demo.json")
-    assert code == 0
-    monkeypatch.setenv("GMAXENT_LOG", "quiet")
-    code, _ = run(capsys, "solve", "problems/gibbs_qubit.json")
-    assert code == 0
+# Runs one solve per GMAXENT_LOG level given on the command line, all in one
+# process, and ends each call's stderr with a marker line.
+LOG_LEVELS_IN_ONE_PROCESS = """
+import os, sys
+from gmaxent.cli import main
+for level in sys.argv[1:]:
+    os.environ["GMAXENT_LOG"] = level
+    print(main(["solve", "problems/gibbs_qubit.json"]), file=sys.stderr)
+    print("--- end of call ---", file=sys.stderr)
+"""
+
+
+def test_log_level_env_var():
+    # A fresh process, because pytest's own root handlers hide what the CLI's
+    # logging set-up does on stderr.
+    env = dict(os.environ, PYTHONPATH=str(Path(gmaxent.__file__).resolve().parents[1]))
+    for levels in (["info", "quiet"], ["quiet", "info", "debug"]):
+        result = subprocess.run(
+            [sys.executable, "-c", LOG_LEVELS_IN_ONE_PROCESS, *levels],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        calls = result.stderr.split("--- end of call ---\n")
+        assert calls[-1] == ""
+        assert [call.splitlines()[-1] for call in calls[:-1]] == ["0"] * len(levels)
+        assert [("INFO solve finished" in call) for call in calls[:-1]] == [level != "quiet" for level in levels]

@@ -80,6 +80,14 @@ class TestHermitianBasis:
         assert model.ambient_dim == 48 * 48
         assert peak < 4e6
 
+    def test_models_of_one_dimension_share_read_only_tables(self):
+        a, b = Quantum(4), Quantum(4)
+        assert a.unit_functional is b.unit_functional
+        with pytest.raises(ValueError):
+            a.unit_functional[0] = 0.0
+        m = random_density(np.random.default_rng(8), 4)
+        np.testing.assert_array_equal(b.matrix_to_coords(m), a.matrix_to_coords(m))
+
 
 class TestModelSpaces:
     def test_classical_unit(self):

@@ -28,6 +28,7 @@ from gmaxent import (
     join,
     maximally_mixed,
     meet,
+    random_effect,
     random_state,
     region_from_effect,
     region_from_mean,
@@ -35,9 +36,15 @@ from gmaxent import (
     unit_effect,
     whole_space,
 )
-from gmaxent.regions import LinearConstraint
+from gmaxent.regions import _SCREEN_BLOCK, LinearConstraint, _dedup_constraints
 
-from helpers import random_region, region_eq, squarebit_model
+from helpers import (
+    random_region,
+    reference_dedup_constraints,
+    region_eq,
+    sphere_polytope,
+    squarebit_model,
+)
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -97,8 +104,6 @@ class TestRegionBuilders:
         model = Classical(3)
         rng = np.random.default_rng(19)
         e = unit_effect(model)
-        from gmaxent import random_effect
-
         for _ in range(10):
             eff = random_effect(model, rng)
             lam = float(rng.uniform(0.2, 0.8))
@@ -165,6 +170,129 @@ class TestMeet:
     def test_model_mismatch(self):
         with pytest.raises(ModelMismatch):
             meet(whole_space(Classical(2)), whole_space(Classical(3)))
+
+
+def unsampled_coordinates(model):
+    """Coordinates the duplicate screen of ``meet`` does not look at."""
+    n = model.ambient_dim
+    return np.flatnonzero(np.arange(n) % max(1, n // 64))
+
+
+def near_duplicate(c, gap):
+    """A constraint whose normalized functional differs from c's by about gap,
+    on one coordinate the screen does not sample when there is one."""
+    norm = np.linalg.norm(c.functional)
+    unit = c.functional / norm
+    spots = unsampled_coordinates(c.model)
+    spots = spots if spots.size else np.arange(unit.size)
+    spot = spots[np.argmin(np.abs(unit[spots]))]
+    moved = unit.copy()
+    # Renormalizing shrinks the bump by unit[spot]^2 to first order.
+    moved[spot] += gap / (1.0 - unit[spot] ** 2)
+    return LinearConstraint(c.model, moved, c.target / norm * np.linalg.norm(moved))
+
+
+def duplicate_family(model, rng):
+    """Random constraints, then, of some of them: positive rescalings, a
+    rescaling with a conflicting target, near-duplicates just inside and just
+    outside the 1e-10 tolerance, and copies with their unsampled coordinates
+    permuted, which agree with the original on every sampled coordinate and
+    differ elsewhere. Shuffled, so a repeat may come before its original."""
+    base = [
+        LinearConstraint(model, rng.standard_normal(model.ambient_dim), float(rng.standard_normal()))
+        for _ in range(rng.integers(2, 6))
+    ]
+    out = list(base)
+    for c in base:
+        scale = float(np.exp(rng.uniform(-5.0, 5.0)))
+        out.append(LinearConstraint(model, scale * c.functional, scale * c.target))
+        out.append(near_duplicate(c, 0.9e-10))
+        out.append(near_duplicate(c, 1.1e-10))
+    if rng.uniform() < 0.5:
+        c = base[rng.integers(len(base))]
+        scale = float(np.exp(rng.uniform(-5.0, 5.0)))
+        shifted = c.target + 1e-6 * np.linalg.norm(c.functional)
+        out.append(LinearConstraint(model, scale * c.functional, scale * shifted))
+    spots = unsampled_coordinates(model)
+    for _ in range(8):
+        f = base[0].functional.copy()
+        f[spots] = rng.permutation(f[spots])
+        out.append(LinearConstraint(model, f, base[0].target))
+    return tuple(out[i] for i in rng.permutation(len(out)))
+
+
+class TestDuplicateScreen:
+    """``meet``'s duplicate detection agrees with comparing every pair in full."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(["classical", "quantum", "polytope"]))
+    def test_matches_all_pairs_reference(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        model = {"classical": Classical(10_000), "quantum": Quantum(32)}.get(kind) or sphere_polytope(8, 3, rng)
+        constraints = duplicate_family(model, rng)
+        kept, empty = _dedup_constraints(constraints)
+        reference_kept, reference_empty = reference_dedup_constraints(constraints)
+        assert [id(c) for c in kept] == [id(c) for c in reference_kept]
+        assert empty == reference_empty
+
+    def test_screen_in_several_blocks_matches_reference(self):
+        # About 200 constraints with 64 samples each exceed one screen block.
+        model = Classical(4096)
+        rng = np.random.default_rng(47)
+        constraints = sum((duplicate_family(model, rng) for _ in range(8)), ())
+        assert len(constraints) ** 2 * 64 > _SCREEN_BLOCK
+        kept, empty = _dedup_constraints(constraints)
+        reference_kept, reference_empty = reference_dedup_constraints(constraints)
+        assert [id(c) for c in kept] == [id(c) for c in reference_kept]
+        assert empty == reference_empty
+
+    @pytest.mark.parametrize("model", [Classical(10_000), Quantum(32)], ids=["classical", "quantum"])
+    def test_near_duplicates_off_the_sample(self, model):
+        rng = np.random.default_rng(41)
+        c = LinearConstraint(model, rng.uniform(0.0, 1.0, model.ambient_dim), 0.5)
+        unit = c.functional / np.linalg.norm(c.functional)
+        spots = unsampled_coordinates(model)
+        for gap, dropped in ((0.9e-10, True), (1.1e-10, False)):
+            near = near_duplicate(c, gap)
+            shift = near.functional / np.linalg.norm(near.functional) - unit
+            assert np.max(np.abs(shift[spots])) == pytest.approx(gap, rel=1e-3)
+            assert np.max(np.abs(np.delete(shift, spots))) < 1e-13  # the screen sees no gap
+            merged = meet(ConvexRegion(model, (c,)), ConvexRegion(model, (near,)))
+            assert [id(k) for k in merged.h_rep] == ([id(c)] if dropped else [id(c), id(near)])
+            assert not merged.known_empty
+
+    def test_agreeing_on_the_sample_is_not_a_duplicate(self):
+        model = Classical(10_000)
+        rng = np.random.default_rng(43)
+        f = rng.uniform(0.0, 1.0, model.ambient_dim)
+        spots = unsampled_coordinates(model)
+        copies = [LinearConstraint(model, f, 0.5)]
+        for _ in range(6):
+            g = f.copy()
+            g[spots] = rng.permutation(g[spots])
+            copies.append(LinearConstraint(model, g, 0.25))
+        kept, empty = _dedup_constraints(tuple(copies))
+        assert [id(c) for c in kept] == [id(c) for c in copies]
+        assert not empty
+
+    @pytest.mark.parametrize("conflict", [False, True], ids=["rescaled", "conflicting"])
+    def test_balanced_tree_of_random_effects_with_repeats(self, conflict):
+        model = Classical(10_000)
+        rng = np.random.default_rng(2011)
+        interior = random_state(model, rng)
+        effects = [random_effect(model, rng) for _ in range(32)]
+        regions = [region_from_effect(e, evaluate(e, interior)) for e in effects]
+        originals = [r.h_rep[0] for r in regions]
+        while len(regions) > 1:
+            regions = [meet(regions[i], regions[i + 1]) for i in range(0, len(regions), 2)]
+        shift = 0.25 if conflict else 0.0
+        repeats = tuple(
+            LinearConstraint(model, scale * originals[i].functional, scale * (originals[i].target + shift))
+            for i, scale in zip(rng.choice(32, size=5, replace=False), rng.uniform(0.1, 10.0, size=5))
+        )
+        merged = meet(regions[0], ConvexRegion(model, repeats))
+        assert [id(c) for c in merged.h_rep] == [id(c) for c in originals]
+        assert merged.known_empty == conflict
 
 
 class TestJoin:
