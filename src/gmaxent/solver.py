@@ -217,8 +217,11 @@ class _ClassicalEvaluation(_DualEvaluation):
 
     @cached_property
     def _hessian(self) -> np.ndarray:
-        centered = self._funcs - self.means[:, None]
-        return (centered * self.spectrum) @ centered.T
+        # Covariance as one symmetric product S S^T (BLAS syrk): S the
+        # centered functionals scaled by sqrt(p).
+        scaled = self._funcs - self.means[:, None]
+        scaled *= np.sqrt(self.spectrum)
+        return scaled @ scaled.T
 
 
 class _QuantumEvaluation(_DualEvaluation):
@@ -248,12 +251,12 @@ class _QuantumEvaluation(_DualEvaluation):
 
     @cached_property
     def _hessian(self) -> np.ndarray:
-        # Kubo-Mori covariance: divided differences of exp on the shifted
-        # spectrum, contracted with the rotated constraint operators.
+        # Kubo-Mori covariance as one symmetric product S S^T (BLAS syrk): S the
+        # rotated operators scaled by sqrt(phi), phi > 0 the divided differences
+        # of exp, viewed as real rows of 2 d^2 entries, so S S^T = Re(conj(S) S^T).
         phi = _divided_difference(self._shifted)
-        rotated = self._rotated.reshape(-1, phi.size)
-        h = ((rotated.conj() * phi.ravel()) @ rotated.T).real / self._z
-        return h - np.outer(self.means, self.means)
+        scaled = (self._rotated.reshape(-1, phi.size) * np.sqrt(phi.ravel())).view(float)
+        return (scaled @ scaled.T) / self._z - np.outer(self.means, self.means)
 
 
 def _evaluator(model: ModelSpace, constraints: Sequence[LinearConstraint]) -> Callable[[np.ndarray], _DualEvaluation]:

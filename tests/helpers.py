@@ -28,6 +28,7 @@ from gmaxent import (
 from gmaxent.hermitian import _LOG_ZERO_FLOOR, _divided_difference
 from gmaxent.regions import _DUPLICATE_RTOL, LinearConstraint
 from gmaxent.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LpResult
+from gmaxent.solver import _ClassicalEvaluation
 
 
 def hermitian_basis(d):
@@ -112,6 +113,27 @@ def frechet_exp_directional(m, h):
     hp = u.conj().T @ h.entries @ u
     phi = _divided_difference(k)
     return _hermitize(u @ (hp * phi) @ u.conj().T)
+
+
+def reference_classical_hessian(ev):
+    """The classical dual Hessian as the general product (C * p) C^T, C the centered functionals."""
+    centered = ev._funcs - ev.means[:, None]
+    return (centered * ev.spectrum) @ centered.T
+
+
+def reference_quantum_hessian(ev):
+    """The Kubo-Mori dual Hessian as the complex contraction Re(R^H (phi * R)) / Z - m m^T."""
+    phi = _divided_difference(ev._shifted)
+    rotated = ev._rotated.reshape(-1, phi.size)
+    h = ((rotated.conj() * phi.ravel()) @ rotated.T).real / ev._z
+    return h - np.outer(ev.means, ev.means)
+
+
+def reference_hessian(ev):
+    """Either reference Hessian; a drop-in for ``_DualEvaluation.hessian``."""
+    if isinstance(ev, _ClassicalEvaluation):
+        return reference_classical_hessian(ev)
+    return reference_quantum_hessian(ev)
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ from gmaxent import (
 from gmaxent.hermitian import HermitianMatrix
 from gmaxent.regions import LinearConstraint
 from gmaxent.simplex import FEASIBILITY_TOL
-from gmaxent.solver import _evaluator
+from gmaxent.solver import _DualEvaluation, _evaluator
 
 from helpers import (
     fiducial_gradient,
@@ -52,8 +52,11 @@ from helpers import (
     highs_fw_gap,
     matrix_exp,
     random_classical_problem,
+    random_hermitian,
     random_quantum_problem,
+    reference_classical_hessian,
     reference_feasible_basis,
+    reference_hessian,
     regular_polygon,
     sphere_polytope,
     squarebit_measurements,
@@ -93,6 +96,40 @@ def near_boundary_problem(family, t):
     model = Quantum(3)
     projector = np.full((3, 3), 1.0 / 3.0, dtype=complex)
     return MaxEntProblem(model, region_from_mean(spectral_observable(model, projector), t), VonNeumann())
+
+
+def frechet_hessian(model, constraints, lambdas):
+    """H_ij = tr(R_i . Dexp_{-sum(lam R)}[R_j]) / Z - <R_i><R_j>, one Frechet derivative per column."""
+    ops = [model.coords_to_matrix(c.functional).entries for c in constraints]
+    exponent = HermitianMatrix(-sum(l * op for l, op in zip(lambdas, ops)))
+    expm = matrix_exp(exponent).entries
+    z = np.trace(expm).real
+    means = [np.trace(expm @ op).real / z for op in ops]
+    expected = np.zeros((len(ops), len(ops)))
+    for j, opj in enumerate(ops):
+        dexp = frechet_exp_directional(exponent, HermitianMatrix(opj)).entries
+        for i, opi in enumerate(ops):
+            expected[i, j] = np.trace(opi @ dexp).real / z - means[i] * means[j]
+    return expected
+
+
+def assert_hessian_psd_at_every_step(monkeypatch, problems):
+    """Each problem converges, and every Hessian its solve builds is PSD within 1e-9."""
+    original = _DualEvaluation.hessian
+    min_eigs = []
+
+    def recorded(ev):
+        h = original(ev)
+        min_eigs.append(float(np.min(np.linalg.eigvalsh(h))))
+        return h
+
+    monkeypatch.setattr(_DualEvaluation, "hessian", recorded)
+    for problem in problems:
+        min_eigs.clear()
+        sol = solve_dual(problem)
+        assert sol.status == SolveStatus.CONVERGED
+        assert min_eigs
+        assert all(h >= -1e-9 for h in min_eigs)
 
 
 def recession_certificate(problem, sol):
@@ -340,25 +377,8 @@ class TestSolveDualQuantum:
         assert sol.entropy == pytest.approx(entropy(VonNeumann(), sol.state), abs=1e-12)
 
     def test_hessian_psd_at_every_step(self, monkeypatch):
-        from gmaxent.solver import _DualEvaluation
-
-        original = _DualEvaluation.hessian
-        min_eigs = []
-
-        def recorded(ev):
-            h = original(ev)
-            min_eigs.append(float(np.min(np.linalg.eigvalsh(h))))
-            return h
-
-        monkeypatch.setattr(_DualEvaluation, "hessian", recorded)
         rng = np.random.default_rng(7)
-        for _ in range(10):
-            problem = random_quantum_problem(rng, 3, 2)
-            min_eigs.clear()
-            sol = solve_dual(problem)
-            assert sol.status == SolveStatus.CONVERGED
-            assert min_eigs
-            assert all(h >= -1e-9 for h in min_eigs)
+        assert_hessian_psd_at_every_step(monkeypatch, [random_quantum_problem(rng, 3, 2) for _ in range(10)])
 
     def test_hessian_symmetric_and_covariance_like(self):
         rng = np.random.default_rng(15)
@@ -371,25 +391,43 @@ class TestSolveDualQuantum:
             assert np.min(np.linalg.eigvalsh(h)) >= -1e-9
 
     def test_hessian_matches_frechet_formula(self):
-        # H_ij = tr(R_i . Dexp_{-sum(lam R)}[R_j]) / Z - <R_i><R_j>
         rng = np.random.default_rng(21)
         for _ in range(5):
             problem = random_quantum_problem(rng, 3, 2)
-            model = problem.model
             constraints = list(problem.region.h_rep)
             lambdas = 0.5 * rng.standard_normal(2)
-            ops = [model.coords_to_matrix(c.functional).entries for c in constraints]
-            exponent = HermitianMatrix(-sum(l * op for l, op in zip(lambdas, ops)))
-            ev = _evaluator(model, constraints)(lambdas)
-            z = np.exp(ev.lnz)
-            rho = matrix_exp(exponent).entries / z
-            means = [np.trace(rho @ op).real for op in ops]
-            expected = np.zeros((2, 2))
-            for j, opj in enumerate(ops):
-                dexp = frechet_exp_directional(exponent, HermitianMatrix(opj)).entries
-                for i, opi in enumerate(ops):
-                    expected[i, j] = np.trace(opi @ dexp).real / z - means[i] * means[j]
-            np.testing.assert_allclose(ev.hessian(), expected, atol=1e-9)
+            ev = _evaluator(problem.model, constraints)(lambdas)
+            expected = frechet_hessian(problem.model, constraints, lambdas)
+            np.testing.assert_allclose(ev.hessian(), expected, rtol=1e-12, atol=1e-12)
+
+    def test_hessian_at_zero_multipliers(self):
+        # The exponent is 0: every eigenvalue pair takes the close branch of
+        # the divided difference.
+        problem = random_quantum_problem(np.random.default_rng(22), 4, 3)
+        constraints = list(problem.region.h_rep)
+        lambdas = np.zeros(3)
+        h = _evaluator(problem.model, constraints)(lambdas).hessian()
+        assert np.array_equal(h, h.T)
+        np.testing.assert_allclose(h, frechet_hessian(problem.model, constraints, lambdas), rtol=1e-12, atol=1e-12)
+
+    def test_hessian_on_a_partly_degenerate_spectrum(self):
+        # Two commuting operators share the eigenvalue 1 twice, so the
+        # exponent has one repeated eigenvalue (close pairs) beside two
+        # distinct ones (far pairs); a third operator, with multiplier 0,
+        # mixes the degenerate block.
+        rng = np.random.default_rng(23)
+        model = Quantum(4)
+        q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+        ops = [(q * np.array(v)) @ q.conj().T for v in ([1.0, 1.0, 0.0, -1.0], [1.0, 1.0, 2.0, 0.5])]
+        ops.append(random_hermitian(rng, 4).entries)
+        constraints = [LinearConstraint(model, model.matrix_to_coords(op), 0.0) for op in ops]
+        lambdas = np.array([0.7, -0.4, 0.0])
+        k = np.linalg.eigvalsh(-sum(l * op for l, op in zip(lambdas, ops)))
+        gaps = np.abs(np.subtract.outer(k, k))[np.triu_indices(4, 1)]
+        assert np.sum(gaps < 1e-12) == 1 and np.min(gaps[gaps >= 1e-12]) > 0.05
+        h = _evaluator(model, constraints)(lambdas).hessian()
+        assert np.array_equal(h, h.T)
+        np.testing.assert_allclose(h, frechet_hessian(model, constraints, lambdas), rtol=1e-12, atol=1e-12)
 
     def test_monotone_under_meets(self):
         rng = np.random.default_rng(9)
@@ -407,6 +445,25 @@ class TestSolveDualQuantum:
 
 
 class TestSolveDualClassical:
+    @pytest.mark.parametrize("m", [1, 4, 32])
+    def test_hessian_matches_general_product(self, m):
+        rng = np.random.default_rng(40 + m)
+        problem = random_classical_problem(rng, 10_000, m)
+        dual_at = _evaluator(problem.model, problem.region.h_rep)
+        # Random multipliers, then multipliers large enough that the tail of
+        # the Gibbs distribution underflows to probability 0.
+        for norm in (1.0, 500.0):
+            lambdas = rng.standard_normal(m)
+            ev = dual_at(norm * lambdas / np.linalg.norm(lambdas))
+            h = ev.hessian()
+            assert np.array_equal(h, h.T)
+            np.testing.assert_allclose(h, reference_classical_hessian(ev), rtol=1e-12)
+        assert np.any(ev.spectrum == 0.0)
+
+    def test_hessian_psd_at_every_step(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        assert_hessian_psd_at_every_step(monkeypatch, [random_classical_problem(rng, 50, 4) for _ in range(10)])
+
     def test_uniform(self):
         model = Classical(7)
         sol = solve_dual(MaxEntProblem(model, whole_space(model), Shannon()))
@@ -484,6 +541,46 @@ class TestSolveDualClassical:
         np.testing.assert_allclose(fw.state.coords, np.full(3, 1.0 / 3.0), atol=1e-9)
         assert fw.entropy == pytest.approx(np.log(3.0), abs=1e-9)
         assert abs(fw.entropy - dual.entropy) <= 1e-6
+
+
+def trajectory_problem(family, size):
+    if family == "classical":
+        return random_classical_problem(np.random.default_rng(60 + size), 2000, size)
+    if family == "quantum":
+        return random_quantum_problem(np.random.default_rng(70 + size), 8, size)
+    return near_boundary_problem(family, size)
+
+
+class TestHessianTrajectory:
+    """The symmetric-product Hessians take the Newton steps of the general products."""
+
+    @pytest.mark.parametrize(
+        "family,size,expected",
+        [
+            ("classical", 4, SolveStatus.CONVERGED),
+            ("classical", 16, SolveStatus.CONVERGED),
+            ("classical", 32, SolveStatus.CONVERGED),
+            ("quantum", 1, SolveStatus.CONVERGED),
+            ("quantum", 4, SolveStatus.CONVERGED),
+            ("quantum", 16, SolveStatus.CONVERGED),
+            ("sigmaz", 1.0 - 1e-3, SolveStatus.CONVERGED),
+            ("sigmaz", 1.0, SolveStatus.BOUNDARY_ONLY),
+            ("sigmaz", 1.0 + 1e-3, SolveStatus.INFEASIBLE),
+        ],
+    )
+    def test_same_trajectory_as_general_product(self, monkeypatch, family, size, expected):
+        problem = trajectory_problem(family, size)
+        sol = solve_dual(problem)
+        monkeypatch.setattr(_DualEvaluation, "hessian", reference_hessian)
+        ref = solve_dual(problem)
+        assert sol.status == ref.status == expected
+        assert sol.iterations == ref.iterations
+        assert sol.diagnostics.kept_indices == ref.diagnostics.kept_indices
+        assert sol.diagnostics.dropped_indices == ref.diagnostics.dropped_indices
+        if ref.state is None:
+            assert sol.state is None
+        else:
+            assert np.max(np.abs(sol.state.coords - ref.state.coords)) <= 1e-12
 
 
 class TestSolvePolytope:
