@@ -80,7 +80,8 @@ def _divided_difference(k: np.ndarray) -> np.ndarray:
     dx = x - y
     close = np.abs(dx) <= _DD_DEGENERACY_RTOL * np.maximum(1.0, np.maximum(np.abs(x), np.abs(y)))
     safe = np.where(close, 1.0, dx)
-    phi = (np.exp(x) - np.exp(y)) / safe
+    e = np.exp(k)
+    phi = (e[:, None] - e[None, :]) / safe
     return np.where(close, np.exp((x + y) / 2.0), phi)
 
 

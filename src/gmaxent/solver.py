@@ -193,10 +193,10 @@ class _DualEvaluation:
 
     def _gibbs(self, energy: np.ndarray) -> np.ndarray:
         """Set ``top``, ``lnz`` and ``spectrum`` from the exponent's eigenvalues ``energy``; return energy - top."""
-        self.top = float(np.max(energy))
+        self.top = float(energy.max())
         shifted = energy - self.top
         weights = np.exp(shifted)
-        self._z = float(np.sum(weights))
+        self._z = float(weights.sum())
         self.lnz = self.top + float(np.log(self._z))
         self.spectrum = weights / self._z
         return shifted
@@ -242,7 +242,7 @@ class _QuantumEvaluation(_DualEvaluation):
 
     @cached_property
     def means(self) -> np.ndarray:
-        return np.einsum("iaa->ia", self._rotated).real @ self.spectrum
+        return self._rotated.diagonal(0, 1, 2).real @ self.spectrum
 
     @cached_property
     def state_coords(self) -> np.ndarray:
@@ -275,6 +275,7 @@ _RANK_PIVOT_TOL = 1e-10       # constraint independence threshold
 _BOUNDARY_RANK_TOL = 1e-9     # min spectrum below this => BoundaryOnly
 _BOUNDARY_RESIDUAL_TOL = 1e-3 # past the bound, no certificate, residual below => BoundaryOnly
 _ARMIJO_C = 1e-4
+_CURVATURE_C = 0.25           # a unit step whose slope keeps more than this share extrapolates
 _MAX_BACKTRACKS = 60          # also the gradient cap of a Frank-Wolfe line search
 
 
@@ -329,6 +330,16 @@ def _infeasible(diag, multipliers=(), iterations: int = 0) -> MaxEntSolution:
 def solve_dual(problem: MaxEntProblem, config: SolverConfig = DEFAULT_SOLVER) -> MaxEntSolution:
     """Minimize the exponential-family dual by damped Newton iteration.
 
+    The line search backtracks from the unit step (capped at
+    ``_MULTIPLIER_BOUND`` in max-norm) until the Armijo condition holds. When
+    the unit step passes at once but the dual's slope there still exceeds
+    ``_CURVATURE_C`` of the slope at the start, as along the exponential tail
+    of a near-boundary target, the step is doubled while the dual keeps
+    falling under the Armijo line, and the doubling stops once max |lambda|
+    passes ``_MULTIPLIER_BOUND``; the best point is kept (the extrapolation
+    phase of Nocedal & Wright, Numerical Optimization, Alg. 3.5), so max
+    |lambda| stays below about three times the bound.
+
     Statuses: CONVERGED when the dual gradient drops below tolerance and the
     solved state has full support; BOUNDARY_ONLY when it converges onto a
     rank-deficient limiting state. Past ``_MULTIPLIER_BOUND`` the recession
@@ -375,9 +386,9 @@ def solve_dual(problem: MaxEntProblem, config: SolverConfig = DEFAULT_SOLVER) ->
 
     for iterations in range(config.max_iter + 1):
         g = r - ev.means
-        res_norm = float(np.max(np.abs(g))) if len(g) else 0.0
+        res_norm = float(np.abs(g).max()) if len(g) else 0.0
         if res_norm <= config.grad_tol:
-            boundary = float(np.min(ev.spectrum)) < _BOUNDARY_RANK_TOL
+            boundary = float(ev.spectrum.min()) < _BOUNDARY_RANK_TOL
             status = SolveStatus.BOUNDARY_ONLY if boundary else SolveStatus.CONVERGED
             break
         if iterations == config.max_iter:
@@ -395,30 +406,47 @@ def solve_dual(problem: MaxEntProblem, config: SolverConfig = DEFAULT_SOLVER) ->
             diag.gradient_fallbacks += 1
         # Descent direction for D is -direction: D'(t) = -g . direction at t=0.
         d0 = ev.lnz + float(lambdas @ r)
-        if slope <= 1e-14 * (1.0 + abs(d0)) and float(np.max(np.abs(direction))) <= 1.0:
+        reach = float(np.abs(direction).max())
+        if slope <= 1e-14 * (1.0 + abs(d0)) and reach <= 1.0:
             # Predicted decrease is below the float resolution of D, so the
             # line search cannot see it; this is the quadratic regime, where
             # the pure Newton step is safe and contracts the gradient.
             lambdas = lambdas - direction
             ev = dual_at(lambdas)
             continue
-        step = 1.0
+        # A unit step longer than the bound (a near-singular Hessian) is cut to
+        # the bound, so no trial leaves twice the bound.
+        step = 1.0 if reach <= _MULTIPLIER_BOUND else _MULTIPLIER_BOUND / reach
         accepted = None
         for _ in range(_MAX_BACKTRACKS):
             trial = lambdas - step * direction
             ev_trial = dual_at(trial)
-            if ev_trial.lnz + float(trial @ r) <= d0 - _ARMIJO_C * step * slope:
+            value = ev_trial.lnz + float(trial @ r)
+            if value <= d0 - _ARMIJO_C * step * slope:
                 accepted = (trial, ev_trial)
                 break
             step /= 2.0
-        if accepted is None or np.array_equal(accepted[0], lambdas):
+        if accepted is None or not (accepted[0] != lambdas).any():
             break
+        if step == 1.0 and float((r - ev_trial.means) @ direction) > _CURVATURE_C * slope:
+            # The dual still falls steeply at the unit step, as along an
+            # exponential tail: double the step while the value keeps falling
+            # under the Armijo line, up to the multiplier bound.
+            best = value
+            while float(np.abs(trial).max()) <= _MULTIPLIER_BOUND:
+                step *= 2.0
+                trial = lambdas - step * direction
+                ev_trial = dual_at(trial)
+                value = ev_trial.lnz + float(trial @ r)
+                if not (value < best and value <= d0 - _ARMIJO_C * step * slope):
+                    break
+                accepted, best = (trial, ev_trial), value
         lambdas, ev = accepted
-        if float(np.max(np.abs(lambdas))) > _MULTIPLIER_BOUND:
+        if float(np.abs(lambdas).max()) > _MULTIPLIER_BOUND:
             # lambda_max is positively homogeneous, so c at u = lambda/|lambda| is this over |lambda|.
             if ev.top + float(lambdas @ r) < -config.residual_tol * np.linalg.norm(lambdas):
                 status = SolveStatus.INFEASIBLE
-            elif float(np.max(np.abs(r - ev.means))) <= _BOUNDARY_RESIDUAL_TOL:
+            elif float(np.abs(r - ev.means).max()) <= _BOUNDARY_RESIDUAL_TOL:
                 status = SolveStatus.BOUNDARY_ONLY
             break
 

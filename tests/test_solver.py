@@ -43,7 +43,13 @@ from gmaxent import (
 from gmaxent.hermitian import HermitianMatrix
 from gmaxent.regions import LinearConstraint
 from gmaxent.simplex import FEASIBILITY_TOL
-from gmaxent.solver import _DualEvaluation, _evaluator
+from gmaxent.solver import (
+    _MULTIPLIER_BOUND,
+    _ClassicalEvaluation,
+    _DualEvaluation,
+    _QuantumEvaluation,
+    _evaluator,
+)
 
 from helpers import (
     fiducial_gradient,
@@ -492,11 +498,13 @@ class TestSolveDualClassical:
 
     @pytest.mark.parametrize(
         "max_iter,expected",
-        [(0, SolveStatus.NON_CONVERGENCE), (2, SolveStatus.NON_CONVERGENCE), (3, SolveStatus.INFEASIBLE)],
+        [(0, SolveStatus.NON_CONVERGENCE), (1, SolveStatus.INFEASIBLE), (3, SolveStatus.INFEASIBLE)],
     )
     def test_infeasible_needs_iterations_to_certify(self, max_iter, expected):
-        # The certificate is computed only past multiplier_bound, which the
-        # target 2 reaches in the step of iteration 2; a smaller cap stops first.
+        # The certificate is computed only past multiplier_bound. For the
+        # target 2 the dual falls linearly along the Newton direction, so the
+        # line search of iteration 0 doubles its step until lambda = -12288
+        # passes the bound; a cap of 0 stops before any step.
         model = Classical(2)
         region = region_from_mean(indicator_observable(model, [0.0, 1.0]), 2.0)
         sol = solve_dual(MaxEntProblem(model, region, Shannon()), SolverConfig(max_iter=max_iter))
@@ -581,6 +589,50 @@ class TestHessianTrajectory:
             assert sol.state is None
         else:
             assert np.max(np.abs(sol.state.coords - ref.state.coords)) <= 1e-12
+
+
+class TestLineSearch:
+    """Extrapolation along exponential tails, and no extra work where the dual is quadratic."""
+
+    @pytest.mark.parametrize("delta", [1e-4, 1e-6, 1e-8])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_near_boundary_inside_targets_in_few_iterations(self, sign, delta):
+        # Damped Newton without extrapolation takes 13, 17 and 20 iterations here.
+        sol = solve_dual(near_boundary_problem("sigmaz", sign * (1.0 - delta)))
+        assert sol.status == SolveStatus.CONVERGED
+        assert sol.iterations <= 9
+
+    @pytest.mark.parametrize(
+        "family,size",
+        [("quantum", 1), ("quantum", 4), ("quantum", 16), ("classical", 4), ("classical", 16), ("classical", 32)],
+    )
+    def test_one_evaluation_per_iteration_when_the_step_is_quadratic(self, monkeypatch, family, size):
+        calls = []
+        for cls in (_ClassicalEvaluation, _QuantumEvaluation):
+            def counted(ev, *args, _init=cls.__init__):
+                calls.append(None)
+                _init(ev, *args)
+
+            monkeypatch.setattr(cls, "__init__", counted)
+        sol = solve_dual(trajectory_problem(family, size))
+        assert sol.status == SolveStatus.CONVERGED
+        assert len(calls) == sol.iterations + 1
+
+    @pytest.mark.parametrize(
+        "family,target",
+        [
+            ("classical", 0.0), ("classical", 1.0), ("classical", -1e-6), ("classical", 1.0 + 1e-6), ("classical", 2.0),
+            ("sigmaz", 1.0), ("sigmaz", -1.0), ("sigmaz", 1.0 + 1e-6),
+            ("sigmaz", 1.001), ("sigmaz", 1.05), ("sigmaz", 5.0),
+            ("bloch", 1.0), ("bloch", 1.006), ("bloch", 1.063),
+            ("qutrit", 0.0), ("qutrit", -1e-6), ("qutrit", -1e-4),
+        ],
+    )
+    def test_multipliers_stay_near_the_bound(self, family, target):
+        sol = solve_dual(near_boundary_problem(family, target))
+        assert sol.status in (SolveStatus.BOUNDARY_ONLY, SolveStatus.INFEASIBLE)
+        assert np.all(np.isfinite(sol.multipliers))
+        assert np.max(np.abs(sol.multipliers)) < 4.0 * _MULTIPLIER_BOUND
 
 
 class TestSolvePolytope:
