@@ -39,7 +39,6 @@ from .models import (
     check_state_axioms,
     effect_from_matrix,
     evaluate,
-    indicator_observable,
     maximally_mixed,
     random_effect,
     random_povm,

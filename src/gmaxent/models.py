@@ -523,17 +523,6 @@ def spectral_observable(model: Quantum, matrix) -> Observable:
     return Observable(model, tuple(outcomes))
 
 
-def indicator_observable(model: Classical, values: Optional[Sequence[float]] = None) -> Observable:
-    """One indicator effect per classical outcome, optionally valued."""
-    outs = []
-    for i in range(model.dim):
-        f = np.zeros(model.dim)
-        f[i] = 1.0
-        v = None if values is None else float(values[i])
-        outs.append(Outcome(label=str(i), effect=Effect(model, f), value=v))
-    return Observable(model, tuple(outs))
-
-
 def random_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     q, r = np.linalg.qr(g)

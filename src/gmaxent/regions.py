@@ -99,16 +99,6 @@ class ConvexRegion:
     def residuals(self, s: State) -> np.ndarray:
         return np.array([c.residual(s) for c in self.h_rep])
 
-    def contains(self, s: State) -> bool:
-        """Membership test; uses the hull when generators are the definition."""
-        if s.model != self.model:
-            raise ModelMismatch("state belongs to a different model")
-        if self.known_empty:
-            return False
-        if self.v_rep is not None:
-            return _in_hull(self.v_rep, s)
-        return all(c.residual(s) <= _CONSTRAINT_ATOL for c in self.h_rep)
-
 
 def whole_space(model: ModelSpace) -> ConvexRegion:
     return ConvexRegion(model)

@@ -6,13 +6,17 @@ vertices to 10^4 classical outcomes. So the kernel is the revised simplex
 method: it keeps only B^-1 (rows x rows, one rank-1 update per pivot) and
 the basic values x_B, and forms no tableau.
 
-Pricing follows Bland's rule (Bland, Math. Oper. Res. 2, 1977), which
-guarantees termination on degenerate bases: the entering column is the
-smallest index with a negative reduced cost, the leaving row the smallest
-basic index among ratio-test ties. Each pivot computes y = c_B B^-1 once
-and scans the reduced costs c_j - y.A_j block by block, stopping at the
-first block with an improving column, so a pivot costs in proportion to
-where that column sits rather than to the number of columns.
+Each pivot computes y = c_B B^-1 once and scans the reduced costs
+c_j - y.A_j block by block, stopping at the first block with an improving
+column, so a pivot costs in proportion to where that column sits rather
+than to the number of columns. Phase I prices by Bland's rule (Bland, Math.
+Oper. Res. 2, 1977): the entering column is the smallest index with a
+negative reduced cost. Phase II takes the most negative reduced cost in
+that block (Dantzig's rule), which needs fewer pivots, and falls back to
+Bland's choice after a degenerate pivot until a pivot moves the objective:
+a cycle needs a run of degenerate pivots, and every such run is Bland's
+after its first pivot, so termination still rests on Bland's theorem. The
+leaving row is always the smallest basic index among ratio-test ties.
 
 Phase I prices one implicit artificial column per row (-e_i where b_i < 0,
 so that the all-artificial start is feasible) and never flips, widens or
@@ -121,20 +125,23 @@ class Basis:
         if self._pivots % _REFACTOR_EVERY == 0:
             self._refactor()
 
-    def _entering(self, c: np.ndarray, y: np.ndarray) -> int:
-        """Bland: the smallest nonbasic column with reduced cost below -_PIVOT_TOL, or -1.
+    def _entering(self, c: np.ndarray, y: np.ndarray, bland: bool) -> int:
+        """The entering column, or -1 when no nonbasic reduced cost is below -_PIVOT_TOL.
 
-        Basic columns are masked: their reduced costs are zero only up to
-        rounding (down to -3.5e-11 on Classical(10^4) systems with costs of
+        Within the first block that has an improving column it is the smallest
+        such index when ``bland``, else the one with the most negative reduced
+        cost. Basic columns are masked: their reduced costs are zero only up
+        to rounding (down to -3.5e-11 on Classical(10^4) systems with costs of
         order 100), and a basic column entering would pivot on itself forever.
         """
         a, n, nonbasic = self._a, self.n, self._nonbasic
         for start in range(0, n, _BLOCK):
             stop = min(start + _BLOCK, n)
-            improving = (c[start:stop] - y @ a[:, start:stop] < -_PIVOT_TOL) & nonbasic[start:stop]
+            reduced = c[start:stop] - y @ a[:, start:stop]
+            improving = (reduced < -_PIVOT_TOL) & nonbasic[start:stop]
             j = int(improving.argmax())
             if improving[j]:
-                return start + j
+                return start + (j if bland else int(np.where(improving, reduced, 0.0).argmin()))
         if len(c) > n:  # Phase I: the artificial columns come last
             improving = (c[n:] - y * self._sign < -_PIVOT_TOL) & nonbasic[n:]
             j = int(improving.argmax())
@@ -146,12 +153,13 @@ class Basis:
         """Minimize c.x from this basis. Returns OPTIMAL or UNBOUNDED.
 
         c has one entry per original column, and in Phase I one more per row
-        for the artificials.
+        for the artificials; Phase I prices by Bland's rule throughout.
         """
         n = self.n
+        phase_one = bland = len(c) > n
         for _ in range(_MAX_PIVOTS):
             binv = self._inv_x[:, :-1]
-            col = self._entering(c, c[self._basis] @ binv)
+            col = self._entering(c, c[self._basis] @ binv, bland)
             if col < 0:
                 return OPTIMAL
             d = binv @ self._a[:, col] if col < n else binv[:, col - n] * self._sign[col - n]
@@ -159,8 +167,10 @@ class Basis:
             if not rows.size:
                 return UNBOUNDED
             ratios = self._inv_x[rows, -1] / d[rows]
-            ties = rows[ratios <= ratios.min() + _PIVOT_TOL]
+            least = ratios.min()
+            ties = rows[ratios <= least + _PIVOT_TOL]
             self._pivot(int(ties[self._basis[ties].argmin()]), col, d)
+            bland = phase_one or least <= _PIVOT_TOL
         raise NumericalFailure("simplex exceeded the pivot budget")
 
     def _drive_out_artificials(self) -> None:

@@ -148,18 +148,15 @@ def entropy(objective: Objective, state: State) -> float:
     if isinstance(objective, VonNeumann):
         return entropy_from_spectrum(np.linalg.eigvalsh(state.density_matrix().entries))
     if isinstance(objective, FiducialMeasurementEntropy):
-        total = 0.0
-        for m in objective.measurements:
-            if m.model != state.model:
-                raise ModelMismatch("fiducial measurement and state live on different models")
-            total += entropy_from_spectrum(_effect_rows(m) @ state.coords)
-        return total
+        if any(m.model != state.model for m in objective.measurements):
+            raise ModelMismatch("fiducial measurement and state live on different models")
+        return entropy_from_spectrum(_outcome_rows(objective.measurements) @ state.coords)
     return float(objective.value(state.coords))
 
 
-def _effect_rows(measurement: Observable) -> np.ndarray:
-    """The outcome functionals stacked as rows: one product gives every outcome probability."""
-    return np.stack([out.effect.functional for out in measurement.outcomes])
+def _outcome_rows(measurements: Sequence[Observable]) -> np.ndarray:
+    """Every outcome functional of the measurements as rows: one product gives every outcome probability."""
+    return np.array([out.effect.functional for m in measurements for out in m.outcomes])
 
 
 def default_objective(model: ModelSpace) -> Objective:
@@ -276,7 +273,7 @@ _BOUNDARY_RANK_TOL = 1e-9     # min spectrum below this => BoundaryOnly
 _BOUNDARY_RESIDUAL_TOL = 1e-3 # past the bound, no certificate, residual below => BoundaryOnly
 _ARMIJO_C = 1e-4
 _CURVATURE_C = 0.25           # a unit step whose slope keeps more than this share extrapolates
-_MAX_BACKTRACKS = 60          # also the gradient cap of a Frank-Wolfe line search
+_MAX_BACKTRACKS = 60          # also the slope-trial cap of a Frank-Wolfe line search
 
 
 def _select_independent(funcs: np.ndarray, targets: np.ndarray, config: SolverConfig):
@@ -301,10 +298,8 @@ def _select_independent(funcs: np.ndarray, targets: np.ndarray, config: SolverCo
     return kept, dropped, False
 
 
-def _solution(
-    problem, coords, multipliers, lambda0, iterations, status, diag, value=None, weights=None
-) -> MaxEntSolution:
-    """The result at the solved coordinates; value is the objective there, computed when None.
+def _solution(problem, coords, multipliers, lambda0, iterations, status, diag, value, weights=None) -> MaxEntSolution:
+    """The result at the solved coordinates; value is the objective there.
 
     weights, when given, are the polytope mixing weights that certify the state.
     """
@@ -313,7 +308,7 @@ def _solution(
         state=state,
         multipliers=np.asarray(multipliers, dtype=float),
         lambda0=lambda0,
-        entropy=entropy(problem.objective, state) if value is None else value,
+        entropy=value,
         iterations=iterations,
         residuals=problem.region.residuals(state),
         status=status,
@@ -350,7 +345,8 @@ def solve_dual(problem: MaxEntProblem, config: SolverConfig = DEFAULT_SOLVER) ->
     status is BOUNDARY_ONLY when the residuals are within
     ``_BOUNDARY_RESIDUAL_TOL``, else NON_CONVERGENCE, as at the iteration cap,
     which also ends a solve whose cap comes before the bound. Contradictory
-    linear conditions are INFEASIBLE before any Newton step.
+    linear conditions are INFEASIBLE before any Newton step. ``iterations``
+    counts the Newton steps taken.
     """
     if not isinstance(problem.objective, (Shannon, VonNeumann)):
         raise IncompatibleObjective("solve_dual handles Shannon and von Neumann objectives")
@@ -443,6 +439,7 @@ def solve_dual(problem: MaxEntProblem, config: SolverConfig = DEFAULT_SOLVER) ->
                 accepted, best = (trial, ev_trial), value
         lambdas, ev = accepted
         if float(np.abs(lambdas).max()) > _MULTIPLIER_BOUND:
+            iterations += 1  # the status is decided after this pass's step
             # lambda_max is positively homogeneous, so c at u = lambda/|lambda| is this over |lambda|.
             if ev.top + float(lambdas @ r) < -config.residual_tol * np.linalg.norm(lambdas):
                 status = SolveStatus.INFEASIBLE
@@ -473,42 +470,54 @@ _SLOPE_RTOL = 1e-10
 _BRACKET_RTOL = 1e-14
 
 
-def _objective_gradient(problem: MaxEntProblem) -> Callable[[np.ndarray], np.ndarray]:
+def _objective_terms(problem: MaxEntProblem):
+    """(value, gradient, line) of the objective; line(x, d) is the slope t -> grad(x + t d) . d.
+
+    Shannon and fiducial objectives are the Shannon entropy of one linear image
+    R x: R = I for Shannon, and for a fiducial objective every measurement's
+    outcome rows stacked once, here. A line then computes R x and R d once, so
+    each slope trial is one pass over the outcome probabilities.
+    """
     obj = problem.objective
-    if isinstance(obj, Shannon):
-        def grad(x):
-            return -(1.0 + np.log(np.maximum(x, 1e-300)))
-
-        return grad
-    if isinstance(obj, FiducialMeasurementEntropy):
-        effect_rows = [_effect_rows(m) for m in obj.measurements]
-
-        def grad(x):
-            g = np.zeros_like(x)
-            for rows in effect_rows:
-                probs = np.maximum(rows @ x, 1e-300)
-                g -= (1.0 + np.log(probs)) @ rows
-            return g
-
-        return grad
     if isinstance(obj, CustomObjective):
-        return obj.gradient
-    raise IncompatibleObjective("solve_polytope needs a gradient-equipped objective")
+        def custom_line(x, d):
+            return lambda t: float(obj.gradient(x + t * d) @ d)
+
+        return obj.value, obj.gradient, custom_line
+    if isinstance(obj, Shannon):
+        rows = None
+    elif isinstance(obj, FiducialMeasurementEntropy):
+        rows = _outcome_rows(obj.measurements)
+    else:
+        raise IncompatibleObjective("solve_polytope needs a gradient-equipped objective")
+
+    def image(v):
+        return v if rows is None else rows @ v
+
+    def value(x):
+        return entropy_from_spectrum(image(x))
+
+    def grad(x):
+        g = -(1.0 + np.log(np.maximum(image(x), 1e-300)))
+        return g if rows is None else g @ rows
+
+    def line(x, d):
+        rx, rd = image(x), image(d)
+        return lambda t: float(-(1.0 + np.log(np.maximum(rx + t * rd, 1e-300))) @ rd)
+
+    return value, grad, line
 
 
-def _slope_search(grad, x: np.ndarray, d: np.ndarray, t_max: float, slope0: float) -> float:
-    """The step in [0, t_max] along d that maximizes a concave objective, found from its slope.
+def _slope_search(slope: Callable[[float], float], t_max: float, slope0: float) -> float:
+    """The step in [0, t_max] that maximizes a concave objective along a line, found from its slope.
 
-    The slope h(t) = grad(x + t d) . d is non-increasing, and h(0) = slope0 > 0.
-    If h(t_max) >= 0 the step is t_max. Otherwise the root of h is bracketed
+    slope(t) = grad(x + t d) . d is non-increasing, and slope(0) = slope0 > 0.
+    If slope(t_max) >= 0 the step is t_max. Otherwise the root is bracketed
     by the Illinois variant of regula falsi (a secant step, bisection when the
     secant leaves the bracket) and the step is the bracket's left end, where
-    h >= 0, so the objective does not decrease. 0 means no trial had h >= 0.
-    At most ``_MAX_BACKTRACKS`` gradients are evaluated.
+    the slope is >= 0, so the objective does not decrease. 0 means no trial
+    had a slope >= 0. At most ``_MAX_BACKTRACKS`` slope trials are evaluated.
     """
-    def slope(t):
-        return float(grad(x + t * d) @ d)
-
     h_hi = slope(t_max)
     if h_hi >= 0.0:
         return t_max
@@ -546,8 +555,9 @@ def solve_polytope(problem: MaxEntProblem, config: SolverConfig = DEFAULT_SOLVER
     moves toward s, or away from the active vertex v that minimizes g.v when
     g.(x - v) is the larger gap, and a step that reaches its bound drops a
     vertex. The step is an exact line search on the objective's slope
-    (``_slope_search``, at most ``_MAX_BACKTRACKS`` gradients), so the
-    objective never decreases and no objective value is evaluated. A step
+    (``_slope_search``, at most ``_MAX_BACKTRACKS`` slope trials), so the
+    objective never decreases; its value is evaluated once, for the result,
+    from the same linear image as its gradient (``_objective_terms``). A step
     that neither drops a vertex nor changes x (also when x + t d rounds back
     to x) ends the solve with NON_CONVERGENCE, as does ``fw_max_iter``.
     Phase I runs once per solve, and each LP is a Phase II warm-started from
@@ -580,7 +590,7 @@ def solve_polytope(problem: MaxEntProblem, config: SolverConfig = DEFAULT_SOLVER
     x = _weights_to_coords(model, w)
     atoms, mixes, alpha = x[None, :], w[None, :], np.ones(1)
 
-    grad = _objective_gradient(problem)
+    value, grad, line = _objective_terms(problem)
     status = SolveStatus.NON_CONVERGENCE
     iterations = 0
     for iterations in range(1, config.fw_max_iter + 1):
@@ -601,7 +611,7 @@ def solve_polytope(problem: MaxEntProblem, config: SolverConfig = DEFAULT_SOLVER
             d, t_max = s - x, 1.0
         else:
             d, t_max = x - atoms[away], alpha[away] / (1.0 - alpha[away])
-        t = _slope_search(grad, x, d, t_max, float(g @ d))
+        t = _slope_search(line(x, d), t_max, float(g @ d))
         if t == 0.0:
             break
         n_atoms = len(alpha)
@@ -625,7 +635,7 @@ def solve_polytope(problem: MaxEntProblem, config: SolverConfig = DEFAULT_SOLVER
         x = moved
 
     weights = alpha @ mixes if model.kind == POLYTOPE else None
-    return _solution(problem, x, (), None, iterations, status, diag, weights=weights)
+    return _solution(problem, x, (), None, iterations, status, diag, float(value(x)), weights)
 
 
 def solve(problem: MaxEntProblem, config: SolverConfig = DEFAULT_SOLVER) -> MaxEntSolution:

@@ -17,7 +17,6 @@ from gmaxent import (
     VonNeumann,
     evaluate,
     includes,
-    indicator_observable,
     random_effect,
     random_povm,
     random_state,
@@ -26,7 +25,7 @@ from gmaxent import (
     whole_space,
 )
 from gmaxent.hermitian import _LOG_ZERO_FLOOR, _divided_difference
-from gmaxent.regions import _DUPLICATE_RTOL, LinearConstraint
+from gmaxent.regions import _CONSTRAINT_ATOL, _DUPLICATE_RTOL, LinearConstraint, _in_hull
 from gmaxent.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LpResult
 from gmaxent.solver import _ClassicalEvaluation
 
@@ -376,6 +375,24 @@ def highs_fw_gap(problem, coords):
     lp = linprog(-(v @ g), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
     assert lp.status == 0
     return -lp.fun - float(g @ coords)
+
+
+def indicator_observable(model, values=None):
+    """One indicator effect per classical outcome, optionally valued."""
+    outcomes = []
+    for i in range(model.dim):
+        v = None if values is None else float(values[i])
+        outcomes.append(Outcome(label=str(i), effect=Effect(model, np.eye(model.dim)[i]), value=v))
+    return Observable(model, tuple(outcomes))
+
+
+def in_region(region, state):
+    """Membership of state in region: the hull of its generators when it has them, else its conditions."""
+    if region.known_empty:
+        return False
+    if region.v_rep is not None:
+        return _in_hull(region.v_rep, state)
+    return all(c.residual(state) <= _CONSTRAINT_ATOL for c in region.h_rep)
 
 
 def random_region(model, rng):

@@ -23,7 +23,6 @@ from gmaxent import (
     check_state_axioms,
     effect_from_matrix,
     evaluate,
-    indicator_observable,
     maximally_mixed,
     random_effect,
     random_povm,
@@ -34,7 +33,7 @@ from gmaxent import (
     validate_povm,
     State,
 )
-from helpers import hermitian_basis, random_density, random_projector_family, squarebit_model
+from helpers import hermitian_basis, indicator_observable, random_density, random_projector_family, squarebit_model
 
 MODELS = [Classical(3), Quantum(2), squarebit_model()]
 

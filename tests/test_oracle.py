@@ -11,7 +11,6 @@ from gmaxent import (
     SolveStatus,
     Unsupported,
     VonNeumann,
-    indicator_observable,
     meet,
     oracle_maxent,
     region_from_effect,
@@ -23,6 +22,7 @@ from gmaxent import (
 )
 
 from helpers import (
+    indicator_observable,
     random_classical_problem,
     random_quantum_problem,
     squarebit_measurements,

@@ -1,11 +1,15 @@
-"""LP core tests: revised two-phase simplex with Bland's rule."""
+"""LP core tests: revised two-phase simplex.
+
+Phase I prices by Bland's rule; Phase II by the most negative reduced cost,
+with Bland's rule after a degenerate pivot.
+"""
 
 import numpy as np
 import pytest
 
 from gmaxent import Classical, random_effect, random_state
 from gmaxent.regions import LinearConstraint, _weight_system
-from gmaxent.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, phase_one, solve_lp
+from gmaxent.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, feasible_basis, phase_one, solve_lp
 
 from helpers import reference_phase_one, reference_solve_lp
 
@@ -48,11 +52,41 @@ def test_redundant_rows():
 
 
 def test_degenerate_vertex_terminates():
-    # Degenerate basic solutions: Bland's rule must still terminate.
+    # Degenerate basic solutions: pricing must still terminate.
     a = [[1, 1, 1, 0], [1, 0, 0, 1]]
     b = [1.0, 1.0]
     result = solve_lp([0.0, -1.0, 0.0, 0.0], a, b)
     assert result.status == OPTIMAL
+
+
+def test_phase_two_enters_the_most_negative_reduced_cost():
+    # Phase I ends at the vertex e_0. Bland's rule would enter column 1 (the
+    # smallest improving index) and then column 2; Phase II enters column 2,
+    # whose reduced cost is the most negative, in one pivot.
+    basis = feasible_basis([[1.0, 1.0, 1.0]], [1.0])
+    np.testing.assert_array_equal(basis.x(), [1.0, 0.0, 0.0])
+    start = basis._pivots
+    result = basis.optimize([1.0, 2.0, 5.0], maximize=True)
+    np.testing.assert_array_equal(result.x, [0.0, 0.0, 1.0])
+    assert basis._pivots - start == 1
+
+
+def test_degenerate_fallback_terminates_on_beales_cycling_lp():
+    # Beale's (1955) LP, slack columns first: from the slack basis, pricing by
+    # the most negative reduced cost alone cycles through degenerate pivots.
+    # Phase II switches to Bland's rule after a degenerate pivot, so it ends
+    # at the optimum that HiGHS reports.
+    a = [[1, 0, 0, 0.25, -8, -1, 9], [0, 1, 0, 0.5, -12, -0.5, 3], [0, 0, 1, 0, 0, 1, 0]]
+    b = [0.0, 0.0, 1.0]
+    c = [0.0, 0.0, 0.0, -0.75, 20.0, -0.5, 6.0]
+    basis = feasible_basis(a, b)
+    np.testing.assert_array_equal(basis._basis, [0, 1, 2])
+    start = basis._pivots
+    result = basis.optimize(c)
+    assert result.status == OPTIMAL
+    assert result.value == pytest.approx(-1.25, abs=1e-12)
+    assert np.max(np.abs(np.asarray(a) @ result.x - b)) <= 1e-12
+    assert basis._pivots - start <= 10
 
 
 def test_phase_one_feasible():

@@ -25,7 +25,6 @@ from gmaxent import (
     VonNeumann,
     entropy,
     evaluate,
-    indicator_observable,
     maximally_mixed,
     meet,
     random_effect,
@@ -49,6 +48,7 @@ from gmaxent.solver import (
     _DualEvaluation,
     _QuantumEvaluation,
     _evaluator,
+    _objective_terms,
 )
 
 from helpers import (
@@ -56,6 +56,7 @@ from helpers import (
     fiducial_polytope_problem,
     frechet_exp_directional,
     highs_fw_gap,
+    indicator_observable,
     matrix_exp,
     random_classical_problem,
     random_hermitian,
@@ -503,12 +504,14 @@ class TestSolveDualClassical:
     def test_infeasible_needs_iterations_to_certify(self, max_iter, expected):
         # The certificate is computed only past multiplier_bound. For the
         # target 2 the dual falls linearly along the Newton direction, so the
-        # line search of iteration 0 doubles its step until lambda = -12288
-        # passes the bound; a cap of 0 stops before any step.
+        # line search of the first step doubles it until lambda = -12288
+        # passes the bound; a cap of 0 stops before any step. ``iterations``
+        # counts the steps taken, the one that passed the bound included.
         model = Classical(2)
         region = region_from_mean(indicator_observable(model, [0.0, 1.0]), 2.0)
         sol = solve_dual(MaxEntProblem(model, region, Shannon()), SolverConfig(max_iter=max_iter))
         assert sol.status == expected
+        assert sol.iterations == {0: 0, 1: 1, 3: 1}[max_iter]
 
     @pytest.mark.parametrize(
         "target,expected",
@@ -828,6 +831,27 @@ class TestSolvePolytope:
         problem = fiducial_polytope_problem(sphere_polytope(24, 4, rng), rng)
         self._assert_certified(problem, solve_polytope(problem), 500)
 
+    # Sphere instances with their Frank-Wolfe iteration counts as caps: the
+    # slow R^3 nv = 16 default_rng(9) case (default_rng(11), at 4547
+    # iterations, is too slow for the suite), R^4 nv = 24 seeds 0-5, and
+    # nv = 64 seeds 0-3 in R^3 and R^4: (nv, dim, seed, iterations).
+    @pytest.mark.parametrize(
+        "nv,dim,seed,iterations",
+        [(16, 3, 9, 612)]
+        + [(24, 4, s, n) for s, n in enumerate((14, 2, 191, 8, 2, 3))]
+        + [(64, 3, s, n) for s, n in enumerate((4, 3, 30, 132))]
+        + [(64, 4, s, n) for s, n in enumerate((174, 3, 93, 2))],
+    )
+    def test_baseline_sphere_instances_converge(self, nv, dim, seed, iterations):
+        pytest.importorskip("scipy")
+        rng = np.random.default_rng(seed)
+        problem = fiducial_polytope_problem(sphere_polytope(nv, dim, rng), rng)
+        sol = solve_polytope(problem)
+        assert sol.status == SolveStatus.CONVERGED
+        assert sol.iterations <= iterations
+        assert np.max(np.abs(sol.residuals)) <= 1e-8
+        assert highs_fw_gap(problem, np.asarray(sol.state.coords)) <= DEFAULT_SOLVER.fw_gap_tol
+
     def test_exact_line_search_on_a_segment(self):
         # A polygon cut by one condition is a segment: one step of an exact
         # line search reaches the optimum, and the next iteration certifies it.
@@ -899,6 +923,61 @@ class TestSolvePolytope:
             solve_dual(squarebit_problem())
         with pytest.raises(IncompatibleObjective):
             solve_polytope(MaxEntProblem(Quantum(2), whole_space(Quantum(2)), VonNeumann()))
+
+
+class TestObjectiveTerms:
+    """The line function against the gradient route: slope(t) = grad(x + t d) . d."""
+
+    @staticmethod
+    def _assert_line_matches_gradient(problem, x, d, ts):
+        _, grad, line = _objective_terms(problem)
+        slope = line(x, d)
+        for t in ts:
+            assert slope(t) == pytest.approx(float(grad(x + t * d) @ d), rel=1e-12, abs=0.0), t
+
+    def test_shannon_line_on_a_classical_model(self):
+        model = Classical(6)
+        rng = np.random.default_rng(3)
+        x = random_state(model, rng).coords
+        d = np.eye(6)[2] - x  # toward a vertex: at t = 1 five probabilities are 0
+        problem = MaxEntProblem(model, whole_space(model), Shannon())
+        assert np.sum(x + d <= 1e-300) == 5
+        self._assert_line_matches_gradient(problem, x, d, [0.0, 0.1, 0.37, 0.8, 0.999, 1.0])
+
+    def test_fiducial_line_on_a_sphere_polytope(self):
+        rng = np.random.default_rng(4)
+        model = sphere_polytope(16, 3, rng)
+        problem = fiducial_polytope_problem(model, rng)
+        rows = np.vstack([[o.effect.functional for o in m.outcomes] for m in problem.objective.measurements])
+        x = random_state(model, rng).coords
+        d = x - model.vertices[int(np.argmax(rows[0] @ model.vertices.T))]
+        # Past the first zero of an outcome probability both routes floor it
+        # at 1e-300; t_max lies beyond that zero.
+        rx, rd = rows @ x, rows @ d
+        falling = rd < 0.0
+        zero = float(np.min(-rx[falling] / rd[falling]))
+        t_max = 1.5 * zero
+        assert np.min(rows @ (x + t_max * d)) < 0.0
+        self._assert_line_matches_gradient(problem, x, d, np.linspace(0.0, t_max, 7))
+
+    def test_custom_objective_slopes_go_through_its_gradient(self):
+        model = squarebit_model()
+        calls = []
+
+        def gradient(coords):
+            calls.append(np.array(coords))
+            return np.array([0.0, 1.0, -2.0]) * coords
+
+        problem = MaxEntProblem(model, whole_space(model), CustomObjective(lambda c: 0.0, gradient))
+        value, grad, line = _objective_terms(problem)
+        assert value is problem.objective.value and grad is gradient
+        x, d = np.array([1.0, 0.2, 0.3]), np.array([0.0, 0.5, -0.25])
+        expected = float(gradient(x + 0.4 * d) @ d)
+        slope = line(x, d)
+        calls.clear()
+        assert slope(0.4) == expected
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0], x + 0.4 * d)
 
 
 class TestEntropy:
