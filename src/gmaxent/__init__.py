@@ -44,7 +44,6 @@ from .models import (
     random_povm,
     random_state,
     spectral_observable,
-    unit_effect,
     validate_povm,
 )
 from .oracle import OracleResult, oracle_maxent
@@ -71,7 +70,6 @@ from .solver import (
     SolveStatus,
     VonNeumann,
     default_objective,
-    entropy,
     solve,
     solve_dual,
     solve_polytope,

@@ -159,8 +159,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_lattice(args) -> int:
-    region_a = load_region(args.path_a).region
-    region_b = load_region(args.path_b).region
+    region_a = load_region(args.path_a)
+    region_b = load_region(args.path_b)
     if args.op == "leq":
         result = includes(region_b, region_a)
         _emit(dumps_17g({"result": bool(result)}), args.output)
@@ -168,7 +168,7 @@ def cmd_lattice(args) -> int:
     if args.op == "meet":
         result_region = meet(region_a, region_b)
         before = len(region_a.h_rep) + len(region_b.h_rep)
-        dedup = max(0, before - len(result_region.h_rep)) if (region_a.h_rep or region_b.h_rep) else 0
+        dedup = max(0, before - len(result_region.h_rep))
         _emit(dumps_17g(region_report(result_region, deduplicated=dedup)), args.output)
         return EXIT_OK
     result_region = join(region_a, region_b)

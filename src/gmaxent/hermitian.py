@@ -53,21 +53,6 @@ class HermitianMatrix:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    def trace(self) -> float:
-        return float(np.trace(self.entries).real)
-
-    @staticmethod
-    def zero(dim: int) -> "HermitianMatrix":
-        return HermitianMatrix(np.zeros((dim, dim), dtype=complex))
-
-    @staticmethod
-    def identity(dim: int) -> "HermitianMatrix":
-        return HermitianMatrix(np.eye(dim, dtype=complex))
-
-    @staticmethod
-    def diagonal(values) -> "HermitianMatrix":
-        return HermitianMatrix(np.diag(np.asarray(values, dtype=float)).astype(complex))
-
 
 def _divided_difference(k: np.ndarray) -> np.ndarray:
     """phi(x, y) = (e^x - e^y)/(x - y), with phi(x, x) = e^x.

@@ -35,7 +35,7 @@ vertex coordinates, and a polytope state vector is its bare point in R^k.
 
 Region files replace "conditions" with a "region" section holding
 "constraints" (observable/effect references or literal functionals) and
-optional "generators".
+optional "generators"; an empty "generators" list is the empty region.
 """
 
 from __future__ import annotations
@@ -382,21 +382,20 @@ def build_objective(parsed: ParsedProblem) -> Objective:
     return FiducialMeasurementEntropy(measurements)
 
 
-def _solver_settings(raw: dict) -> dict:
+def _solver_settings(raw: dict, names=("solver tolerance", "solver max_iter")) -> dict:
+    """SolverConfig fields set by the "tolerance" and "max_iter" entries of raw, checked under names."""
     settings = {}
     if "tolerance" in raw:
-        settings["grad_tol"] = settings["fw_gap_tol"] = positive_finite(raw["tolerance"], "solver tolerance")
+        settings["grad_tol"] = settings["fw_gap_tol"] = positive_finite(raw["tolerance"], names[0])
     if "max_iter" in raw:
-        settings["max_iter"] = settings["fw_max_iter"] = _integer(raw["max_iter"], "solver max_iter", 0)
+        settings["max_iter"] = settings["fw_max_iter"] = _integer(raw["max_iter"], names[1], 0)
     return settings
 
 
 def solver_config_from(parsed: ParsedProblem, tolerance=None, max_iter=None) -> SolverConfig:
-    changes = dict(parsed.solver_settings)
-    if tolerance is not None:
-        changes["grad_tol"] = changes["fw_gap_tol"] = positive_finite(tolerance, "--tolerance")
-    if max_iter is not None:
-        changes["max_iter"] = changes["fw_max_iter"] = _integer(max_iter, "--max-iter", 0)
+    """The file's solver settings, overridden by the --tolerance and --max-iter values that are given."""
+    flags = {key: v for key, v in (("tolerance", tolerance), ("max_iter", max_iter)) if v is not None}
+    changes = parsed.solver_settings | _solver_settings(flags, ("--tolerance", "--max-iter"))
     return dataclasses.replace(DEFAULT_SOLVER, **changes) if changes else DEFAULT_SOLVER
 
 
@@ -405,14 +404,7 @@ def solver_config_from(parsed: ParsedProblem, tolerance=None, max_iter=None) -> 
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ParsedRegion:
-    model: ModelSpace
-    region: ConvexRegion
-    raw: dict
-
-
-def parse_region(raw: dict) -> ParsedRegion:
+def parse_region(raw: dict) -> ConvexRegion:
     parsed = parse_problem({k: v for k, v in raw.items() if k != "region"} | {"conditions": []})
     model = parsed.model
     section = _section(raw, "region", dict)
@@ -432,11 +424,10 @@ def parse_region(raw: dict) -> ParsedRegion:
             State(model, _parse_state_coords(model, entry, f"region generator {i}"))
             for i, entry in enumerate(_of_type(section["generators"], list, "region generators"))
         )
-    region = ConvexRegion(model, tuple(constraints), generators)
-    return ParsedRegion(model, region, raw)
+    return ConvexRegion(model, tuple(constraints), generators)
 
 
-def load_region(path) -> ParsedRegion:
+def load_region(path) -> ConvexRegion:
     return parse_region(_load_json(path))
 
 

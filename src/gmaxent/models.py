@@ -199,7 +199,7 @@ class Polytope(ModelSpace):
 
     def __init__(self, vertices):
         pts = np.atleast_2d(np.asarray(vertices, dtype=float))
-        if pts.shape[0] < 1:
+        if pts.size == 0:
             raise ValueError("at least one vertex required")
         emb = np.hstack([np.ones((pts.shape[0], 1)), pts])
         emb.setflags(write=False)
@@ -262,11 +262,6 @@ class State:
             raise ModelMismatch("density_matrix is defined for quantum states only")
         return self.model.coords_to_matrix(self.coords)
 
-    def probabilities(self) -> np.ndarray:
-        if self.model.kind != CLASSICAL:
-            raise ModelMismatch("probabilities is defined for classical states only")
-        return self.coords
-
     def point(self) -> np.ndarray:
         if self.model.kind != POLYTOPE:
             raise ModelMismatch("point is defined for polytope states only")
@@ -323,18 +318,9 @@ class Effect:
         values = m.vertices @ self.functional
         return float(np.min(values)), float(np.max(values))
 
-    def matrix(self) -> HermitianMatrix:
-        if self.model.kind != QUANTUM:
-            raise ModelMismatch("matrix form is defined for quantum effects only")
-        return self.model.coords_to_matrix(self.functional)
-
 
 def effect_from_matrix(model: Quantum, matrix, check: bool = True) -> Effect:
     return Effect(model, model.matrix_to_coords(matrix), check=check)
-
-
-def unit_effect(model: ModelSpace) -> Effect:
-    return Effect(model, model.unit_functional)
 
 
 @dataclass(frozen=True)

@@ -73,25 +73,9 @@ def _null_space(a: np.ndarray, nvar: int) -> np.ndarray:
     return vt[rank:].T
 
 
-class _GridSearch:
-    """Per-model pieces: affine system, chunk ranking, final entropy."""
-
-    rows: list
-    rhs: list
-    nvar: int
-
-    def chunk_scores(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(feasibility mask, ranking values on the masked points)."""
-        raise NotImplementedError
-
-    def entropy_at(self, point: np.ndarray) -> float:
-        raise NotImplementedError
-
-    def to_state(self, point: np.ndarray) -> State:
-        raise NotImplementedError
-
-
-class _ClassicalSearch(_GridSearch):
+# Each search holds the affine system (rows, rhs over nvar unknowns) and maps a
+# chunk of points to (feasibility mask, ranking values on the masked points).
+class _ClassicalSearch:
     def __init__(self, model, region, resolution):
         self.model = model
         self.resolution = resolution
@@ -114,7 +98,7 @@ class _ClassicalSearch(_GridSearch):
         return State(self.model, q / q.sum())
 
 
-class _QubitSearch(_GridSearch):
+class _QubitSearch:
     def __init__(self, model, region, resolution):
         self.model = model
         self.resolution = resolution
@@ -150,7 +134,7 @@ class _QubitSearch(_GridSearch):
         return State(self.model, self.model.matrix_to_coords(rho))
 
 
-class _PolytopeSearch(_GridSearch):
+class _PolytopeSearch:
     def __init__(self, model, region, resolution, objective):
         self.model = model
         self.resolution = resolution
@@ -215,7 +199,7 @@ def oracle_maxent(problem: MaxEntProblem, resolution: float) -> OracleResult:
             raise Unsupported(f"classical oracle capped at d = {_CLASSICAL_MAX_DIM}")
         if not isinstance(problem.objective, Shannon):
             raise Unsupported("classical oracle evaluates Shannon entropy")
-        search: _GridSearch = _ClassicalSearch(model, region, resolution)
+        search = _ClassicalSearch(model, region, resolution)
     elif model.kind == QUANTUM:
         if model.dim != _QUANTUM_MAX_DIM:
             raise Unsupported(f"quantum oracle capped at d = {_QUANTUM_MAX_DIM}")

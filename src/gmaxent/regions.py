@@ -71,7 +71,7 @@ class ConvexRegion:
     ``h_rep`` lists affine equality constraints; ``v_rep``, when present, is a
     finite generator list whose hull is the region. When both are present the
     generators must satisfy the constraints. ``known_empty`` marks regions
-    proven empty by cheap contradiction checks.
+    proven empty by cheap contradiction checks, and an empty generator list.
     """
 
     model: ModelSpace
@@ -86,6 +86,8 @@ class ConvexRegion:
                 raise ModelMismatch("constraint belongs to a different model")
         if self.v_rep is not None:
             object.__setattr__(self, "v_rep", tuple(self.v_rep))
+            if not self.v_rep:
+                object.__setattr__(self, "known_empty", True)
             for s in self.v_rep:
                 if s.model != self.model:
                     raise ModelMismatch("generator belongs to a different model")
@@ -108,7 +110,7 @@ def region_from_mean(obs: Observable, r: float) -> ConvexRegion:
     """States where the observable's mean value equals r.
 
     The stored form is (sum_i value_i * effect_i) . x = r; infeasible targets
-    are representable and detected later by feasibility().
+    are representable, and ``solve`` reports them INFEASIBLE with a certificate.
     """
     if not obs.has_values():
         raise NoValues("mean-value region needs outcome values")
@@ -256,9 +258,10 @@ def includes(outer: ConvexRegion, inner: ConvexRegion) -> bool:
         raise ModelMismatch("regions live on different models")
     if outer.is_whole_space():
         return True
-    if inner.is_whole_space() and outer.v_rep is None and not outer.known_empty:
-        # The full state space fits under an H-rep only if every cut is trivial.
-        return all(_constraint_is_trivial(c) for c in outer.h_rep)
+    if inner.is_whole_space() and (outer.v_rep is None or outer.known_empty):
+        # The full state space fits under an H-rep only if every cut is
+        # trivial, and never in an empty region.
+        return not outer.known_empty and all(_constraint_is_trivial(c) for c in outer.h_rep)
     gens = _generators(inner)
     if not gens:
         return True
@@ -290,11 +293,15 @@ def _weight_system(model: ModelSpace, constraints) -> tuple[np.ndarray, np.ndarr
     the mixture. Classical extreme states are the unit vectors, so there the
     weights are the coordinates and the rows are the functionals themselves.
     """
-    funcs = np.array([c.functional for c in constraints]).reshape(len(constraints), model.ambient_dim)
-    rows = _weight_rows(model, funcs)
+    rows = _weight_rows(model, _functional_matrix(model, constraints))
     a = np.vstack([np.ones(rows.shape[1]), rows])
     b = np.array([1.0] + [c.target for c in constraints])
     return a, b
+
+
+def _functional_matrix(model: ModelSpace, constraints) -> np.ndarray:
+    """The constraints' functionals as the rows of one (m, ambient_dim) array."""
+    return np.array([c.functional for c in constraints]).reshape(len(constraints), model.ambient_dim)
 
 
 def _weight_rows(model: ModelSpace, funcs: np.ndarray) -> np.ndarray:
@@ -318,9 +325,7 @@ def feasibility(c: ConvexRegion) -> FeasibilityResult:
     if c.known_empty:
         return FeasibilityResult(FeasibilityStatus.INFEASIBLE)
     if c.v_rep is not None:
-        if c.v_rep:
-            return FeasibilityResult(FeasibilityStatus.FEASIBLE, c.v_rep[0])
-        return FeasibilityResult(FeasibilityStatus.INFEASIBLE)
+        return FeasibilityResult(FeasibilityStatus.FEASIBLE, c.v_rep[0])
     if not c.h_rep:
         return FeasibilityResult(FeasibilityStatus.FEASIBLE, maximally_mixed(c.model))
     if c.model.kind in (CLASSICAL, POLYTOPE):

@@ -48,7 +48,7 @@ from .models import (
     Observable,
     State,
 )
-from .regions import ConvexRegion, LinearConstraint, _weight_rows, _weight_system, _weights_to_coords
+from .regions import ConvexRegion, LinearConstraint, _functional_matrix, _weight_rows, _weight_system, _weights_to_coords
 from .simplex import OPTIMAL, feasible_basis
 
 log = logging.getLogger("gmaxent")
@@ -141,24 +141,6 @@ class MaxEntSolution:
     diagnostics: SolveDiagnostics = field(default_factory=SolveDiagnostics, compare=False)
 
 
-def entropy(objective: Objective, state: State) -> float:
-    """Evaluate the entropy objective on a state."""
-    if isinstance(objective, Shannon):
-        return entropy_from_spectrum(state.coords)
-    if isinstance(objective, VonNeumann):
-        return entropy_from_spectrum(np.linalg.eigvalsh(state.density_matrix().entries))
-    if isinstance(objective, FiducialMeasurementEntropy):
-        if any(m.model != state.model for m in objective.measurements):
-            raise ModelMismatch("fiducial measurement and state live on different models")
-        return entropy_from_spectrum(_outcome_rows(objective.measurements) @ state.coords)
-    return float(objective.value(state.coords))
-
-
-def _outcome_rows(measurements: Sequence[Observable]) -> np.ndarray:
-    """Every outcome functional of the measurements as rows: one product gives every outcome probability."""
-    return np.array([out.effect.functional for m in measurements for out in m.outcomes])
-
-
 def default_objective(model: ModelSpace) -> Objective:
     if model.kind == CLASSICAL:
         return Shannon()
@@ -170,12 +152,6 @@ def default_objective(model: ModelSpace) -> Objective:
 # ---------------------------------------------------------------------------
 # Exponential-family machinery
 # ---------------------------------------------------------------------------
-
-
-def _functional_matrix(model: ModelSpace, constraints: Sequence[LinearConstraint]) -> np.ndarray:
-    if not constraints:
-        return np.zeros((0, model.ambient_dim))
-    return np.stack([c.functional for c in constraints])
 
 
 class _DualEvaluation:
@@ -487,7 +463,7 @@ def _objective_terms(problem: MaxEntProblem):
     if isinstance(obj, Shannon):
         rows = None
     elif isinstance(obj, FiducialMeasurementEntropy):
-        rows = _outcome_rows(obj.measurements)
+        rows = np.array([out.effect.functional for m in obj.measurements for out in m.outcomes])
     else:
         raise IncompatibleObjective("solve_polytope needs a gradient-equipped objective")
 
@@ -568,8 +544,6 @@ def solve_polytope(problem: MaxEntProblem, config: SolverConfig = DEFAULT_SOLVER
     """
     if problem.model.kind not in (CLASSICAL, POLYTOPE):
         raise IncompatibleObjective("solve_polytope handles classical and polytope models")
-    if isinstance(problem.objective, VonNeumann):
-        raise IncompatibleObjective("von Neumann entropy does not apply here")
     region = problem.region
     diag = SolveDiagnostics()
     if region.known_empty:

@@ -117,13 +117,14 @@ class TestValidate:
                 "model": {"kind": "polytope", "vertices": [["1", 1], [1, -1], [-1, 1], [-1, -1]]},
                 "observables": {"X": {"outcomes": [{"vector": [0.5, 0.5, 0]}, {"vector": [0.5, -0.5, 0]}]}},
             },
+            {"model": {"kind": "polytope", "vertices": []}},
         ],
         ids=["state-dimension", "vector-entry", "target", "dimension-zero",
              "observables-array", "condition-number", "max-iter-text", "outcomes-number", "measurements-number",
              "max-iter-negative", "tolerance-negative", "target-nan", "target-infinity", "target-minus-infinity",
              "target-overflow", "matrix-nan", "dimension-float", "dimension-bool", "dimension-string",
              "max-iter-float", "max-iter-bool", "max-iter-string", "target-string", "tolerance-string",
-             "vector-bool", "value-bool", "matrix-string", "vertices-string"],
+             "vector-bool", "value-bool", "matrix-string", "vertices-string", "vertices-empty"],
     )
     def test_malformed_file_is_a_schema_error(self, tmp_path, capsys, command, raw):
         bad = tmp_path / "bad.json"
@@ -272,6 +273,25 @@ class TestLattice:
         code, out = run(capsys, "lattice", "meet", str(bad), str(bad))
         assert code == 2
         assert out == ""
+
+    @pytest.mark.parametrize("kind", ["classical", "quantum"])
+    def test_empty_generator_list_is_the_empty_region(self, tmp_path, capsys, kind):
+        empty = tmp_path / "empty.json"
+        empty.write_text(json.dumps({
+            "model": {"kind": kind, "dimension": 3 if kind == "classical" else 2},
+            "region": {"constraints": [], "generators": []},
+        }))
+        whole = f"problems/region_{'classical3_whole' if kind == 'classical' else 'whole_quantum'}.json"
+        for op, other in (("meet", whole), ("join", str(empty))):
+            code, out = run(capsys, "lattice", op, str(empty), other)
+            assert code == 0
+            report = json.loads(out)
+            assert report["known_empty"] is True
+            assert report["constraints"] == []
+        code, out = run(capsys, "lattice", "leq", whole, str(empty))
+        assert (code, json.loads(out)) == (0, {"result": False})
+        code, out = run(capsys, "lattice", "leq", str(empty), whole)
+        assert (code, json.loads(out)) == (0, {"result": True})
 
     def test_join_then_meet_classical(self, capsys):
         code, out = run(capsys, "lattice", "meet", "problems/region_classical3_pair.json", "problems/region_classical3_plane.json")

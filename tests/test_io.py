@@ -16,10 +16,13 @@ from gmaxent.io import (
     load_problem,
     load_region,
     model_to_jsonable,
+    parse_model,
     parse_problem,
     solution_report,
     solver_config_from,
 )
+
+from helpers import region_eq
 
 PROBLEM_FILES = [p for p in sorted(glob.glob("problems/*.json")) if "region_" not in p]
 REGION_FILES = [p for p in sorted(glob.glob("problems/region_*.json"))]
@@ -145,10 +148,23 @@ class TestProblemRoundTrip:
 
     @pytest.mark.parametrize("path", REGION_FILES)
     def test_shipped_region_files_round_trip(self, path):
+        with open(path, encoding="utf-8") as fh:
+            section = json.load(fh)["region"]
         first = load_region(path)
         second = load_region(path)
-        assert first.raw == second.raw
-        assert len(first.region.h_rep) == len(second.region.h_rep)
+        # One constraint per entry of "constraints", one generator per entry of "generators".
+        assert len(first.h_rep) == len(section.get("constraints", []))
+        if "generators" in section:
+            assert len(first.v_rep) == len(section["generators"])
+        else:
+            assert first.v_rep is None
+        if first.model.kind == "quantum" and first.h_rep and first.v_rep is None:
+            # Inclusion of quantum regions without generators is unsupported; compare the constraints.
+            for a, b in zip(first.h_rep, second.h_rep, strict=True):
+                np.testing.assert_array_equal(a.functional, b.functional)
+                assert a.target == b.target
+        else:
+            assert region_eq(first, second)
 
 
 class TestSchemaErrors:
@@ -159,6 +175,13 @@ class TestSchemaErrors:
     def test_missing_model(self):
         with pytest.raises(SchemaError):
             parse_problem({})
+
+    @pytest.mark.parametrize("vertices", [[], [[]]])
+    def test_polytope_without_vertices(self, vertices):
+        with pytest.raises(ValueError, match="at least one vertex"):
+            Polytope(vertices)
+        with pytest.raises(SchemaError, match="at least one vertex"):
+            parse_model({"kind": "polytope", "vertices": vertices})
 
     def test_condition_references_unknown_observable(self):
         raw = {

@@ -29,7 +29,6 @@ from gmaxent import (
     random_state,
     region_from_mean,
     spectral_observable,
-    unit_effect,
     validate_povm,
     State,
 )
@@ -377,7 +376,7 @@ class TestSpectralMixture:
         obs = spectral_observable(Quantum(2), np.diag([0.7, 0.3]).astype(complex))
         np.testing.assert_allclose(obs.values(), [0.3, 0.7], atol=1e-12)
         for out in obs.outcomes:
-            p = out.effect.matrix().entries
+            p = obs.model.coords_to_matrix(out.effect.functional).entries
             assert np.trace(p).real == pytest.approx(1.0, abs=1e-12)
             assert np.max(np.abs(p @ p - p)) <= 1e-12
 
@@ -389,7 +388,7 @@ class TestSpectralMixture:
             rho = s.density_matrix().entries
             obs = spectral_observable(model, rho)
             assert abs(np.sum(obs.values()) - 1.0) <= 1e-10
-            recon = np.sum([out.value * out.effect.matrix().entries for out in obs.outcomes], axis=0)
+            recon = np.sum([out.value * model.coords_to_matrix(out.effect.functional).entries for out in obs.outcomes], axis=0)
             assert np.max(np.abs(recon - rho)) <= 1e-9
 
     def test_rank_one_single_term(self):
@@ -413,18 +412,18 @@ class TestSpectralMixture:
 class TestStateAxioms:
     def test_zero_projection(self):
         model = Quantum(2)
-        report = check_state_axioms(maximally_mixed(model), [HermitianMatrix.zero(2)])
+        report = check_state_axioms(maximally_mixed(model), [HermitianMatrix(np.zeros((2, 2)))])
         assert report.zero_residual <= 1e-15
 
     def test_projector_and_complement(self):
         model = Quantum(2)
-        report = check_state_axioms(maximally_mixed(model), [HermitianMatrix.diagonal([1.0, 0.0])])
+        report = check_state_axioms(maximally_mixed(model), [HermitianMatrix(np.diag([1.0, 0.0]))])
         assert report.passed
 
     def test_additivity(self):
         model = Quantum(3)
         s = State(model, model.matrix_to_coords(np.diag([0.2, 0.3, 0.5]).astype(complex)))
-        family = [HermitianMatrix.diagonal([1.0, 0.0, 0.0]), HermitianMatrix.diagonal([0.0, 1.0, 0.0])]
+        family = [HermitianMatrix(np.diag([1.0, 0.0, 0.0])), HermitianMatrix(np.diag([0.0, 1.0, 0.0]))]
         report = check_state_axioms(s, family)
         assert report.passed
         rho = s.density_matrix().entries
@@ -433,10 +432,10 @@ class TestStateAxioms:
 
     def test_not_a_projection(self):
         with pytest.raises(NotAProjection):
-            check_state_axioms(maximally_mixed(Quantum(2)), [HermitianMatrix.diagonal([0.5, 0.0])])
+            check_state_axioms(maximally_mixed(Quantum(2)), [HermitianMatrix(np.diag([0.5, 0.0]))])
 
     def test_not_orthogonal(self):
-        family = [HermitianMatrix.diagonal([1.0, 0.0]), HermitianMatrix(0.5 * np.ones((2, 2)))]
+        family = [HermitianMatrix(np.diag([1.0, 0.0])), HermitianMatrix(0.5 * np.ones((2, 2)))]
         with pytest.raises(NotOrthogonal):
             check_state_axioms(maximally_mixed(Quantum(2)), family)
 
@@ -445,4 +444,4 @@ def test_unit_effect_evaluates_to_one():
     for model in MODELS:
         rng = np.random.default_rng(43)
         s = random_state(model, rng)
-        assert evaluate(unit_effect(model), s) == pytest.approx(1.0, abs=1e-10)
+        assert evaluate(Effect(model, model.unit_functional), s) == pytest.approx(1.0, abs=1e-10)

@@ -14,11 +14,14 @@ from gmaxent import (
     Effect,
     FeasibilityStatus,
     InvalidTarget,
+    MaxEntProblem,
     ModelMismatch,
     Quantum,
+    SolveStatus,
     State,
     Unsupported,
     UnsupportedRepresentation,
+    default_objective,
     effect_from_matrix,
     enumerate_vertices,
     evaluate,
@@ -31,8 +34,8 @@ from gmaxent import (
     random_state,
     region_from_effect,
     region_from_mean,
+    solve,
     spectral_observable,
-    unit_effect,
     whole_space,
 )
 from gmaxent.regions import _SCREEN_BLOCK, LinearConstraint, _dedup_constraints
@@ -104,7 +107,7 @@ class TestRegionBuilders:
     def test_effect_region_membership_matches_evaluate(self):
         model = Classical(3)
         rng = np.random.default_rng(19)
-        e = unit_effect(model)
+        e = Effect(model, model.unit_functional)
         for _ in range(10):
             eff = random_effect(model, rng)
             lam = float(rng.uniform(0.2, 0.8))
@@ -116,19 +119,19 @@ class TestRegionBuilders:
 
     def test_unit_effect_full_target(self):
         model = Quantum(2)
-        region = region_from_effect(unit_effect(model), 1.0)
+        region = region_from_effect(Effect(model, model.unit_functional), 1.0)
         rng = np.random.default_rng(7)
         for _ in range(20):
             assert in_region(region, random_state(model, rng))
 
     def test_unit_effect_half_target_infeasible(self):
         for model in (Classical(3), Quantum(2)):
-            region = region_from_effect(unit_effect(model), 0.5)
+            region = region_from_effect(Effect(model, model.unit_functional), 0.5)
             assert feasibility(region).status == FeasibilityStatus.INFEASIBLE
 
     def test_invalid_target(self):
         with pytest.raises(InvalidTarget):
-            region_from_effect(unit_effect(Classical(2)), 1.5)
+            region_from_effect(Effect(Classical(2), np.ones(2)), 1.5)
 
 
 class TestMeet:
@@ -171,6 +174,18 @@ class TestMeet:
     def test_model_mismatch(self):
         with pytest.raises(ModelMismatch):
             meet(whole_space(Classical(2)), whole_space(Classical(3)))
+
+    @pytest.mark.parametrize("model", [Classical(3), Quantum(2)])
+    def test_empty_generator_list_is_the_empty_region(self, model):
+        empty = ConvexRegion(model, v_rep=())
+        assert empty.known_empty and not empty.is_whole_space()
+        for other in (whole_space(model), region_from_effect(Effect(model, 0.5 * model.unit_functional), 0.5)):
+            for merged in (meet(empty, other), meet(other, empty)):
+                assert merged.known_empty
+                assert [c.target for c in merged.h_rep] == [c.target for c in other.h_rep]
+        solution = solve(MaxEntProblem(model, empty, default_objective(model)))
+        assert solution.status == SolveStatus.INFEASIBLE
+        assert solution.state is None
 
 
 def unsampled_coordinates(model):
@@ -347,9 +362,17 @@ class TestIncludes:
         point = ConvexRegion(model, (), (State(model, np.array([0.5, 0.0, 0.5])),))
         assert includes(plane, point)
 
+    @pytest.mark.parametrize("model", [Classical(3), Quantum(2)])
+    def test_empty_region_excludes_the_whole_space(self, model):
+        # No generators of the whole space are needed, so a quantum model answers too.
+        for empty in (ConvexRegion(model, v_rep=()), ConvexRegion(model, known_empty=True)):
+            assert not includes(empty, whole_space(model))
+            assert includes(whole_space(model), empty)
+            assert includes(empty, empty)
+
     def test_unit_effect_region_equals_whole_space(self):
         model = Quantum(2)
-        trivial = region_from_effect(unit_effect(model), 1.0)
+        trivial = region_from_effect(Effect(model, model.unit_functional), 1.0)
         assert region_eq(trivial, whole_space(model))
         nontrivial = region_from_mean(spectral_observable(model, SZ), 0.0)
         assert not includes(nontrivial, whole_space(model))
