@@ -300,7 +300,6 @@ class ParsedProblem:
     conditions: list[ParsedCondition]
     objective_raw: Optional[dict]
     solver_settings: dict  # SolverConfig fields set by the "solver" section
-    raw: dict
 
 
 def parse_problem(raw: dict) -> ParsedProblem:
@@ -336,7 +335,7 @@ def parse_problem(raw: dict) -> ParsedProblem:
                 if not isinstance(m, str) or m not in observables:
                     raise SchemaError(f"objective: unknown measurement '{m}'")
     solver_settings = _solver_settings(_section(raw, "solver", dict))
-    return ParsedProblem(model, observables, state_coords, conditions, objective_raw, solver_settings, raw)
+    return ParsedProblem(model, observables, state_coords, conditions, objective_raw, solver_settings)
 
 
 def _finite_float(text: str) -> float:

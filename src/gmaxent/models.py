@@ -190,7 +190,8 @@ class Quantum(ModelSpace):
 class Polytope(ModelSpace):
     """Convex hull of finitely many points, homogeneously embedded.
 
-    The constructor takes points in R^k; ``vertices`` is a read-only copy of
+    The constructor takes a list of points in R^k, one per row (a flat list
+    is rejected, not read as one point); ``vertices`` is a read-only copy of
     them embedded in R^(k+1), where states live, with a leading coordinate
     pinned to 1 by the unit functional.
     """
@@ -198,9 +199,11 @@ class Polytope(ModelSpace):
     kind = POLYTOPE
 
     def __init__(self, vertices):
-        pts = np.atleast_2d(np.asarray(vertices, dtype=float))
+        pts = np.asarray(vertices, dtype=float)
         if pts.size == 0:
             raise ValueError("at least one vertex required")
+        if pts.ndim != 2:
+            raise ValueError(f"vertices must be a list of points, got a {pts.ndim}-D array")
         emb = np.hstack([np.ones((pts.shape[0], 1)), pts])
         emb.setflags(write=False)
         self.vertices = emb

@@ -16,7 +16,7 @@ only through caller-supplied generators.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
@@ -44,21 +44,28 @@ _ENUMERATION_CAP = 12         # constraint count + ambient dim limit
 
 @dataclass(frozen=True)
 class LinearConstraint:
-    """functional . x = target, to be intersected with the state space."""
+    """functional . x = target, to be intersected with the state space.
+
+    ``norm``, the functional's 2-norm, is taken once here (sqrt(f . f), bitwise
+    ``np.linalg.norm``); ``meet`` and the solver's rank filter read it.
+    """
 
     model: ModelSpace
     functional: np.ndarray
     target: float
+    norm: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         f = np.asarray(self.functional, dtype=float)
         if f.shape != (self.model.ambient_dim,):
             raise ValueError(f"expected {self.model.ambient_dim} components, got {f.shape}")
-        if np.max(np.abs(f)) == 0.0:
+        norm = float(np.sqrt(f @ f))
+        if norm == 0.0:
             raise DegenerateInput("constraint functional is the zero vector")
         f.setflags(write=False)
         object.__setattr__(self, "functional", f)
         object.__setattr__(self, "target", float(self.target))
+        object.__setattr__(self, "norm", norm)
 
     def residual(self, s: State) -> float:
         return abs(float(self.functional @ s.coords) - self.target)
@@ -160,8 +167,9 @@ def _dedup_constraints(constraints: tuple[LinearConstraint, ...]) -> tuple[tuple
     """Drop positive rescalings of kept constraints; flag target conflicts.
 
     A constraint duplicates the first kept one whose functional, both divided
-    by their 2-norms, lies within ``_DUPLICATE_RTOL`` in max-abs; the region
-    is empty when their normalized targets disagree. Pairs are screened on
+    by their stored 2-norms (``LinearConstraint.norm``), lies within
+    ``_DUPLICATE_RTOL`` in max-abs; the region is empty when their
+    normalized targets disagree. Pairs are screened on
     every max(1, n // 64)-th coordinate first. The sampled entries are
     bitwise the quotients the full test compares, and a max over a subset is
     at most the max over all, so every duplicate passes the screen and the
@@ -170,7 +178,7 @@ def _dedup_constraints(constraints: tuple[LinearConstraint, ...]) -> tuple[tuple
     k = len(constraints)
     if k < 2:
         return tuple(constraints), False
-    norms = [float(np.linalg.norm(c.functional)) for c in constraints]
+    norms = [c.norm for c in constraints]
     stride = max(1, constraints[0].functional.size // 64)
     sample = np.array([c.functional[::stride] / norm for c, norm in zip(constraints, norms)])
     rows = max(1, _SCREEN_BLOCK // sample.size)  # bounds the broadcast's memory

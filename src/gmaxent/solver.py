@@ -48,7 +48,7 @@ from .models import (
     Observable,
     State,
 )
-from .regions import ConvexRegion, LinearConstraint, _functional_matrix, _weight_rows, _weight_system, _weights_to_coords
+from .regions import ConvexRegion, _functional_matrix, _weight_rows, _weight_system, _weights_to_coords
 from .simplex import OPTIMAL, feasible_basis
 
 log = logging.getLogger("gmaxent")
@@ -232,12 +232,15 @@ class _QuantumEvaluation(_DualEvaluation):
         return (scaled @ scaled.T) / self._z - np.outer(self.means, self.means)
 
 
-def _evaluator(model: ModelSpace, constraints: Sequence[LinearConstraint]) -> Callable[[np.ndarray], _DualEvaluation]:
-    """The dual as a function of the multipliers; the constraints are stacked or converted once, here."""
+def _evaluator(model: ModelSpace, funcs: np.ndarray) -> Callable[[np.ndarray], _DualEvaluation]:
+    """The dual as a function of the multipliers, for the functionals stacked as the rows of funcs.
+
+    Classical evaluations read funcs itself; quantum rows are converted to operators once, here.
+    """
     if model.kind == CLASSICAL:
-        return partial(_ClassicalEvaluation, _functional_matrix(model, constraints))
+        return partial(_ClassicalEvaluation, funcs)
     if model.kind == QUANTUM:
-        operators = np.array([model.coords_to_matrix(c.functional).entries for c in constraints], dtype=complex)
+        operators = np.array([model.coords_to_matrix(f).entries for f in funcs], dtype=complex)
         return partial(_QuantumEvaluation, model, operators.reshape(-1, model.dim, model.dim))
     raise Unsupported("partition functions are defined for classical and quantum models")
 
@@ -252,17 +255,19 @@ _CURVATURE_C = 0.25           # a unit step whose slope keeps more than this sha
 _MAX_BACKTRACKS = 60          # also the slope-trial cap of a Frank-Wolfe line search
 
 
-def _select_independent(funcs: np.ndarray, targets: np.ndarray, config: SolverConfig):
-    """Greedy rank filter; returns (kept indices, dropped, contradiction?)."""
+def _select_independent(funcs: np.ndarray, norms: Sequence[float], targets: np.ndarray, config: SolverConfig):
+    """Greedy rank filter over the rows of funcs, whose 2-norms are norms; returns (kept, dropped, contradiction?)."""
     kept: list[int] = []
     dropped: list[int] = []
     basis: list[np.ndarray] = []
-    for i, f in enumerate(funcs):
-        res = f.astype(float).copy()
+    for i, (f, norm) in enumerate(zip(funcs, norms)):
+        res = f.copy()
         for q in basis:
             res -= (res @ q) * q
-        if np.linalg.norm(res) > _RANK_PIVOT_TOL * max(1.0, np.linalg.norm(f)):
-            basis.append(res / np.linalg.norm(res))
+        res_norm = np.linalg.norm(res)
+        if res_norm > _RANK_PIVOT_TOL * max(1.0, norm):
+            res /= res_norm
+            basis.append(res)
             kept.append(i)
             continue
         coeff, *_ = np.linalg.lstsq(funcs[kept].T, f, rcond=None)
@@ -333,25 +338,23 @@ def solve_dual(problem: MaxEntProblem, config: SolverConfig = DEFAULT_SOLVER) ->
     if not region.h_rep and region.v_rep is not None:
         raise UnsupportedRepresentation("solve_dual needs an H-representation")
 
+    # A quantum solve holds an (m, d^2) functional stack and an (m, d, d)
+    # operator stack throughout. Its state coordinates are allocated before
+    # both, so that a caller keeping many solutions keeps them packed instead
+    # of each pinning a hole in the heap (kept Quantum(32) solutions: 9.0 KB
+    # of RSS each, 9.3 KB when allocated after the functional stack).
+    coords = np.empty(problem.model.ambient_dim) if problem.model.kind == QUANTUM else None
     constraints = region.h_rep
     targets = np.array([c.target for c in constraints])
     funcs = _functional_matrix(problem.model, constraints)
-    kept, dropped, contradiction = _select_independent(funcs, targets, config)
-    del funcs  # the evaluator stacks the kept constraints
+    kept, dropped, contradiction = _select_independent(funcs, [c.norm for c in constraints], targets, config)
     if contradiction:
         return _infeasible(diag)
     diag.kept_indices = tuple(kept)
     diag.dropped_indices = tuple(dropped)
-    active = [constraints[i] for i in kept]
     r = targets[kept]
-
-    # A quantum solve holds an (m, d, d) operator stack throughout. Its state
-    # coordinates are allocated before that stack, so that a caller keeping
-    # many solutions keeps them packed instead of each pinning a hole in the
-    # heap (kept Quantum(32) solutions: 9.9 KB of RSS each, 12.9 KB otherwise).
-    coords = np.empty(problem.model.ambient_dim) if problem.model.kind == QUANTUM else None
-    dual_at = _evaluator(problem.model, active)
-    lambdas = np.zeros(len(active))
+    dual_at = _evaluator(problem.model, funcs[kept] if dropped else funcs)
+    lambdas = np.zeros(len(kept))
     ev = dual_at(lambdas)
     status = SolveStatus.NON_CONVERGENCE
     iterations = 0

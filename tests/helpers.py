@@ -27,7 +27,7 @@ from gmaxent import (
 from gmaxent.hermitian import _LOG_ZERO_FLOOR, _divided_difference
 from gmaxent.regions import _CONSTRAINT_ATOL, _DUPLICATE_RTOL, LinearConstraint, _in_hull
 from gmaxent.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LpResult
-from gmaxent.solver import _ClassicalEvaluation
+from gmaxent.solver import _RANK_PIVOT_TOL, _ClassicalEvaluation
 
 
 def hermitian_basis(d):
@@ -437,3 +437,26 @@ def reference_dedup_constraints(constraints):
             kept.append(c)
             normalized.append((fn, tn))
     return tuple(kept), empty
+
+
+def reference_select_independent(funcs, targets, config):
+    """The greedy rank filter ``solver._select_independent`` must agree with:
+    Gram-Schmidt that norms every row and residual itself (the solver reads
+    the norms stored on the constraints). Returns (kept, dropped, contradiction?)."""
+    kept: list[int] = []
+    dropped: list[int] = []
+    basis: list[np.ndarray] = []
+    for i, f in enumerate(funcs):
+        res = f.astype(float).copy()
+        for q in basis:
+            res -= (res @ q) * q
+        if np.linalg.norm(res) > _RANK_PIVOT_TOL * max(1.0, np.linalg.norm(f)):
+            basis.append(res / np.linalg.norm(res))
+            kept.append(i)
+            continue
+        coeff, *_ = np.linalg.lstsq(funcs[kept].T, f, rcond=None)
+        implied = float(coeff @ targets[kept])
+        if abs(implied - targets[i]) > config.residual_tol * max(1.0, abs(targets[i])):
+            return kept, dropped, True
+        dropped.append(i)
+    return kept, dropped, False

@@ -31,7 +31,7 @@ from gmaxent import (
     whole_space,
 )
 from gmaxent.cli import main
-from gmaxent.regions import LinearConstraint
+from gmaxent.regions import LinearConstraint, _functional_matrix
 from gmaxent.solver import _evaluator
 
 from helpers import (
@@ -76,7 +76,7 @@ def test_criterion_1_gibbs_state_reproduction():
     assert np.max(np.abs(sol.state.density_matrix().entries - np.diag([0.7, 0.3]))) <= 1e-8
     assert abs(sol.multipliers[0] - GIBBS_LAMBDA) <= 1e-8
     assert abs(sol.lambda0 - np.log(10.0 / 7.0)) <= 1e-8
-    lnz = _evaluator(model, problem.region.h_rep)(sol.multipliers).lnz
+    lnz = _evaluator(model, _functional_matrix(model, problem.region.h_rep))(sol.multipliers).lnz
     assert abs(sol.lambda0 - lnz) <= 1e-8
     assert abs(sol.entropy - GIBBS_ENTROPY) <= 1e-8
     assert elapsed < 0.050, f"solve took {elapsed * 1e3:.1f} ms"
@@ -91,7 +91,7 @@ def test_criterion_2_dual_stationarity():
         assert sol.status == SolveStatus.CONVERGED
         kept = [problem.region.h_rep[i] for i in sol.diagnostics.kept_indices]
         targets = np.array([c.target for c in kept])
-        dual = _evaluator(problem.model, kept)
+        dual = _evaluator(problem.model, _functional_matrix(problem.model, kept))
         for i in range(len(kept)):
             delta = np.zeros(len(kept))
             delta[i] = eps

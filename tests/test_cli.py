@@ -118,13 +118,15 @@ class TestValidate:
                 "observables": {"X": {"outcomes": [{"vector": [0.5, 0.5, 0]}, {"vector": [0.5, -0.5, 0]}]}},
             },
             {"model": {"kind": "polytope", "vertices": []}},
+            {"model": {"kind": "polytope", "vertices": [1, -1]}},
         ],
         ids=["state-dimension", "vector-entry", "target", "dimension-zero",
              "observables-array", "condition-number", "max-iter-text", "outcomes-number", "measurements-number",
              "max-iter-negative", "tolerance-negative", "target-nan", "target-infinity", "target-minus-infinity",
              "target-overflow", "matrix-nan", "dimension-float", "dimension-bool", "dimension-string",
              "max-iter-float", "max-iter-bool", "max-iter-string", "target-string", "tolerance-string",
-             "vector-bool", "value-bool", "matrix-string", "vertices-string", "vertices-empty"],
+             "vector-bool", "value-bool", "matrix-string", "vertices-string", "vertices-empty",
+             "vertices-flat"],
     )
     def test_malformed_file_is_a_schema_error(self, tmp_path, capsys, command, raw):
         bad = tmp_path / "bad.json"

@@ -27,6 +27,11 @@ from helpers import region_eq
 PROBLEM_FILES = [p for p in sorted(glob.glob("problems/*.json")) if "region_" not in p]
 REGION_FILES = [p for p in sorted(glob.glob("problems/region_*.json"))]
 
+
+def load_json(path):
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh)
+
 TRICKY_FLOATS = [0.1, 1.0 / 3.0, 1e-17, 123456789.123456789, np.pi, 2.0 ** -1074, -0.3e-8, 1.0]
 
 GOLDEN_LAYOUT = """\
@@ -133,10 +138,10 @@ class TestDumps17g:
 class TestProblemRoundTrip:
     @pytest.mark.parametrize("path", PROBLEM_FILES)
     def test_shipped_files_round_trip(self, path):
-        first = load_problem(path)
-        text = dumps_17g(first.raw)
-        second = parse_problem(json.loads(text))
-        assert first.raw == second.raw
+        raw = load_json(path)
+        reread = json.loads(dumps_17g(raw))
+        assert reread == raw
+        first, second = parse_problem(raw), parse_problem(reread)
         assert list(first.observables) == list(second.observables)
         for name in first.observables:
             a, b = first.observables[name], second.observables[name]
@@ -281,15 +286,17 @@ class TestSolverSection:
         parsed = load_problem("problems/squarebit_x09.json")
         assert solver_config_from(parsed).fw_max_iter == 5000
         assert solver_config_from(parsed, max_iter=17).fw_max_iter == 17
-        parsed.raw["solver"] = {"max_iter": 9}
-        assert solver_config_from(parse_problem(parsed.raw)).fw_max_iter == 9
+        raw = load_json("problems/squarebit_x09.json")
+        raw["solver"] = {"max_iter": 9}
+        assert solver_config_from(parse_problem(raw)).fw_max_iter == 9
 
     def test_tolerance_sets_both_solvers(self):
         parsed = load_problem("problems/squarebit_x09.json")
         config = solver_config_from(parsed, tolerance=1e-3)
         assert config.grad_tol == config.fw_gap_tol == 1e-3
-        parsed.raw["solver"] = {"tolerance": 1e-3}
-        config = solver_config_from(parse_problem(parsed.raw))
+        raw = load_json("problems/squarebit_x09.json")
+        raw["solver"] = {"tolerance": 1e-3}
+        config = solver_config_from(parse_problem(raw))
         assert config.grad_tol == config.fw_gap_tol == 1e-3
 
     def test_polytope_objective_required_information(self):

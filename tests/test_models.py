@@ -106,6 +106,15 @@ class TestModelSpaces:
         # unit functional is 1 on every embedded vertex
         np.testing.assert_allclose(model.vertices @ model.unit_functional, np.ones(4))
 
+    @pytest.mark.parametrize(
+        "vertices", [[1.0, -1.0], 2.0, [[[1.0, 0.0]], [[0.0, 1.0]]]], ids=["flat", "scalar", "3-D"]
+    )
+    def test_polytope_needs_a_list_of_points(self, vertices):
+        # A flat list is neither read as one point in R^2 nor as two in R^1.
+        with pytest.raises(ValueError, match="list of points"):
+            Polytope(vertices)
+        assert Polytope([[1.0], [-1.0]]).vertices.tolist() == [[1.0, 1.0], [1.0, -1.0]]
+
     def test_unit_strictly_positive_on_generators(self):
         # cone generators: basis points / pure states / vertices
         c = Classical(3)

@@ -16,6 +16,8 @@ from gmaxent import (
     InvalidTarget,
     MaxEntProblem,
     ModelMismatch,
+    Observable,
+    Outcome,
     Quantum,
     SolveStatus,
     State,
@@ -38,6 +40,7 @@ from gmaxent import (
     spectral_observable,
     whole_space,
 )
+from gmaxent.io import ParsedCondition, ParsedProblem, build_region
 from gmaxent.regions import _SCREEN_BLOCK, LinearConstraint, _dedup_constraints
 
 from helpers import (
@@ -62,6 +65,16 @@ class TestConstraints:
     def test_zero_functional_rejected(self):
         with pytest.raises(DegenerateInput):
             LinearConstraint(Classical(2), np.zeros(2), 0.5)
+
+    @pytest.mark.parametrize("kind", ["classical", "quantum", "polytope"])
+    def test_stored_norm_is_the_2_norm(self, kind):
+        rng = np.random.default_rng(23)
+        model = {"classical": Classical(10_000), "quantum": Quantum(8)}.get(kind) or sphere_polytope(16, 3, rng)
+        for scale in (1e-150, 1e-3, 1.0, 1e150):
+            c = LinearConstraint(model, scale * rng.standard_normal(model.ambient_dim), 0.5)
+            assert c.norm == np.linalg.norm(c.functional)
+        with pytest.raises(DegenerateInput):
+            LinearConstraint(model, np.zeros(model.ambient_dim), 0.5)
 
     def test_vrep_must_satisfy_hrep(self):
         model = Classical(2)
@@ -309,6 +322,34 @@ class TestDuplicateScreen:
         merged = meet(regions[0], ConvexRegion(model, repeats))
         assert [id(c) for c in merged.h_rep] == [id(c) for c in originals]
         assert merged.known_empty == conflict
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("kind", ["classical", "quantum", "polytope"])
+    def test_build_region_chain_matches_reference(self, kind, seed):
+        # io.build_region meets one condition at a time, as a problem file lists them.
+        rng = np.random.default_rng(53 + seed)
+        model = {"classical": Classical(10_000), "quantum": Quantum(32)}.get(kind) or sphere_polytope(8, 3, rng)
+        constraints = duplicate_family(model, rng)
+        observables = {
+            f"c{i}": Observable(model, (Outcome("x", Effect(model, c.functional, check=False), 1.0),), check=False)
+            for i, c in enumerate(constraints)
+        }
+
+        def chain(n):
+            conditions = [ParsedCondition(f"c{i}", None, "mean", c.target) for i, c in enumerate(constraints[:n])]
+            return build_region(ParsedProblem(model, observables, {}, conditions, None, {}))
+
+        assert chain(len(constraints)).known_empty == reference_dedup_constraints(constraints)[1]
+        # Once a meet is empty it keeps every later constraint unscreened, so
+        # the kept constraints are compared on the longest prefix that is not.
+        n = len(constraints)
+        while reference_dedup_constraints(constraints[:n])[1]:
+            n -= 1
+        region = chain(n)
+        assert not region.known_empty
+        assert [(c.functional.tobytes(), c.target) for c in region.h_rep] == [
+            (c.functional.tobytes(), c.target) for c in reference_dedup_constraints(constraints[:n])[0]
+        ]
 
 
 class TestJoin:

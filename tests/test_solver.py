@@ -40,15 +40,17 @@ from gmaxent import (
     whole_space,
 )
 from gmaxent.hermitian import HermitianMatrix
-from gmaxent.regions import LinearConstraint
+from gmaxent.regions import LinearConstraint, _functional_matrix
 from gmaxent.simplex import FEASIBILITY_TOL
 from gmaxent.solver import (
     _MULTIPLIER_BOUND,
     _ClassicalEvaluation,
     _DualEvaluation,
     _QuantumEvaluation,
+    _RANK_PIVOT_TOL,
     _evaluator,
     _objective_terms,
+    _select_independent,
 )
 
 from helpers import (
@@ -64,6 +66,7 @@ from helpers import (
     reference_classical_hessian,
     reference_feasible_basis,
     reference_hessian,
+    reference_select_independent,
     regular_polygon,
     sphere_polytope,
     squarebit_measurements,
@@ -166,27 +169,27 @@ class TestPartitionFunction:
     def test_quantum_zero_multiplier(self):
         model = Quantum(2)
         c = LinearConstraint(model, model.matrix_to_coords(SZ), 0.0)
-        lnz = _evaluator(model, [c])(np.array([0.0])).lnz
+        lnz = _evaluator(model, _functional_matrix(model, [c]))(np.array([0.0])).lnz
         assert np.exp(lnz) == pytest.approx(2.0, abs=1e-12)
         assert lnz == pytest.approx(np.log(2.0), abs=1e-12)
 
     def test_classical(self):
         model = Classical(2)
         c = LinearConstraint(model, np.array([0.0, 1.0]), 0.3)
-        lnz = _evaluator(model, [c])(np.array([GIBBS_LAMBDA])).lnz
+        lnz = _evaluator(model, _functional_matrix(model, [c]))(np.array([GIBBS_LAMBDA])).lnz
         assert np.exp(lnz) == pytest.approx(10.0 / 7.0, abs=1e-12)
 
     def test_quantum_diagonal_reduces_to_classical(self):
         model = Quantum(2)
         c = LinearConstraint(model, model.matrix_to_coords(np.diag([0.0, 1.0])), 0.3)
-        lnz = _evaluator(model, [c])(np.array([GIBBS_LAMBDA])).lnz
+        lnz = _evaluator(model, _functional_matrix(model, [c]))(np.array([GIBBS_LAMBDA])).lnz
         assert np.exp(lnz) == pytest.approx(10.0 / 7.0, abs=1e-12)
 
     def test_shift_avoids_overflow(self):
         # Z = 2 cosh(1000) overflows a float; ln Z does not.
         model = Quantum(2)
         c = LinearConstraint(model, model.matrix_to_coords(SZ), 0.0)
-        lnz = _evaluator(model, [c])(np.array([-1000.0])).lnz
+        lnz = _evaluator(model, _functional_matrix(model, [c]))(np.array([-1000.0])).lnz
         assert lnz == pytest.approx(1000.0, abs=1e-6)
 
 
@@ -196,19 +199,20 @@ class TestDualGradient:
     def test_zero_multiplier_satisfied(self):
         model = Quantum(2)
         c = LinearConstraint(model, model.matrix_to_coords(SZ), 0.0)
-        g = 0.0 - _evaluator(model, [c])(np.array([0.0])).means
+        g = 0.0 - _evaluator(model, _functional_matrix(model, [c]))(np.array([0.0])).means
         np.testing.assert_allclose(g, [0.0], atol=1e-12)
 
     def test_zero_multiplier_residual(self):
         model = Quantum(2)
         c = LinearConstraint(model, model.matrix_to_coords(np.diag([0.0, 1.0])), 0.3)
-        g = 0.3 - _evaluator(model, [c])(np.array([0.0])).means
+        g = 0.3 - _evaluator(model, _functional_matrix(model, [c]))(np.array([0.0])).means
         np.testing.assert_allclose(g, [-0.2], atol=1e-12)
 
     def test_stationary_at_converged_point(self):
         problem = gibbs_problem()
         sol = solve_dual(problem)
-        g = 0.3 - _evaluator(problem.model, problem.region.h_rep)(sol.multipliers).means
+        funcs = _functional_matrix(problem.model, problem.region.h_rep)
+        g = 0.3 - _evaluator(problem.model, funcs)(sol.multipliers).means
         assert np.max(np.abs(g)) <= 1e-10
 
     def test_matches_finite_difference_of_dual(self):
@@ -216,7 +220,7 @@ class TestDualGradient:
         for _ in range(10):
             problem = random_quantum_problem(rng, 3, 2)
             constraints = problem.region.h_rep
-            dual = _evaluator(problem.model, constraints)
+            dual = _evaluator(problem.model, _functional_matrix(problem.model, constraints))
             targets = np.array([c.target for c in constraints])
             lambdas = rng.standard_normal(2) * 0.5
             g = targets - dual(lambdas).means
@@ -347,7 +351,7 @@ class TestSolveDualQuantum:
             reconstructed = matrix_exp(HermitianMatrix(exponent)).entries
             assert np.max(np.abs(sol.state.density_matrix().entries - reconstructed)) <= 1e-8
             kept = [problem.region.h_rep[i] for i in sol.diagnostics.kept_indices]
-            assert abs(sol.lambda0 - _evaluator(model, kept)(sol.multipliers).lnz) <= 1e-10
+            assert abs(sol.lambda0 - _evaluator(model, _functional_matrix(model, kept))(sol.multipliers).lnz) <= 1e-10
 
     def test_constraint_operators_converted_once_per_solve(self, monkeypatch):
         problem = random_quantum_problem(np.random.default_rng(5), 4, 3)
@@ -393,7 +397,7 @@ class TestSolveDualQuantum:
         for _ in range(10):
             problem = random_quantum_problem(rng, 3, 3)
             lambdas = rng.standard_normal(3)
-            ev = _evaluator(problem.model, problem.region.h_rep)(lambdas)
+            ev = _evaluator(problem.model, _functional_matrix(problem.model, problem.region.h_rep))(lambdas)
             h = ev.hessian()
             assert np.max(np.abs(h - h.T)) <= 1e-12
             assert np.min(np.linalg.eigvalsh(h)) >= -1e-9
@@ -404,7 +408,7 @@ class TestSolveDualQuantum:
             problem = random_quantum_problem(rng, 3, 2)
             constraints = list(problem.region.h_rep)
             lambdas = 0.5 * rng.standard_normal(2)
-            ev = _evaluator(problem.model, constraints)(lambdas)
+            ev = _evaluator(problem.model, _functional_matrix(problem.model, constraints))(lambdas)
             expected = frechet_hessian(problem.model, constraints, lambdas)
             np.testing.assert_allclose(ev.hessian(), expected, rtol=1e-12, atol=1e-12)
 
@@ -414,7 +418,7 @@ class TestSolveDualQuantum:
         problem = random_quantum_problem(np.random.default_rng(22), 4, 3)
         constraints = list(problem.region.h_rep)
         lambdas = np.zeros(3)
-        h = _evaluator(problem.model, constraints)(lambdas).hessian()
+        h = _evaluator(problem.model, _functional_matrix(problem.model, constraints))(lambdas).hessian()
         assert np.array_equal(h, h.T)
         np.testing.assert_allclose(h, frechet_hessian(problem.model, constraints, lambdas), rtol=1e-12, atol=1e-12)
 
@@ -433,7 +437,7 @@ class TestSolveDualQuantum:
         k = np.linalg.eigvalsh(-sum(l * op for l, op in zip(lambdas, ops)))
         gaps = np.abs(np.subtract.outer(k, k))[np.triu_indices(4, 1)]
         assert np.sum(gaps < 1e-12) == 1 and np.min(gaps[gaps >= 1e-12]) > 0.05
-        h = _evaluator(model, constraints)(lambdas).hessian()
+        h = _evaluator(model, _functional_matrix(model, constraints))(lambdas).hessian()
         assert np.array_equal(h, h.T)
         np.testing.assert_allclose(h, frechet_hessian(model, constraints, lambdas), rtol=1e-12, atol=1e-12)
 
@@ -457,7 +461,7 @@ class TestSolveDualClassical:
     def test_hessian_matches_general_product(self, m):
         rng = np.random.default_rng(40 + m)
         problem = random_classical_problem(rng, 10_000, m)
-        dual_at = _evaluator(problem.model, problem.region.h_rep)
+        dual_at = _evaluator(problem.model, _functional_matrix(problem.model, problem.region.h_rep))
         # Random multipliers, then multipliers large enough that the tail of
         # the Gibbs distribution underflows to probability 0.
         for norm in (1.0, 500.0):
@@ -553,6 +557,68 @@ class TestSolveDualClassical:
         np.testing.assert_allclose(fw.state.coords, np.full(3, 1.0 / 3.0), atol=1e-9)
         assert fw.entropy == pytest.approx(np.log(3.0), abs=1e-9)
         assert abs(fw.entropy - dual.entropy) <= 1e-6
+
+
+def _random_effect_constraints(model, m, rng):
+    interior = random_state(model, rng)
+    effects = [random_effect(model, rng) for _ in range(m)]
+    return [LinearConstraint(model, e.functional, evaluate(e, interior)) for e in effects]
+
+
+def _orthogonal_unit(funcs, rng):
+    """A unit vector orthogonal to the rows of funcs."""
+    v = rng.standard_normal(funcs.shape[1])
+    q, _ = np.linalg.qr(funcs.T)
+    v -= q @ (q.T @ v)
+    return v / np.linalg.norm(v)
+
+
+def _rank_filter_case(name):
+    """(constraints, expected (kept, dropped, contradiction)) for one rank-filter input."""
+    rng = np.random.default_rng(19)
+    if name in ("classical-4", "classical-32"):
+        m = int(name.split("-")[1])
+        return _random_effect_constraints(Classical(10_000), m, rng), (list(range(m)), [], False)
+    if name == "quantum-8":
+        return _random_effect_constraints(Quantum(8), 6, rng), (list(range(6)), [], False)
+    model = Classical(10_000) if name in ("planted", "conflicting") else Classical(20)
+    base = _random_effect_constraints(model, 5, rng)
+    funcs = _functional_matrix(model, base)
+    targets = np.array([c.target for c in base])
+    if name in ("planted", "conflicting"):
+        # Exact combinations of earlier rows, a positive rescaling among them.
+        shift = 1e-3 if name == "conflicting" else 0.0
+        planted = [
+            LinearConstraint(model, w @ funcs, float(w @ targets) + shift)
+            for w in (np.array([0.3, 1.0, -1.7, 0.0, 0.0]), np.array([0.0, 2.5, 0.0, 0.0, 0.0]))
+        ]
+        constraints = base[:3] + planted[:1] + base[3:] + planted[1:]
+        expected = ([0, 1, 2], [], True) if shift else ([0, 1, 2, 4, 5], [3, 6], False)
+        return constraints, expected
+    # A row whose residual off the span of the others sits just above or
+    # just below _RANK_PIVOT_TOL times its norm.
+    u = _orthogonal_unit(funcs, rng)
+    factor = 1.01 if name == "pivot-above" else 0.99
+    f = funcs[0] + factor * _RANK_PIVOT_TOL * np.linalg.norm(funcs[0]) * u
+    constraints = base + [LinearConstraint(model, f, base[0].target)]
+    expected = (list(range(6)), [], False) if name == "pivot-above" else (list(range(5)), [5], False)
+    return constraints, expected
+
+
+class TestSelectIndependent:
+    """The rank filter reads the stored norms and matches the reference that norms every row itself."""
+
+    @pytest.mark.parametrize(
+        "name", ["classical-4", "classical-32", "quantum-8", "planted", "pivot-above", "pivot-below", "conflicting"]
+    )
+    def test_matches_reference(self, name):
+        constraints, expected = _rank_filter_case(name)
+        model = constraints[0].model
+        funcs = _functional_matrix(model, constraints)
+        targets = np.array([c.target for c in constraints])
+        result = _select_independent(funcs, [c.norm for c in constraints], targets, DEFAULT_SOLVER)
+        assert result == reference_select_independent(funcs, targets, DEFAULT_SOLVER)
+        assert result == expected
 
 
 def trajectory_problem(family, size):
