@@ -75,4 +75,5 @@ def entropy_from_spectrum(eigenvalues: np.ndarray) -> float:
     k = np.asarray(eigenvalues, dtype=float)
     k = np.where(k > _LOG_ZERO_FLOOR, k, 0.0)
     nz = k[k > 0.0]
-    return float(-np.sum(nz * np.log(nz)))
+    # 0 - s rather than -s: a pure spectrum has entropy +0.0, not -0.0.
+    return 0.0 - float(np.sum(nz * np.log(nz)))

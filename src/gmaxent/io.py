@@ -61,6 +61,7 @@ from .models import (
     Polytope,
     Quantum,
     State,
+    _sealed,
 )
 from .regions import ConvexRegion, LinearConstraint, meet, region_from_effect, region_from_mean, whole_space
 from .solver import (
@@ -316,7 +317,7 @@ def parse_problem(raw: dict) -> ParsedProblem:
             label = str(entry.get("label", i))
             value = entry.get("value")
             value = None if value is None else _number(value, context)
-            outs.append(Outcome(label, Effect(model, functional, check=False), value))
+            outs.append(Outcome(label, Effect(model, _sealed(functional), check=False), value))
         observables[name] = Observable(model, tuple(outs), check=False)
     state_coords: dict[str, np.ndarray] = {}
     for name, body in _section(raw, "states", dict).items():
@@ -413,14 +414,14 @@ def parse_region(raw: dict) -> ConvexRegion:
         if "functional" in _of_type(entry, dict, context):
             functional = _parse_functional(model, entry["functional"], context)
             target = _number(_require(entry, "target", context), context)
-            constraints.append(LinearConstraint(model, functional, target))
+            constraints.append(LinearConstraint(model, _sealed(functional), target))
         else:
             cond = _parse_condition(entry, parsed.observables, context)
             constraints.extend(_condition_region(cond, parsed.observables).h_rep)
     generators = None
     if "generators" in section:
         generators = tuple(
-            State(model, _parse_state_coords(model, entry, f"region generator {i}"))
+            State(model, _sealed(_parse_state_coords(model, entry, f"region generator {i}")))
             for i, entry in enumerate(_of_type(section["generators"], list, "region generators"))
         )
     return ConvexRegion(model, tuple(constraints), generators)

@@ -26,7 +26,7 @@ All values are immutable; random generation takes an explicit generator.
 from __future__ import annotations
 
 import functools
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass, field, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -60,6 +60,28 @@ _AXIOM_ATOL = 1e-9              # axiom residual pass threshold
 _EIGENVALUE_MERGE_RTOL = 1e-9   # spectral_observable: one projector per eigenvalue cluster
 _RECONSTRUCTION_RTOL = 1e-10    # spectral_observable: |U diag(k) U^dagger - A| / (1 + max|k|)
 _UNITARITY_ATOL = 1e-10         # spectral_observable: |U^dagger U - I|
+
+
+def _read_only(values) -> np.ndarray:
+    """values as a read-only float array; only a writeable array of the caller's is copied first."""
+    a = np.asarray(values, dtype=float)
+    a = a.copy() if a is values and a.flags.writeable else a
+    a.setflags(write=False)
+    return a
+
+
+def _sealed(a: np.ndarray) -> np.ndarray:
+    """a, built for a new object, made read-only so that the object keeps it uncopied."""
+    a.setflags(write=False)
+    return a
+
+
+def _equal_by_value(a, b):
+    """== for a dataclass that holds arrays: its compared fields equal, arrays entry by entry."""
+    if type(b) is not type(a):
+        return NotImplemented
+    pairs = ((getattr(a, f.name), getattr(b, f.name)) for f in fields(a) if f.compare)
+    return all(np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y for x, y in pairs)
 
 
 class ModelSpace:
@@ -168,16 +190,23 @@ class Quantum(ModelSpace):
         return coords
 
     def coords_to_matrix(self, coords: np.ndarray) -> HermitianMatrix:
-        c = np.ascontiguousarray(coords, dtype=float)
+        c = np.asarray(coords, dtype=float)
         if c.shape != (self.ambient_dim,):
             raise ValueError(f"expected {self.ambient_dim} coordinates, got shape {c.shape}")
-        z = (c[self._off] * _SQRT_HALF).view(complex)
-        raw = np.empty((self.dim, self.dim), dtype=complex)
-        f = raw.reshape(-1)
-        f[self._upper] = z
-        f[self._lower] = z.conj()
-        f[:: self.dim + 1] = self._diagonal_map.T.dot(c[self._diagonal_coords])
-        return HermitianMatrix._exact(raw)
+        return HermitianMatrix._exact(self.coords_to_matrices(c[None])[0])
+
+    def coords_to_matrices(self, coords: np.ndarray) -> np.ndarray:
+        """The matrices of an (m, d^2) stack of coordinate rows, as one (m, d, d) complex array."""
+        c = np.ascontiguousarray(coords, dtype=float)
+        if c.ndim != 2 or c.shape[1] != self.ambient_dim:
+            raise ValueError(f"expected rows of {self.ambient_dim} coordinates, got shape {c.shape}")
+        z = (c[:, self._off] * _SQRT_HALF).view(complex)
+        raw = np.empty((len(c), self.dim, self.dim), dtype=complex)
+        f = raw.reshape(len(c), self.ambient_dim)
+        f[:, self._upper] = z
+        f[:, self._lower] = z.conj()
+        f[:, :: self.dim + 1] = c[:, self._diagonal_coords] @ self._diagonal_map
+        return raw
 
     def cone_residual(self, coords):
         k = np.linalg.eigvalsh(self.coords_to_matrix(coords).entries)
@@ -237,15 +266,18 @@ class State:
     them as ``weights``, and they are checked in O(nk): every weight is at
     least -1e-8, their sum is within 1e-10 of 1, and their mixture is within
     1e-8 of coords in every coordinate. Without weights, a Phase I LP searches
-    for them (``Polytope.cone_residual``). The weights are not stored.
+    for them (``Polytope.cone_residual``). The weights are not stored. The
+    coordinates are kept read-only; a caller's writeable array is copied first.
     """
 
     model: ModelSpace
     coords: np.ndarray
     weights: InitVar[Optional[np.ndarray]] = field(default=None, kw_only=True)
 
+    __eq__ = _equal_by_value
+
     def __post_init__(self, weights):
-        c = np.asarray(self.coords, dtype=float)
+        c = _read_only(self.coords)
         if c.shape != (self.model.ambient_dim,):
             raise InvalidState(f"expected {self.model.ambient_dim} coordinates, got {c.shape}")
         if abs(self.model.unit_value(c) - 1.0) > _UNIT_ATOL:
@@ -257,7 +289,6 @@ class State:
             tol = FEASIBILITY_TOL if self.model.kind == POLYTOPE else _CONE_ATOL
             if residual > tol:
                 raise InvalidState(f"cone membership violated by {residual:.3g}")
-        c.setflags(write=False)
         object.__setattr__(self, "coords", c)
 
     def density_matrix(self) -> HermitianMatrix:
@@ -293,17 +324,19 @@ class Effect:
 
     Pass ``check=False`` to build a candidate effect without the range check,
     e.g. for validation reports on deliberately broken measurement families.
+    The functional is kept read-only; a caller's writeable array is copied first.
     """
 
     model: ModelSpace
     functional: np.ndarray
     check: bool = field(default=True, compare=False)
 
+    __eq__ = _equal_by_value
+
     def __post_init__(self):
-        f = np.asarray(self.functional, dtype=float)
+        f = _read_only(self.functional)
         if f.shape != (self.model.ambient_dim,):
             raise InvalidEffect(f"expected {self.model.ambient_dim} components, got {f.shape}")
-        f.setflags(write=False)
         object.__setattr__(self, "functional", f)
         if self.check:
             lo, hi = self.range_on_states()
@@ -323,7 +356,7 @@ class Effect:
 
 
 def effect_from_matrix(model: Quantum, matrix, check: bool = True) -> Effect:
-    return Effect(model, model.matrix_to_coords(matrix), check=check)
+    return Effect(model, _sealed(model.matrix_to_coords(matrix)), check=check)
 
 
 @dataclass(frozen=True)
@@ -477,11 +510,11 @@ def check_state_axioms(s: State, projections: Sequence[HermitianMatrix]) -> Stat
 def maximally_mixed(model: ModelSpace) -> State:
     """The barycentric state: uniform, I/d, or the vertex average."""
     if model.kind == CLASSICAL:
-        return State(model, np.full(model.dim, 1.0 / model.dim))
+        return State(model, _sealed(np.full(model.dim, 1.0 / model.dim)))
     if model.kind == QUANTUM:
-        return State(model, model.matrix_to_coords(np.eye(model.dim) / model.dim))
+        return State(model, _sealed(model.matrix_to_coords(np.eye(model.dim) / model.dim)))
     n = model.vertices.shape[0]
-    return State(model, model.vertices.mean(axis=0), weights=np.full(n, 1.0 / n))
+    return State(model, _sealed(model.vertices.mean(axis=0)), weights=np.full(n, 1.0 / n))
 
 
 def spectral_observable(model: Quantum, matrix) -> Observable:
@@ -522,19 +555,19 @@ def random_state(model: ModelSpace, rng: np.random.Generator) -> State:
     """Full-support sampling for property tests."""
     if model.kind == CLASSICAL:
         p = np.exp(rng.standard_normal(model.dim))
-        return State(model, p / p.sum())
+        return State(model, _sealed(p / p.sum()))
     if model.kind == QUANTUM:
         g = rng.standard_normal((model.dim, model.dim)) + 1j * rng.standard_normal((model.dim, model.dim))
         rho = g @ g.conj().T
         rho /= np.trace(rho).real
-        return State(model, model.matrix_to_coords(rho))
+        return State(model, _sealed(model.matrix_to_coords(rho)))
     w = rng.dirichlet(np.ones(model.vertices.shape[0]))
-    return State(model, w @ model.vertices, weights=w)
+    return State(model, _sealed(w @ model.vertices), weights=w)
 
 
 def random_effect(model: ModelSpace, rng: np.random.Generator) -> Effect:
     if model.kind == CLASSICAL:
-        return Effect(model, rng.uniform(0.0, 1.0, model.dim))
+        return Effect(model, _sealed(rng.uniform(0.0, 1.0, model.dim)))
     if model.kind == QUANTUM:
         u = random_unitary(model.dim, rng)
         spectrum = rng.uniform(0.0, 1.0, model.dim)
@@ -543,8 +576,8 @@ def random_effect(model: ModelSpace, rng: np.random.Generator) -> Effect:
     values = model.vertices @ raw
     lo, hi = float(values.min()), float(values.max())
     if hi - lo < 1e-12:
-        return Effect(model, 0.5 * model.unit_functional)
-    return Effect(model, (raw - lo * model.unit_functional) / (hi - lo))
+        return Effect(model, _sealed(0.5 * model.unit_functional))
+    return Effect(model, _sealed((raw - lo * model.unit_functional) / (hi - lo)))
 
 
 def random_povm(model: ModelSpace, rng: np.random.Generator, n_outcomes: int = 2) -> Observable:

@@ -22,7 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import Unsupported, UnsupportedRepresentation
-from .models import CLASSICAL, QUANTUM, State
+from .models import CLASSICAL, QUANTUM, State, _sealed
 from .solver import CustomObjective, FiducialMeasurementEntropy, MaxEntProblem, Shannon, VonNeumann
 
 FEASIBLE = "feasible"
@@ -95,7 +95,7 @@ class _ClassicalSearch:
 
     def to_state(self, point):
         q = np.clip(point, 0.0, None)
-        return State(self.model, q / q.sum())
+        return State(self.model, _sealed(q / q.sum()))
 
 
 class _QubitSearch:
@@ -131,7 +131,7 @@ class _QubitSearch:
         r = float(np.linalg.norm(point))
         v = point if r <= 1.0 else point / r
         rho = (np.eye(2, dtype=complex) + v[0] * _SIGMA_X + v[1] * _SIGMA_Y + v[2] * _SIGMA_Z) / 2.0
-        return State(self.model, self.model.matrix_to_coords(rho))
+        return State(self.model, _sealed(self.model.matrix_to_coords(rho)))
 
 
 class _PolytopeSearch:
@@ -175,7 +175,7 @@ class _PolytopeSearch:
     def to_state(self, point):
         q = np.clip(point, 0.0, None)
         w = q / q.sum()
-        return State(self.model, w @ self.vertex_map, weights=w)
+        return State(self.model, _sealed(w @ self.vertex_map), weights=w)
 
 
 def oracle_maxent(problem: MaxEntProblem, resolution: float) -> OracleResult:

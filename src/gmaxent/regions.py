@@ -32,6 +32,7 @@ from .errors import (
     UnsupportedRepresentation,
 )
 from .models import CLASSICAL, POLYTOPE, Effect, ModelSpace, Observable, State, maximally_mixed
+from .models import _equal_by_value, _read_only, _sealed
 from .simplex import phase_one
 
 _CONSTRAINT_ATOL = 1e-8       # generator-vs-constraint residual
@@ -47,7 +48,8 @@ class LinearConstraint:
     """functional . x = target, to be intersected with the state space.
 
     ``norm``, the functional's 2-norm, is taken once here (sqrt(f . f), bitwise
-    ``np.linalg.norm``); ``meet`` and the solver's rank filter read it.
+    ``np.linalg.norm``); ``meet`` and the solver's rank filter read it. The
+    functional is kept read-only; a caller's writeable array is copied first.
     """
 
     model: ModelSpace
@@ -55,14 +57,15 @@ class LinearConstraint:
     target: float
     norm: float = field(init=False, compare=False, repr=False)
 
+    __eq__ = _equal_by_value
+
     def __post_init__(self):
-        f = np.asarray(self.functional, dtype=float)
+        f = _read_only(self.functional)
         if f.shape != (self.model.ambient_dim,):
             raise ValueError(f"expected {self.model.ambient_dim} components, got {f.shape}")
         norm = float(np.sqrt(f @ f))
         if norm == 0.0:
             raise DegenerateInput("constraint functional is the zero vector")
-        f.setflags(write=False)
         object.__setattr__(self, "functional", f)
         object.__setattr__(self, "target", float(self.target))
         object.__setattr__(self, "norm", norm)
@@ -124,7 +127,7 @@ def region_from_mean(obs: Observable, r: float) -> ConvexRegion:
     functional = np.sum(
         [out.value * out.effect.functional for out in obs.outcomes], axis=0
     )
-    return ConvexRegion(obs.model, (LinearConstraint(obs.model, functional, float(r)),))
+    return ConvexRegion(obs.model, (LinearConstraint(obs.model, _sealed(functional), float(r)),))
 
 
 def region_from_effect(e: Effect, lam: float) -> ConvexRegion:
@@ -148,7 +151,7 @@ def affine_hull_constraints(model: ModelSpace, generators: tuple[State, ...]) ->
     _, sing, vt = np.linalg.svd(diffs, full_matrices=True)
     scale = sing[0] if sing.size and sing[0] > 0 else 1.0
     rank = int(np.sum(sing > 1e-12 * max(1.0, scale)))
-    normals = vt[rank:]
+    normals = _sealed(vt[rank:])
     constraints = []
     for n in normals:
         constraints.append(LinearConstraint(model, n, float(n @ center)))
@@ -204,14 +207,15 @@ def _dedup_constraints(constraints: tuple[LinearConstraint, ...]) -> tuple[tuple
 
 
 def meet(a: ConvexRegion, b: ConvexRegion) -> ConvexRegion:
-    """Lattice meet = set intersection, on H-representations."""
+    """Lattice meet = set intersection, on H-representations.
+
+    Duplicates are dropped on every meet, also when a side is known empty,
+    so a chain of meets keeps what one meet of all its conditions keeps.
+    """
     if a.model != b.model:
         raise ModelMismatch("regions live on different models")
-    merged = _effective_h_rep(a) + _effective_h_rep(b)
-    if a.known_empty or b.known_empty:
-        return ConvexRegion(a.model, merged, None, True)
-    kept, empty = _dedup_constraints(merged)
-    return ConvexRegion(a.model, kept, None, empty)
+    kept, empty = _dedup_constraints(_effective_h_rep(a) + _effective_h_rep(b))
+    return ConvexRegion(a.model, kept, None, empty or a.known_empty or b.known_empty)
 
 
 def _generators(region: ConvexRegion) -> tuple[State, ...]:
@@ -325,7 +329,7 @@ def _weights_to_coords(model: ModelSpace, w: np.ndarray) -> np.ndarray:
 def _state_from_weights(model: ModelSpace, w: np.ndarray) -> State:
     w = np.maximum(w, 0.0)
     w = w / w.sum()
-    return State(model, _weights_to_coords(model, w), weights=w if model.kind == POLYTOPE else None)
+    return State(model, _sealed(_weights_to_coords(model, w)), weights=w if model.kind == POLYTOPE else None)
 
 
 def feasibility(c: ConvexRegion) -> FeasibilityResult:

@@ -47,6 +47,7 @@ from .models import (
     ModelSpace,
     Observable,
     State,
+    _sealed,
 )
 from .regions import ConvexRegion, _functional_matrix, _weight_rows, _weight_system, _weights_to_coords
 from .simplex import OPTIMAL, feasible_basis
@@ -159,9 +160,9 @@ class _DualEvaluation:
 
     ``lnz``, ``spectrum`` (classical probabilities or quantum eigenvalues)
     and ``top``, the largest eigenvalue of the exponent -sum_i lambda_i R_i,
-    are set on construction from one decomposition; the means, the state
-    coordinates and the Hessian are computed on first use and cached. A
-    rejected line-search trial reads only ``lnz``.
+    are set on construction from the exponent's eigenvalues; the means, the
+    state coordinates and the Hessian are computed on first use and cached.
+    A rejected line-search trial reads only ``lnz``.
     """
 
     def _gibbs(self, energy: np.ndarray) -> np.ndarray:
@@ -198,19 +199,31 @@ class _ClassicalEvaluation(_DualEvaluation):
 
 
 class _QuantumEvaluation(_DualEvaluation):
+    """The quantum dual, read in the eigenbasis U of the exponent.
+
+    At lambda = 0, where every solve starts, the state is I/d: the spectrum is
+    uniform and U = I, exactly what ``eigh`` of the zero exponent returns, so
+    neither ``eigh`` nor the rotation of the operators runs.
+    """
+
     def __init__(self, model, operators: np.ndarray, lambdas: np.ndarray):
         d = model.dim
+        self._model, self._operators, self._u = model, operators, None
+        if not lambdas.any():
+            self._shifted = self._gibbs(np.zeros(d))
+            return
         exponent = (-lambdas @ operators.reshape(-1, d * d)).reshape(d, d)
         try:
-            k, u = np.linalg.eigh(exponent)
+            k, self._u = np.linalg.eigh(exponent)
         except np.linalg.LinAlgError as exc:
             raise NumericalFailure(f"eigensolver did not converge: {exc}") from exc
         self._shifted = self._gibbs(k)
-        self._model, self._operators, self._u = model, operators, u
 
     @cached_property
     def _rotated(self) -> np.ndarray:
-        """The constraint operators in the eigenbasis of the exponent."""
+        """The constraint operators in the eigenbasis of the exponent; the operators themselves at U = I."""
+        if self._u is None:
+            return self._operators
         return self._u.conj().T @ self._operators @ self._u
 
     @cached_property
@@ -220,28 +233,31 @@ class _QuantumEvaluation(_DualEvaluation):
     @cached_property
     def state_coords(self) -> np.ndarray:
         u = self._u
-        return self._model.matrix_to_coords((u * self.spectrum) @ u.conj().T)
+        rho = np.diag(self.spectrum) if u is None else (u * self.spectrum) @ u.conj().T
+        return self._model.matrix_to_coords(rho)
 
     @cached_property
     def _hessian(self) -> np.ndarray:
         # Kubo-Mori covariance as one symmetric product S S^T (BLAS syrk): S the
         # rotated operators scaled by sqrt(phi), phi > 0 the divided differences
         # of exp, viewed as real rows of 2 d^2 entries, so S S^T = Re(conj(S) S^T).
-        phi = _divided_difference(self._shifted)
-        scaled = (self._rotated.reshape(-1, phi.size) * np.sqrt(phi.ravel())).view(float)
+        # At U = I every phi is 1, and S is the operator stack itself.
+        scaled = self._rotated.reshape(-1, self._model.ambient_dim)
+        if self._u is not None:
+            scaled = scaled * np.sqrt(_divided_difference(self._shifted).ravel())
+        scaled = scaled.view(float)
         return (scaled @ scaled.T) / self._z - np.outer(self.means, self.means)
 
 
 def _evaluator(model: ModelSpace, funcs: np.ndarray) -> Callable[[np.ndarray], _DualEvaluation]:
     """The dual as a function of the multipliers, for the functionals stacked as the rows of funcs.
 
-    Classical evaluations read funcs itself; quantum rows are converted to operators once, here.
+    Classical evaluations read funcs itself; quantum rows are converted to operators once, here, in one pass.
     """
     if model.kind == CLASSICAL:
         return partial(_ClassicalEvaluation, funcs)
     if model.kind == QUANTUM:
-        operators = np.array([model.coords_to_matrix(f).entries for f in funcs], dtype=complex)
-        return partial(_QuantumEvaluation, model, operators.reshape(-1, model.dim, model.dim))
+        return partial(_QuantumEvaluation, model, model.coords_to_matrices(funcs))
     raise Unsupported("partition functions are defined for classical and quantum models")
 
 
@@ -284,7 +300,7 @@ def _solution(problem, coords, multipliers, lambda0, iterations, status, diag, v
 
     weights, when given, are the polytope mixing weights that certify the state.
     """
-    state = State(problem.model, coords, weights=weights)
+    state = State(problem.model, _sealed(coords), weights=weights)
     return MaxEntSolution(
         state=state,
         multipliers=np.asarray(multipliers, dtype=float),

@@ -157,6 +157,14 @@ class TestSolve:
         report = json.loads(out)
         assert report["status"] == "boundary_only"
         assert report["state"]["matrix"][0][0][0] == pytest.approx(1.0, abs=1e-3)
+        assert '"entropy": 0.0,' in out
+
+    def test_no_conditions(self, capsys):
+        code, out = run(capsys, "solve", "problems/validate_demo.json")
+        assert code == 0
+        report = json.loads(out)
+        assert (report["status"], report["iterations"], report["multipliers"]) == ("converged", 0, [])
+        assert report["entropy"] == pytest.approx(np.log(2.0), rel=1e-15)
 
     def test_classical_uniform(self, capsys):
         code, out = run(capsys, "solve", "problems/classical_uniform_d7.json")

@@ -240,3 +240,6 @@ def test_entropy_from_spectrum_conventions():
     assert entropy_from_spectrum(np.array([0.5, 0.5])) == pytest.approx(np.log(2.0))
     assert entropy_from_spectrum(np.array([1.0, 0.0])) == 0.0
     assert entropy_from_spectrum(np.array([1.0, -1e-320])) == 0.0
+    # A pure spectrum has entropy +0.0; == 0.0 cannot see the sign.
+    for pure in ([1.0], [1.0, 0.0], [0.0, 1.0, -1e-320], []):
+        assert np.copysign(1.0, entropy_from_spectrum(np.array(pure))) == 1.0

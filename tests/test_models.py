@@ -9,6 +9,10 @@ from hypothesis import strategies as st
 
 from gmaxent import (
     Classical,
+    MaxEntProblem,
+    default_objective,
+    region_from_effect,
+    solve,
     Effect,
     HermitianMatrix,
     InvalidState,
@@ -32,6 +36,8 @@ from gmaxent import (
     validate_povm,
     State,
 )
+from gmaxent import models, regions
+from gmaxent.regions import LinearConstraint
 from helpers import hermitian_basis, indicator_observable, random_density, random_projector_family, squarebit_model
 
 MODELS = [Classical(3), Quantum(2), squarebit_model()]
@@ -77,6 +83,24 @@ class TestHermitianBasis:
             tracemalloc.stop()
         assert model.ambient_dim == 48 * 48
         assert peak < 4e6
+
+    @pytest.mark.parametrize("m", [0, 1, 16])
+    @pytest.mark.parametrize("d", [1, 2, 3, 32])
+    def test_stacked_conversion_matches_rows(self, d, m):
+        model = Quantum(d)
+        coords = np.random.default_rng(70 + d + m).standard_normal((m, d * d))
+        stack = model.coords_to_matrices(coords)
+        assert stack.shape == (m, d, d) and stack.dtype == complex
+        for row, matrix in zip(coords, stack):
+            expected = model.coords_to_matrix(row).entries
+            # The diagonal is one d-term sum per entry, which BLAS rounds
+            # differently for one row and for a stack: up to 3.9 eps of the
+            # largest entry at d = 32 over 200 seeds.
+            tol = 8 * np.finfo(float).eps * max(1.0, np.max(np.abs(expected)))
+            np.testing.assert_allclose(matrix, expected, rtol=0, atol=tol)
+            np.testing.assert_array_equal(matrix, matrix.conj().T)
+        with pytest.raises(ValueError):
+            model.coords_to_matrices(np.zeros(d * d))
 
     def test_models_of_one_dimension_share_read_only_tables(self):
         a, b = Quantum(4), Quantum(4)
@@ -143,6 +167,51 @@ class TestPolytopeEquality:
         assert a != b
         assert a != Polytope([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0]])
         assert a != Classical(3)
+
+
+class TestCallerArrays:
+    """Constructors keep a read-only array, and copy a writeable one the caller passed."""
+
+    BUILDERS = {
+        "state": lambda f: State(Classical(3), f).coords,
+        "effect": lambda f: Effect(Classical(3), f).functional,
+        "constraint": lambda f: LinearConstraint(Classical(3), f, 1.0).functional,
+    }
+
+    @pytest.mark.parametrize("kind", BUILDERS)
+    def test_caller_buffer_stays_writeable(self, kind):
+        f = np.full(3, 1.0 / 3.0)
+        kept = self.BUILDERS[kind](f)
+        assert f.flags.writeable and not kept.flags.writeable
+        f[0] = 0.5
+        assert kept[0] == 1.0 / 3.0
+
+    @pytest.mark.parametrize("kind", BUILDERS)
+    def test_read_only_array_kept_as_it_is(self, kind):
+        f = np.full(3, 1.0 / 3.0)
+        f.setflags(write=False)
+        assert self.BUILDERS[kind](f) is f
+
+    def test_arrays_built_for_the_object_are_not_copied(self, monkeypatch):
+        copied = []
+        original = models._read_only
+
+        def spy(values):
+            out = original(values)
+            if out is not values and isinstance(values, np.ndarray):
+                copied.append(values.shape)
+            return out
+
+        monkeypatch.setattr(models, "_read_only", spy)
+        monkeypatch.setattr(regions, "_read_only", spy)
+        rng = np.random.default_rng(31)
+        for model in (Classical(50), Quantum(3), squarebit_model()):
+            maximally_mixed(model)
+            effect = random_effect(model, rng)
+            region = region_from_effect(effect, evaluate(effect, random_state(model, rng)))
+            if model.kind != "polytope":
+                assert solve(MaxEntProblem(model, region, default_objective(model))).state is not None
+        assert copied == []
 
 
 class TestState:

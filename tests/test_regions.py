@@ -175,6 +175,15 @@ class TestMeet:
         assert region.known_empty
         assert feasibility(region).status == FeasibilityStatus.INFEASIBLE
 
+    def test_empty_meet_screens_duplicates(self):
+        model = Classical(3)
+        obs = indicator_observable(model, [0.0, 1.0, 2.0])
+        empty = meet(region_from_mean(obs, 1.0), region_from_mean(obs, 1.5))
+        for other in (region_from_mean(obs, 1.0), region_from_mean(obs, 0.5), empty):
+            for merged in (meet(empty, other), meet(other, empty)):
+                assert merged.known_empty
+                assert len(merged.h_rep) == 1
+
     def test_scaled_duplicate_dropped(self):
         model = Classical(3)
         f = np.array([0.0, 1.0, 2.0])
@@ -339,16 +348,11 @@ class TestDuplicateScreen:
             conditions = [ParsedCondition(f"c{i}", None, "mean", c.target) for i, c in enumerate(constraints[:n])]
             return build_region(ParsedProblem(model, observables, {}, conditions, None, {}))
 
-        assert chain(len(constraints)).known_empty == reference_dedup_constraints(constraints)[1]
-        # Once a meet is empty it keeps every later constraint unscreened, so
-        # the kept constraints are compared on the longest prefix that is not.
-        n = len(constraints)
-        while reference_dedup_constraints(constraints[:n])[1]:
-            n -= 1
-        region = chain(n)
-        assert not region.known_empty
+        region = chain(len(constraints))
+        kept, empty = reference_dedup_constraints(constraints)
+        assert region.known_empty == empty
         assert [(c.functional.tobytes(), c.target) for c in region.h_rep] == [
-            (c.functional.tobytes(), c.target) for c in reference_dedup_constraints(constraints[:n])[0]
+            (c.functional.tobytes(), c.target) for c in kept
         ]
 
 

@@ -23,6 +23,7 @@ from gmaxent import (
     State,
     UnsupportedRepresentation,
     VonNeumann,
+    default_objective,
     entropy_from_spectrum,
     evaluate,
     maximally_mixed,
@@ -355,19 +356,21 @@ class TestSolveDualQuantum:
 
     def test_constraint_operators_converted_once_per_solve(self, monkeypatch):
         problem = random_quantum_problem(np.random.default_rng(5), 4, 3)
-        original = Quantum.coords_to_matrix
-        calls = []
+        original = Quantum.coords_to_matrices
+        stacks = []
 
         def counted(model, coords):
-            calls.append(1)
+            stacks.append(np.shape(coords))
             return original(model, coords)
 
-        monkeypatch.setattr(Quantum, "coords_to_matrix", counted)
+        monkeypatch.setattr(Quantum, "coords_to_matrices", counted)
         sol = solve_dual(problem)
         assert sol.status == SolveStatus.CONVERGED
         assert sol.iterations >= 2
-        # m conversions of the operators, plus the checks on the solved state.
-        assert len(calls) <= 3 + 5
+        # One stacked conversion of the 3 operators; the checks on the solved
+        # state convert single rows through coords_to_matrix.
+        assert [shape for shape in stacks if shape != (1, 16)] == [(3, 16)]
+        assert len(stacks) <= 1 + 5
 
     def test_entropy_read_from_the_final_spectrum(self, monkeypatch):
         problem = random_quantum_problem(np.random.default_rng(5), 4, 3)
@@ -381,9 +384,9 @@ class TestSolveDualQuantum:
         monkeypatch.setattr(Quantum, "coords_to_matrix", counted)
         sol = solve_dual(problem)
         assert sol.status == SolveStatus.CONVERGED
-        # m operator conversions and the State cone check; the entropy
-        # converts nothing.
-        assert len(calls) <= 3 + 1
+        # The State cone check; the operators are converted as one stack, and
+        # the entropy converts nothing.
+        assert len(calls) <= 1
         monkeypatch.undo()
         spectrum = np.linalg.eigvalsh(sol.state.density_matrix().entries)
         assert sol.entropy == pytest.approx(entropy_from_spectrum(spectrum), abs=1e-12)
@@ -454,6 +457,78 @@ class TestSolveDualQuantum:
                 assert sol.status == SolveStatus.CONVERGED
                 assert sol.entropy <= last + 1e-8
                 last = sol.entropy
+
+
+def decomposed_evaluation(model, funcs, lambdas):
+    """The quantum evaluation through eigh and the rotation of the operators, at any lambdas, 0 included."""
+    d = model.dim
+    operators = model.coords_to_matrices(funcs)
+    ev = object.__new__(_QuantumEvaluation)
+    k, u = np.linalg.eigh((-lambdas @ operators.reshape(-1, d * d)).reshape(d, d))
+    ev._shifted = ev._gibbs(k)
+    ev._model, ev._operators, ev._u = model, operators, u
+    return ev
+
+
+class TestMaximallyMixedStart:
+    """At lambda = 0 the quantum dual is read at I/d in closed form, with no eigh and no rotation."""
+
+    @pytest.mark.parametrize("m", [0, 1, 4, 16])
+    @pytest.mark.parametrize("d", [1, 2, 8])
+    def test_matches_the_decomposition_bit_for_bit(self, monkeypatch, d, m):
+        model = Quantum(d)
+        rng = np.random.default_rng(100 * d + m)
+        funcs = np.array([random_effect(model, rng).functional for _ in range(m)]).reshape(m, model.ambient_dim)
+        eigh = np.linalg.eigh
+        calls = []
+
+        def counted(a):
+            calls.append(1)
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        ev = _evaluator(model, funcs)(np.zeros(m))
+        closed = (ev.lnz, ev.top, ev.spectrum, ev.means, ev.hessian(), ev.state_coords)
+        assert calls == []
+        ref = decomposed_evaluation(model, funcs, np.zeros(m))
+        assert calls == [1]
+        expected = (ref.lnz, ref.top, ref.spectrum, ref.means, ref.hessian(), ref.state_coords)
+        for got, want in zip(closed, expected):
+            np.testing.assert_array_equal(got, want)
+        assert ev.hessian().shape == (m, m)
+        assert ev.lnz == np.log(d)
+        np.testing.assert_array_equal(ev.spectrum, np.full(d, 1.0 / d))
+        np.testing.assert_array_equal(reference_hessian(ev), reference_hessian(ref))
+
+    def test_nonzero_multipliers_still_decompose(self):
+        model = Quantum(4)
+        rng = np.random.default_rng(12)
+        funcs = np.array([random_effect(model, rng).functional for _ in range(3)])
+        lambdas = np.array([0.0, 0.3, -1.2])
+        ev = _evaluator(model, funcs)(lambdas)
+        ref = decomposed_evaluation(model, funcs, lambdas)
+        assert ev.lnz == ref.lnz
+        for got, want in ((ev.means, ref.means), (ev.hessian(), ref.hessian()), (ev.state_coords, ref.state_coords)):
+            np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "model", [Quantum(1), Quantum(2), Quantum(32), Classical(7)], ids=["quantum1", "quantum2", "quantum32", "classical7"]
+)
+def test_no_conditions_give_the_maximally_mixed_state(model):
+    d = model.dim
+    sol = solve(MaxEntProblem(model, whole_space(model), default_objective(model)))
+    assert sol.status == SolveStatus.CONVERGED
+    assert sol.iterations == 0
+    assert sol.multipliers.shape == (0,)
+    assert sol.residuals.shape == (0,)
+    if model.kind == "quantum":
+        np.testing.assert_allclose(sol.state.density_matrix().entries, np.eye(d) / d, rtol=0, atol=1e-15)
+    else:
+        np.testing.assert_allclose(sol.state.coords, np.full(d, 1.0 / d), rtol=0, atol=1e-15)
+    assert sol.entropy == pytest.approx(np.log(d), rel=1e-15, abs=0)
+    assert sol.lambda0 == pytest.approx(np.log(d), rel=1e-15, abs=0)
+    assert np.copysign(1.0, sol.entropy) == 1.0
 
 
 class TestSolveDualClassical:
