@@ -2,7 +2,8 @@
 
 Exit codes: 0 ok/converged, 1 validation failure, 2 parse error or an
 --output path that cannot be written, 3 infeasible, 4 boundary-only,
-5 non-convergence, 6 unsupported representation, 7 oracle unsupported.
+5 non-convergence, 6 unsupported representation, 7 unsupported instance
+(oracle grid cap or vertex-enumeration cap).
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ EXIT_INFEASIBLE = 3
 EXIT_BOUNDARY = 4
 EXIT_NON_CONVERGENCE = 5
 EXIT_UNSUPPORTED_REP = 6
-EXIT_ORACLE_UNSUPPORTED = 7
+EXIT_UNSUPPORTED_INSTANCE = 7
 
 _STATUS_EXIT = {
     SolveStatus.CONVERGED: EXIT_OK,
@@ -257,7 +258,7 @@ def main(argv=None) -> int:
         return EXIT_UNSUPPORTED_REP
     except Unsupported as exc:
         log.error("unsupported instance: %s", exc)
-        return EXIT_ORACLE_UNSUPPORTED
+        return EXIT_UNSUPPORTED_INSTANCE
     except (InvalidTarget, NoValues, InvalidState, InvalidEffect, InvalidObservable) as exc:
         log.error("validation failure: %s", exc)
         return EXIT_VALIDATION

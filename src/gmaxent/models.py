@@ -339,20 +339,18 @@ class Effect:
             raise InvalidEffect(f"expected {self.model.ambient_dim} components, got {f.shape}")
         object.__setattr__(self, "functional", f)
         if self.check:
-            lo, hi = self.range_on_states()
+            lo, hi = _state_range(self.model, f)
             if lo < -_EFFECT_RANGE_ATOL or hi > 1.0 + _EFFECT_RANGE_ATOL:
                 raise InvalidEffect(f"effect range [{lo:.6g}, {hi:.6g}] leaves [0, 1]")
 
-    def range_on_states(self) -> tuple[float, float]:
-        """Min and max of the functional over the extreme states."""
-        m = self.model
-        if m.kind == CLASSICAL:
-            return float(np.min(self.functional)), float(np.max(self.functional))
-        if m.kind == QUANTUM:
-            k = np.linalg.eigvalsh(m.coords_to_matrix(self.functional).entries)
-            return float(k[0]), float(k[-1])
-        values = m.vertices @ self.functional
-        return float(np.min(values)), float(np.max(values))
+
+def _state_range(model: ModelSpace, functional: np.ndarray) -> tuple[float, float]:
+    """Min and max of a functional over the states: of its entries, its matrix's eigenvalues or its vertex values."""
+    if model.kind == QUANTUM:
+        k = np.linalg.eigvalsh(model.coords_to_matrix(functional).entries)
+        return float(k[0]), float(k[-1])
+    values = functional if model.kind == CLASSICAL else model.vertices @ functional
+    return float(np.min(values)), float(np.max(values))
 
 
 def effect_from_matrix(model: Quantum, matrix, check: bool = True) -> Effect:
@@ -447,7 +445,7 @@ def validate_povm(obs: Observable) -> PovmValidation:
     negative = []
     above = []
     for idx, out in enumerate(obs.outcomes):
-        lo, hi = out.effect.range_on_states()
+        lo, hi = _state_range(obs.model, out.effect.functional)
         if lo < -_EFFECT_RANGE_ATOL:
             negative.append((idx, lo))
         if hi > 1.0 + _EFFECT_RANGE_ATOL:
@@ -573,8 +571,7 @@ def random_effect(model: ModelSpace, rng: np.random.Generator) -> Effect:
         spectrum = rng.uniform(0.0, 1.0, model.dim)
         return effect_from_matrix(model, (u * spectrum) @ u.conj().T)
     raw = rng.standard_normal(model.ambient_dim)
-    values = model.vertices @ raw
-    lo, hi = float(values.min()), float(values.max())
+    lo, hi = _state_range(model, raw)
     if hi - lo < 1e-12:
         return Effect(model, _sealed(0.5 * model.unit_functional))
     return Effect(model, _sealed((raw - lo * model.unit_functional) / (hi - lo)))

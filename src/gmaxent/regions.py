@@ -32,7 +32,7 @@ from .errors import (
     UnsupportedRepresentation,
 )
 from .models import CLASSICAL, POLYTOPE, Effect, ModelSpace, Observable, State, maximally_mixed
-from .models import _equal_by_value, _read_only, _sealed
+from .models import _equal_by_value, _read_only, _sealed, _state_range
 from .simplex import phase_one
 
 _CONSTRAINT_ATOL = 1e-8       # generator-vs-constraint residual
@@ -210,7 +210,10 @@ def meet(a: ConvexRegion, b: ConvexRegion) -> ConvexRegion:
     """Lattice meet = set intersection, on H-representations.
 
     Duplicates are dropped on every meet, also when a side is known empty,
-    so a chain of meets keeps what one meet of all its conditions keeps.
+    so a chain of meets keeps what one meet of all its conditions keeps. A
+    generator region enters through its affine hull: exact for one point, an
+    outer approximation for more (on Classical(3), hull{(.5, .5, 0), (.25,
+    .75, 0)} met with itself is the whole edge x3 = 0).
     """
     if a.model != b.model:
         raise ModelMismatch("regions live on different models")
@@ -234,12 +237,17 @@ def join(a: ConvexRegion, b: ConvexRegion) -> ConvexRegion:
     """Lattice join = convex hull, on V-representations."""
     if a.model != b.model:
         raise ModelMismatch("regions live on different models")
-    gens = list(_generators(a)) + list(_generators(b))
+    unique = _dedup_generators(_generators(a) + _generators(b))
+    return ConvexRegion(a.model, (), unique, known_empty=not unique)
+
+
+def _dedup_generators(states) -> list[State]:
+    """states in order, less each one within _GENERATOR_DEDUP_ATOL in max-abs of an earlier kept one."""
     unique: list[State] = []
-    for g in gens:
-        if all(np.max(np.abs(g.coords - u.coords)) >= _GENERATOR_DEDUP_ATOL for u in unique):
-            unique.append(g)
-    return ConvexRegion(a.model, (), tuple(unique), known_empty=not unique)
+    for s in states:
+        if all(np.max(np.abs(s.coords - u.coords)) >= _GENERATOR_DEDUP_ATOL for u in unique):
+            unique.append(s)
+    return unique
 
 
 def _in_hull(generators: tuple[State, ...], s: State) -> bool:
@@ -252,38 +260,30 @@ def _in_hull(generators: tuple[State, ...], s: State) -> bool:
     return w is not None
 
 
-def _constraint_is_trivial(c: LinearConstraint) -> bool:
-    """True when the constraint holds on the entire state space (f = a*u, target a)."""
-    u = c.model.unit_functional
-    u_hat = u / np.linalg.norm(u)
-    alpha = float(c.functional @ u_hat) / float(np.linalg.norm(u))
-    residual = c.functional - alpha * u
-    return (
-        np.max(np.abs(residual)) <= 1e-10 * max(1.0, float(np.max(np.abs(c.functional))))
-        and abs(c.target - alpha) <= 1e-10 * max(1.0, abs(alpha))
-    )
-
-
 def includes(outer: ConvexRegion, inner: ConvexRegion) -> bool:
-    """Partial order: every generator of inner lies in outer."""
+    """Partial order, inner within outer: one rule for every inner.
+
+    An empty inner lies in everything, and nothing else in a known-empty
+    outer. Each outer constraint's min and max over inner (the model's state
+    range over the whole space, the generators' values otherwise) must lie
+    within _CONSTRAINT_ATOL of its target, and a generator outer must hold
+    each of inner's generators in its hull.
+    """
     if outer.model != inner.model:
         raise ModelMismatch("regions live on different models")
     if outer.is_whole_space():
         return True
-    if inner.is_whole_space() and (outer.v_rep is None or outer.known_empty):
-        # The full state space fits under an H-rep only if every cut is
-        # trivial, and never in an empty region.
-        return not outer.known_empty and all(_constraint_is_trivial(c) for c in outer.h_rep)
-    gens = _generators(inner)
-    if not gens:
+    # The whole space is not empty; only a generator outer needs its generators.
+    gens = None if inner.is_whole_space() else _generators(inner)
+    if gens == ():
         return True
     if outer.known_empty:
         return False
-    if not all(c.residual(g) <= _CONSTRAINT_ATOL for g in gens for c in outer.h_rep):
-        return False
-    if outer.v_rep is not None:
-        return all(_in_hull(outer.v_rep, g) for g in gens)
-    return True
+    for c in outer.h_rep:
+        values = _state_range(outer.model, c.functional) if gens is None else [c.functional @ g.coords for g in gens]
+        if max(abs(v - c.target) for v in values) > _CONSTRAINT_ATOL:
+            return False
+    return outer.v_rep is None or all(_in_hull(outer.v_rep, g) for g in gens or _generators(inner))
 
 
 class FeasibilityStatus(Enum):
@@ -389,7 +389,5 @@ def enumerate_vertices(c: ConvexRegion) -> list[State]:
             continue
         w = np.zeros(n)
         w[list(cols)] = w_sub
-        state = _state_from_weights(c.model, w)
-        if all(np.max(np.abs(state.coords - u.coords)) >= _GENERATOR_DEDUP_ATOL for u in found):
-            found.append(state)
-    return found
+        found.append(_state_from_weights(c.model, w))
+    return _dedup_generators(found)

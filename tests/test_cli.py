@@ -303,6 +303,22 @@ class TestLattice:
         code, out = run(capsys, "lattice", "leq", str(empty), whole)
         assert (code, json.loads(out)) == (0, {"result": True})
 
+    def test_join_past_the_enumeration_cap(self, tmp_path, capsys, caplog):
+        # Classical(11) with two constraints: 11 + 2 > 12, the vertex-enumeration cap.
+        paths = []
+        for i in (1, 2):
+            functional = np.zeros(11)
+            functional[i] = 1.0
+            constraints = [{"functional": {"vector": [1.0] + [0.0] * 10}, "target": 0.25},
+                           {"functional": {"vector": functional.tolist()}, "target": 0.25}]
+            path = tmp_path / f"region{i}.json"
+            path.write_text(json.dumps({"model": {"kind": "classical", "dimension": 11},
+                                        "region": {"constraints": constraints}}))
+            paths.append(str(path))
+        for op in ("join", "leq"):
+            assert run(capsys, "lattice", op, *paths) == (7, "")
+        assert "unsupported instance: " in caplog.text and "enumeration cap 12" in caplog.text
+
     def test_join_then_meet_classical(self, capsys):
         code, out = run(capsys, "lattice", "meet", "problems/region_classical3_pair.json", "problems/region_classical3_plane.json")
         assert code == 0

@@ -13,12 +13,15 @@ from gmaxent import (
     DegenerateInput,
     Effect,
     FeasibilityStatus,
+    FiducialMeasurementEntropy,
     InvalidTarget,
     MaxEntProblem,
     ModelMismatch,
     Observable,
     Outcome,
+    Polytope,
     Quantum,
+    Shannon,
     SolveStatus,
     State,
     Unsupported,
@@ -33,6 +36,7 @@ from gmaxent import (
     maximally_mixed,
     meet,
     random_effect,
+    random_povm,
     random_state,
     region_from_effect,
     region_from_mean,
@@ -41,7 +45,8 @@ from gmaxent import (
     whole_space,
 )
 from gmaxent.io import ParsedCondition, ParsedProblem, build_region
-from gmaxent.regions import _SCREEN_BLOCK, LinearConstraint, _dedup_constraints
+from gmaxent.models import _state_range
+from gmaxent.regions import _ENUMERATION_CAP, _SCREEN_BLOCK, LinearConstraint, _dedup_constraints
 
 from helpers import (
     in_region,
@@ -423,6 +428,42 @@ class TestIncludes:
         assert not includes(nontrivial, whole_space(model))
         assert includes(whole_space(model), nontrivial)
 
+    @pytest.mark.parametrize(
+        "kind,inner",
+        [("classical", "whole"), ("classical", "unit"), ("classical", "hull"), ("quantum", "whole"), ("quantum", "hull")],
+    )
+    def test_whole_space_judged_like_every_inner(self, kind, inner):
+        # f = 1e6 u plus a 1e-5 tilt varies by about 1e-5 over the states, a
+        # thousand times the inclusion tolerance, whichever way the states are given.
+        model = Classical(3) if kind == "classical" else Quantum(2)
+        tilt = np.zeros(model.ambient_dim)
+        tilt[-1] = 1e-5
+        outer = ConvexRegion(model, (LinearConstraint(model, 1e6 * model.unit_functional + tilt, 1e6),))
+        unit = ConvexRegion(model, (LinearConstraint(model, model.unit_functional, 1.0),))
+        if kind == "classical":
+            extreme = [State(model, row) for row in np.eye(3)]
+        else:
+            paulis = (SX, np.array([[0.0, -1j], [1j, 0.0]]), SZ)
+            extreme = [quantum_state(model, (np.eye(2) + sign * p) / 2) for p in paulis for sign in (1, -1)]
+        region = {"whole": whole_space(model), "unit": unit, "hull": ConvexRegion(model, (), tuple(extreme))}[inner]
+        assert not includes(outer, region)
+
+    @pytest.mark.parametrize("kind", ["classical", "quantum", "squarebit"])
+    @pytest.mark.parametrize("target", [0.0, 1.0])
+    def test_face_excludes_what_reaches_past_it(self, kind, target):
+        # The effect spans [0, 1] over the states, so at either target one end
+        # of its range meets the target and the other end decides.
+        model = {"classical": Classical(3), "quantum": Quantum(2), "squarebit": squarebit_model()}[kind]
+        if kind == "quantum":
+            effect = effect_from_matrix(model, np.diag([1.0, 0.0]))
+        else:
+            effect = Effect(model, np.array([1.0, 0.0, 0.0]) if kind == "classical" else np.array([0.5, 0.5, 0.0]))
+        face = region_from_effect(effect, target)
+        assert not includes(face, whole_space(model))
+        assert includes(whole_space(model), face)
+        if kind != "quantum":
+            assert not includes(face, ConvexRegion(model, (), tuple(enumerate_vertices(whole_space(model)))))
+
 
 class TestFeasibility:
     def test_classical_witness(self):
@@ -552,3 +593,129 @@ class TestLatticeLaws:
         model = Classical(3)
         a, b, c = (random_region(model, rng) for _ in range(3))
         assert region_eq(meet(meet(a, b), c), meet(a, meet(b, c)))
+
+
+LAW_REGIONS = 12
+
+
+def law_family(seed):
+    """A model, regions on it that nest and overlap, and an entropy objective.
+
+    The model is Classical(2..5) or a random polygon of 3..7 vertices, both
+    within the vertex-enumeration cap. The regions are the whole space, the
+    empty region as a flag and as an empty generator list, three conditions
+    on small integer functionals that a shared anchor state meets, two of
+    their meets, a condition the anchor misses, one no state meets, and two
+    single points (the anchor and a random state). Regions spanned by several
+    generators are left out: ``meet`` enters them through their affine hull.
+    """
+    rng = np.random.default_rng(seed)
+    if seed % 2:
+        model = Classical(int(rng.integers(2, 6)))
+        objective = Shannon()
+    else:
+        model = Polytope(rng.standard_normal((int(rng.integers(3, 8)), 2)))
+        objective = FiducialMeasurementEntropy((random_povm(model, rng, 3), random_povm(model, rng, 3)))
+    anchor, other = random_state(model, rng), random_state(model, rng)
+    funcs = [rng.integers(-1, 3, model.ambient_dim).astype(float) for _ in range(3)]
+    funcs = [f if f.any() else 2.0 * model.unit_functional for f in funcs]
+
+    def condition(f, target):
+        return ConvexRegion(model, (LinearConstraint(model, f, float(target)),))
+
+    h0, h1, h2 = (condition(f, f @ anchor.coords) for f in funcs)
+    # A single point enters a meet as one condition per ambient coordinate;
+    # met with all three conditions as well, Classical(5) would pass the cap.
+    deepest = meet(meet(h0, h1), h2) if 2 * model.ambient_dim + 3 <= _ENUMERATION_CAP else meet(h1, h2)
+    regions = [
+        whole_space(model),
+        ConvexRegion(model, known_empty=True),
+        ConvexRegion(model, v_rep=()),
+        h0,
+        h1,
+        h2,
+        meet(h0, h1),
+        deepest,
+        condition(funcs[0], funcs[0] @ other.coords),
+        condition(funcs[1], _state_range(model, funcs[1])[1] + 1.0),
+        ConvexRegion(model, (), (anchor,)),
+        ConvexRegion(model, (), (other,)),
+    ]
+    assert len(regions) == LAW_REGIONS
+    return model, regions, objective
+
+
+def maxent_entropy(model, region, objective):
+    """The MaxEnt entropy over region, or None when the region is empty."""
+    if region.v_rep:
+        region = meet(region, whole_space(model))  # a single point is its own affine hull
+    solution = solve(MaxEntProblem(model, region, objective))
+    if solution.status == SolveStatus.INFEASIBLE:
+        return None
+    assert solution.status in (SolveStatus.CONVERGED, SolveStatus.BOUNDARY_ONLY)
+    return solution.entropy
+
+
+law_seeds = st.integers(0, 2**32 - 1)
+law_picks = st.integers(0, LAW_REGIONS - 1)
+
+
+class TestLatticeOrderLaws:
+    """The lattice laws of condition regions, on Classical(d <= 5) and small polygons."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(law_seeds, law_picks, law_picks)
+    def test_meet_is_below_both_sides_and_commutes(self, seed, i, j):
+        _, regions, _ = law_family(seed)
+        a, b = regions[i], regions[j]
+        m = meet(a, b)
+        assert includes(a, m) and includes(b, m)
+        assert region_eq(m, meet(b, a))
+        assert region_eq(meet(a, a), a)
+
+    @settings(max_examples=150, deadline=None)
+    @given(law_seeds, law_picks, law_picks)
+    def test_order_read_through_the_meet(self, seed, i, j):
+        _, regions, _ = law_family(seed)
+        a, b = regions[i], regions[j]
+        assert includes(a, b) == includes(meet(a, b), b)
+
+    @settings(max_examples=150, deadline=None)
+    @given(law_seeds, law_picks, law_picks)
+    def test_join_is_above_both_sides(self, seed, i, j):
+        _, regions, _ = law_family(seed)
+        a, b = regions[i], regions[j]
+        hull = join(a, b)
+        assert includes(hull, a) and includes(hull, b)
+
+    @settings(max_examples=150, deadline=None)
+    @given(law_seeds, law_picks, law_picks, law_picks)
+    def test_includes_is_transitive(self, seed, i, j, k):
+        _, regions, _ = law_family(seed)
+        a, b, c = regions[i], regions[j], regions[k]
+        if includes(a, b) and includes(b, c):
+            assert includes(a, c)
+
+    @settings(max_examples=150, deadline=None)
+    @given(law_seeds, law_picks, law_picks)
+    def test_entropy_is_antitone_along_includes(self, seed, i, j):
+        model, regions, objective = law_family(seed)
+        a, b = regions[i], regions[j]
+        if not includes(a, b):
+            return
+        inner = maxent_entropy(model, b, objective)
+        if inner is not None:
+            outer = maxent_entropy(model, a, objective)
+            assert outer is not None
+            assert inner <= outer + 1e-6
+
+    def test_families_nest(self):
+        # The drawn families reach every answer the laws turn on.
+        for seed in (1, 2, 4, 5):  # Classical(3), polygons, Classical(4)
+            _, regions, _ = law_family(seed)
+            whole, flagged, listed, h0, h1, h2, h01, h012, shifted, missed, anchor, other = regions
+            for chain in ((whole, h0, h01, h012, anchor), (whole, h1, h01), (whole, h2, h012)):
+                assert all(includes(x, y) for x, y in zip(chain, chain[1:]))
+            assert not includes(h012, whole) and not includes(anchor, other)
+            assert includes(missed, flagged) and includes(flagged, listed)
+            assert meet(h0, shifted).known_empty

@@ -17,6 +17,7 @@ from gmaxent import (
     Polytope,
     Quantum,
     DEFAULT_SOLVER,
+    Effect,
     Shannon,
     SolverConfig,
     SolveStatus,
@@ -41,6 +42,7 @@ from gmaxent import (
     whole_space,
 )
 from gmaxent.hermitian import HermitianMatrix
+from gmaxent.models import _state_range
 from gmaxent.regions import LinearConstraint, _functional_matrix
 from gmaxent.simplex import FEASIBILITY_TOL
 from gmaxent.solver import (
@@ -632,6 +634,36 @@ class TestSolveDualClassical:
         np.testing.assert_allclose(fw.state.coords, np.full(3, 1.0 / 3.0), atol=1e-9)
         assert fw.entropy == pytest.approx(np.log(3.0), abs=1e-9)
         assert abs(fw.entropy - dual.entropy) <= 1e-6
+
+
+class TestNonUniformFaceLimit:
+    """Targets on a face of the state space whose limiting state is not uniform on it.
+
+    Classical(4) with p4 = 0 and p1 = 0.5, and Quantum(3) with <|2><2|> = 0
+    and <|0><0|> = 0.7, solve to BOUNDARY_ONLY at finite multipliers (about
+    (80.4, -0.69) and (28.5, -0.85)). Their dual certificate
+    c(lambda) = h(-sum_i lambda_i f_i) + lambda . t is 4.3e-3 and 8.9e-3 of
+    |lambda|, so the rule "BOUNDARY_ONLY iff c(lambda) <= grad_tol |lambda|"
+    would call both converged.
+    """
+
+    @pytest.mark.parametrize("kind", ["classical", "quantum"])
+    def test_boundary_only_at_the_face_limit(self, kind):
+        if kind == "classical":
+            model = Classical(4)
+            funcs = [np.array([0.0, 0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0, 0.0])]
+            targets, limit = np.array([0.0, 0.5]), np.array([0.5, 0.25, 0.25, 0.0])
+        else:
+            model = Quantum(3)
+            funcs = [model.matrix_to_coords(np.diag([0.0, 0.0, 1.0])), model.matrix_to_coords(np.diag([1.0, 0.0, 0.0]))]
+            targets, limit = np.array([0.0, 0.7]), model.matrix_to_coords(np.diag([0.7, 0.3, 0.0]))
+        region = meet(*(region_from_effect(Effect(model, f), t) for f, t in zip(funcs, targets)))
+        sol = solve(MaxEntProblem(model, region, default_objective(model)))
+        assert sol.status == SolveStatus.BOUNDARY_ONLY
+        np.testing.assert_allclose(sol.state.coords, limit, atol=1e-9)
+        lam = sol.multipliers
+        certificate = _state_range(model, -lam @ np.array(funcs))[1] + lam @ targets
+        assert certificate > 1e-3 * np.linalg.norm(lam) > DEFAULT_SOLVER.grad_tol * np.linalg.norm(lam)
 
 
 def _random_effect_constraints(model, m, rng):
