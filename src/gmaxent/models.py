@@ -261,29 +261,34 @@ class Polytope(ModelSpace):
 class State:
     """A point of the model's state space: u(coords) = 1, inside the cone.
 
-    A polytope state is a mixture w @ V of the embedded vertices V, with
-    w >= 0 and sum w = 1. A caller that built it from such weights passes
-    them as ``weights``, and they are checked in O(nk): every weight is at
-    least -1e-8, their sum is within 1e-10 of 1, and their mixture is within
-    1e-8 of coords in every coordinate. Without weights, a Phase I LP searches
-    for them (``Polytope.cone_residual``). The weights are not stored. The
+    A caller that built it from a certificate of cone membership passes it
+    to be checked instead; it is not stored. A polytope state's is ``weights``
+    w with coords = w @ V, V the embedded vertices, checked in O(nk): each
+    weight at least -1e-8, their sum within 1e-10 of 1, their mixture within
+    1e-8 of coords in every coordinate. A quantum state's is ``factor`` B with
+    rho = B B^H, checked in O(d^3): coords lie within 1e-10 in 2-norm (the
+    Frobenius norm of the matrix gap) of those of B B^H >= 0, so rho's least
+    eigenvalue is at least -1e-10 by Weyl's inequality. Without one, a Phase I
+    LP (``Polytope.cone_residual``) or ``eigvalsh`` tests membership. The
     coordinates are kept read-only; a caller's writeable array is copied first.
     """
 
     model: ModelSpace
     coords: np.ndarray
     weights: InitVar[Optional[np.ndarray]] = field(default=None, kw_only=True)
+    factor: InitVar[Optional[np.ndarray]] = field(default=None, kw_only=True)
 
     __eq__ = _equal_by_value
 
-    def __post_init__(self, weights):
+    def __post_init__(self, weights, factor):
         c = _read_only(self.coords)
         if c.shape != (self.model.ambient_dim,):
             raise InvalidState(f"expected {self.model.ambient_dim} coordinates, got {c.shape}")
-        if abs(self.model.unit_value(c) - 1.0) > _UNIT_ATOL:
+        # 0 * nan and 0 * inf are nan, so a coordinate that is not finite fails the unit test.
+        if not abs(self.model.unit_value(c) - 1.0) <= _UNIT_ATOL:
             raise InvalidState(f"unit functional is {self.model.unit_value(c):.12g}, not 1")
-        if weights is not None:
-            _check_mixture(self.model, np.asarray(weights, dtype=float), c)
+        if weights is not None or factor is not None:
+            _check_certificate(self.model, c, weights, factor)
         else:
             residual = self.model.cone_residual(c)
             tol = FEASIBILITY_TOL if self.model.kind == POLYTOPE else _CONE_ATOL
@@ -302,13 +307,22 @@ class State:
         return self.coords[1:]
 
 
-def _check_mixture(model: ModelSpace, w: np.ndarray, coords: np.ndarray) -> None:
-    """Raise InvalidState unless w are mixing weights of the polytope's vertices giving coords."""
-    if model.kind != POLYTOPE:
-        raise ModelMismatch("mixing weights certify polytope states only")
+def _check_certificate(model: ModelSpace, coords: np.ndarray, weights, factor) -> None:
+    """Raise InvalidState unless polytope mixing weights or a quantum factor B put coords in the cone."""
+    if (weights is not None and model.kind != POLYTOPE) or (factor is not None and model.kind != QUANTUM):
+        raise ModelMismatch("mixing weights certify polytope states only, factors quantum states only")
+    # Each test is written so that a NaN fails it.
+    if factor is not None:
+        b = np.asarray(factor, dtype=complex)
+        if b.ndim != 2 or len(b) != model.dim:
+            raise InvalidState(f"expected a factor of {model.dim} rows, got shape {b.shape}")
+        gap = float(np.linalg.norm(model.matrix_to_coords(b @ b.conj().T) - coords))
+        if not gap <= _CONE_ATOL:
+            raise InvalidState(f"factor misses the state by {gap:.3g}")
+        return
+    w = np.asarray(weights, dtype=float)
     if w.shape != (model.vertices.shape[0],):
         raise InvalidState(f"expected {model.vertices.shape[0]} mixing weights, got {w.shape}")
-    # Each test is written so that a NaN fails it.
     if not np.min(w) >= -FEASIBILITY_TOL:
         raise InvalidState(f"mixing weight {np.min(w):.3g} is negative")
     if not abs(np.sum(w) - 1.0) <= _UNIT_ATOL:
@@ -510,7 +524,7 @@ def maximally_mixed(model: ModelSpace) -> State:
     if model.kind == CLASSICAL:
         return State(model, _sealed(np.full(model.dim, 1.0 / model.dim)))
     if model.kind == QUANTUM:
-        return State(model, _sealed(model.matrix_to_coords(np.eye(model.dim) / model.dim)))
+        return State(model, _sealed(model.unit_functional / model.dim), factor=np.eye(model.dim) / np.sqrt(model.dim))
     n = model.vertices.shape[0]
     return State(model, _sealed(model.vertices.mean(axis=0)), weights=np.full(n, 1.0 / n))
 
@@ -556,9 +570,8 @@ def random_state(model: ModelSpace, rng: np.random.Generator) -> State:
         return State(model, _sealed(p / p.sum()))
     if model.kind == QUANTUM:
         g = rng.standard_normal((model.dim, model.dim)) + 1j * rng.standard_normal((model.dim, model.dim))
-        rho = g @ g.conj().T
-        rho /= np.trace(rho).real
-        return State(model, _sealed(model.matrix_to_coords(rho)))
+        b = g / np.linalg.norm(g)  # tr(B B^H) = 1
+        return State(model, _sealed(model.matrix_to_coords(b @ b.conj().T)), factor=b)
     w = rng.dirichlet(np.ones(model.vertices.shape[0]))
     return State(model, _sealed(w @ model.vertices), weights=w)
 

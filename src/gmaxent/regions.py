@@ -171,12 +171,12 @@ def _dedup_constraints(constraints: tuple[LinearConstraint, ...]) -> tuple[tuple
 
     A constraint duplicates the first kept one whose functional, both divided
     by their stored 2-norms (``LinearConstraint.norm``), lies within
-    ``_DUPLICATE_RTOL`` in max-abs; the region is empty when their
-    normalized targets disagree. Pairs are screened on
-    every max(1, n // 64)-th coordinate first. The sampled entries are
-    bitwise the quotients the full test compares, and a max over a subset is
-    at most the max over all, so every duplicate passes the screen and the
-    result is that of testing all pairs in full.
+    ``_DUPLICATE_RTOL`` in max-abs; the region is empty when the one of smaller
+    norm misses the other's plane by over ``includes``'s ``_CONSTRAINT_ATOL``.
+    Pairs are screened on every max(1, n // 64)-th coordinate first. The
+    sampled entries are bitwise the quotients the full test compares, and a
+    max over a subset is at most the max over all, so every duplicate passes
+    the screen and the result is that of testing all pairs in full.
     """
     k = len(constraints)
     if k < 2:
@@ -200,7 +200,7 @@ def _dedup_constraints(constraints: tuple[LinearConstraint, ...]) -> tuple[tuple
             if np.max(np.abs(unit[i] - unit[j])) <= _DUPLICATE_RTOL:
                 kept[i] = False
                 tn, sn = constraints[i].target / norms[i], constraints[j].target / norms[j]
-                if abs(tn - sn) > max(_DUPLICATE_RTOL, 1e-12 * max(1.0, abs(sn))):
+                if min(norms[i], norms[j]) * abs(tn - sn) > _CONSTRAINT_ATOL:
                     empty = True
                 break
     return tuple(itertools.compress(constraints, kept)), empty

@@ -203,7 +203,7 @@ class _QuantumEvaluation(_DualEvaluation):
 
     At lambda = 0, where every solve starts, the state is I/d: the spectrum is
     uniform and U = I, exactly what ``eigh`` of the zero exponent returns, so
-    neither ``eigh`` nor the rotation of the operators runs.
+    ``eigh`` does not run. The means are tr(R_i rho); only a Hessian rotates R_i.
     """
 
     def __init__(self, model, operators: np.ndarray, lambdas: np.ndarray):
@@ -220,21 +220,21 @@ class _QuantumEvaluation(_DualEvaluation):
         self._shifted = self._gibbs(k)
 
     @cached_property
-    def _rotated(self) -> np.ndarray:
-        """The constraint operators in the eigenbasis of the exponent; the operators themselves at U = I."""
-        if self._u is None:
-            return self._operators
-        return self._u.conj().T @ self._operators @ self._u
+    def _rho(self) -> np.ndarray:
+        return np.diag(self.spectrum) if self._u is None else (self._u * self.spectrum) @ self._u.conj().T
 
     @cached_property
     def means(self) -> np.ndarray:
-        return self._rotated.diagonal(0, 1, 2).real @ self.spectrum
+        # tr(R rho) = sum_jk R_jk conj(rho_jk), rho being Hermitian.
+        return (self._operators.reshape(-1, self._model.ambient_dim) @ self._rho.ravel().conj()).real
 
     @cached_property
     def state_coords(self) -> np.ndarray:
-        u = self._u
-        rho = np.diag(self.spectrum) if u is None else (u * self.spectrum) @ u.conj().T
-        return self._model.matrix_to_coords(rho)
+        return self._model.matrix_to_coords(self._rho)
+
+    def factor(self) -> np.ndarray:
+        """B = U diag(sqrt(p)), so that rho = B B^H."""
+        return (np.eye(self._model.dim) if self._u is None else self._u) * np.sqrt(self.spectrum)
 
     @cached_property
     def _hessian(self) -> np.ndarray:
@@ -242,9 +242,10 @@ class _QuantumEvaluation(_DualEvaluation):
         # rotated operators scaled by sqrt(phi), phi > 0 the divided differences
         # of exp, viewed as real rows of 2 d^2 entries, so S S^T = Re(conj(S) S^T).
         # At U = I every phi is 1, and S is the operator stack itself.
-        scaled = self._rotated.reshape(-1, self._model.ambient_dim)
+        scaled = self._operators.reshape(-1, self._model.ambient_dim)
         if self._u is not None:
-            scaled = scaled * np.sqrt(_divided_difference(self._shifted).ravel())
+            scaled = (self._u.conj().T @ self._operators @ self._u).reshape(scaled.shape)
+            scaled *= np.sqrt(_divided_difference(self._shifted).ravel())
         scaled = scaled.view(float)
         return (scaled @ scaled.T) / self._z - np.outer(self.means, self.means)
 
@@ -295,12 +296,9 @@ def _select_independent(funcs: np.ndarray, norms: Sequence[float], targets: np.n
     return kept, dropped, False
 
 
-def _solution(problem, coords, multipliers, lambda0, iterations, status, diag, value, weights=None) -> MaxEntSolution:
-    """The result at the solved coordinates; value is the objective there.
-
-    weights, when given, are the polytope mixing weights that certify the state.
-    """
-    state = State(problem.model, _sealed(coords), weights=weights)
+def _solution(problem, coords, multipliers, lambda0, iterations, status, diag, value, **certificate) -> MaxEntSolution:
+    """The result at the solved coordinates; value is the objective there, certificate what ``State`` takes."""
+    state = State(problem.model, _sealed(coords), **certificate)
     return MaxEntSolution(
         state=state,
         multipliers=np.asarray(multipliers, dtype=float),
@@ -343,7 +341,8 @@ def solve_dual(problem: MaxEntProblem, config: SolverConfig = DEFAULT_SOLVER) ->
     ``_BOUNDARY_RESIDUAL_TOL``, else NON_CONVERGENCE, as at the iteration cap,
     which also ends a solve whose cap comes before the bound. Contradictory
     linear conditions are INFEASIBLE before any Newton step. ``iterations``
-    counts the Newton steps taken.
+    counts the Newton steps taken. A quantum result's state is certified by
+    its factor U diag(sqrt(p)) from the last ``eigh``; no eigensolver reruns.
     """
     if not isinstance(problem.objective, (Shannon, VonNeumann)):
         raise IncompatibleObjective("solve_dual handles Shannon and von Neumann objectives")
@@ -445,10 +444,11 @@ def solve_dual(problem: MaxEntProblem, config: SolverConfig = DEFAULT_SOLVER) ->
     if status is SolveStatus.INFEASIBLE:
         return _infeasible(diag, lambdas, iterations)
     if coords is None:
-        coords = ev.state_coords
+        coords, factor = ev.state_coords, None
     else:
-        coords[:] = ev.state_coords
-    return _solution(problem, coords, lambdas, ev.lnz, iterations, status, diag, entropy_from_spectrum(ev.spectrum))
+        coords[:], factor = ev.state_coords, ev.factor()
+    entropy = entropy_from_spectrum(ev.spectrum)
+    return _solution(problem, coords, lambdas, ev.lnz, iterations, status, diag, entropy, factor=factor)
 
 
 # ---------------------------------------------------------------------------
@@ -628,7 +628,7 @@ def solve_polytope(problem: MaxEntProblem, config: SolverConfig = DEFAULT_SOLVER
         x = moved
 
     weights = alpha @ mixes if model.kind == POLYTOPE else None
-    return _solution(problem, x, (), None, iterations, status, diag, float(value(x)), weights)
+    return _solution(problem, x, (), None, iterations, status, diag, float(value(x)), weights=weights)
 
 
 def solve(problem: MaxEntProblem, config: SolverConfig = DEFAULT_SOLVER) -> MaxEntSolution:

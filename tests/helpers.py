@@ -123,7 +123,8 @@ def reference_classical_hessian(ev):
 def reference_quantum_hessian(ev):
     """The Kubo-Mori dual Hessian as the complex contraction Re(R^H (phi * R)) / Z - m m^T."""
     phi = _divided_difference(ev._shifted)
-    rotated = ev._rotated.reshape(-1, phi.size)
+    u = np.eye(len(phi)) if ev._u is None else ev._u
+    rotated = (u.conj().T @ ev._operators @ u).reshape(-1, phi.size)
     h = ((rotated.conj() * phi.ravel()) @ rotated.T).real / ev._z
     return h - np.outer(ev.means, ev.means)
 
@@ -427,15 +428,15 @@ def reference_dedup_constraints(constraints):
         fn = c.functional / norm
         tn = c.target / norm
         duplicate = False
-        for gn, sn in normalized:
+        for gn, sn, kept_norm in normalized:
             if np.max(np.abs(fn - gn)) <= _DUPLICATE_RTOL:
                 duplicate = True
-                if abs(tn - sn) > max(_DUPLICATE_RTOL, 1e-12 * max(1.0, abs(sn))):
+                if min(norm, kept_norm) * abs(tn - sn) > _CONSTRAINT_ATOL:
                     empty = True
                 break
         if not duplicate:
             kept.append(c)
-            normalized.append((fn, tn))
+            normalized.append((fn, tn, norm))
     return tuple(kept), empty
 
 

@@ -38,7 +38,14 @@ from gmaxent import (
 )
 from gmaxent import models, regions
 from gmaxent.regions import LinearConstraint
-from helpers import hermitian_basis, indicator_observable, random_density, random_projector_family, squarebit_model
+from helpers import (
+    hermitian_basis,
+    indicator_observable,
+    random_density,
+    random_projector_family,
+    random_quantum_problem,
+    squarebit_model,
+)
 
 MODELS = [Classical(3), Quantum(2), squarebit_model()]
 
@@ -283,6 +290,14 @@ class TestState:
             State(model, coords, w)
         assert "weights" not in vars(State(model, coords, weights=w))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("model", MODELS, ids=["classical", "quantum", "polytope"])
+    def test_rejects_a_non_finite_coordinate(self, model, bad):
+        coords = maximally_mixed(model).coords.copy()
+        coords[-1] = bad  # where the unit functional of quantum and polytope models is 0
+        with pytest.raises(InvalidState, match="unit functional"), np.errstate(invalid="ignore"):  # 0 * inf
+            State(model, coords)
+
     @pytest.mark.parametrize("model", MODELS, ids=["classical", "quantum", "polytope"])
     def test_random_states_valid(self, model):
         rng = np.random.default_rng(11)
@@ -291,6 +306,102 @@ class TestState:
             assert abs(model.unit_value(s.coords) - 1.0) <= 1e-10
             tol = 1e-8 if model.kind == "polytope" else 1e-10
             assert model.cone_residual(s.coords) <= tol
+
+
+def factor_and_coords(model, rng, columns=None):
+    """A random factor B with tr(B B^H) = 1 and the coordinates of B B^H."""
+    shape = (model.dim, columns or model.dim)
+    b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    b /= np.linalg.norm(b)
+    return b, model.matrix_to_coords(b @ b.conj().T)
+
+
+class TestFactorCertificate:
+    """A quantum state rho = B B^H is certified by its factor B instead of by its spectrum."""
+
+    @pytest.fixture
+    def no_eigvalsh(self, monkeypatch):
+        def refused(a):
+            raise AssertionError("eigvalsh ran on a state that carries a factor")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refused)
+
+    def test_solved_random_and_maximally_mixed_states_pass_the_spectral_test(self, monkeypatch):
+        model = Quantum(5)
+        rng = np.random.default_rng(3)
+        problem = random_quantum_problem(rng, 5, 3)
+        eigvalsh = np.linalg.eigvalsh
+        calls = []
+
+        def counted(a):
+            calls.append(1)
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        sol = solve(problem)
+        states = [sol.state, random_state(model, rng), maximally_mixed(model), maximally_mixed(Quantum(1))]
+        assert sol.status.value == "converged" and calls == []
+        for s in states:
+            assert State(s.model, s.coords) == s
+            assert np.min(eigvalsh(s.density_matrix().entries)) >= -1e-10
+        assert len(calls) == len(states)
+
+    def test_accepts_its_factor_of_any_width(self, no_eigvalsh):
+        model = Quantum(4)
+        rng = np.random.default_rng(5)
+        for columns in (1, 2, 4, 7):
+            b, coords = factor_and_coords(model, rng, columns)
+            s = State(model, coords, factor=b)
+            np.testing.assert_array_equal(s.coords, coords)
+            # A gap below the 1e-10 tolerance passes.
+            State(model, coords + np.r_[0.0, 5e-11, np.zeros(14)], factor=b)
+
+    def test_rejects_coordinates_moved_off_the_factor(self):
+        model = Quantum(4)
+        b, coords = factor_and_coords(model, np.random.default_rng(7))
+        moved = coords.copy()
+        moved[-1] += 1e-9  # a traceless direction: the unit value stays 1
+        assert State(model, moved) is not None  # the spectrum alone does not see it
+        with pytest.raises(InvalidState, match="factor misses"):
+            State(model, moved, factor=b)
+
+    def test_rejects_the_factor_of_another_state(self, no_eigvalsh):
+        model = Quantum(4)
+        rng = np.random.default_rng(9)
+        _, coords = factor_and_coords(model, rng)
+        other, _ = factor_and_coords(model, rng)
+        with pytest.raises(InvalidState, match="factor misses"):
+            State(model, coords, factor=other)
+
+    def test_rejects_a_nan_entry(self, no_eigvalsh):
+        model = Quantum(3)
+        b, coords = factor_and_coords(model, np.random.default_rng(11))
+        b[1, 2] = np.nan
+        with pytest.raises(InvalidState):
+            State(model, coords, factor=b)
+
+    def test_rejects_a_factor_of_the_wrong_height(self, no_eigvalsh):
+        model = Quantum(3)
+        b, coords = factor_and_coords(model, np.random.default_rng(13))
+        with pytest.raises(InvalidState, match="rows"):
+            State(model, coords, factor=b[:2])
+        with pytest.raises(InvalidState, match="rows"):
+            State(model, coords, factor=b[0])
+
+    def test_factors_are_quantum_only(self):
+        with pytest.raises(ModelMismatch):
+            State(Classical(3), np.full(3, 1.0 / 3.0), factor=np.eye(3) / np.sqrt(3.0))
+        model = squarebit_model()
+        w = np.full(4, 0.25)
+        with pytest.raises(ModelMismatch):
+            State(model, w @ model.vertices, weights=w, factor=np.eye(3))
+
+    def test_factor_is_keyword_only_and_not_stored(self):
+        model = Quantum(2)
+        b, coords = factor_and_coords(model, np.random.default_rng(17))
+        with pytest.raises(TypeError):
+            State(model, coords, None, b)
+        assert "factor" not in vars(State(model, coords, factor=b))
 
 
 class TestEvaluate:

@@ -361,6 +361,40 @@ class TestDuplicateScreen:
         ]
 
 
+class TestMeetConflictTolerance:
+    """meet flags parallel conditions as conflicting only when includes rejects even the one of smaller norm."""
+
+    @staticmethod
+    def _pair(scale, shift):
+        model = Classical(3)
+        f = np.array([0.0, 1.0, 2.0])
+        return (
+            ConvexRegion(model, (LinearConstraint(model, f, 1.0),)),
+            ConvexRegion(model, (LinearConstraint(model, scale * f, scale * 1.0 + shift),)),
+        )
+
+    @staticmethod
+    def _assert_order_read_through_the_meet(a, b):
+        for x, y in ((a, b), (b, a)):
+            assert includes(x, y) == includes(meet(x, y), y)
+
+    @pytest.mark.parametrize("shift, empty", [(1e-9, False), (1e-6, True)])
+    def test_equal_functionals(self, shift, empty):
+        a, b = self._pair(1.0, shift)
+        assert meet(a, b).known_empty == meet(b, a).known_empty == empty
+        assert includes(a, b) == includes(b, a) == (not empty)
+        self._assert_order_read_through_the_meet(a, b)
+
+    @pytest.mark.parametrize("shift, empty", [(5e-7, False), (2e-6, True)])
+    def test_in_the_scale_of_the_smaller_norm(self, shift, empty):
+        # f . x = 1 misses 100 f . x = 100 + shift by shift / 100, and 100 f misses f's plane by shift.
+        a, b = self._pair(100.0, shift)
+        assert meet(a, b).known_empty == meet(b, a).known_empty == empty
+        assert includes(a, b) == (not empty)
+        assert not includes(b, a)
+        self._assert_order_read_through_the_meet(a, b)
+
+
 class TestJoin:
     def test_two_quantum_points(self):
         model = Quantum(2)

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gmaxent import (
@@ -393,6 +393,37 @@ class TestSolveDualQuantum:
         spectrum = np.linalg.eigvalsh(sol.state.density_matrix().entries)
         assert sol.entropy == pytest.approx(entropy_from_spectrum(spectrum), abs=1e-12)
 
+    def test_solved_state_certified_by_its_factor_and_operators_rotated_only_for_a_hessian(self, monkeypatch):
+        problem = random_quantum_problem(np.random.default_rng(0), 32, 16)
+        original = Quantum.coords_to_matrices
+        eigvalsh = np.linalg.eigvalsh
+        rotations, spectra = [], []
+
+        class Stack(np.ndarray):
+            """The operator stack; counts the products that rotate all of it at once."""
+
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                if ufunc is np.matmul and any(np.ndim(x) == 3 for x in inputs):
+                    rotations.append(1)
+                return getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
+
+        def counted(a):
+            spectra.append(1)
+            return eigvalsh(a)
+
+        monkeypatch.setattr(Quantum, "coords_to_matrices", lambda model, coords: original(model, coords).view(Stack))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        sol = solve_dual(problem)
+        assert sol.status == SolveStatus.CONVERGED
+        # Three Newton steps: a Hessian at lambda = 0, which rotates nothing,
+        # then one rotation for each of the two Hessians after it; the final
+        # means are read from rho, and the state is certified by its factor.
+        assert sol.iterations == 3
+        assert len(rotations) == 2
+        assert spectra == []
+        monkeypatch.undo()
+        assert State(problem.model, sol.state.coords) == sol.state
+
     def test_hessian_psd_at_every_step(self, monkeypatch):
         rng = np.random.default_rng(7)
         assert_hessian_psd_at_every_step(monkeypatch, [random_quantum_problem(rng, 3, 2) for _ in range(10)])
@@ -634,6 +665,81 @@ class TestSolveDualClassical:
         np.testing.assert_allclose(fw.state.coords, np.full(3, 1.0 / 3.0), atol=1e-9)
         assert fw.entropy == pytest.approx(np.log(3.0), abs=1e-9)
         assert abs(fw.entropy - dual.entropy) <= 1e-6
+
+
+def classical_condition_problem(seed):
+    """Classical(d), d in 2..8, with 1 to 4 conditions whose targets come from an interior state.
+
+    Past d - 1 conditions, and by chance before, a condition is a random
+    combination of the earlier ones, which the rank filter drops.
+    """
+    rng = np.random.default_rng(seed)
+    d, m = int(rng.integers(2, 9)), int(rng.integers(1, 5))
+    model = Classical(d)
+    anchor = rng.dirichlet(np.ones(d)) + 0.2 / d
+    anchor /= anchor.sum()
+    funcs = list(rng.uniform(-1.0, 1.0, (min(m, d - 1), d)))
+    while len(funcs) < m:
+        funcs.insert(int(rng.integers(1, len(funcs) + 1)), rng.uniform(-1.0, 1.0, len(funcs)) @ np.array(funcs))
+    constraints = tuple(LinearConstraint(model, f, float(f @ anchor)) for f in funcs)
+    return MaxEntProblem(model, ConvexRegion(model, constraints), Shannon())
+
+
+def diagonal_embedding(problem):
+    """The classical problem posed on Quantum(d): each condition f becomes the diagonal operator diag(f)."""
+    model = Quantum(problem.model.dim)
+    constraints = tuple(
+        LinearConstraint(model, model.matrix_to_coords(np.diag(c.functional)), c.target) for c in problem.region.h_rep
+    )
+    return MaxEntProblem(model, ConvexRegion(model, constraints), VonNeumann())
+
+
+class TestOnePrincipleOnEveryModel:
+    """One MaxEnt answer for classical conditions, whichever model or solver poses them.
+
+    Seed 98217081 draws two nearly dependent conditions on Classical(3) whose
+    one feasible point is interior, but whose multipliers (-11282, 3332) lie
+    past ``_MULTIPLIER_BOUND``: the dual stops there with NON_CONVERGENCE on
+    either model, while Frank-Wolfe converges. Both tests run it every time.
+    """
+
+    @staticmethod
+    def _stopped_at_the_bound(sol):
+        return sol.status is SolveStatus.NON_CONVERGENCE and np.abs(sol.multipliers).max() > _MULTIPLIER_BOUND
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    @example(seed=98217081)
+    def test_diagonal_quantum_conditions_give_the_classical_answer(self, seed):
+        problem = classical_condition_problem(seed)
+        classical = solve_dual(problem)
+        quantum = solve_dual(diagonal_embedding(problem))
+        assert quantum.diagnostics.kept_indices == classical.diagnostics.kept_indices
+        assert quantum.diagnostics.dropped_indices == classical.diagnostics.dropped_indices
+        if self._stopped_at_the_bound(classical):
+            assert self._stopped_at_the_bound(quantum)
+            return
+        assert classical.status == quantum.status == SolveStatus.CONVERGED
+        assert abs(quantum.entropy - classical.entropy) <= 1e-12
+        np.testing.assert_allclose(
+            quantum.state.density_matrix().entries, np.diag(classical.state.coords), rtol=0, atol=1e-12
+        )
+        lambdas = classical.multipliers
+        assert np.all(np.abs(quantum.multipliers - lambdas) <= 1e-10 * np.maximum(1.0, np.abs(lambdas)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    @example(seed=98217081)
+    def test_dual_and_frank_wolfe_agree_on_shannon(self, seed):
+        problem = classical_condition_problem(seed)
+        dual = solve_dual(problem)
+        fw = solve_polytope(problem)
+        assert fw.status == SolveStatus.CONVERGED
+        if self._stopped_at_the_bound(dual):
+            return
+        assert dual.status == SolveStatus.CONVERGED
+        # The Frank-Wolfe gap bounds how far its entropy sits below the maximum.
+        assert abs(dual.entropy - fw.entropy) <= DEFAULT_SOLVER.fw_gap_tol
 
 
 class TestNonUniformFaceLimit:
