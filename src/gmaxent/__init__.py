@@ -7,7 +7,6 @@ over it: Shannon (classical), von Neumann (quantum, via the exponential-family
 dual), or a pluggable concave objective (general polytope models).
 """
 
-from .config import DEFAULT_SOLVER, SolverConfig
 from .errors import (
     DegenerateInput,
     GmaxentError,
@@ -62,12 +61,14 @@ from .regions import (
     whole_space,
 )
 from .solver import (
+    DEFAULT_SOLVER,
     CustomObjective,
     FiducialMeasurementEntropy,
     MaxEntProblem,
     MaxEntSolution,
     Shannon,
     SolveStatus,
+    SolverConfig,
     VonNeumann,
     default_objective,
     solve,

@@ -140,17 +140,19 @@ def cmd_validate(args) -> int:
     return EXIT_VALIDATION if failed else EXIT_OK
 
 
-def cmd_solve(args) -> int:
-    parsed = load_problem(args.path)
+def _checked_problem(parsed) -> MaxEntProblem:
+    """The file's MaxEntProblem; a GmaxentError, which exits 1, when one of its observables is not a POVM."""
     for name, obs in parsed.observables.items():
         report = validate_povm(obs)
         if not report.valid:
-            log.error("observable %s failed validation: %s", name, "; ".join(report.issues()))
-            return EXIT_VALIDATION
-    region = build_region(parsed)
-    objective = build_objective(parsed)
+            raise GmaxentError(f"observable {name} failed validation: {'; '.join(report.issues())}")
+    return MaxEntProblem(parsed.model, build_region(parsed), build_objective(parsed))
+
+
+def cmd_solve(args) -> int:
+    parsed = load_problem(args.path)
+    problem = _checked_problem(parsed)
     config = solver_config_from(parsed, args.tolerance, args.max_iter)
-    problem = MaxEntProblem(parsed.model, region, objective)
     start = time.perf_counter()
     solution = solve(problem, config)
     wall_ms = (time.perf_counter() - start) * 1e3
@@ -179,9 +181,7 @@ def cmd_lattice(args) -> int:
 
 def cmd_oracle(args) -> int:
     parsed = load_problem(args.path)
-    region = build_region(parsed)
-    objective = build_objective(parsed)
-    problem = MaxEntProblem(parsed.model, region, objective)
+    problem = _checked_problem(parsed)
     result = oracle_maxent(problem, positive_finite(args.resolution, "--resolution"))
     report = {
         "status": result.status,

@@ -47,7 +47,6 @@ from typing import Any, Optional
 
 import numpy as np
 
-from .config import DEFAULT_SOLVER, SolverConfig
 from .errors import GmaxentError
 from .models import (
     CLASSICAL,
@@ -65,10 +64,12 @@ from .models import (
 )
 from .regions import ConvexRegion, LinearConstraint, meet, region_from_effect, region_from_mean, whole_space
 from .solver import (
+    DEFAULT_SOLVER,
     FiducialMeasurementEntropy,
     MaxEntSolution,
     Objective,
     Shannon,
+    SolverConfig,
     VonNeumann,
     default_objective,
 )

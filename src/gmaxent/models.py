@@ -36,7 +36,6 @@ from .errors import (
     InvalidObservable,
     InvalidState,
     ModelMismatch,
-    NoValues,
     NotAProjection,
     NotOrthogonal,
     NumericalFailure,
@@ -233,6 +232,8 @@ class Polytope(ModelSpace):
             raise ValueError("at least one vertex required")
         if pts.ndim != 2:
             raise ValueError(f"vertices must be a list of points, got a {pts.ndim}-D array")
+        if not np.isfinite(pts).all():
+            raise ValueError("vertex coordinates must be finite")
         emb = np.hstack([np.ones((pts.shape[0], 1)), pts])
         emb.setflags(write=False)
         self.vertices = emb
@@ -354,21 +355,24 @@ class Effect:
         object.__setattr__(self, "functional", f)
         if self.check:
             lo, hi = _state_range(self.model, f)
-            if lo < -_EFFECT_RANGE_ATOL or hi > 1.0 + _EFFECT_RANGE_ATOL:
+            # Written so that a NaN fails it, as each range and completeness test below.
+            if not (-lo <= _EFFECT_RANGE_ATOL and hi - 1.0 <= _EFFECT_RANGE_ATOL):
                 raise InvalidEffect(f"effect range [{lo:.6g}, {hi:.6g}] leaves [0, 1]")
 
 
 def _state_range(model: ModelSpace, functional: np.ndarray) -> tuple[float, float]:
     """Min and max of a functional over the states: of its entries, its matrix's eigenvalues or its vertex values."""
     if model.kind == QUANTUM:
+        if not np.isfinite(functional).all():  # LAPACK can return finite eigenvalues for a NaN matrix
+            return np.nan, np.nan
         k = np.linalg.eigvalsh(model.coords_to_matrix(functional).entries)
         return float(k[0]), float(k[-1])
     values = functional if model.kind == CLASSICAL else model.vertices @ functional
     return float(np.min(values)), float(np.max(values))
 
 
-def effect_from_matrix(model: Quantum, matrix, check: bool = True) -> Effect:
-    return Effect(model, _sealed(model.matrix_to_coords(matrix)), check=check)
+def effect_from_matrix(model: Quantum, matrix) -> Effect:
+    return Effect(model, _sealed(model.matrix_to_coords(matrix)))
 
 
 @dataclass(frozen=True)
@@ -395,7 +399,7 @@ class Observable:
                 raise ModelMismatch("outcome effect belongs to a different model")
         if self.check:
             residual = self.completeness_residual()
-            if residual > _COMPLETENESS_ATOL:
+            if not residual <= _COMPLETENESS_ATOL:
                 raise InvalidObservable(f"effects miss the unit functional by {residual:.3g}")
 
     def completeness_residual(self) -> float:
@@ -411,11 +415,6 @@ class Observable:
 
     def has_values(self) -> bool:
         return all(out.value is not None for out in self.outcomes)
-
-    def values(self) -> np.ndarray:
-        if not self.has_values():
-            raise NoValues("observable outcomes carry no values")
-        return np.array([out.value for out in self.outcomes], dtype=float)
 
 
 def evaluate(e: Effect, s: State) -> float:
@@ -444,7 +443,7 @@ class PovmValidation:
 
     def issues(self) -> list[str]:
         found = []
-        if self.completeness_residual > 0.0:
+        if not self.completeness_residual <= 0.0:
             found.append(f"completeness residual {self.completeness_residual:.6g}")
         for idx, low in self.negative_effects:
             found.append(f"effect {idx} negative (min {low:.6g})")
@@ -460,12 +459,12 @@ def validate_povm(obs: Observable) -> PovmValidation:
     above = []
     for idx, out in enumerate(obs.outcomes):
         lo, hi = _state_range(obs.model, out.effect.functional)
-        if lo < -_EFFECT_RANGE_ATOL:
+        if not -lo <= _EFFECT_RANGE_ATOL:
             negative.append((idx, lo))
-        if hi > 1.0 + _EFFECT_RANGE_ATOL:
+        if not hi - 1.0 <= _EFFECT_RANGE_ATOL:
             above.append((idx, hi))
     return PovmValidation(
-        completeness_residual=residual if residual > _COMPLETENESS_ATOL else 0.0,
+        completeness_residual=0.0 if residual <= _COMPLETENESS_ATOL else residual,
         negative_effects=tuple(negative),
         above_unit_effects=tuple(above),
     )
@@ -482,8 +481,7 @@ class StateAxiomReport:
 
     @property
     def passed(self) -> bool:
-        worst = max((self.zero_residual, self.additivity_residual, *self.complement_residuals))
-        return worst <= self.tolerance
+        return self.max_residual() <= self.tolerance
 
     def max_residual(self) -> float:
         return max((self.zero_residual, self.additivity_residual, *self.complement_residuals))

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import Unsupported, UnsupportedRepresentation
 from .models import CLASSICAL, QUANTUM, State, _sealed
-from .solver import CustomObjective, FiducialMeasurementEntropy, MaxEntProblem, Shannon, VonNeumann
+from .solver import FiducialMeasurementEntropy, MaxEntProblem, Shannon, VonNeumann
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
@@ -145,32 +145,16 @@ class _PolytopeSearch:
         for c in region.h_rep:
             self.rows.append(self.vertex_map @ c.functional)
             self.rhs.append(c.target)
-        if isinstance(objective, FiducialMeasurementEntropy):
-            self.outcome_rows = [
-                np.stack([self.vertex_map @ out.effect.functional for out in m.outcomes])
-                for m in objective.measurements
-            ]
-            self.custom = None
-        elif isinstance(objective, CustomObjective):
-            self.outcome_rows = None
-            self.custom = objective
-        else:
-            raise Unsupported("polytope oracle needs a fiducial or custom objective")
-
-    def _values(self, weights):
-        if self.outcome_rows is not None:
-            total = np.zeros(weights.shape[0])
-            for rows_m in self.outcome_rows:
-                total += _xlogx_entropy(np.clip(weights @ rows_m.T, 0.0, 1.0))
-            return total
-        return np.array([float(self.custom.value(w @ self.vertex_map)) for w in weights])
+        # Every measurement's outcomes stacked, as rows over the weights: the sum of their entropies is one entropy.
+        funcs = np.array([out.effect.functional for m in objective.measurements for out in m.outcomes])
+        self.outcome_rows = funcs.reshape(-1, model.ambient_dim) @ self.vertex_map.T
 
     def chunk_scores(self, pts):
         mask = np.min(pts, axis=1) >= -self.resolution
-        return mask, self._values(pts[mask])
+        return mask, _xlogx_entropy(np.clip(pts[mask] @ self.outcome_rows.T, 0.0, 1.0))
 
     def entropy_at(self, point):
-        return float(self._values(point[None, :])[0])
+        return float(_xlogx_entropy(np.clip(point @ self.outcome_rows.T, 0.0, 1.0)))
 
     def to_state(self, point):
         q = np.clip(point, 0.0, None)
@@ -182,8 +166,8 @@ def oracle_maxent(problem: MaxEntProblem, resolution: float) -> OracleResult:
     """Grid search over the constraint slice of a small state space.
 
     Supported instances: classical d <= 4, quantum d = 2, polytopes with at
-    most 4 vertices. Larger instances, or slices whose grids would exceed the
-    point cap, raise Unsupported.
+    most 4 vertices under a fiducial objective. Other instances, or slices
+    whose grids would exceed the point cap, raise Unsupported.
     """
     if not 0.0 < resolution < np.inf:
         raise ValueError("resolution must be positive and finite")
@@ -209,6 +193,8 @@ def oracle_maxent(problem: MaxEntProblem, resolution: float) -> OracleResult:
     else:
         if model.vertices.shape[0] > _POLYTOPE_MAX_VERTICES:
             raise Unsupported(f"polytope oracle capped at {_POLYTOPE_MAX_VERTICES} vertices")
+        if not isinstance(problem.objective, FiducialMeasurementEntropy):
+            raise Unsupported("polytope oracle evaluates fiducial measurement entropy")
         search = _PolytopeSearch(model, region, resolution, problem.objective)
 
     nvar = search.nvar

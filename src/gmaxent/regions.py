@@ -63,6 +63,8 @@ class LinearConstraint:
         f = _read_only(self.functional)
         if f.shape != (self.model.ambient_dim,):
             raise ValueError(f"expected {self.model.ambient_dim} components, got {f.shape}")
+        if not (np.isfinite(f).all() and np.isfinite(self.target)):
+            raise ValueError("constraint functional and target must be finite")
         norm = float(np.sqrt(f @ f))
         if norm == 0.0:
             raise DegenerateInput("constraint functional is the zero vector")
@@ -237,17 +239,24 @@ def join(a: ConvexRegion, b: ConvexRegion) -> ConvexRegion:
     """Lattice join = convex hull, on V-representations."""
     if a.model != b.model:
         raise ModelMismatch("regions live on different models")
-    unique = _dedup_generators(_generators(a) + _generators(b))
+    unique = _dedup_generators((0.0, s) for s in _generators(a) + _generators(b))
     return ConvexRegion(a.model, (), unique, known_empty=not unique)
 
 
-def _dedup_generators(states) -> list[State]:
-    """states in order, less each one within _GENERATOR_DEDUP_ATOL in max-abs of an earlier kept one."""
-    unique: list[State] = []
-    for s in states:
-        if all(np.max(np.abs(s.coords - u.coords)) >= _GENERATOR_DEDUP_ATOL for u in unique):
-            unique.append(s)
-    return unique
+def _dedup_generators(clipped) -> list[State]:
+    """The states of (clip, state) pairs in order, less each within _GENERATOR_DEDUP_ATOL in max-abs of a kept one.
+
+    Of two such states the one with the smaller clip (the most negative weight
+    ``enumerate_vertices`` zeroed to make it) is kept, in the earlier one's place.
+    """
+    kept: list[list] = []
+    for clip, s in clipped:
+        near = next((k for k in kept if np.max(np.abs(s.coords - k[1].coords)) < _GENERATOR_DEDUP_ATOL), None)
+        if near is None:
+            kept.append([clip, s])
+        elif clip < near[0]:
+            near[:] = clip, s
+    return [s for _, s in kept]
 
 
 def _in_hull(generators: tuple[State, ...], s: State) -> bool:
@@ -377,7 +386,7 @@ def enumerate_vertices(c: ConvexRegion) -> list[State]:
     n = a.shape[1]
     rank = int(np.linalg.matrix_rank(a, tol=1e-11))
     scale = max(1.0, float(np.max(np.abs(b))))
-    found: list[State] = []
+    found: list[tuple[float, State]] = []
     for cols in itertools.combinations(range(n), rank):
         sub = a[:, cols]
         if np.linalg.matrix_rank(sub, tol=1e-11) < rank:
@@ -389,5 +398,5 @@ def enumerate_vertices(c: ConvexRegion) -> list[State]:
             continue
         w = np.zeros(n)
         w[list(cols)] = w_sub
-        found.append(_state_from_weights(c.model, w))
+        found.append((max(0.0, -float(np.min(w_sub))), _state_from_weights(c.model, w)))
     return _dedup_generators(found)

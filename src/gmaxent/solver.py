@@ -31,12 +31,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_SOLVER, SolverConfig
 from .errors import (
     IncompatibleObjective,
     ModelMismatch,
     NumericalFailure,
-    Unsupported,
     UnsupportedRepresentation,
 )
 from .hermitian import _divided_difference, entropy_from_spectrum
@@ -53,6 +51,25 @@ from .regions import ConvexRegion, _functional_matrix, _weight_rows, _weight_sys
 from .simplex import OPTIMAL, feasible_basis
 
 log = logging.getLogger("gmaxent")
+
+
+@dataclass(frozen=True)
+class SolverConfig:
+    """Dual-Newton and Frank-Wolfe controls, the one record a caller overrides.
+
+    ``--tolerance``, ``--max-iter`` and a problem file's ``solver`` section set its tolerances and
+    iteration caps. No flag sets ``residual_tol``, the redundancy and certificate bound, which the
+    benchmark checks dual residuals against. Every other threshold is a private module constant.
+    """
+
+    grad_tol: float = 1e-10             # stop when the dual gradient inf-norm is below
+    residual_tol: float = 1e-8          # redundancy consistency; certificate c < -this => Infeasible
+    max_iter: int = 500
+    fw_gap_tol: float = 1e-7
+    fw_max_iter: int = 5000
+
+
+DEFAULT_SOLVER = SolverConfig()
 
 
 class SolveStatus(Enum):
@@ -257,9 +274,7 @@ def _evaluator(model: ModelSpace, funcs: np.ndarray) -> Callable[[np.ndarray], _
     """
     if model.kind == CLASSICAL:
         return partial(_ClassicalEvaluation, funcs)
-    if model.kind == QUANTUM:
-        return partial(_QuantumEvaluation, model, model.coords_to_matrices(funcs))
-    raise Unsupported("partition functions are defined for classical and quantum models")
+    return partial(_QuantumEvaluation, model, model.coords_to_matrices(funcs))
 
 
 _MULTIPLIER_BOUND = 1e4       # max |lambda| past this => recession certificate decides
@@ -481,10 +496,8 @@ def _objective_terms(problem: MaxEntProblem):
         return obj.value, obj.gradient, custom_line
     if isinstance(obj, Shannon):
         rows = None
-    elif isinstance(obj, FiducialMeasurementEntropy):
-        rows = np.array([out.effect.functional for m in obj.measurements for out in m.outcomes])
     else:
-        raise IncompatibleObjective("solve_polytope needs a gradient-equipped objective")
+        rows = np.array([out.effect.functional for m in obj.measurements for out in m.outcomes])
 
     def image(v):
         return v if rows is None else rows @ v

@@ -352,6 +352,14 @@ class TestOracle:
         code, _ = run(capsys, "oracle", str(path), "--resolution", "1e-2")
         assert code == 7
 
+    def test_invalid_povm_refused_as_by_solve(self, capsys, caplog):
+        code, out = run(capsys, "oracle", "problems/povm_invalid.json", "--resolution", "1e-2", "--compare")
+        assert (code, out) == (1, "")
+        oracle_log = caplog.text
+        caplog.clear()
+        assert run(capsys, "solve", "problems/povm_invalid.json") == (1, "")
+        assert "observable bad_range failed validation: " in oracle_log and oracle_log == caplog.text
+
     def test_infeasible_reported(self, capsys):
         code, out = run(capsys, "oracle", "problems/infeasible_bloch.json", "--resolution", "1e-3")
         assert code == 0

@@ -50,7 +50,7 @@ class TestHermitianMatrix:
 def spectrum(matrix):
     """Values and eigenprojectors of ``spectral_observable``, in outcome order."""
     obs = spectral_observable(Quantum(matrix.dim), matrix)
-    return obs.values(), [obs.model.coords_to_matrix(out.effect.functional).entries for out in obs.outcomes]
+    return [o.value for o in obs.outcomes], [obs.model.coords_to_matrix(out.effect.functional).entries for out in obs.outcomes]
 
 
 class TestEig:

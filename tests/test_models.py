@@ -15,6 +15,8 @@ from gmaxent import (
     solve,
     Effect,
     HermitianMatrix,
+    InvalidEffect,
+    InvalidObservable,
     InvalidState,
     ModelMismatch,
     NoValues,
@@ -145,6 +147,11 @@ class TestModelSpaces:
         with pytest.raises(ValueError, match="list of points"):
             Polytope(vertices)
         assert Polytope([[1.0], [-1.0]]).vertices.tolist() == [[1.0, 1.0], [1.0, -1.0]]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_polytope_vertices_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Polytope([[0.0, bad], [1.0, 0.0]])
 
     def test_unit_strictly_positive_on_generators(self):
         # cone generators: basis points / pure states / vertices
@@ -404,6 +411,37 @@ class TestFactorCertificate:
         assert "factor" not in vars(State(model, coords, factor=b))
 
 
+def nan_effect(model):
+    """The effect u/2 of model with a NaN first component, built unchecked."""
+    f = 0.5 * model.unit_functional
+    f[0] = np.nan
+    return Effect(model, f, check=False)
+
+
+class TestNanFailsEveryCheck:
+    """A NaN fails each range and completeness test, as it fails the unit test of ``State``."""
+
+    @pytest.mark.parametrize("model", MODELS, ids=["classical", "quantum", "polytope"])
+    def test_effect(self, model):
+        # On Quantum(2) the matrix of (nan, 0, 0, 0) is nan * I, whose eigvalsh LAPACK may return as (0, 0).
+        with pytest.raises(InvalidEffect, match="nan"):
+            Effect(model, nan_effect(model).functional)
+
+    @pytest.mark.parametrize("model", MODELS, ids=["classical", "quantum", "polytope"])
+    def test_observable(self, model):
+        outcomes = (Outcome("a", nan_effect(model)), Outcome("b", Effect(model, 0.5 * model.unit_functional)))
+        with pytest.raises(InvalidObservable, match="nan"):
+            Observable(model, outcomes)
+
+    @pytest.mark.parametrize("model", MODELS, ids=["classical", "quantum", "polytope"])
+    def test_validate_povm(self, model):
+        outcomes = (Outcome("a", nan_effect(model)), Outcome("b", Effect(model, 0.5 * model.unit_functional)))
+        report = validate_povm(Observable(model, outcomes, check=False))
+        assert not report.valid
+        assert [i for i, _ in report.negative_effects] == [0] == [i for i, _ in report.above_unit_effects]
+        assert "completeness residual nan" in report.issues()
+
+
 class TestEvaluate:
     def test_projector_on_maximally_mixed(self):
         model = Quantum(2)
@@ -495,8 +533,8 @@ class TestValidatePovm:
     def test_out_of_range_effects(self):
         model = Quantum(2)
         obs = Observable(model, (
-            Outcome("a", effect_from_matrix(model, np.diag([1.2, 0.0]).astype(complex), check=False)),
-            Outcome("b", effect_from_matrix(model, np.diag([-0.2, 1.0]).astype(complex), check=False)),
+            Outcome("a", Effect(model, model.matrix_to_coords(np.diag([1.2, 0.0]).astype(complex)), check=False)),
+            Outcome("b", Effect(model, model.matrix_to_coords(np.diag([-0.2, 1.0]).astype(complex)), check=False)),
         ), check=False)
         report = validate_povm(obs)
         assert not report.valid
@@ -563,7 +601,7 @@ class TestSpectralMixture:
 
     def test_diagonal(self):
         obs = spectral_observable(Quantum(2), np.diag([0.7, 0.3]).astype(complex))
-        np.testing.assert_allclose(obs.values(), [0.3, 0.7], atol=1e-12)
+        np.testing.assert_allclose([o.value for o in obs.outcomes], [0.3, 0.7], atol=1e-12)
         for out in obs.outcomes:
             p = obs.model.coords_to_matrix(out.effect.functional).entries
             assert np.trace(p).real == pytest.approx(1.0, abs=1e-12)
@@ -576,7 +614,7 @@ class TestSpectralMixture:
             s = random_state(model, rng)
             rho = s.density_matrix().entries
             obs = spectral_observable(model, rho)
-            assert abs(np.sum(obs.values()) - 1.0) <= 1e-10
+            assert abs(np.sum([o.value for o in obs.outcomes]) - 1.0) <= 1e-10
             recon = np.sum([out.value * model.coords_to_matrix(out.effect.functional).entries for out in obs.outcomes], axis=0)
             assert np.max(np.abs(recon - rho)) <= 1e-9
 
@@ -595,7 +633,7 @@ class TestSpectralMixture:
         for _ in range(20):
             rho = random_state(model, rng).density_matrix().entries
             eigs = np.sort(np.linalg.eigvalsh(rho))
-            np.testing.assert_allclose(spectral_observable(model, rho).values(), eigs, atol=1e-9)
+            np.testing.assert_allclose([o.value for o in spectral_observable(model, rho).outcomes], eigs, atol=1e-9)
 
 
 class TestStateAxioms:

@@ -81,6 +81,15 @@ class TestConstraints:
         with pytest.raises(DegenerateInput):
             LinearConstraint(model, np.zeros(model.ambient_dim), 0.5)
 
+    @pytest.mark.parametrize(
+        "functional,target",
+        [([np.nan, 0.0, 0.0], 1.0), ([np.inf, 0.0, 0.0], 1.0), ([1.0, 0.0, 0.0], np.nan)],
+        ids=["nan-entry", "inf-entry", "nan-target"],
+    )
+    def test_non_finite_rejected(self, functional, target):
+        with pytest.raises(ValueError, match="finite"):
+            LinearConstraint(Classical(3), np.array(functional), target)
+
     def test_vrep_must_satisfy_hrep(self):
         model = Classical(2)
         constraint = LinearConstraint(model, np.array([0.0, 1.0]), 0.3)
@@ -92,6 +101,10 @@ class TestConstraints:
 
 
 class TestRegionBuilders:
+    def test_mean_target_must_be_finite(self):
+        with pytest.raises(ValueError, match="finite"):
+            region_from_mean(indicator_observable(Classical(2), [0.0, 1.0]), np.nan)
+
     def test_mean_region_contains_center(self):
         model = Quantum(2)
         region = region_from_mean(spectral_observable(model, SZ), 0.0)
@@ -742,6 +755,15 @@ class TestLatticeOrderLaws:
             outer = maxent_entropy(model, a, objective)
             assert outer is not None
             assert inner <= outer + 1e-6
+
+    @pytest.mark.parametrize("delta", [1.5e-8, 1e-7])
+    def test_includes_is_reflexive_on_a_scaled_condition(self, delta):
+        # The basis {0, 1} solves the condition with w0 = -delta / 100, within the
+        # nonnegativity slack, and clipped to (0, 1, 0) it misses by delta; the exact
+        # vertex (0, 1 - delta / 100, delta / 100) within 1e-8 of it is the one kept.
+        model = Classical(3)
+        b = ConvexRegion(model, (LinearConstraint(model, np.array([0.0, 100.0, 200.0]), 100.0 + delta),))
+        assert includes(b, b)
 
     def test_families_nest(self):
         # The drawn families reach every answer the laws turn on.
