@@ -91,12 +91,7 @@ def _emit(text: str, output_path):
 
 
 def _computational_basis(dim: int) -> list[HermitianMatrix]:
-    projectors = []
-    for i in range(dim):
-        p = np.zeros((dim, dim), dtype=complex)
-        p[i, i] = 1.0
-        projectors.append(HermitianMatrix(p))
-    return projectors
+    return [HermitianMatrix(np.diag(e).astype(complex)) for e in np.eye(dim)]
 
 
 def cmd_validate(args) -> int:
@@ -119,11 +114,9 @@ def cmd_validate(args) -> int:
             continue
         if parsed.model.kind == QUANTUM:
             axioms = check_state_axioms(state, _computational_basis(parsed.model.dim))
-            if axioms.passed:
-                lines.append(f"state {name}: PASS (axiom residual {axioms.max_residual():.3g})")
-            else:
-                failed = True
-                lines.append(f"state {name}: FAIL (axiom residual {axioms.max_residual():.3g})")
+            failed |= not axioms.passed
+            verdict = "PASS" if axioms.passed else "FAIL"
+            lines.append(f"state {name}: {verdict} (axiom residual {axioms.max_residual():.3g})")
         else:
             lines.append(f"state {name}: PASS")
     for i, cond in enumerate(parsed.conditions):
@@ -165,13 +158,11 @@ def cmd_lattice(args) -> int:
     region_a = load_region(args.path_a)
     region_b = load_region(args.path_b)
     if args.op == "leq":
-        result = includes(region_b, region_a)
-        _emit(dumps_17g({"result": bool(result)}), args.output)
+        _emit(dumps_17g({"result": bool(includes(region_b, region_a))}), args.output)
         return EXIT_OK
     if args.op == "meet":
         result_region = meet(region_a, region_b)
-        before = len(region_a.h_rep) + len(region_b.h_rep)
-        dedup = max(0, before - len(result_region.h_rep))
+        dedup = max(0, len(region_a.h_rep) + len(region_b.h_rep) - len(result_region.h_rep))
         _emit(dumps_17g(region_report(result_region, deduplicated=dedup)), args.output)
         return EXIT_OK
     result_region = join(region_a, region_b)

@@ -202,8 +202,7 @@ def parse_complex_matrix(raw, context: str) -> np.ndarray:
 
 
 def complex_matrix_to_jsonable(m: np.ndarray) -> list:
-    stacked = np.stack([m.real, m.imag], axis=-1)
-    return stacked.tolist()
+    return np.stack([m.real, m.imag], axis=-1).tolist()
 
 
 def parse_model(raw: dict) -> ModelSpace:
@@ -333,7 +332,10 @@ def parse_problem(raw: dict) -> ParsedProblem:
         if name not in ("shannon", "von_neumann", "fiducial"):
             raise SchemaError(f"objective: unknown name '{name}'")
         if name == "fiducial":
-            for m in _of_type(_require(objective_raw, "measurements", "objective"), list, "objective"):
+            measurements = _of_type(_require(objective_raw, "measurements", "objective"), list, "objective")
+            if not measurements:
+                raise SchemaError("objective: a fiducial objective needs at least one measurement")
+            for m in measurements:
                 if not isinstance(m, str) or m not in observables:
                     raise SchemaError(f"objective: unknown measurement '{m}'")
     solver_settings = _solver_settings(_section(raw, "solver", dict))
@@ -374,13 +376,9 @@ def build_objective(parsed: ParsedProblem) -> Objective:
                 raise SchemaError("polytope problems need observables or an explicit objective")
             return FiducialMeasurementEntropy(measurements)
         return default_objective(parsed.model)
-    name = raw["name"]
-    if name == "shannon":
-        return Shannon()
-    if name == "von_neumann":
-        return VonNeumann()
-    measurements = tuple(parsed.observables[k] for k in raw["measurements"])
-    return FiducialMeasurementEntropy(measurements)
+    if raw["name"] != "fiducial":
+        return {"shannon": Shannon, "von_neumann": VonNeumann}[raw["name"]]()
+    return FiducialMeasurementEntropy(tuple(parsed.observables[k] for k in raw["measurements"]))
 
 
 def _solver_settings(raw: dict, names=("solver tolerance", "solver max_iter")) -> dict:
@@ -471,12 +469,9 @@ def region_report(region: ConvexRegion, deduplicated: Optional[int] = None) -> d
     report = {
         "model": model_to_jsonable(region.model),
         "constraints": [
-            functional_to_jsonable(region.model, c.functional) | {"target": c.target}
-            for c in region.h_rep
+            functional_to_jsonable(region.model, c.functional) | {"target": c.target} for c in region.h_rep
         ],
-        "generators": None
-        if region.v_rep is None
-        else [state_to_jsonable(s) for s in region.v_rep],
+        "generators": None if region.v_rep is None else [state_to_jsonable(s) for s in region.v_rep],
         "known_empty": region.known_empty,
     }
     if deduplicated is not None:

@@ -169,12 +169,15 @@ def _effective_h_rep(region: ConvexRegion) -> tuple[LinearConstraint, ...]:
 
 
 def _dedup_constraints(constraints: tuple[LinearConstraint, ...]) -> tuple[tuple[LinearConstraint, ...], bool]:
-    """Drop positive rescalings of kept constraints; flag target conflicts.
+    """Keep one of each set of positive rescalings; flag target conflicts.
 
-    A constraint duplicates the first kept one whose functional, both divided
-    by their stored 2-norms (``LinearConstraint.norm``), lies within
-    ``_DUPLICATE_RTOL`` in max-abs; the region is empty when the one of smaller
-    norm misses the other's plane by over ``includes``'s ``_CONSTRAINT_ATOL``.
+    A constraint duplicates each kept one whose functional, both divided by
+    their stored 2-norms (``LinearConstraint.norm``), lies within
+    ``_DUPLICATE_RTOL`` in max-abs. The region is empty when the one of a pair
+    with smaller norm misses the other's plane by over ``includes``'s
+    ``_CONSTRAINT_ATOL``; otherwise the larger norm stays (the kept one on a
+    tie), so the meet lies inside both sides. Kept ones never duplicate each
+    other, so a chain of meets keeps what one meet of all its conditions keeps.
     Pairs are screened on every max(1, n // 64)-th coordinate first. The
     sampled entries are bitwise the quotients the full test compares, and a
     max over a subset is at most the max over all, so every duplicate passes
@@ -198,13 +201,13 @@ def _dedup_constraints(constraints: tuple[LinearConstraint, ...]) -> tuple[tuple
     # argmax is each row's first screened partner; only rows whose first
     # partner comes before them can be duplicates.
     for i in np.flatnonzero(close.argmax(axis=1) < np.arange(k)):
-        for j in np.flatnonzero(close[i, :i] & kept[:i]):
-            if np.max(np.abs(unit[i] - unit[j])) <= _DUPLICATE_RTOL:
-                kept[i] = False
-                tn, sn = constraints[i].target / norms[i], constraints[j].target / norms[j]
-                if min(norms[i], norms[j]) * abs(tn - sn) > _CONSTRAINT_ATOL:
-                    empty = True
-                break
+        screened = np.flatnonzero(close[i, :i] & kept[:i])
+        partners = [j for j in screened if np.max(np.abs(unit[i] - unit[j])) <= _DUPLICATE_RTOL]
+        for j in partners:
+            tn, sn = constraints[i].target / norms[i], constraints[j].target / norms[j]
+            empty |= min(norms[i], norms[j]) * abs(tn - sn) > _CONSTRAINT_ATOL
+        if partners:
+            kept[[i] if max(norms[j] for j in partners) >= norms[i] else partners] = False
     return tuple(itertools.compress(constraints, kept)), empty
 
 

@@ -32,6 +32,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .errors import (
+    DegenerateInput,
     IncompatibleObjective,
     ModelMismatch,
     NumericalFailure,
@@ -130,6 +131,8 @@ class MaxEntProblem:
         if isinstance(obj, (FiducialMeasurementEntropy, CustomObjective)) and kind != POLYTOPE:
             raise IncompatibleObjective("measurement/custom objectives are for polytope models")
         if isinstance(obj, FiducialMeasurementEntropy):
+            if not obj.measurements:
+                raise DegenerateInput("a fiducial objective needs at least one measurement")
             for m in obj.measurements:
                 if m.model != self.model:
                     raise ModelMismatch("fiducial measurement on a different model")
@@ -288,26 +291,30 @@ _MAX_BACKTRACKS = 60          # also the slope-trial cap of a Frank-Wolfe line s
 
 
 def _select_independent(funcs: np.ndarray, norms: Sequence[float], targets: np.ndarray, config: SolverConfig):
-    """Greedy rank filter over the rows of funcs, whose 2-norms are norms; returns (kept, dropped, contradiction?)."""
+    """Greedy rank filter over the rows of funcs, whose 2-norms are norms; returns (kept, dropped, contradiction?).
+
+    The rule is ``solve_dual``'s. One QR's pivots are read up to the first below the floor (a lone row's is its
+    norm, a row past the width has none); past it the factor rests on a noise reflector, so refactor without it.
+    """
     kept: list[int] = []
     dropped: list[int] = []
-    basis: list[np.ndarray] = []
-    for i, (f, norm) in enumerate(zip(funcs, norms)):
-        res = f.copy()
-        for q in basis:
-            res -= (res @ q) * q
-        res_norm = np.linalg.norm(res)
-        if res_norm > _RANK_PIVOT_TOL * max(1.0, norm):
-            res /= res_norm
-            basis.append(res)
-            kept.append(i)
-            continue
-        coeff, *_ = np.linalg.lstsq(funcs[kept].T, f, rcond=None)
-        implied = float(coeff @ targets[kept])
-        if abs(implied - targets[i]) > config.residual_tol * max(1.0, abs(targets[i])):
-            return kept, dropped, True
-        dropped.append(i)
-        log.warning("dropping redundant constraint %d (consistent with kept set)", i)
+    start = 0
+    while start < len(funcs):
+        rows = kept + list(range(start, len(funcs)))
+        stack = funcs[rows] if dropped else funcs
+        pivots = np.abs(np.linalg.qr(stack.T, mode="r").diagonal()) if len(rows) > 1 else [norms[start]]
+        start = len(funcs)
+        for j, i in enumerate(rows[len(kept):], len(kept)):
+            if j < len(pivots) and pivots[j] > _RANK_PIVOT_TOL * max(1.0, norms[i]):
+                kept.append(i)
+                continue
+            coeff, *_ = np.linalg.lstsq(funcs[kept].T, funcs[i], rcond=None)
+            if abs(float(coeff @ targets[kept]) - targets[i]) > config.residual_tol * max(1.0, abs(targets[i])):
+                return kept, dropped, True
+            dropped.append(i)
+            log.warning("dropping redundant constraint %d (consistent with kept set)", i)
+            start = i + 1
+            break
     return kept, dropped, False
 
 
@@ -354,10 +361,14 @@ def solve_dual(problem: MaxEntProblem, config: SolverConfig = DEFAULT_SOLVER) ->
     witness (Boyd & Vandenberghe, Convex Optimization, 5.8); otherwise the
     status is BOUNDARY_ONLY when the residuals are within
     ``_BOUNDARY_RESIDUAL_TOL``, else NON_CONVERGENCE, as at the iteration cap,
-    which also ends a solve whose cap comes before the bound. Contradictory
-    linear conditions are INFEASIBLE before any Newton step. ``iterations``
-    counts the Newton steps taken. A quantum result's state is certified by
-    its factor U diag(sqrt(p)) from the last ``eigh``; no eigensolver reruns.
+    which also ends a solve whose cap comes before the bound. Before any
+    Newton step, condition i is kept when its residual off the kept ones
+    before it, |R_ii| of a Householder QR, exceeds ``_RANK_PIVOT_TOL`` *
+    max(1, |f_i|); otherwise it is dropped when the kept ones imply its target
+    within ``residual_tol`` * max(1, |r_i|), and the solve is INFEASIBLE when
+    they do not. ``iterations`` counts the Newton steps taken. A quantum
+    result's state is certified by its factor U diag(sqrt(p)) from the last
+    ``eigh``; no eigensolver reruns.
     """
     if not isinstance(problem.objective, (Shannon, VonNeumann)):
         raise IncompatibleObjective("solve_dual handles Shannon and von Neumann objectives")

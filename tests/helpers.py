@@ -419,31 +419,33 @@ def region_eq(a, b):
 
 def reference_dedup_constraints(constraints):
     """The all-pairs duplicate loop ``regions._dedup_constraints`` must agree
-    with: kept constraints by identity and order, and the empty flag."""
-    kept = []
-    normalized = []
+    with: kept constraints by identity and order, and the empty flag. A new
+    constraint replaces the kept ones it duplicates when its norm exceeds all
+    of theirs, and is dropped otherwise."""
+    kept = {}  # input position -> (constraint, unit functional, scaled target, norm)
     empty = False
-    for c in constraints:
+    for i, c in enumerate(constraints):
         norm = float(np.linalg.norm(c.functional))
         fn = c.functional / norm
         tn = c.target / norm
-        duplicate = False
-        for gn, sn, kept_norm in normalized:
-            if np.max(np.abs(fn - gn)) <= _DUPLICATE_RTOL:
-                duplicate = True
-                if min(norm, kept_norm) * abs(tn - sn) > _CONSTRAINT_ATOL:
-                    empty = True
-                break
-        if not duplicate:
-            kept.append(c)
-            normalized.append((fn, tn, norm))
-    return tuple(kept), empty
+        partners = [j for j, (_, gn, _, _) in kept.items() if np.max(np.abs(fn - gn)) <= _DUPLICATE_RTOL]
+        for j in partners:
+            _, _, sn, kept_norm = kept[j]
+            if min(norm, kept_norm) * abs(tn - sn) > _CONSTRAINT_ATOL:
+                empty = True
+        if partners and max(kept[j][3] for j in partners) >= norm:
+            continue
+        for j in partners:
+            del kept[j]
+        kept[i] = (c, fn, tn, norm)
+    return tuple(kept[i][0] for i in sorted(kept)), empty
 
 
 def reference_select_independent(funcs, targets, config):
     """The greedy rank filter ``solver._select_independent`` must agree with:
-    Gram-Schmidt that norms every row and residual itself (the solver reads
-    the norms stored on the constraints). Returns (kept, dropped, contradiction?)."""
+    Gram-Schmidt row by row, norming every row and residual itself (the solver
+    reads the residuals as the pivots of one QR, and the norms stored on the
+    constraints). Returns (kept, dropped, contradiction?)."""
     kept: list[int] = []
     dropped: list[int] = []
     basis: list[np.ndarray] = []

@@ -58,6 +58,16 @@ class TestValidate:
         code, _ = run(capsys, "validate", str(bad))
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["validate", "solve", "oracle"])
+    def test_fiducial_objective_without_measurements(self, tmp_path, capsys, command):
+        raw = json.loads(Path("problems/squarebit_center.json").read_text())
+        raw["objective"] = {"name": "fiducial", "measurements": []}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        code, out = run(capsys, command, str(bad))
+        assert code == 2
+        assert out == ""
+
     @pytest.mark.parametrize("command", ["validate", "solve"])
     @pytest.mark.parametrize(
         "raw",

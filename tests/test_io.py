@@ -188,6 +188,12 @@ class TestSchemaErrors:
         with pytest.raises(SchemaError, match="at least one vertex"):
             parse_model({"kind": "polytope", "vertices": vertices})
 
+    def test_fiducial_objective_without_measurements(self):
+        raw = load_json("problems/squarebit_center.json")
+        raw["objective"] = {"name": "fiducial", "measurements": []}
+        with pytest.raises(SchemaError, match="at least one measurement"):
+            parse_problem(raw)
+
     def test_condition_references_unknown_observable(self):
         raw = {
             "model": {"kind": "classical", "dimension": 2},

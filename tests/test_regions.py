@@ -1,6 +1,7 @@
 """Tests for constraint regions and the lattice operations."""
 
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -46,7 +47,13 @@ from gmaxent import (
 )
 from gmaxent.io import ParsedCondition, ParsedProblem, build_region
 from gmaxent.models import _state_range
-from gmaxent.regions import _ENUMERATION_CAP, _SCREEN_BLOCK, LinearConstraint, _dedup_constraints
+from gmaxent.regions import (
+    _CONSTRAINT_ATOL,
+    _ENUMERATION_CAP,
+    _SCREEN_BLOCK,
+    LinearConstraint,
+    _dedup_constraints,
+)
 
 from helpers import (
     in_region,
@@ -342,13 +349,26 @@ class TestDuplicateScreen:
         while len(regions) > 1:
             regions = [meet(regions[i], regions[i + 1]) for i in range(0, len(regions), 2)]
         shift = 0.25 if conflict else 0.0
+        picks, scales = rng.choice(32, size=5, replace=False), rng.uniform(0.1, 10.0, size=5)
         repeats = tuple(
             LinearConstraint(model, scale * originals[i].functional, scale * (originals[i].target + shift))
-            for i, scale in zip(rng.choice(32, size=5, replace=False), rng.uniform(0.1, 10.0, size=5))
+            for i, scale in zip(picks, scales)
         )
         merged = meet(regions[0], ConvexRegion(model, repeats))
-        assert [id(c) for c in merged.h_rep] == [id(c) for c in originals]
+        # A repeat of larger norm replaces its original and comes after the originals.
+        larger = [i for i, scale in zip(picks, scales) if scale > 1.0]
+        assert 0 < len(larger) < 5
+        expected = [c for i, c in enumerate(originals) if i not in larger]
+        expected += [r for r, scale in zip(repeats, scales) if scale > 1.0]
+        assert [id(c) for c in merged.h_rep] == [id(c) for c in expected]
         assert merged.known_empty == conflict
+
+    def test_equal_norms_keep_the_earlier(self):
+        model = Classical(3)
+        c, twin = (LinearConstraint(model, np.array([0.0, 1.0, 2.0]), 1.0) for _ in range(2))
+        for pair in ((c, twin), (twin, c)):
+            kept, empty = _dedup_constraints(pair)
+            assert [id(k) for k in kept] == [id(pair[0])] and not empty
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("kind", ["classical", "quantum", "polytope"])
@@ -764,6 +784,24 @@ class TestLatticeOrderLaws:
         model = Classical(3)
         b = ConvexRegion(model, (LinearConstraint(model, np.array([0.0, 100.0, 200.0]), 100.0 + delta),))
         assert includes(b, b)
+
+    @pytest.mark.parametrize("delta", [1.5e-8, 1e-7, 5e-7, 1e-6])
+    def test_meet_of_a_scaled_parallel_pair_is_below_both(self, delta):
+        # The planes lie delta / 100 apart, within the conflict tolerance on a's
+        # scale but not on b's, so the meet must keep b's plane.
+        model = Classical(3)
+        f = np.array([0.0, 1.0, 2.0])
+        a = ConvexRegion(model, (LinearConstraint(model, f, 1.0),))
+        b = ConvexRegion(model, (LinearConstraint(model, 100.0 * f, 100.0 + delta),))
+        # a's residual on b's plane, exactly; at delta = 1e-6 it lies 2.5e-17 inside
+        # the tolerance, finer than the 1.1e-16 float spacing of a vertex there, so
+        # rounding alone decides includes(a, meet) at that delta.
+        gap = (Fraction(100.0 + delta) - 100) / 100
+        assert gap <= Fraction(_CONSTRAINT_ATOL)
+        for m in (meet(a, b), meet(b, a)):
+            assert not m.known_empty and m.h_rep == b.h_rep
+            assert includes(b, m)
+            assert includes(a, m) or _CONSTRAINT_ATOL - gap < 1e-16
 
     def test_families_nest(self):
         # The drawn families reach every answer the laws turn on.

@@ -11,6 +11,7 @@ from gmaxent import (
     Classical,
     ConvexRegion,
     CustomObjective,
+    DegenerateInput,
     FiducialMeasurementEntropy,
     IncompatibleObjective,
     MaxEntProblem,
@@ -833,6 +834,65 @@ class TestSelectIndependent:
         assert result == reference_select_independent(funcs, targets, DEFAULT_SOLVER)
         assert result == expected
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["classical", "quantum", "overfull"]),
+        st.sampled_from(["none", "combination", "shifted", "pivot-0.5", "pivot-2"]),
+        st.data(),
+    )
+    def test_qr_pivots_match_gram_schmidt(self, seed, shape, plant, data):
+        # Random effects measured on one interior state, so a dependent row is
+        # consistent unless its target is shifted; one row may be planted as a
+        # combination of the rows before it, or off them by a multiple of the floor.
+        rng = np.random.default_rng(seed)
+        if shape == "overfull":
+            model, m = data.draw(st.sampled_from([(Quantum(2), 5), (Classical(3), 4)]))
+        else:
+            d = data.draw(st.integers(2, 60) if shape == "classical" else st.integers(2, 6))
+            model, m = (Classical(d) if shape == "classical" else Quantum(d)), data.draw(st.integers(1, 8))
+        constraints = _random_effect_constraints(model, m, rng)
+        funcs = _functional_matrix(model, constraints)
+        targets = np.array([c.target for c in constraints])
+        if plant.startswith("pivot") and m + 1 >= model.ambient_dim:
+            plant = "combination"
+        if plant != "none":
+            k = data.draw(st.integers(1, m))
+            w = rng.standard_normal(k)
+            f, t = w @ funcs[:k], float(w @ targets[:k]) + (1e-3 if plant == "shifted" else 0.0)
+            if plant.startswith("pivot"):
+                factor = float(plant.split("-")[1])
+                f = f + factor * _RANK_PIVOT_TOL * max(1.0, np.linalg.norm(f)) * _orthogonal_unit(funcs, rng)
+            funcs = np.insert(funcs, k, f, axis=0)
+            targets = np.insert(targets, k, t)
+        norms = [float(np.linalg.norm(f)) for f in funcs]
+        result = _select_independent(funcs, norms, targets, DEFAULT_SOLVER)
+        assert result == reference_select_independent(funcs, targets, DEFAULT_SOLVER)
+        if plant.startswith("pivot"):
+            assert (k in result[0]) == (plant == "pivot-2")
+
+    @pytest.mark.parametrize("name", ["classical-4", "quantum-8", "planted"])
+    def test_one_factorization_unless_a_row_drops(self, name, monkeypatch):
+        calls = {"qr": 0, "lstsq": 0}
+
+        def counted(fn, key):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        constraints, (_, dropped, _) = _rank_filter_case(name)
+        funcs = _functional_matrix(constraints[0].model, constraints)
+        targets = np.array([c.target for c in constraints])
+        monkeypatch.setattr(np.linalg, "qr", counted(np.linalg.qr, "qr"))
+        monkeypatch.setattr(np.linalg, "lstsq", counted(np.linalg.lstsq, "lstsq"))
+        _select_independent(funcs, [c.norm for c in constraints], targets, DEFAULT_SOLVER)
+        # planted drops rows 3 and 6 of 7: row 3 refactors the rest, row 6 is last.
+        assert calls == ({"qr": 1, "lstsq": 0} if not dropped else {"qr": 2, "lstsq": 2})
+        calls.update(qr=0, lstsq=0)
+        _select_independent(funcs[:1], [constraints[0].norm], targets[:1], DEFAULT_SOLVER)
+        assert calls == {"qr": 0, "lstsq": 0}
+
 
 def trajectory_problem(family, size):
     if family == "classical":
@@ -1204,6 +1264,11 @@ class TestSolvePolytope:
             solve_dual(squarebit_problem())
         with pytest.raises(IncompatibleObjective):
             solve_polytope(MaxEntProblem(Quantum(2), whole_space(Quantum(2)), VonNeumann()))
+
+    def test_fiducial_objective_needs_a_measurement(self):
+        model = squarebit_model()
+        with pytest.raises(DegenerateInput):
+            MaxEntProblem(model, whole_space(model), FiducialMeasurementEntropy(()))
 
 
 class TestObjectiveTerms:
