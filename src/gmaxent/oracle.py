@@ -175,7 +175,7 @@ def oracle_maxent(problem: MaxEntProblem, resolution: float) -> OracleResult:
     region = problem.region
     if region.known_empty:
         return OracleResult(INFEASIBLE, None, None, 0)
-    if not region.h_rep and region.v_rep is not None:
+    if region.v_rep is not None:
         raise UnsupportedRepresentation("oracle needs an H-representation")
 
     if model.kind == CLASSICAL:

@@ -33,7 +33,7 @@ from .errors import (
 )
 from .models import CLASSICAL, POLYTOPE, Effect, ModelSpace, Observable, State, maximally_mixed
 from .models import _equal_by_value, _read_only, _sealed, _state_range
-from .simplex import phase_one
+from .simplex import feasible_basis, phase_one
 
 _CONSTRAINT_ATOL = 1e-8       # generator-vs-constraint residual
 _DUPLICATE_RTOL = 1e-10       # normalized-functional duplicate detection
@@ -149,22 +149,15 @@ def affine_hull_constraints(model: ModelSpace, generators: tuple[State, ...]) ->
         raise DegenerateInput("affine hull of an empty generator list")
     pts = np.stack([s.coords for s in generators])
     center = pts.mean(axis=0)
-    diffs = pts - center
-    _, sing, vt = np.linalg.svd(diffs, full_matrices=True)
+    _, sing, vt = np.linalg.svd(pts - center, full_matrices=True)
     scale = sing[0] if sing.size and sing[0] > 0 else 1.0
     rank = int(np.sum(sing > 1e-12 * max(1.0, scale)))
-    normals = _sealed(vt[rank:])
-    constraints = []
-    for n in normals:
-        constraints.append(LinearConstraint(model, n, float(n @ center)))
-    return tuple(constraints)
+    return tuple(LinearConstraint(model, n, float(n @ center)) for n in _sealed(vt[rank:]))
 
 
 def _effective_h_rep(region: ConvexRegion) -> tuple[LinearConstraint, ...]:
-    if region.h_rep or region.v_rep is None:
+    if region.h_rep or not region.v_rep:
         return region.h_rep
-    if not region.v_rep:
-        return ()
     return affine_hull_constraints(region.model, region.v_rep)
 
 
@@ -233,69 +226,77 @@ def _generators(region: ConvexRegion) -> tuple[State, ...]:
         return region.v_rep
     if region.model.kind in (CLASSICAL, POLYTOPE):
         return tuple(enumerate_vertices(region))
-    raise UnsupportedRepresentation(
-        "quantum region has no generator list; joins and inclusions need caller-supplied V-reps"
-    )
+    raise UnsupportedRepresentation("quantum region has no generator list; joins and inclusions need given generators")
 
 
 def join(a: ConvexRegion, b: ConvexRegion) -> ConvexRegion:
     """Lattice join = convex hull, on V-representations."""
     if a.model != b.model:
         raise ModelMismatch("regions live on different models")
-    unique = _dedup_generators((0.0, s) for s in _generators(a) + _generators(b))
+    unique = _dedup_generators(_generators(a) + _generators(b))
     return ConvexRegion(a.model, (), unique, known_empty=not unique)
 
 
-def _dedup_generators(clipped) -> list[State]:
-    """The states of (clip, state) pairs in order, less each within _GENERATOR_DEDUP_ATOL in max-abs of a kept one.
-
-    Of two such states the one with the smaller clip (the most negative weight
-    ``enumerate_vertices`` zeroed to make it) is kept, in the earlier one's place.
-    """
-    kept: list[list] = []
-    for clip, s in clipped:
-        near = next((k for k in kept if np.max(np.abs(s.coords - k[1].coords)) < _GENERATOR_DEDUP_ATOL), None)
-        if near is None:
-            kept.append([clip, s])
-        elif clip < near[0]:
-            near[:] = clip, s
-    return [s for _, s in kept]
+def _dedup_generators(states) -> list[State]:
+    """states in order, less each one within _GENERATOR_DEDUP_ATOL in max-abs of an earlier kept one."""
+    unique: list[State] = []
+    for s in states:
+        if all(np.max(np.abs(s.coords - u.coords)) >= _GENERATOR_DEDUP_ATOL for u in unique):
+            unique.append(s)
+    return unique
 
 
 def _in_hull(generators: tuple[State, ...], s: State) -> bool:
-    if not generators:
-        return False
-    v = np.stack([g.coords for g in generators])
-    a = np.vstack([v.T, np.ones((1, len(generators)))])
-    b = np.concatenate([s.coords, [1.0]])
-    _, w = phase_one(a, b)
+    """Whether s mixes the generators; every state's unit value is 1, so the weights sum to one."""
+    _, w = phase_one(np.stack([g.coords for g in generators]).T, s.coords)
     return w is not None
+
+
+def _lp_range(basis, a: np.ndarray, b: np.ndarray, w: np.ndarray) -> list[float]:
+    """Min and max of w . x over {x >= 0 : a x = b} from a feasible basis: y . b for w's part y . a,
+    plus two warm-started Phase II runs on the rest r, scaled so that rounding in a large w
+    never meets the absolute pivot tolerance."""
+    y = np.linalg.lstsq(a.T, w, rcond=None)[0]
+    r = w - y @ a
+    scale = max(1.0, float(np.max(np.abs(r))))
+    return [y @ b + scale * basis.optimize(r / scale, maximize=m).value for m in (False, True)]
 
 
 def includes(outer: ConvexRegion, inner: ConvexRegion) -> bool:
     """Partial order, inner within outer: one rule for every inner.
 
     An empty inner lies in everything, and nothing else in a known-empty
-    outer. Each outer constraint's min and max over inner (the model's state
-    range over the whole space, the generators' values otherwise) must lie
-    within _CONSTRAINT_ATOL of its target, and a generator outer must hold
-    each of inner's generators in its hull.
+    outer. Each outer constraint's min and max over inner must lie within
+    _CONSTRAINT_ATOL of its target: its state range over the whole space, its
+    generators' values, or over a classical or polytope H-region its
+    ``_lp_range`` from one Phase I basis of the weight system, as Frank-Wolfe
+    takes (Phase I failing: inner is empty). A generator outer must also hold
+    inner's generators in its hull.
     """
     if outer.model != inner.model:
         raise ModelMismatch("regions live on different models")
     if outer.is_whole_space():
         return True
-    # The whole space is not empty; only a generator outer needs its generators.
-    gens = None if inner.is_whole_space() else _generators(inner)
-    if gens == ():
-        return True
+    model = inner.model
+    if inner.is_whole_space():
+        values = lambda f: _state_range(model, f)
+    elif inner.v_rep is None and not inner.known_empty and model.kind in (CLASSICAL, POLYTOPE):
+        a, b = _weight_system(model, inner.h_rep)
+        basis = feasible_basis(a, b)
+        if basis is None:
+            return True
+        values = lambda f: _lp_range(basis, a, b, _weight_rows(model, f[None])[0])
+    else:
+        gens = _generators(inner)
+        if not gens:
+            return True
+        values = lambda f: [f @ g.coords for g in gens]
     if outer.known_empty:
         return False
     for c in outer.h_rep:
-        values = _state_range(outer.model, c.functional) if gens is None else [c.functional @ g.coords for g in gens]
-        if max(abs(v - c.target) for v in values) > _CONSTRAINT_ATOL:
+        if max(abs(v - c.target) for v in values(c.functional)) > _CONSTRAINT_ATOL:
             return False
-    return outer.v_rep is None or all(_in_hull(outer.v_rep, g) for g in gens or _generators(inner))
+    return outer.v_rep is None or all(_in_hull(outer.v_rep, g) for g in _generators(inner))
 
 
 class FeasibilityStatus(Enum):
@@ -389,17 +390,15 @@ def enumerate_vertices(c: ConvexRegion) -> list[State]:
     n = a.shape[1]
     rank = int(np.linalg.matrix_rank(a, tol=1e-11))
     scale = max(1.0, float(np.max(np.abs(b))))
-    found: list[tuple[float, State]] = []
+    found: list[State] = []
     for cols in itertools.combinations(range(n), rank):
         sub = a[:, cols]
         if np.linalg.matrix_rank(sub, tol=1e-11) < rank:
             continue
         w_sub, *_ = np.linalg.lstsq(sub, b, rcond=None)
-        if np.max(np.abs(sub @ w_sub - b)) > 1e-9 * scale:
-            continue
-        if np.min(w_sub) < -_VERTEX_NONNEG_ATOL:
+        if np.max(np.abs(sub @ w_sub - b)) > 1e-9 * scale or np.min(w_sub) < -_VERTEX_NONNEG_ATOL:
             continue
         w = np.zeros(n)
         w[list(cols)] = w_sub
-        found.append((max(0.0, -float(np.min(w_sub))), _state_from_weights(c.model, w)))
+        found.append(_state_from_weights(c.model, w))
     return _dedup_generators(found)

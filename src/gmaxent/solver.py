@@ -376,7 +376,7 @@ def solve_dual(problem: MaxEntProblem, config: SolverConfig = DEFAULT_SOLVER) ->
     diag = SolveDiagnostics()
     if region.known_empty:
         return _infeasible(diag)
-    if not region.h_rep and region.v_rep is not None:
+    if region.v_rep is not None:
         raise UnsupportedRepresentation("solve_dual needs an H-representation")
 
     # A quantum solve holds an (m, d^2) functional stack and an (m, d, d)
@@ -591,7 +591,7 @@ def solve_polytope(problem: MaxEntProblem, config: SolverConfig = DEFAULT_SOLVER
     diag = SolveDiagnostics()
     if region.known_empty:
         return _infeasible(diag)
-    if not region.h_rep and region.v_rep is not None:
+    if region.v_rep is not None:
         raise UnsupportedRepresentation("solve_polytope needs an H-representation")
 
     model = problem.model

@@ -15,6 +15,7 @@ from gmaxent import (
     Quantum,
     Shannon,
     VonNeumann,
+    enumerate_vertices,
     evaluate,
     includes,
     random_effect,
@@ -415,6 +416,30 @@ def random_region(model, rng):
 def region_eq(a, b):
     """Region equality as mutual inclusion (after vertex enumeration)."""
     return includes(a, b) and includes(b, a)
+
+
+def reference_vertices(region):
+    """The generators the enumeration-based order reads: the region's own list,
+    else ``enumerate_vertices`` (classical and polytope models under its cap)."""
+    return region.v_rep if region.v_rep is not None else tuple(enumerate_vertices(region))
+
+
+def reference_includes(outer, inner):
+    """The inclusion order read from inner's enumerated vertices, the rule
+    ``includes`` must agree with: an empty inner lies in everything, nothing
+    else in a known-empty outer; every outer condition holds within
+    _CONSTRAINT_ATOL at every vertex, and a generator outer holds each vertex
+    in its hull."""
+    if outer.is_whole_space():
+        return True
+    vertices = reference_vertices(inner)
+    if not vertices:
+        return True
+    if outer.known_empty:
+        return False
+    if any(c.residual(v) > _CONSTRAINT_ATOL for c in outer.h_rep for v in vertices):
+        return False
+    return outer.v_rep is None or all(_in_hull(outer.v_rep, v) for v in vertices)
 
 
 def reference_dedup_constraints(constraints):

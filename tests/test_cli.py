@@ -325,9 +325,12 @@ class TestLattice:
             path.write_text(json.dumps({"model": {"kind": "classical", "dimension": 11},
                                         "region": {"constraints": constraints}}))
             paths.append(str(path))
-        for op in ("join", "leq"):
-            assert run(capsys, "lattice", op, *paths) == (7, "")
+        assert run(capsys, "lattice", "join", *paths) == (7, "")
         assert "unsupported instance: " in caplog.text and "enumeration cap 12" in caplog.text
+        # The order reads H-ranges from the simplex, so leq answers: region2 fixes
+        # p2 = 0.25, and over region1 p2 spans [0, 0.5].
+        code, out = run(capsys, "lattice", "leq", *paths)
+        assert (code, json.loads(out)) == (0, {"result": False})
 
     def test_join_then_meet_classical(self, capsys):
         code, out = run(capsys, "lattice", "meet", "problems/region_classical3_pair.json", "problems/region_classical3_plane.json")

@@ -30,6 +30,7 @@ from gmaxent import (
     evaluate,
     maximally_mixed,
     meet,
+    oracle_maxent,
     random_effect,
     random_povm,
     random_state,
@@ -1359,3 +1360,15 @@ class TestRouting:
         region = ConvexRegion(model, (), (State(model, np.array([1.0, 0.0])),))
         with pytest.raises(UnsupportedRepresentation):
             solve_dual(MaxEntProblem(model, region, Shannon()))
+
+    def test_region_with_conditions_and_generators_unsupported(self):
+        # The hull of e1 inside {x2 = 0} is the point e1; solving over the slice
+        # alone would return (1/2, 0, 1/2), which lies outside it.
+        model = Classical(3)
+        condition = LinearConstraint(model, np.array([0.0, 1.0, 0.0]), 0.0)
+        region = ConvexRegion(model, (condition,), (State(model, np.array([1.0, 0.0, 0.0])),))
+        for solver in (solve_dual, solve_polytope, lambda p: oracle_maxent(p, 1e-2)):
+            with pytest.raises(UnsupportedRepresentation):
+                solver(MaxEntProblem(model, region, Shannon()))
+            empty = ConvexRegion(model, (condition,), ())
+            assert SolveStatus(solver(MaxEntProblem(model, empty, Shannon())).status) == SolveStatus.INFEASIBLE
