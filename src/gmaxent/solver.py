@@ -8,6 +8,7 @@ Two routes:
   multipliers minimize the convex dual D(lambda) = ln Z(lambda) + lambda . r
   by damped Newton steps. The quantum Hessian is the Kubo-Mori covariance,
   computed from the divided-difference derivative of the matrix exponential.
+  A single quantum condition is solved classically in its eigenbasis.
 * ``solve_polytope``: any concave objective with a gradient on classical or
   polytope models via away-step Frank-Wolfe over mixing weights. One Phase
   I per solve finds a feasible simplex basis, and its basic solution is the
@@ -182,7 +183,8 @@ class _DualEvaluation:
     and ``top``, the largest eigenvalue of the exponent -sum_i lambda_i R_i,
     are set on construction from the exponent's eigenvalues; the means, the
     state coordinates and the Hessian are computed on first use and cached.
-    A rejected line-search trial reads only ``lnz``.
+    A rejected line-search trial reads only ``lnz``. A single quantum
+    condition is evaluated classically in its eigenbasis.
     """
 
     def _gibbs(self, energy: np.ndarray) -> np.ndarray:
@@ -202,8 +204,11 @@ class _DualEvaluation:
 class _ClassicalEvaluation(_DualEvaluation):
     def __init__(self, funcs: np.ndarray, lambdas: np.ndarray):
         self._gibbs(-(lambdas @ funcs))
-        self.state_coords = self.spectrum
         self._funcs = funcs
+
+    @property
+    def state_coords(self) -> np.ndarray:
+        return self.spectrum
 
     @cached_property
     def means(self) -> np.ndarray:
@@ -232,11 +237,7 @@ class _QuantumEvaluation(_DualEvaluation):
         if not lambdas.any():
             self._shifted = self._gibbs(np.zeros(d))
             return
-        exponent = (-lambdas @ operators.reshape(-1, d * d)).reshape(d, d)
-        try:
-            k, self._u = np.linalg.eigh(exponent)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalFailure(f"eigensolver did not converge: {exc}") from exc
+        k, self._u = _eigh((-lambdas @ operators.reshape(-1, d * d)).reshape(d, d))
         self._shifted = self._gibbs(k)
 
     @cached_property
@@ -270,14 +271,45 @@ class _QuantumEvaluation(_DualEvaluation):
         return (scaled @ scaled.T) / self._z - np.outer(self.means, self.means)
 
 
+def _eigh(matrix: np.ndarray):
+    """np.linalg.eigh, with non-convergence raised as NumericalFailure."""
+    try:
+        return np.linalg.eigh(matrix)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"eigensolver did not converge: {exc}") from exc
+
+
+class _CommutingEvaluation(_ClassicalEvaluation):
+    """Commuting R_i = U diag(a_i) U^H: the classical dual on the rows a_i, whose covariance is the Kubo-Mori one;
+    no evaluation runs ``eigh``, and only the state, rho = B B^H with B = U diag(sqrt(p)), is read back through U.
+    ``_evaluator`` builds it for a single condition, from that operator's ``eigh``."""
+
+    def __init__(self, model, u: np.ndarray, diagonals: np.ndarray, lambdas: np.ndarray):
+        super().__init__(diagonals, lambdas)
+        self._model, self._u = model, u
+
+    @cached_property
+    def state_coords(self) -> np.ndarray:
+        return self._model.matrix_to_coords((self._u * self.spectrum) @ self._u.conj().T)
+
+    def factor(self) -> np.ndarray:
+        return self._u * np.sqrt(self.spectrum)
+
+
 def _evaluator(model: ModelSpace, funcs: np.ndarray) -> Callable[[np.ndarray], _DualEvaluation]:
     """The dual as a function of the multipliers, for the functionals stacked as the rows of funcs.
 
     Classical evaluations read funcs itself; quantum rows are converted to operators once, here, in one pass.
+    One quantum condition commutes with itself, so it is diagonalized once, here, and evaluated classically in
+    its eigenbasis; two or more conditions, and the empty stack, take the Kubo-Mori path.
     """
     if model.kind == CLASSICAL:
         return partial(_ClassicalEvaluation, funcs)
-    return partial(_QuantumEvaluation, model, model.coords_to_matrices(funcs))
+    operators = model.coords_to_matrices(funcs)
+    if len(funcs) != 1:
+        return partial(_QuantumEvaluation, model, operators)
+    k, u = _eigh(operators[0])
+    return partial(_CommutingEvaluation, model, u, k[None])
 
 
 _MULTIPLIER_BOUND = 1e4       # max |lambda| past this => recession certificate decides
@@ -368,7 +400,10 @@ def solve_dual(problem: MaxEntProblem, config: SolverConfig = DEFAULT_SOLVER) ->
     within ``residual_tol`` * max(1, |r_i|), and the solve is INFEASIBLE when
     they do not. ``iterations`` counts the Newton steps taken. A quantum
     result's state is certified by its factor U diag(sqrt(p)) from the last
-    ``eigh``; no eigensolver reruns.
+    ``eigh``; no eigensolver reruns. A single kept operator R = U diag(a) U^H
+    commutes with itself: it is diagonalized once, and the dual is the
+    classical one on a, with the same statuses and steps; the factor is then
+    U diag(sqrt(p)). Two or more kept operators take the Kubo-Mori path.
     """
     if not isinstance(problem.objective, (Shannon, VonNeumann)):
         raise IncompatibleObjective("solve_dual handles Shannon and von Neumann objectives")

@@ -1,6 +1,8 @@
 """Tests for the dual Newton and Frank-Wolfe solvers."""
 
 import warnings
+from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from gmaxent import (
     FiducialMeasurementEntropy,
     IncompatibleObjective,
     MaxEntProblem,
+    NumericalFailure,
     Polytope,
     Quantum,
     DEFAULT_SOLVER,
@@ -44,12 +47,14 @@ from gmaxent import (
     whole_space,
 )
 from gmaxent.hermitian import HermitianMatrix
-from gmaxent.models import _state_range
+from gmaxent.io import build_objective, build_region, load_problem, solver_config_from
+from gmaxent.models import _state_range, random_unitary
 from gmaxent.regions import LinearConstraint, _functional_matrix
 from gmaxent.simplex import FEASIBILITY_TOL
 from gmaxent.solver import (
     _MULTIPLIER_BOUND,
     _ClassicalEvaluation,
+    _CommutingEvaluation,
     _DualEvaluation,
     _QuantumEvaluation,
     _RANK_PIVOT_TOL,
@@ -505,6 +510,19 @@ def decomposed_evaluation(model, funcs, lambdas):
     return ev
 
 
+def counted_eigh(monkeypatch):
+    """Route np.linalg.eigh through a counter; returns the list it appends to."""
+    eigh = np.linalg.eigh
+    calls = []
+
+    def counted(a):
+        calls.append(1)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
 class TestMaximallyMixedStart:
     """At lambda = 0 the quantum dual is read at I/d in closed form, with no eigh and no rotation."""
 
@@ -514,15 +532,8 @@ class TestMaximallyMixedStart:
         model = Quantum(d)
         rng = np.random.default_rng(100 * d + m)
         funcs = np.array([random_effect(model, rng).functional for _ in range(m)]).reshape(m, model.ambient_dim)
-        eigh = np.linalg.eigh
-        calls = []
-
-        def counted(a):
-            calls.append(1)
-            return eigh(a)
-
-        monkeypatch.setattr(np.linalg, "eigh", counted)
-        ev = _evaluator(model, funcs)(np.zeros(m))
+        calls = counted_eigh(monkeypatch)
+        ev = _QuantumEvaluation(model, model.coords_to_matrices(funcs), np.zeros(m))
         closed = (ev.lnz, ev.top, ev.spectrum, ev.means, ev.hessian(), ev.state_coords)
         assert calls == []
         ref = decomposed_evaluation(model, funcs, np.zeros(m))
@@ -535,6 +546,25 @@ class TestMaximallyMixedStart:
         np.testing.assert_array_equal(ev.spectrum, np.full(d, 1.0 / d))
         np.testing.assert_array_equal(reference_hessian(ev), reference_hessian(ref))
 
+    @pytest.mark.parametrize("d", [1, 2, 8])
+    def test_commuting_evaluator_runs_no_eigh_at_zero(self, monkeypatch, d):
+        # One condition commutes with itself: its one eigh runs when the evaluator is built, none per evaluation.
+        model = Quantum(d)
+        funcs = random_effect(model, np.random.default_rng(d)).functional[None]
+        calls = counted_eigh(monkeypatch)
+        ev = _evaluator(model, funcs)(np.zeros(1))
+        closed = (ev.means, ev.hessian(), ev.state_coords)
+        factor = ev.factor()
+        assert calls == [1]
+        assert isinstance(ev, _CommutingEvaluation)
+        assert ev.lnz == np.log(d)
+        assert ev.top == 0.0
+        np.testing.assert_array_equal(ev.spectrum, np.full(d, 1.0 / d))
+        ref = _QuantumEvaluation(model, model.coords_to_matrices(funcs), np.zeros(1))
+        for got, want in zip(closed, (ref.means, ref.hessian(), ref.state_coords)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(factor @ factor.conj().T, np.eye(d) / d, rtol=0, atol=1e-15)
+
     def test_nonzero_multipliers_still_decompose(self):
         model = Quantum(4)
         rng = np.random.default_rng(12)
@@ -545,6 +575,134 @@ class TestMaximallyMixedStart:
         assert ev.lnz == ref.lnz
         for got, want in ((ev.means, ref.means), (ev.hessian(), ref.hessian()), (ev.state_coords, ref.state_coords)):
             np.testing.assert_array_equal(got, want)
+
+
+def commuting_funcs(model, diagonals, u):
+    """The coordinate rows of the operators U diag(a) U^H, one per row a of diagonals."""
+    return np.array([model.matrix_to_coords((u * a) @ u.conj().T) for a in diagonals])
+
+
+def single_conditions():
+    """One condition each, as (model, funcs): random effects; a diagonal operator; rotated operators U diag(a) U^H,
+    one with a 3-dimensional eigenspace."""
+    rng = np.random.default_rng(26)
+    sets = [
+        pytest.param(Quantum(d), random_effect(Quantum(d), rng).functional[None], id=f"effect-d{d}")
+        for d in (1, 2, 8, 32)
+    ]
+    diagonal = commuting_funcs(Quantum(5), rng.uniform(-1, 1, (1, 5)), np.eye(5))
+    sets.append(pytest.param(Quantum(5), diagonal, id="diagonal"))
+    degenerate = rng.uniform(-1, 1, (1, 6))
+    degenerate[:, 1:3] = degenerate[:, :1]
+    for name, diagonals in (("rotated", rng.uniform(-1, 1, (1, 6))), ("degenerate", degenerate)):
+        sets.append(pytest.param(Quantum(6), commuting_funcs(Quantum(6), diagonals, random_unitary(6, rng)), id=name))
+    return sets
+
+
+class TestCommutingReduction:
+    """One condition evaluated classically in its eigenbasis gives the Kubo-Mori evaluation."""
+
+    @pytest.mark.parametrize("model,funcs", single_conditions())
+    def test_same_evaluation_as_kubo_mori(self, model, funcs):
+        dual_at = _evaluator(model, funcs)
+        assert dual_at.func is _CommutingEvaluation
+        operators = model.coords_to_matrices(funcs)
+        rng = np.random.default_rng(model.dim)
+        for scale in (0.0, 0.3, 3.0, 30.0):
+            lambdas = scale * rng.standard_normal(1)
+            ev, ref = dual_at(lambdas), _QuantumEvaluation(model, operators, lambdas)
+            assert abs(ev.lnz - ref.lnz) <= 1e-12
+            assert abs(ev.top - ref.top) <= 1e-12
+            np.testing.assert_allclose(np.sort(ev.spectrum), np.sort(ref.spectrum), rtol=0, atol=1e-12)
+            pairs = ((ev.means, ref.means), (ev.hessian(), ref.hessian()), (ev.state_coords, ref.state_coords))
+            for got, want in pairs:
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+            State(model, ev.state_coords.copy(), factor=ev.factor())
+
+    @pytest.mark.parametrize("m", [0, 2, 4])
+    def test_other_stacks_take_the_kubo_mori_path(self, monkeypatch, m):
+        # Only one condition is reduced; two or more, even diagonal ones, and the empty stack are not screened.
+        model = Quantum(4)
+        diagonals = np.random.default_rng(m).uniform(-1, 1, (m, 4))
+        funcs = commuting_funcs(model, diagonals, np.eye(4)).reshape(m, model.ambient_dim)
+        calls = counted_eigh(monkeypatch)
+        dual_at = _evaluator(model, funcs)
+        assert dual_at.func is _QuantumEvaluation
+        assert calls == []
+        if m == 0:
+            assert dual_at(np.zeros(0)).lnz == np.log(4)
+
+    def test_eigensolver_failure_is_a_numerical_failure(self, monkeypatch):
+        def faulty(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        model = Quantum(3)
+        funcs = commuting_funcs(model, np.random.default_rng(1).uniform(-1, 1, (1, 3)), np.eye(3))
+        monkeypatch.setattr(np.linalg, "eigh", faulty)
+        with pytest.raises(NumericalFailure):
+            _evaluator(model, funcs)
+
+
+def kubo_mori_solve(monkeypatch, problem, config=DEFAULT_SOLVER):
+    """solve_dual with the one-condition reduction turned off."""
+    with monkeypatch.context() as patch:
+        kubo_mori = lambda model, funcs: partial(_QuantumEvaluation, model, model.coords_to_matrices(funcs))
+        patch.setattr("gmaxent.solver._evaluator", kubo_mori)
+        return solve_dual(problem, config)
+
+
+def file_problem(name):
+    parsed = load_problem(Path(__file__).resolve().parent.parent / "problems" / f"{name}.json")
+    return MaxEntProblem(parsed.model, build_region(parsed), build_objective(parsed)), solver_config_from(parsed)
+
+
+def near_boundary_single_conditions():
+    """Seeded one-condition targets on both sides of the boundary: sigma_z means and a random qutrit projector."""
+    rng = np.random.default_rng(2026)
+    out = [("sigmaz", 1.0), ("sigmaz", -1.0)]
+    for delta in np.exp(rng.uniform(np.log(1e-8), np.log(5e-2), 4)):
+        out += [("sigmaz", 1.0 - delta), ("sigmaz", -1.0 + delta), ("sigmaz", 1.0 + delta), ("sigmaz", -1.0 - delta)]
+    psi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    projector = np.outer(psi, psi.conj()) / np.vdot(psi, psi).real
+    model = Quantum(3)
+    problems = [near_boundary_problem(family, t) for family, t in out]
+    for t in (0.0, 1.0, 1e-6, 1e-3, -1e-6, -1e-3, 1.0 - 1e-4, 1.0 + 1e-4):
+        problems.append(MaxEntProblem(model, region_from_mean(spectral_observable(model, projector), t), VonNeumann()))
+    return problems
+
+
+class TestCommutingSolves:
+    """One eigh per single-condition quantum solve, with the statuses and steps of the Kubo-Mori path."""
+
+    @staticmethod
+    def assert_same_solve(monkeypatch, problem, config=DEFAULT_SOLVER):
+        calls = counted_eigh(monkeypatch)
+        sol = solve_dual(problem, config)
+        assert calls == [1]
+        ref = kubo_mori_solve(monkeypatch, problem, config)
+        assert sol.status == ref.status
+        assert sol.iterations == ref.iterations
+        if ref.state is None:
+            assert sol.state is None
+            return sol
+        assert np.max(np.abs(sol.state.coords - ref.state.coords)) <= 1e-12
+        assert abs(sol.entropy - ref.entropy) <= 1e-12
+        return sol
+
+    @pytest.mark.parametrize(
+        "name,status",
+        [
+            ("gibbs_qubit", SolveStatus.CONVERGED),
+            ("boundary_sigmaz", SolveStatus.BOUNDARY_ONLY),
+            ("effect_condition_qubit", SolveStatus.CONVERGED),
+        ],
+    )
+    def test_problem_files(self, monkeypatch, name, status):
+        assert self.assert_same_solve(monkeypatch, *file_problem(name)).status == status
+
+    @pytest.mark.parametrize("problem", near_boundary_single_conditions())
+    def test_near_boundary_targets(self, monkeypatch, problem):
+        self.assert_same_solve(monkeypatch, problem)
 
 
 @pytest.mark.parametrize(
