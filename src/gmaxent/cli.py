@@ -3,7 +3,7 @@
 Exit codes: 0 ok/converged, 1 validation failure, 2 parse error or an
 --output path that cannot be written, 3 infeasible, 4 boundary-only,
 5 non-convergence, 6 unsupported representation, 7 unsupported instance
-(oracle grid cap or vertex-enumeration cap).
+(oracle grid cap, or a vertex walk past its cap on bases).
 """
 
 from __future__ import annotations

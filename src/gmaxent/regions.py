@@ -39,8 +39,6 @@ _CONSTRAINT_ATOL = 1e-8       # generator-vs-constraint residual
 _DUPLICATE_RTOL = 1e-10       # normalized-functional duplicate detection
 _SCREEN_BLOCK = 1 << 20       # max entries of one duplicate-screen broadcast block
 _GENERATOR_DEDUP_ATOL = 1e-8  # pairwise distance for v-rep dedup
-_VERTEX_NONNEG_ATOL = 1e-9    # BFS weight nonnegativity slack
-_ENUMERATION_CAP = 12         # constraint count + ambient dim limit
 
 
 @dataclass(frozen=True)
@@ -239,11 +237,11 @@ def join(a: ConvexRegion, b: ConvexRegion) -> ConvexRegion:
 
 def _dedup_generators(states) -> list[State]:
     """states in order, less each one within _GENERATOR_DEDUP_ATOL in max-abs of an earlier kept one."""
-    unique: list[State] = []
-    for s in states:
-        if all(np.max(np.abs(s.coords - u.coords)) >= _GENERATOR_DEDUP_ATOL for u in unique):
-            unique.append(s)
-    return unique
+    coords = np.array([s.coords for s in states])
+    kept = np.zeros(len(states), dtype=bool)
+    for i, x in enumerate(coords):
+        kept[i] = not (kept[:i] & (np.abs(coords[:i] - x).max(axis=1) < _GENERATOR_DEDUP_ATOL)).any()
+    return list(itertools.compress(states, kept))
 
 
 def _in_hull(generators: tuple[State, ...], s: State) -> bool:
@@ -254,12 +252,10 @@ def _in_hull(generators: tuple[State, ...], s: State) -> bool:
 
 def _lp_range(basis, a: np.ndarray, b: np.ndarray, w: np.ndarray) -> list[float]:
     """Min and max of w . x over {x >= 0 : a x = b} from a feasible basis: y . b for w's part y . a,
-    plus two warm-started Phase II runs on the rest r, scaled so that rounding in a large w
-    never meets the absolute pivot tolerance."""
+    constant there, plus Phase II on the rest, whose reduced-cost floor, relative to the largest cost,
+    then scales with what varies: on w itself, 10^6 and nearly constant, it would be 1e-7 > 1e-8."""
     y = np.linalg.lstsq(a.T, w, rcond=None)[0]
-    r = w - y @ a
-    scale = max(1.0, float(np.max(np.abs(r))))
-    return [y @ b + scale * basis.optimize(r / scale, maximize=m).value for m in (False, True)]
+    return [y @ b + basis.optimize(w - y @ a, maximize=m).value for m in (False, True)]
 
 
 def includes(outer: ConvexRegion, inner: ConvexRegion) -> bool:
@@ -376,29 +372,16 @@ def feasibility(c: ConvexRegion) -> FeasibilityResult:
 def enumerate_vertices(c: ConvexRegion) -> list[State]:
     """Vertices of the constrained mixing-weight polytope, mapped to states.
 
-    Enumerates basic feasible solutions of {w >= 0, sum w = 1, constraints}.
-    For polytope models with affinely dependent vertices the images may
-    include non-extreme states; they are valid hull generators either way.
+    Walks the bases of {w >= 0, sum w = 1, constraints} from a Phase I basis
+    and keeps the states that meet every condition within _CONSTRAINT_ATOL (a
+    tied pivot can reach a weight of -1e-11, which clipping moves off a scaled
+    condition). For polytope models with affinely dependent vertices the
+    images may include non-extreme states, valid hull generators either way.
     """
     if c.model.kind not in (CLASSICAL, POLYTOPE):
         raise Unsupported("vertex enumeration is exact for classical/polytope models only")
-    if c.known_empty:
+    basis = None if c.known_empty else feasible_basis(*_weight_system(c.model, c.h_rep))
+    if basis is None:
         return []
-    if len(c.h_rep) + c.model.ambient_dim > _ENUMERATION_CAP:
-        raise Unsupported(f"constraint count + ambient dim exceeds the enumeration cap {_ENUMERATION_CAP}")
-    a, b = _weight_system(c.model, c.h_rep)
-    n = a.shape[1]
-    rank = int(np.linalg.matrix_rank(a, tol=1e-11))
-    scale = max(1.0, float(np.max(np.abs(b))))
-    found: list[State] = []
-    for cols in itertools.combinations(range(n), rank):
-        sub = a[:, cols]
-        if np.linalg.matrix_rank(sub, tol=1e-11) < rank:
-            continue
-        w_sub, *_ = np.linalg.lstsq(sub, b, rcond=None)
-        if np.max(np.abs(sub @ w_sub - b)) > 1e-9 * scale or np.min(w_sub) < -_VERTEX_NONNEG_ATOL:
-            continue
-        w = np.zeros(n)
-        w[list(cols)] = w_sub
-        found.append(_state_from_weights(c.model, w))
-    return _dedup_generators(found)
+    states = [_state_from_weights(c.model, w) for w in basis.basic_solutions()]
+    return _dedup_generators([s for s in states if all(k.residual(s) <= _CONSTRAINT_ATOL for k in c.h_rep)])

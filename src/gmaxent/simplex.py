@@ -1,54 +1,51 @@
-"""Revised two-phase simplex for equality-form LPs with few rows.
+"""Revised two-phase simplex for equality-form LPs with few rows, and its vertex walk.
 
-Solves min/max c.x subject to A x = b, x >= 0. Rows are few (one per
-constraint plus the weight sum); columns range from a handful of polytope
-vertices to 10^4 classical outcomes. So the kernel is the revised simplex
-method: it keeps only B^-1 (rows x rows, one rank-1 update per pivot) and
-the basic values x_B, and forms no tableau.
+Solves min/max c.x subject to A x = b, x >= 0, with few rows (one per
+constraint plus the weight sum) and up to 10^4 columns. So it keeps only
+B^-1 and x_B (one rank-1 update per pivot) and forms no tableau. Each pivot
+computes y = c_B B^-1 once and prices c_j - y.A_j block by block, stopping
+at the first block with an improving column: one whose reduced cost lies
+below -max(_PIVOT_TOL, 1e-13 max|c|), a floor set once per run above the
+rounding noise of reduced costs (up to 2e-14 max|c| measured), so that
+costs of order 10^6 constant on the feasible set do not cycle. An optimum
+is then exact only to that floor: a caller that judges values absolutely
+prices only the part of c that varies (``regions._lp_range``).
 
-Each pivot computes y = c_B B^-1 once and scans the reduced costs
-c_j - y.A_j block by block, stopping at the first block with an improving
-column, so a pivot costs in proportion to where that column sits rather
-than to the number of columns. Phase I prices by Bland's rule (Bland, Math.
-Oper. Res. 2, 1977): the entering column is the smallest index with a
-negative reduced cost. Phase II takes the most negative reduced cost in
-that block (Dantzig's rule), which needs fewer pivots, and falls back to
-Bland's choice after a degenerate pivot until a pivot moves the objective:
-a cycle needs a run of degenerate pivots, and every such run is Bland's
-after its first pivot, so termination still rests on Bland's theorem. The
-leaving row is always the smallest basic index among ratio-test ties.
-
-Phase I prices one implicit artificial column per row (-e_i where b_i < 0,
-so that the all-artificial start is feasible) and never flips, widens or
-copies A. Its residual |A x - b|_1 is recomputed from A and b at the final
-basic solution, so rounding in the updates cannot flip a feasibility
-verdict. With its artificials driven out and redundant rows dropped, the
-resulting ``Basis`` is feasible for every cost: ``Basis.optimize`` runs
-Phase II from it and leaves it at the optimum, so many LPs over one
-constraint system (Frank-Wolfe) share one Phase I, each starting from the
-previous optimal basis.
+Phase I prices by Bland's rule (Bland, Math. Oper. Res. 2, 1977). Phase II
+takes the most negative reduced cost in the block (Dantzig's rule) and
+falls back to Bland's after a degenerate pivot until a pivot moves the
+objective, so termination still rests on Bland's theorem. The leaving row
+is the smallest basic index among the ratio-test ties. Phase I prices one
+implicit artificial column per row and never copies A; with its
+artificials driven out and redundant rows dropped, the ``Basis`` is
+feasible for every cost, so many LPs over one system (Frank-Wolfe) share
+one Phase I, and ``Basis.basic_solutions`` walks from it to every basis
+that ratio-test pivots reach, which yields the vertices (Avis & Fukuda,
+Discrete Comput. Geom. 8, 1992).
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalFailure
+from .errors import NumericalFailure, Unsupported
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 _MAX_PIVOTS = 200_000
-_PIVOT_TOL = 1e-10      # reduced costs, pivot entries and ratio-test ties
+_PIVOT_TOL = 1e-10      # pivot entries, ratio-test ties, least reduced-cost floor
 FEASIBILITY_TOL = 1e-8  # Phase I residual above this => infeasible
 _BLOCK = 256            # columns priced per block
 # Pivots between recomputations of B^-1 from the basis columns. It bounds the
 # drift of the rank-1 updates: max |A x - b| after 1.4e5 pivots on a
 # Classical(10^4), m = 32 system is 1.7e-15 with it and 1.7e-12 without.
 _REFACTOR_EVERY = 100
+_MAX_BASES = 10_000     # bases one vertex walk may see
 
 
 @dataclass(frozen=True)
@@ -125,8 +122,8 @@ class Basis:
         if self._pivots % _REFACTOR_EVERY == 0:
             self._refactor()
 
-    def _entering(self, c: np.ndarray, y: np.ndarray, bland: bool) -> int:
-        """The entering column, or -1 when no nonbasic reduced cost is below -_PIVOT_TOL.
+    def _entering(self, c: np.ndarray, y: np.ndarray, bland: bool, floor: float) -> int:
+        """The entering column, or -1 when no nonbasic reduced cost is below -floor.
 
         Within the first block that has an improving column it is the smallest
         such index when ``bland``, else the one with the most negative reduced
@@ -138,12 +135,12 @@ class Basis:
         for start in range(0, n, _BLOCK):
             stop = min(start + _BLOCK, n)
             reduced = c[start:stop] - y @ a[:, start:stop]
-            improving = (reduced < -_PIVOT_TOL) & nonbasic[start:stop]
+            improving = (reduced < -floor) & nonbasic[start:stop]
             j = int(improving.argmax())
             if improving[j]:
                 return start + (j if bland else int(np.where(improving, reduced, 0.0).argmin()))
         if len(c) > n:  # Phase I: the artificial columns come last
-            improving = (c[n:] - y * self._sign < -_PIVOT_TOL) & nonbasic[n:]
+            improving = (c[n:] - y * self._sign < -floor) & nonbasic[n:]
             j = int(improving.argmax())
             if improving[j]:
                 return n + j
@@ -157,9 +154,10 @@ class Basis:
         """
         n = self.n
         phase_one = bland = len(c) > n
+        floor = max(_PIVOT_TOL, 1e-13 * float(np.abs(c).max()))
         for _ in range(_MAX_PIVOTS):
             binv = self._inv_x[:, :-1]
-            col = self._entering(c, c[self._basis] @ binv, bland)
+            col = self._entering(c, c[self._basis] @ binv, bland, floor)
             if col < 0:
                 return OPTIMAL
             d = binv @ self._a[:, col] if col < n else binv[:, col - n] * self._sign[col - n]
@@ -172,6 +170,36 @@ class Basis:
             self._pivot(int(ties[self._basis[ties].argmin()]), col, d)
             bland = phase_one or least <= _PIVOT_TOL
         raise NumericalFailure("simplex exceeded the pivot budget")
+
+    def basic_solutions(self) -> list[np.ndarray]:
+        """``x`` at every basis that ratio-test pivots reach from this ``feasible_basis``, by sorted basis.
+
+        Each tied row is a neighbour, so degenerate vertices are passed through; a seen set ends the
+        walk, and past _MAX_BASES seen bases it raises ``Unsupported``."""
+        start = tuple(sorted(self._basis.tolist()))
+        seen, solutions, todo = {start}, {}, [(start, self, -1, -1)]
+        while todo:
+            key, node, row, col = todo.pop()
+            if row >= 0:  # copy the basis state only; A and b are shared
+                prev, node = node, copy.copy(node)
+                node._basis, node._nonbasic, node._inv_x = prev._basis.copy(), prev._nonbasic.copy(), prev._inv_x.copy()
+                node._pivot(row, col, prev._inv_x[:, :-1] @ prev._a[:, col])
+            solutions[key] = node.x()
+            # _run's ratio test on every nonbasic column at once, each tied row a neighbour
+            cols = np.flatnonzero(node._nonbasic[:self.n])
+            d = node._inv_x[:, :-1] @ node._a[:, cols]
+            positive = d > _PIVOT_TOL
+            ratios = np.divide(node._inv_x[:, -1:], d, out=np.full(d.shape, np.inf), where=positive)
+            rows, picks = (positive & (ratios <= ratios.min(axis=0) + _PIVOT_TOL)).nonzero()
+            basis = node._basis.tolist()
+            for row, col in zip(rows.tolist(), cols[picks].tolist()):
+                key = tuple(sorted(basis[:row] + basis[row + 1:] + [col]))
+                if key not in seen:
+                    if len(seen) == _MAX_BASES:
+                        raise Unsupported(f"the vertex walk passed the cap of {_MAX_BASES} bases")
+                    seen.add(key)
+                    todo.append((key, node, row, col))
+        return [solutions[key] for key in sorted(solutions)]
 
     def _drive_out_artificials(self) -> None:
         """Pivot leftover artificials out of a feasible basis; drop the rows where none can leave.
@@ -203,14 +231,11 @@ class Basis:
 def _phase_one(a_eq, b_eq) -> tuple[Basis, float]:
     """Phase I: minimize the sum of artificials from the all-artificial basis.
 
-    Returns the final basis and its residual |a_eq x - b_eq|_1 at the basic
-    solution x. That equals the artificial sum, but is recomputed from A and
-    b rather than read from the updated x_B, so rounding in the updates cannot
-    flip a feasibility verdict.
+    Returns the final basis and |a_eq x - b_eq|_1 at its basic solution x, recomputed from A and b
+    rather than read from the updated x_B, so that rounding cannot flip a feasibility verdict.
     """
     basis = Basis(a_eq, b_eq)
-    m, n = len(basis._b), basis.n
-    if basis._run(np.concatenate([np.zeros(n), np.ones(m)])) != OPTIMAL:
+    if basis._run(np.concatenate([np.zeros(basis.n), np.ones(len(basis._b))])) != OPTIMAL:
         raise NumericalFailure("phase-I subproblem unbounded")  # cannot happen: cost >= 0
     return basis, float(np.sum(np.abs(basis._a @ basis.x() - basis._b)))
 
@@ -238,9 +263,7 @@ def solve_lp(c, a_eq, b_eq, maximize: bool = False) -> LpResult:
 def phase_one(a_eq, b_eq):
     """Feasibility of {x >= 0 : a_eq x = b_eq}. Returns (residual, x or None).
 
-    The residual is |a_eq x - b_eq|_1 at the Phase I basic solution: the
-    Phase I optimum (the sum of the artificial variables), zero up to
-    rounding exactly when the system is feasible.
+    The residual is the Phase I optimum |a_eq x - b_eq|_1, zero up to rounding exactly when feasible.
     """
     basis, residual = _phase_one(a_eq, b_eq)
     return residual, None if residual > FEASIBILITY_TOL else basis.x()

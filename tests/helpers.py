@@ -1,5 +1,7 @@
 """Shared generators for the test suite."""
 
+import itertools
+
 import numpy as np
 
 from gmaxent import (
@@ -15,7 +17,6 @@ from gmaxent import (
     Quantum,
     Shannon,
     VonNeumann,
-    enumerate_vertices,
     evaluate,
     includes,
     random_effect,
@@ -26,7 +27,14 @@ from gmaxent import (
     whole_space,
 )
 from gmaxent.hermitian import _LOG_ZERO_FLOOR, _divided_difference
-from gmaxent.regions import _CONSTRAINT_ATOL, _DUPLICATE_RTOL, LinearConstraint, _in_hull
+from gmaxent.regions import (
+    _CONSTRAINT_ATOL,
+    _DUPLICATE_RTOL,
+    LinearConstraint,
+    _in_hull,
+    _state_from_weights,
+    _weight_system,
+)
 from gmaxent.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LpResult
 from gmaxent.solver import _RANK_PIVOT_TOL, _ClassicalEvaluation
 
@@ -418,10 +426,44 @@ def region_eq(a, b):
     return includes(a, b) and includes(b, a)
 
 
+REFERENCE_VERTEX_CAP = 12  # constraint count + ambient dimension that the reference enumerates
+
+
 def reference_vertices(region):
-    """The generators the enumeration-based order reads: the region's own list,
-    else ``enumerate_vertices`` (classical and polytope models under its cap)."""
-    return region.v_rep if region.v_rep is not None else tuple(enumerate_vertices(region))
+    """The generators the reference order reads: the region's own list, else
+    the basic feasible solutions of its mixing-weight system, found by trying
+    every column set of the system's rank (classical and polytope models).
+
+    Each full-rank set is solved by ``lstsq``; a solution is kept when it
+    meets the system within 1e-9 times max(1, max|b|) and no weight lies
+    below -1e-9, then clipped. Distinct states come in column-set order,
+    less each one within 1e-8 in max-abs of an earlier one. It tries
+    C(n, rank) sets, so it is capped at REFERENCE_VERTEX_CAP.
+    """
+    if region.v_rep is not None:
+        return region.v_rep
+    if region.known_empty:
+        return ()
+    model = region.model
+    assert len(region.h_rep) + model.ambient_dim <= REFERENCE_VERTEX_CAP, "past the reference's cap"
+    a, b = _weight_system(model, region.h_rep)
+    n = a.shape[1]
+    rank = int(np.linalg.matrix_rank(a, tol=1e-11))
+    scale = max(1.0, float(np.max(np.abs(b))))
+    found = []
+    for cols in itertools.combinations(range(n), rank):
+        sub = a[:, cols]
+        if np.linalg.matrix_rank(sub, tol=1e-11) < rank:
+            continue
+        w_sub, *_ = np.linalg.lstsq(sub, b, rcond=None)
+        if np.max(np.abs(sub @ w_sub - b)) > 1e-9 * scale or np.min(w_sub) < -1e-9:
+            continue
+        w = np.zeros(n)
+        w[list(cols)] = w_sub
+        s = _state_from_weights(model, w)
+        if all(np.max(np.abs(s.coords - u.coords)) >= 1e-8 for u in found):
+            found.append(s)
+    return tuple(found)
 
 
 def reference_includes(outer, inner):

@@ -313,8 +313,9 @@ class TestLattice:
         code, out = run(capsys, "lattice", "leq", str(empty), whole)
         assert (code, json.loads(out)) == (0, {"result": True})
 
-    def test_join_past_the_enumeration_cap(self, tmp_path, capsys, caplog):
-        # Classical(11) with two constraints: 11 + 2 > 12, the vertex-enumeration cap.
+    def test_join_past_the_enumeration_cap(self, tmp_path, capsys):
+        # Classical(11) with two constraints passed the old cap of 12 on constraint
+        # count plus ambient dimension; the vertex walk has no such cap.
         paths = []
         for i in (1, 2):
             functional = np.zeros(11)
@@ -325,10 +326,18 @@ class TestLattice:
             path.write_text(json.dumps({"model": {"kind": "classical", "dimension": 11},
                                         "region": {"constraints": constraints}}))
             paths.append(str(path))
-        assert run(capsys, "lattice", "join", *paths) == (7, "")
-        assert "unsupported instance: " in caplog.text and "enumeration cap 12" in caplog.text
-        # The order reads H-ranges from the simplex, so leq answers: region2 fixes
-        # p2 = 0.25, and over region1 p2 spans [0, 0.5].
+        code, out = run(capsys, "lattice", "join", *paths)
+        assert code == 0
+        report = json.loads(out)
+        # Each side has 9 vertices: p0 = pi = 0.25 and the other half on one of 9 outcomes.
+        assert len(report["generators"]) == 18 and not report["known_empty"]
+        hull = tmp_path / "join.json"
+        generators = [{"vector": g["probabilities"]} for g in report["generators"]]
+        hull.write_text(json.dumps({"model": report["model"], "region": {"constraints": [], "generators": generators}}))
+        for side in paths:
+            code, out = run(capsys, "lattice", "leq", side, str(hull))
+            assert (code, json.loads(out)) == (0, {"result": True})
+        # region2 fixes p2 = 0.25, and over region1 p2 spans [0, 0.5].
         code, out = run(capsys, "lattice", "leq", *paths)
         assert (code, json.loads(out)) == (0, {"result": False})
 

@@ -50,7 +50,6 @@ from gmaxent.io import ParsedCondition, ParsedProblem, build_region
 from gmaxent.models import _state_range
 from gmaxent.regions import (
     _CONSTRAINT_ATOL,
-    _ENUMERATION_CAP,
     _SCREEN_BLOCK,
     LinearConstraint,
     _dedup_constraints,
@@ -483,7 +482,7 @@ class TestIncludes:
         assert includes(plane, point)
 
     def test_classical_10000_answers(self):
-        # Far past the enumeration cap: the ranges come from the simplex.
+        # Ranges come from the simplex, which needs no vertex.
         model = Classical(10_000)
         rng = np.random.default_rng(41)
         anchor = random_state(model, rng)
@@ -535,22 +534,37 @@ class TestIncludes:
         assert includes(whole_space(model), nontrivial)
 
     @pytest.mark.parametrize(
-        "kind,inner",
-        [("classical", "whole"), ("classical", "unit"), ("classical", "hull"), ("quantum", "whole"), ("quantum", "hull")],
+        "kind,inner,tilt",
+        [
+            pytest.param(kind, inner, 1e-5, id=f"{kind}-{inner}")
+            for kind, inners in (("classical", ("whole", "unit", "hull")), ("quantum", ("whole", "hull")))
+            for inner in inners
+        ]
+        + [
+            pytest.param(kind, inner, tilt, id=f"{kind}-{inner}-{tilt:g}")
+            for kind in ("classical", "squarebit")
+            for inner in ("whole", "unit", "hull")
+            for tilt in (5e-8, 2e-8)
+        ],
     )
-    def test_whole_space_judged_like_every_inner(self, kind, inner):
-        # f = 1e6 u plus a 1e-5 tilt varies by about 1e-5 over the states, a
-        # thousand times the inclusion tolerance, whichever way the states are given.
-        model = Classical(3) if kind == "classical" else Quantum(2)
-        tilt = np.zeros(model.ambient_dim)
-        tilt[-1] = 1e-5
-        outer = ConvexRegion(model, (LinearConstraint(model, 1e6 * model.unit_functional + tilt, 1e6),))
+    def test_whole_space_judged_like_every_inner(self, kind, inner, tilt):
+        # f = 1e6 u plus a tilt that is 0 at some extreme states and from twice
+        # to a thousand times the inclusion tolerance at others, so f's maximum
+        # misses the target, whichever way the states are given. The simplex's
+        # reduced-cost floor, relative to the largest cost, is 1e-7 on f itself,
+        # so over an H-region only pricing the part of f that varies sees it.
+        model = {"classical": Classical(3), "squarebit": squarebit_model(), "quantum": Quantum(2)}[kind]
+        direction = np.zeros(model.ambient_dim)
+        direction[-1] = tilt
+        if kind == "squarebit":  # coordinates (1, x, y), y = +-1 at the vertices
+            direction[0], direction[-1] = tilt / 2, -tilt / 2
+        outer = ConvexRegion(model, (LinearConstraint(model, 1e6 * model.unit_functional + direction, 1e6),))
         unit = ConvexRegion(model, (LinearConstraint(model, model.unit_functional, 1.0),))
-        if kind == "classical":
-            extreme = [State(model, row) for row in np.eye(3)]
-        else:
+        if kind == "quantum":
             paulis = (SX, np.array([[0.0, -1j], [1j, 0.0]]), SZ)
             extreme = [quantum_state(model, (np.eye(2) + sign * p) / 2) for p in paulis for sign in (1, -1)]
+        else:
+            extreme = enumerate_vertices(whole_space(model))
         region = {"whole": whole_space(model), "unit": unit, "hull": ConvexRegion(model, (), tuple(extreme))}[inner]
         assert not includes(outer, region)
 
@@ -644,16 +658,39 @@ class TestEnumerateVertices:
         np.testing.assert_allclose(vertices[0].coords, [0.7, 0.3], atol=1e-9)
 
     def test_cap(self):
-        model = Classical(6)
+        # Three random conditions on Classical(48) cut out a polytope with more
+        # bases than the walk's cap; it stops there instead of running on.
+        model = Classical(48)
         rng = np.random.default_rng(17)
         anchor = random_state(model, rng)
-        region = whole_space(model)
-        for _ in range(7):
-            f = rng.uniform(0.0, 1.0, 6)
-            region = meet(region, ConvexRegion(model, (LinearConstraint(model, f, float(f @ anchor.coords)),)))
-        assert len(region.h_rep) + model.ambient_dim > 12
-        with pytest.raises(Unsupported):
+        funcs = rng.uniform(0.0, 1.0, (3, 48))
+        region = ConvexRegion(model, tuple(LinearConstraint(model, f, float(f @ anchor.coords)) for f in funcs))
+        with pytest.raises(Unsupported, match="cap"):
             enumerate_vertices(region)
+
+    def test_past_the_old_input_cap(self):
+        # Classical(11) with two conditions passed the old cap of 12 on
+        # constraint count plus ambient dimension; the walk finds all 51 vertices.
+        model = Classical(11)
+        rng = np.random.default_rng(0)
+        anchor = random_state(model, rng)
+        funcs = rng.uniform(0.0, 1.0, (2, 11))
+        region = ConvexRegion(model, tuple(LinearConstraint(model, f, float(f @ anchor.coords)) for f in funcs))
+        vertices = enumerate_vertices(region)
+        assert len(vertices) == 51
+        for v in vertices:
+            assert max(c.residual(v) for c in region.h_rep) <= _CONSTRAINT_ATOL
+            assert np.count_nonzero(v.coords) <= 3
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_walk_matches_the_reference_enumeration(self, seed):
+        # Same states in the same order as trying every column set.
+        region = walk_region(seed)
+        walked, reference = enumerate_vertices(region), reference_vertices(region)
+        assert len(walked) == len(reference)
+        for w, r in zip(walked, reference):
+            np.testing.assert_allclose(w.coords, r.coords, rtol=0.0, atol=1e-9)
 
     def test_quantum_unsupported(self):
         with pytest.raises(Unsupported):
@@ -675,6 +712,27 @@ class TestEnumerateVertices:
         points = sorted(tuple(np.round(v.point(), 9)) for v in enumerate_vertices(region))
         assert (0.8, -1.0) in points and (0.8, 1.0) in points
         assert all(x == 0.8 and -1.0 <= y <= 1.0 for x, y in points)
+
+
+def walk_region(seed):
+    """Zero to two random conditions on Classical(2..7) or a polygon of 3..7 vertices.
+
+    Each condition's target is its value at a random state, or with
+    probability 0.2 at an extreme state, so that the region is degenerate there.
+    """
+    rng = np.random.default_rng(seed)
+    if seed % 2:
+        model = Classical(int(rng.integers(2, 8)))
+        extreme = np.eye(model.ambient_dim)
+    else:
+        model = Polytope(rng.standard_normal((int(rng.integers(3, 8)), 2)))
+        extreme = model.vertices
+    conditions = []
+    for _ in range(int(rng.integers(0, 3))):
+        f = rng.standard_normal(model.ambient_dim)
+        point = extreme[rng.integers(len(extreme))] if rng.uniform() < 0.2 else random_state(model, rng).coords
+        conditions.append(LinearConstraint(model, f, float(f @ point)))
+    return ConvexRegion(model, tuple(conditions))
 
 
 class TestLatticeLaws:
@@ -707,13 +765,13 @@ LAW_REGIONS = 12
 def law_family(seed):
     """A model, regions on it that nest and overlap, and an entropy objective.
 
-    The model is Classical(2..5) or a random polygon of 3..7 vertices, both
-    within the vertex-enumeration cap. The regions are the whole space, the
-    empty region as a flag and as an empty generator list, three conditions
-    on small integer functionals that a shared anchor state meets, two of
-    their meets, a condition the anchor misses, one no state meets, and two
-    single points (the anchor and a random state). Regions spanned by several
-    generators are left out: ``meet`` enters them through their affine hull.
+    The model is Classical(2..5) or a random polygon of 3..7 vertices. The
+    regions are the whole space, the empty region as a flag and as an empty
+    generator list, three conditions on small integer functionals that a
+    shared anchor state meets, two of their meets, a condition the anchor
+    misses, one no state meets, and two single points (the anchor and a
+    random state). Regions spanned by several generators are left out:
+    ``meet`` enters them through their affine hull.
     """
     rng = np.random.default_rng(seed)
     if seed % 2:
@@ -730,9 +788,6 @@ def law_family(seed):
         return ConvexRegion(model, (LinearConstraint(model, f, float(target)),))
 
     h0, h1, h2 = (condition(f, f @ anchor.coords) for f in funcs)
-    # A single point enters a meet as one condition per ambient coordinate;
-    # met with all three conditions as well, Classical(5) would pass the cap.
-    deepest = meet(meet(h0, h1), h2) if 2 * model.ambient_dim + 3 <= _ENUMERATION_CAP else meet(h1, h2)
     regions = [
         whole_space(model),
         ConvexRegion(model, known_empty=True),
@@ -741,7 +796,7 @@ def law_family(seed):
         h1,
         h2,
         meet(h0, h1),
-        deepest,
+        meet(meet(h0, h1), h2),
         condition(funcs[0], funcs[0] @ other.coords),
         condition(funcs[1], _state_range(model, funcs[1])[1] + 1.0),
         ConvexRegion(model, (), (anchor,)),
@@ -832,6 +887,17 @@ class TestLatticeOrderLaws:
         b = ConvexRegion(model, (LinearConstraint(model, scale * np.array([0.0, 1.0, 2.0]), scale + delta),))
         assert includes(b, b)
 
+    @pytest.mark.parametrize("scale", [100.0, 1e4, 2e4])
+    @pytest.mark.parametrize("delta", [1.5e-8, 1e-7, 5e-7, 1e-6])
+    def test_join_of_a_scaled_condition_is_above_it(self, scale, delta):
+        # Every generator of the join meets the condition: the walk keeps only
+        # basic solutions that do, where clipping a weight of -delta / scale
+        # would move (0, 1, 0) off the plane by delta.
+        model = Classical(3)
+        b = ConvexRegion(model, (LinearConstraint(model, scale * np.array([0.0, 1.0, 2.0]), scale + delta),))
+        hull = join(b, b)
+        assert includes(b, hull) and includes(hull, b)
+
     @pytest.mark.parametrize("delta", [1.5e-8, 1e-7, 5e-7, 1e-6])
     def test_meet_of_a_scaled_parallel_pair_is_below_both(self, delta):
         # The planes lie delta / 100 apart, within the conflict tolerance on a's
@@ -891,7 +957,7 @@ def reference_pair(seed):
     Outer is a combination of inner's conditions and the unit (near-implied),
     a scaled copy of one of them, one of them with a conflicting target, or
     an unrelated functional through the anchor; its target is nudged by 0 to
-    1e-6 as well. All sizes stay under the enumeration cap.
+    1e-6 as well. All sizes stay under the reference enumeration's cap.
     """
     rng = np.random.default_rng(seed)
     if seed % 2:

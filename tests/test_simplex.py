@@ -237,3 +237,22 @@ def test_cost_shape_checked_before_phase_one(monkeypatch):
     monkeypatch.setattr(gmaxent.simplex, "_phase_one", lambda *args: pytest.fail("Phase I ran"))
     with pytest.raises(ValueError):
         solve_lp([1.0, 2.0, 3.0], [[1.0, 1.0]], [1.0])
+
+
+def test_constant_large_cost_is_optimal_at_once():
+    # c is 100 times the condition's row, so c . x is the same at every feasible
+    # x; its reduced costs are rounding noise of order 1e-10, below the floor
+    # 1e-13 max|c| = 2e-7, where an absolute floor of 1e-10 cycled to the pivot budget.
+    model = Classical(3)
+    a, b = _weight_system(model, (LinearConstraint(model, np.array([2e4, 1e4, -1e4]), 14811.252869568007),))
+    for maximize in (False, True):
+        result = solve_lp((2e6, 1e6, -1e6), a, b, maximize=maximize)
+        assert result.status == OPTIMAL
+        assert abs(result.value - 1481125.2869568006) <= 1e-6
+
+
+def test_basic_solutions_pass_through_a_degenerate_vertex():
+    # x = (1, 0, 0, 0) is basic for {0, 1}, {0, 2} and {0, 3}; {1, 2} is singular.
+    basis = feasible_basis([[1, 1, 1, 0], [1, 0, 0, 1]], [1.0, 1.0])
+    expected = [[1, 0, 0, 0]] * 3 + [[0, 1, 0, 1], [0, 0, 1, 1]]
+    np.testing.assert_allclose(basis.basic_solutions(), expected, atol=1e-12)
