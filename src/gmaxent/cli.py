@@ -44,7 +44,7 @@ from .io import (
 )
 from .models import QUANTUM, State, check_state_axioms, validate_povm
 from .oracle import FEASIBLE, oracle_maxent
-from .regions import includes, join, meet
+from .regions import _effective_h_rep, includes, join, meet
 from .solver import MaxEntProblem, SolveStatus, solve
 
 EXIT_OK = 0
@@ -162,7 +162,7 @@ def cmd_lattice(args) -> int:
         return EXIT_OK
     if args.op == "meet":
         result_region = meet(region_a, region_b)
-        dedup = max(0, len(region_a.h_rep) + len(region_b.h_rep) - len(result_region.h_rep))
+        dedup = len(_effective_h_rep(region_a)) + len(_effective_h_rep(region_b)) - len(result_region.h_rep)
         _emit(dumps_17g(region_report(result_region, deduplicated=dedup)), args.output)
         return EXIT_OK
     result_region = join(region_a, region_b)

@@ -1,8 +1,9 @@
 """Dense complex Hermitian matrix algebra.
 
-Hermitian matrices, the divided-difference kernel of exp that the quantum
-dual solver contracts into its Kubo-Mori Hessian, and the entropy of a
-spectrum. All values are immutable and all functions are pure.
+Hermitian matrices, the checked eigendecomposition, the divided-difference
+kernel of exp that the quantum dual solver contracts into its Kubo-Mori
+Hessian, and the entropy of a spectrum. All values are immutable and all
+functions are pure.
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .errors import NumericalFailure
 
 _HERMITICITY_ATOL = 1e-12     # construction check |A - A^dagger|
 _LOG_ZERO_FLOOR = 1e-300      # eigenvalues below this contribute ln = 0
@@ -52,6 +55,14 @@ class HermitianMatrix:
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
+
+
+def _eigh(matrix: np.ndarray):
+    """np.linalg.eigh, with non-convergence raised as NumericalFailure."""
+    try:
+        return np.linalg.eigh(matrix)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"eigensolver did not converge: {exc}") from exc
 
 
 def _divided_difference(k: np.ndarray) -> np.ndarray:

@@ -109,8 +109,6 @@ def dumps_17g(obj: Any) -> str:
             return _format_float(float(o))
         if isinstance(o, str):
             return json.dumps(o)
-        if isinstance(o, np.ndarray):
-            o = o.tolist()
         if isinstance(o, (list, tuple)):
             if not o:
                 return "[]"

@@ -40,7 +40,7 @@ from .errors import (
     NotOrthogonal,
     NumericalFailure,
 )
-from .hermitian import HermitianMatrix
+from .hermitian import HermitianMatrix, _eigh
 from .simplex import FEASIBILITY_TOL, phase_one
 
 CLASSICAL = "classical"
@@ -98,8 +98,12 @@ class ModelSpace:
         return float(self.unit_functional @ coords)
 
     def cone_residual(self, coords: np.ndarray) -> float:
-        """How far coords sit outside the positive cone (0 when inside)."""
-        raise NotImplementedError
+        """How far coords sit outside the positive cone (0 when inside): minus their least value as a functional.
+
+        The classical and quantum cones are self-dual in these coordinates, so a point is in the cone exactly
+        when its functional is nonnegative on every state; ``Polytope`` overrides this with a Phase I LP.
+        """
+        return max(0.0, -_state_range(self, coords)[0])
 
     def __eq__(self, other) -> bool:
         return self is other or (isinstance(other, ModelSpace) and self._key() == other._key())
@@ -124,9 +128,6 @@ class Classical(ModelSpace):
             raise ValueError("dimension must be positive")
         super().__init__(dim, np.ones(dim))
         self.dim = int(dim)
-
-    def cone_residual(self, coords):
-        return max(0.0, -float(np.min(coords)))
 
     def _key(self):
         return (CLASSICAL, self.dim)
@@ -207,10 +208,6 @@ class Quantum(ModelSpace):
         f[:, :: self.dim + 1] = c[:, self._diagonal_coords] @ self._diagonal_map
         return raw
 
-    def cone_residual(self, coords):
-        k = np.linalg.eigvalsh(self.coords_to_matrix(coords).entries)
-        return max(0.0, -float(k[0]))
-
     def _key(self):
         return (QUANTUM, self.dim)
 
@@ -269,8 +266,8 @@ class State:
     1e-8 of coords in every coordinate. A quantum state's is ``factor`` B with
     rho = B B^H, checked in O(d^3): coords lie within 1e-10 in 2-norm (the
     Frobenius norm of the matrix gap) of those of B B^H >= 0, so rho's least
-    eigenvalue is at least -1e-10 by Weyl's inequality. Without one, a Phase I
-    LP (``Polytope.cone_residual``) or ``eigvalsh`` tests membership. The
+    eigenvalue is at least -1e-10 by Weyl's inequality. Without one,
+    ``cone_residual`` tests membership: a Phase I LP, or the state range. The
     coordinates are kept read-only; a caller's writeable array is copied first.
     """
 
@@ -534,10 +531,7 @@ def spectral_observable(model: Quantum, matrix) -> Observable:
     its result fails the reconstruction or the unitarity bound.
     """
     m = matrix if isinstance(matrix, HermitianMatrix) else HermitianMatrix(matrix)
-    try:
-        k, u = np.linalg.eigh(m.entries)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"eigensolver did not converge: {exc}") from exc
+    k, u = _eigh(m.entries)
     if np.max(np.abs((u * k) @ u.conj().T - m.entries)) > _RECONSTRUCTION_RTOL * (1.0 + np.max(np.abs(k))):
         raise NumericalFailure("eigendecomposition failed the reconstruction bound")
     if np.max(np.abs(u.conj().T @ u - np.eye(m.dim))) > _UNITARITY_ATOL:

@@ -33,9 +33,8 @@ from .errors import (
 )
 from .models import CLASSICAL, POLYTOPE, Effect, ModelSpace, Observable, State, maximally_mixed
 from .models import _equal_by_value, _read_only, _sealed, _state_range
-from .simplex import feasible_basis, phase_one
+from .simplex import FEASIBILITY_TOL, feasible_basis, phase_one
 
-_CONSTRAINT_ATOL = 1e-8       # generator-vs-constraint residual
 _DUPLICATE_RTOL = 1e-10       # normalized-functional duplicate detection
 _SCREEN_BLOCK = 1 << 20       # max entries of one duplicate-screen broadcast block
 _GENERATOR_DEDUP_ATOL = 1e-8  # pairwise distance for v-rep dedup
@@ -102,7 +101,7 @@ class ConvexRegion:
                 if s.model != self.model:
                     raise ModelMismatch("generator belongs to a different model")
                 for c in self.h_rep:
-                    if c.residual(s) > _CONSTRAINT_ATOL:
+                    if c.residual(s) > FEASIBILITY_TOL:
                         raise ValueError("v_rep generator violates an h_rep constraint")
 
     def is_whole_space(self) -> bool:
@@ -165,8 +164,8 @@ def _dedup_constraints(constraints: tuple[LinearConstraint, ...]) -> tuple[tuple
     A constraint duplicates each kept one whose functional, both divided by
     their stored 2-norms (``LinearConstraint.norm``), lies within
     ``_DUPLICATE_RTOL`` in max-abs. The region is empty when the one of a pair
-    with smaller norm misses the other's plane by over ``includes``'s
-    ``_CONSTRAINT_ATOL``; otherwise the larger norm stays (the kept one on a
+    with smaller norm misses the other's plane by over ``FEASIBILITY_TOL``, as
+    ``includes`` reads a miss; otherwise the larger norm stays (the kept one on a
     tie), so the meet lies inside both sides. Kept ones never duplicate each
     other, so a chain of meets keeps what one meet of all its conditions keeps.
     Pairs are screened on every max(1, n // 64)-th coordinate first. The
@@ -196,7 +195,7 @@ def _dedup_constraints(constraints: tuple[LinearConstraint, ...]) -> tuple[tuple
         partners = [j for j in screened if np.max(np.abs(unit[i] - unit[j])) <= _DUPLICATE_RTOL]
         for j in partners:
             tn, sn = constraints[i].target / norms[i], constraints[j].target / norms[j]
-            empty |= min(norms[i], norms[j]) * abs(tn - sn) > _CONSTRAINT_ATOL
+            empty |= min(norms[i], norms[j]) * abs(tn - sn) > FEASIBILITY_TOL
         if partners:
             kept[[i] if max(norms[j] for j in partners) >= norms[i] else partners] = False
     return tuple(itertools.compress(constraints, kept)), empty
@@ -232,7 +231,7 @@ def join(a: ConvexRegion, b: ConvexRegion) -> ConvexRegion:
     if a.model != b.model:
         raise ModelMismatch("regions live on different models")
     unique = _dedup_generators(_generators(a) + _generators(b))
-    return ConvexRegion(a.model, (), unique, known_empty=not unique)
+    return ConvexRegion(a.model, (), unique)
 
 
 def _dedup_generators(states) -> list[State]:
@@ -263,7 +262,7 @@ def includes(outer: ConvexRegion, inner: ConvexRegion) -> bool:
 
     An empty inner lies in everything, and nothing else in a known-empty
     outer. Each outer constraint's min and max over inner must lie within
-    _CONSTRAINT_ATOL of its target: its state range over the whole space, its
+    FEASIBILITY_TOL of its target: its state range over the whole space, its
     generators' values, or over a classical or polytope H-region its
     ``_lp_range`` from one Phase I basis of the weight system, as Frank-Wolfe
     takes (Phase I failing: inner is empty). A generator outer must also hold
@@ -290,7 +289,7 @@ def includes(outer: ConvexRegion, inner: ConvexRegion) -> bool:
     if outer.known_empty:
         return False
     for c in outer.h_rep:
-        if max(abs(v - c.target) for v in values(c.functional)) > _CONSTRAINT_ATOL:
+        if max(abs(v - c.target) for v in values(c.functional)) > FEASIBILITY_TOL:
             return False
     return outer.v_rep is None or all(_in_hull(outer.v_rep, g) for g in _generators(inner))
 
@@ -336,7 +335,7 @@ def _weights_to_coords(model: ModelSpace, w: np.ndarray) -> np.ndarray:
 
 
 def _state_from_weights(model: ModelSpace, w: np.ndarray) -> State:
-    w = np.maximum(w, 0.0)
+    """The state of mixing weights w >= 0, a ``Basis.x()``, rescaled to sum to one."""
     w = w / w.sum()
     return State(model, _sealed(_weights_to_coords(model, w)), weights=w if model.kind == POLYTOPE else None)
 
@@ -373,7 +372,7 @@ def enumerate_vertices(c: ConvexRegion) -> list[State]:
     """Vertices of the constrained mixing-weight polytope, mapped to states.
 
     Walks the bases of {w >= 0, sum w = 1, constraints} from a Phase I basis
-    and keeps the states that meet every condition within _CONSTRAINT_ATOL (a
+    and keeps the states that meet every condition within FEASIBILITY_TOL (a
     tied pivot can reach a weight of -1e-11, which clipping moves off a scaled
     condition). For polytope models with affinely dependent vertices the
     images may include non-extreme states, valid hull generators either way.
@@ -384,4 +383,4 @@ def enumerate_vertices(c: ConvexRegion) -> list[State]:
     if basis is None:
         return []
     states = [_state_from_weights(c.model, w) for w in basis.basic_solutions()]
-    return _dedup_generators([s for s in states if all(k.residual(s) <= _CONSTRAINT_ATOL for k in c.h_rep)])
+    return _dedup_generators([s for s in states if all(k.residual(s) <= FEASIBILITY_TOL for k in c.h_rep)])

@@ -39,7 +39,7 @@ UNBOUNDED = "unbounded"
 
 _MAX_PIVOTS = 200_000
 _PIVOT_TOL = 1e-10      # pivot entries, ratio-test ties, least reduced-cost floor
-FEASIBILITY_TOL = 1e-8  # Phase I residual above this => infeasible
+FEASIBILITY_TOL = 1e-8  # Phase I residual, or a point's miss of a condition, above this => infeasible
 _BLOCK = 256            # columns priced per block
 # Pivots between recomputations of B^-1 from the basis columns. It bounds the
 # drift of the rank-1 updates: max |A x - b| after 1.4e5 pivots on a

@@ -36,10 +36,9 @@ from .errors import (
     DegenerateInput,
     IncompatibleObjective,
     ModelMismatch,
-    NumericalFailure,
     UnsupportedRepresentation,
 )
-from .hermitian import _divided_difference, entropy_from_spectrum
+from .hermitian import _divided_difference, _eigh, entropy_from_spectrum
 from .models import (
     CLASSICAL,
     POLYTOPE,
@@ -223,7 +222,23 @@ class _ClassicalEvaluation(_DualEvaluation):
         return scaled @ scaled.T
 
 
-class _QuantumEvaluation(_DualEvaluation):
+class _EigenbasisReadout:
+    """The state of a quantum evaluation, rho = U diag(p) U^H = B B^H with B = U diag(sqrt(p)), read from the
+    eigenbasis U of its exponent; U is None for the standard basis, at lambda = 0."""
+
+    @cached_property
+    def _rho(self) -> np.ndarray:
+        return np.diag(self.spectrum) if self._u is None else (self._u * self.spectrum) @ self._u.conj().T
+
+    @cached_property
+    def state_coords(self) -> np.ndarray:
+        return self._model.matrix_to_coords(self._rho)
+
+    def factor(self) -> np.ndarray:
+        return (np.eye(self._model.dim) if self._u is None else self._u) * np.sqrt(self.spectrum)
+
+
+class _QuantumEvaluation(_EigenbasisReadout, _DualEvaluation):
     """The quantum dual, read in the eigenbasis U of the exponent.
 
     At lambda = 0, where every solve starts, the state is I/d: the spectrum is
@@ -241,21 +256,9 @@ class _QuantumEvaluation(_DualEvaluation):
         self._shifted = self._gibbs(k)
 
     @cached_property
-    def _rho(self) -> np.ndarray:
-        return np.diag(self.spectrum) if self._u is None else (self._u * self.spectrum) @ self._u.conj().T
-
-    @cached_property
     def means(self) -> np.ndarray:
         # tr(R rho) = sum_jk R_jk conj(rho_jk), rho being Hermitian.
         return (self._operators.reshape(-1, self._model.ambient_dim) @ self._rho.ravel().conj()).real
-
-    @cached_property
-    def state_coords(self) -> np.ndarray:
-        return self._model.matrix_to_coords(self._rho)
-
-    def factor(self) -> np.ndarray:
-        """B = U diag(sqrt(p)), so that rho = B B^H."""
-        return (np.eye(self._model.dim) if self._u is None else self._u) * np.sqrt(self.spectrum)
 
     @cached_property
     def _hessian(self) -> np.ndarray:
@@ -271,29 +274,14 @@ class _QuantumEvaluation(_DualEvaluation):
         return (scaled @ scaled.T) / self._z - np.outer(self.means, self.means)
 
 
-def _eigh(matrix: np.ndarray):
-    """np.linalg.eigh, with non-convergence raised as NumericalFailure."""
-    try:
-        return np.linalg.eigh(matrix)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"eigensolver did not converge: {exc}") from exc
-
-
-class _CommutingEvaluation(_ClassicalEvaluation):
+class _CommutingEvaluation(_EigenbasisReadout, _ClassicalEvaluation):
     """Commuting R_i = U diag(a_i) U^H: the classical dual on the rows a_i, whose covariance is the Kubo-Mori one;
-    no evaluation runs ``eigh``, and only the state, rho = B B^H with B = U diag(sqrt(p)), is read back through U.
+    no evaluation runs ``eigh``, and only the state is read back through U.
     ``_evaluator`` builds it for a single condition, from that operator's ``eigh``."""
 
     def __init__(self, model, u: np.ndarray, diagonals: np.ndarray, lambdas: np.ndarray):
         super().__init__(diagonals, lambdas)
         self._model, self._u = model, u
-
-    @cached_property
-    def state_coords(self) -> np.ndarray:
-        return self._model.matrix_to_coords((self._u * self.spectrum) @ self._u.conj().T)
-
-    def factor(self) -> np.ndarray:
-        return self._u * np.sqrt(self.spectrum)
 
 
 def _evaluator(model: ModelSpace, funcs: np.ndarray) -> Callable[[np.ndarray], _DualEvaluation]:

@@ -28,14 +28,13 @@ from gmaxent import (
 )
 from gmaxent.hermitian import _LOG_ZERO_FLOOR, _divided_difference
 from gmaxent.regions import (
-    _CONSTRAINT_ATOL,
     _DUPLICATE_RTOL,
     LinearConstraint,
     _in_hull,
     _state_from_weights,
     _weight_system,
 )
-from gmaxent.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LpResult
+from gmaxent.simplex import FEASIBILITY_TOL, INFEASIBLE, OPTIMAL, UNBOUNDED, LpResult
 from gmaxent.solver import _RANK_PIVOT_TOL, _ClassicalEvaluation
 
 
@@ -402,7 +401,7 @@ def in_region(region, state):
         return False
     if region.v_rep is not None:
         return _in_hull(region.v_rep, state)
-    return all(c.residual(state) <= _CONSTRAINT_ATOL for c in region.h_rep)
+    return all(c.residual(state) <= FEASIBILITY_TOL for c in region.h_rep)
 
 
 def random_region(model, rng):
@@ -460,7 +459,7 @@ def reference_vertices(region):
             continue
         w = np.zeros(n)
         w[list(cols)] = w_sub
-        s = _state_from_weights(model, w)
+        s = _state_from_weights(model, np.maximum(w, 0.0))
         if all(np.max(np.abs(s.coords - u.coords)) >= 1e-8 for u in found):
             found.append(s)
     return tuple(found)
@@ -470,7 +469,7 @@ def reference_includes(outer, inner):
     """The inclusion order read from inner's enumerated vertices, the rule
     ``includes`` must agree with: an empty inner lies in everything, nothing
     else in a known-empty outer; every outer condition holds within
-    _CONSTRAINT_ATOL at every vertex, and a generator outer holds each vertex
+    FEASIBILITY_TOL at every vertex, and a generator outer holds each vertex
     in its hull."""
     if outer.is_whole_space():
         return True
@@ -479,7 +478,7 @@ def reference_includes(outer, inner):
         return True
     if outer.known_empty:
         return False
-    if any(c.residual(v) > _CONSTRAINT_ATOL for c in outer.h_rep for v in vertices):
+    if any(c.residual(v) > FEASIBILITY_TOL for c in outer.h_rep for v in vertices):
         return False
     return outer.v_rep is None or all(_in_hull(outer.v_rep, v) for v in vertices)
 
@@ -498,7 +497,7 @@ def reference_dedup_constraints(constraints):
         partners = [j for j, (_, gn, _, _) in kept.items() if np.max(np.abs(fn - gn)) <= _DUPLICATE_RTOL]
         for j in partners:
             _, _, sn, kept_norm = kept[j]
-            if min(norm, kept_norm) * abs(tn - sn) > _CONSTRAINT_ATOL:
+            if min(norm, kept_norm) * abs(tn - sn) > FEASIBILITY_TOL:
                 empty = True
         if partners and max(kept[j][3] for j in partners) >= norm:
             continue

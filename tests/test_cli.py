@@ -46,6 +46,27 @@ class TestValidate:
         assert "negative" in out and "exceeds unit" in out
         assert "completeness residual" in out
 
+    def test_failed_states_and_conditions(self, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({
+            "model": {"kind": "classical", "dimension": 2},
+            "observables": {"A": {"outcomes": [{"label": "x", "vector": [1, 0]}, {"label": "y", "vector": [0, 1]}]}},
+            "states": {"outside": {"vector": [1.5, -0.5]}, "inside": {"vector": [0.25, 0.75]}},
+            "conditions": [
+                {"observable": "A", "type": "mean", "target": 0.5},
+                {"observable": "A", "type": "probability", "outcome": "x", "target": 1.5},
+            ],
+        }))
+        code, out = run(capsys, "validate", str(path))
+        assert code == 1
+        assert out.splitlines() == [
+            "observable A: PASS",
+            "state outside: FAIL (cone membership violated by 0.5)",
+            "state inside: PASS",
+            "condition 0: FAIL (mean condition on unvalued observable)",
+            "condition 1: FAIL (probability target 1.5 outside [0, 1])",
+        ]
+
     def test_malformed_json(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"model": {"kind": "classical", "dimension": 3e+}}')
@@ -226,6 +247,25 @@ class TestSolve:
         code, _ = run(capsys, "solve", str(path))
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "condition,message",
+        [
+            ({"observable": "A", "type": "probability", "outcome": "x", "target": 1.5},
+             "validation failure: effect probability target 1.5 outside [0, 1]"),
+            ({"observable": "A", "type": "mean", "target": 0.5}, "validation failure: mean-value region needs outcome values"),
+        ],
+        ids=["probability-target", "unvalued-mean"],
+    )
+    def test_invalid_condition_is_a_validation_failure(self, tmp_path, capsys, caplog, condition, message):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({
+            "model": {"kind": "classical", "dimension": 2},
+            "observables": {"A": {"outcomes": [{"label": "x", "vector": [1, 0]}, {"label": "y", "vector": [0, 1]}]}},
+            "conditions": [condition],
+        }))
+        assert run(capsys, "solve", str(path)) == (1, "")
+        assert message in caplog.text
+
     def test_output_flag(self, tmp_path, capsys):
         target = tmp_path / "report.json"
         code, out = run(capsys, "solve", "problems/gibbs_qubit.json", "--output", str(target))
@@ -263,6 +303,33 @@ class TestLattice:
         report = json.loads(out)
         assert len(report["constraints"]) == 1
         assert report["deduplicated"] == 1
+
+    @pytest.mark.parametrize(
+        "other,deduplicated,empty",
+        [("region_point_top", 4, False), ("region_point_bottom", 4, True), ("region_sigmax_mean0", 1, False)],
+    )
+    def test_meet_counts_a_generator_side_by_its_hull_constraints(self, capsys, other, deduplicated, empty):
+        # A point of Quantum(2) enters a meet as the 4 constraints of its affine hull; its own are duplicates,
+        # the other point's conflict with them, and sigma_x's mean 0 is one of them.
+        code, out = run(capsys, "lattice", "meet", "problems/region_point_top.json", f"problems/{other}.json")
+        report = json.loads(out)
+        assert (code, len(report["constraints"]), report["deduplicated"], report["known_empty"]) == (
+            0, 4, deduplicated, empty
+        )
+
+    def test_meet_of_quantum_constraints(self, capsys):
+        code, out = run(capsys, "lattice", "meet", "problems/region_sigmax_mean0.json", "problems/region_sigmaz_mean0.json")
+        assert code == 0
+        report = json.loads(out)
+        assert (report["model"], report["generators"], report["known_empty"], report["deduplicated"]) == (
+            {"kind": "quantum", "dimension": 2}, None, False, 0
+        )
+        # Each functional is written back as its matrix, in [re, im] pairs: sigma_x, then sigma_z.
+        sigma_x = [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]
+        sigma_z = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]
+        assert [c["target"] for c in report["constraints"]] == [0.0, 0.0]
+        for got, want in zip(report["constraints"], (sigma_x, sigma_z)):
+            np.testing.assert_allclose(got["matrix"], want, rtol=0, atol=1e-15)
 
     def test_join_quantum_hrep_unsupported(self, capsys):
         code, _ = run(capsys, "lattice", "join", "problems/region_sigmaz_mean0.json", "problems/region_sigmax_mean0.json")

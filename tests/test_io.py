@@ -7,7 +7,17 @@ import json
 import numpy as np
 import pytest
 
-from gmaxent import MaxEntSolution, Polytope, Quantum, SolverConfig, SolveStatus, State, solve
+from gmaxent import (
+    FiducialMeasurementEntropy,
+    MaxEntProblem,
+    MaxEntSolution,
+    Polytope,
+    Quantum,
+    SolverConfig,
+    SolveStatus,
+    State,
+    solve,
+)
 from gmaxent.io import (
     SchemaError,
     build_objective,
@@ -235,6 +245,33 @@ class TestSchemaErrors:
             parse_problem(raw)
 
 
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            (lambda r: r["conditions"].append({"observable": "MX", "type": "variance", "target": 0.0}),
+             "type must be 'mean' or 'probability'"),
+            (lambda r: r["conditions"].append({"observable": "MX", "type": "probability", "outcome": "0", "target": 0.5}),
+             "observable 'MX' has no outcome '0'"),
+            (lambda r: r.update(objective={"name": "renyi"}), "objective: unknown name 'renyi'"),
+            (lambda r: r.update(objective={"name": "fiducial", "measurements": ["MX", "MZ"]}),
+             "objective: unknown measurement 'MZ'"),
+            (lambda r: r["observables"]["MX"]["outcomes"][0].update(vector=[[0.5, 0.5], [0.0]]),
+             "observable MX, outcome 0: vector entries must be numbers$"),
+        ],
+        ids=["condition-type", "outcome-label", "objective-name", "fiducial-measurement", "ragged-vector"],
+    )
+    def test_unknown_names_and_ragged_arrays(self, change, message):
+        raw = load_json("problems/squarebit_center.json")
+        change(raw)
+        with pytest.raises(SchemaError, match=message):
+            parse_problem(raw)
+
+    @pytest.mark.parametrize("raw", [[], "problem", 3])
+    def test_problem_file_not_an_object(self, raw):
+        with pytest.raises(SchemaError, match="problem file must be a JSON object"):
+            parse_problem(raw)
+
+
 class TestReports:
     def test_polytope_model_written_as_constructed(self):
         # The caller's array stays writable; the model and its report keep the points it held.
@@ -304,6 +341,15 @@ class TestSolverSection:
         raw["solver"] = {"tolerance": 1e-3}
         config = solver_config_from(parse_problem(raw))
         assert config.grad_tol == config.fw_gap_tol == 1e-3
+
+    def test_polytope_without_objective_gets_the_fiducial_one(self):
+        # With no "objective", a polytope problem is scored on all its observables, in name order.
+        raw = load_json("problems/squarebit_center.json")
+        del raw["objective"]
+        parsed = parse_problem(raw)
+        objective = build_objective(parsed)
+        assert objective == FiducialMeasurementEntropy((parsed.observables["MX"], parsed.observables["MY"]))
+        assert solve(MaxEntProblem(parsed.model, build_region(parsed), objective)).status is SolveStatus.CONVERGED
 
     def test_polytope_objective_required_information(self):
         raw = {

@@ -470,6 +470,13 @@ class TestEvaluate:
         s = State(model, np.array([1.0, 0.0]))
         assert evaluate(e, s) == 1.0
 
+    def test_clamps_tiny_negative_excursions(self):
+        # A probability in [-1e-10, 0) reads 0; one below that window is returned as it is.
+        model = Classical(2)
+        s = State(model, np.array([1.0, 0.0]))
+        assert evaluate(Effect(model, np.array([-5e-11, 0.0]), check=False), s) == 0.0
+        assert evaluate(Effect(model, np.array([-2e-10, 0.0]), check=False), s) == -2e-10
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.sampled_from(["classical", "quantum", "polytope"]))
     def test_probability_range(self, seed, kind):

@@ -6,6 +6,7 @@ import pytest
 from gmaxent import (
     Classical,
     CustomObjective,
+    Effect,
     MaxEntProblem,
     Quantum,
     Shannon,
@@ -62,6 +63,17 @@ class TestOracleExamples:
         )
         result = oracle_maxent(MaxEntProblem(model, region, VonNeumann()), 1e-3)
         assert result.status == "infeasible"
+
+    def test_inconsistent_affine_system(self):
+        # p1 = 0.2, p2 = 0.3 and p1 + p2 = 0.9: no two are rescalings of each other, so the meet does not
+        # see the conflict, but the slice's affine system has no solution and no grid point is scanned.
+        model = Classical(3)
+        region = whole_space(model)
+        for f, t in (([1.0, 0.0, 0.0], 0.2), ([0.0, 1.0, 0.0], 0.3), ([1.0, 1.0, 0.0], 0.9)):
+            region = meet(region, region_from_effect(Effect(model, np.array(f)), t))
+        assert not region.known_empty
+        result = oracle_maxent(MaxEntProblem(model, region, Shannon()), 1e-2)
+        assert (result.status, result.state, result.points_scanned) == ("infeasible", None, 0)
 
     def test_boundary_point_found(self):
         model = Quantum(2)

@@ -49,11 +49,11 @@ import gmaxent.regions as regions_module
 from gmaxent.io import ParsedCondition, ParsedProblem, build_region
 from gmaxent.models import _state_range
 from gmaxent.regions import (
-    _CONSTRAINT_ATOL,
     _SCREEN_BLOCK,
     LinearConstraint,
     _dedup_constraints,
 )
+from gmaxent.simplex import FEASIBILITY_TOL
 
 from helpers import (
     in_region,
@@ -679,7 +679,7 @@ class TestEnumerateVertices:
         vertices = enumerate_vertices(region)
         assert len(vertices) == 51
         for v in vertices:
-            assert max(c.residual(v) for c in region.h_rep) <= _CONSTRAINT_ATOL
+            assert max(c.residual(v) for c in region.h_rep) <= FEASIBILITY_TOL
             assert np.count_nonzero(v.coords) <= 3
 
     @settings(max_examples=300, deadline=None)
@@ -909,7 +909,7 @@ class TestLatticeOrderLaws:
         # a's residual on b's plane, exactly; at delta = 1e-6 it lies 2.5e-17 inside
         # the tolerance, and the simplex's range of a over b's plane holds it there.
         gap = (Fraction(100.0 + delta) - 100) / 100
-        assert gap <= Fraction(_CONSTRAINT_ATOL)
+        assert gap <= Fraction(FEASIBILITY_TOL)
         for m in (meet(a, b), meet(b, a)):
             assert not m.known_empty and m.h_rep == b.h_rep
             assert includes(b, m)
@@ -932,10 +932,10 @@ def enumeration_undecided(outer, inner):
 
     So it is when the enumerated vertices and Phase I (``feasibility``) differ
     on whether inner is empty; when the vertices miss one of inner's own
-    conditions by more than _CONSTRAINT_ATOL, the miss read on the scale of an
+    conditions by more than FEASIBILITY_TOL, the miss read on the scale of an
     outer functional (times its norm over the condition's, if larger); or when
     the vertices' min or max of an outer functional lies within that miss plus
-    1e-12 of target -/+ _CONSTRAINT_ATOL.
+    1e-12 of target -/+ FEASIBILITY_TOL.
     """
     vertices = reference_vertices(inner)
     if (not vertices) != (feasibility(inner).status == FeasibilityStatus.INFEASIBLE):
@@ -944,7 +944,7 @@ def enumeration_undecided(outer, inner):
         miss = max(c.residual(v) * max(1.0, g.norm / c.norm) for c in inner.h_rep for v in vertices)
         values = [float(g.functional @ v.coords) - g.target for v in vertices]
         ends = (min(values), max(values))
-        if miss > _CONSTRAINT_ATOL or any(abs(abs(e) - _CONSTRAINT_ATOL) <= miss + 1e-12 for e in ends):
+        if miss > FEASIBILITY_TOL or any(abs(abs(e) - FEASIBILITY_TOL) <= miss + 1e-12 for e in ends):
             return True
     return False
 

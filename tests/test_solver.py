@@ -52,6 +52,7 @@ from gmaxent.models import _state_range, random_unitary
 from gmaxent.regions import LinearConstraint, _functional_matrix
 from gmaxent.simplex import FEASIBILITY_TOL
 from gmaxent.solver import (
+    _BOUNDARY_RESIDUAL_TOL,
     _MULTIPLIER_BOUND,
     _ClassicalEvaluation,
     _CommutingEvaluation,
@@ -976,6 +977,38 @@ def _rank_filter_case(name):
     constraints = base + [LinearConstraint(model, f, base[0].target)]
     expected = (list(range(6)), [], False) if name == "pivot-above" else (list(range(5)), [5], False)
     return constraints, expected
+
+
+class TestBoundaryPastTheMultiplierBound:
+    """f = (0, 1e-3, 1) with target 0 on Classical(3) holds only at p = (1, 0, 0).
+
+    The first Newton step, doubled along the exponential tail, takes lambda to
+    about 1.23e4, past ``_MULTIPLIER_BOUND``. No recession certificate fires,
+    since the face is met, and the residual, about 4.5e-9, lies within
+    ``_BOUNDARY_RESIDUAL_TOL``: the status is BOUNDARY_ONLY, with that step's
+    state and multipliers. The diagonal Quantum(3) problem goes through the
+    one-condition reduction to the same answer.
+    """
+
+    @pytest.mark.parametrize("kind", ["classical", "quantum"])
+    def test_boundary_only_past_the_bound(self, kind):
+        model = Classical(3)
+        problem = MaxEntProblem(
+            model, ConvexRegion(model, (LinearConstraint(model, np.array([0.0, 1e-3, 1.0]), 0.0),)), Shannon()
+        )
+        if kind == "quantum":
+            problem = diagonal_embedding(problem)
+            funcs = _functional_matrix(problem.model, problem.region.h_rep)
+            assert _evaluator(problem.model, funcs).func is _CommutingEvaluation
+        sol = solve_dual(problem)
+        assert sol.status is SolveStatus.BOUNDARY_ONLY
+        assert sol.iterations == 1
+        assert sol.state is not None and sol.multipliers.shape == (1,)
+        assert _MULTIPLIER_BOUND < sol.multipliers[0] < 2.0 * _MULTIPLIER_BOUND
+        assert np.abs(sol.residuals).max() <= _BOUNDARY_RESIDUAL_TOL
+        p = sol.state.coords if kind == "classical" else np.diag(sol.state.density_matrix().entries).real
+        np.testing.assert_allclose(p, [1.0, 0.0, 0.0], rtol=0, atol=1e-5)
+        assert p[1] > 0.0
 
 
 class TestSelectIndependent:
