@@ -102,8 +102,10 @@ class ModelSpace:
 
         The classical and quantum cones are self-dual in these coordinates, so a point is in the cone exactly
         when its functional is nonnegative on every state; ``Polytope`` overrides this with a Phase I LP.
+        Coordinates with a NaN give NaN, which fails every ``<= tol`` test.
         """
-        return max(0.0, -_state_range(self, coords)[0])
+        least = _state_range(self, coords)[0]
+        return 0.0 if least >= 0.0 else -least
 
     def __eq__(self, other) -> bool:
         return self is other or (isinstance(other, ModelSpace) and self._key() == other._key())
@@ -246,8 +248,10 @@ class Polytope(ModelSpace):
         """Phase I residual of coords = V^T w, w >= 0 (the leading coordinate forces sum w = 1).
 
         This LP searches for mixing weights; a caller that already holds them
-        passes them to ``State``, which checks them instead.
+        passes them to ``State``, which checks them instead. Coordinates with a NaN give NaN.
         """
+        if np.isnan(coords).any():
+            return np.nan
         residual, _ = phase_one(self.vertices.T, coords)
         return residual
 

@@ -11,17 +11,17 @@ costs of order 10^6 constant on the feasible set do not cycle. An optimum
 is then exact only to that floor: a caller that judges values absolutely
 prices only the part of c that varies (``regions._lp_range``).
 
-Phase I prices by Bland's rule (Bland, Math. Oper. Res. 2, 1977). Phase II
-takes the most negative reduced cost in the block (Dantzig's rule) and
-falls back to Bland's after a degenerate pivot until a pivot moves the
-objective, so termination still rests on Bland's theorem. The leaving row
-is the smallest basic index among the ratio-test ties. Phase I prices one
-implicit artificial column per row and never copies A; with its
-artificials driven out and redundant rows dropped, the ``Basis`` is
-feasible for every cost, so many LPs over one system (Frank-Wolfe) share
-one Phase I, and ``Basis.basic_solutions`` walks from it to every basis
-that ratio-test pivots reach, which yields the vertices (Avis & Fukuda,
-Discrete Comput. Geom. 8, 1992).
+Both phases take the most negative reduced cost in the block (Dantzig's
+rule) and fall back to Bland's rule (Bland, Math. Oper. Res. 2, 1977) after
+a degenerate pivot until a pivot moves the objective, so termination still
+rests on Bland's theorem. The leaving row is the smallest basic index among
+the ratio-test ties. Phase I prices one implicit artificial column per row,
+after the original columns, and never copies A; with its artificials driven
+out and redundant rows dropped, the ``Basis`` is feasible for every cost,
+so many LPs over one system (Frank-Wolfe) share one Phase I, and
+``Basis.basic_solutions`` walks from it to every basis that ratio-test
+pivots reach, which yields the vertices (Avis & Fukuda, Discrete Comput.
+Geom. 8, 1992).
 """
 
 from __future__ import annotations
@@ -150,10 +150,11 @@ class Basis:
         """Minimize c.x from this basis. Returns OPTIMAL or UNBOUNDED.
 
         c has one entry per original column, and in Phase I one more per row
-        for the artificials; Phase I prices by Bland's rule throughout.
+        for the artificials. Both phases take the most negative reduced cost
+        in the first improving block, and Bland's rule after a degenerate pivot.
         """
         n = self.n
-        phase_one = bland = len(c) > n
+        bland = False
         floor = max(_PIVOT_TOL, 1e-13 * float(np.abs(c).max()))
         for _ in range(_MAX_PIVOTS):
             binv = self._inv_x[:, :-1]
@@ -168,7 +169,7 @@ class Basis:
             least = ratios.min()
             ties = rows[ratios <= least + _PIVOT_TOL]
             self._pivot(int(ties[self._basis[ties].argmin()]), col, d)
-            bland = phase_one or least <= _PIVOT_TOL
+            bland = least <= _PIVOT_TOL
         raise NumericalFailure("simplex exceeded the pivot budget")
 
     def basic_solutions(self) -> list[np.ndarray]:

@@ -16,8 +16,9 @@ Two routes:
   from the previous subproblem's optimal basis. The iterate is a convex
   mixture of an active set of feasible vertices; each step moves toward the
   Frank-Wolfe vertex or away from the worst active one, by an exact line
-  search on the objective's slope, and only the Frank-Wolfe gap certifies
-  convergence.
+  search on the objective's slope, and Shannon and fiducial objectives then
+  take Newton steps on the active weights. Only the Frank-Wolfe gap
+  certifies convergence.
 
 A brute-force grid oracle for small instances lives in ``oracle.py``.
 """
@@ -436,10 +437,10 @@ def solve_dual(problem: MaxEntProblem, config: SolverConfig = DEFAULT_SOLVER) ->
         h = ev.hessian()
         try:
             direction = np.linalg.solve(h + _HESSIAN_RIDGE * np.eye(len(g)), g)
+            slope = float(g @ direction)
         except np.linalg.LinAlgError:
-            direction = g
-        slope = float(g @ direction)
-        if slope <= 0.0:  # not a descent direction for D; fall back to steepest descent
+            slope = 0.0
+        if not slope > 0.0:  # singular, or not a descent direction for D; fall back to steepest descent
             direction = g
             slope = float(g @ g)
             diag.gradient_fallbacks += 1
@@ -512,22 +513,25 @@ _ATOM_ATOL = 1e-12
 # its right end.
 _SLOPE_RTOL = 1e-10
 _BRACKET_RTOL = 1e-14
+_FACE_NEWTON_STEPS = 3  # at most this many Newton steps on the active face after each Frank-Wolfe step
 
 
 def _objective_terms(problem: MaxEntProblem):
-    """(value, gradient, line) of the objective; line(x, d) is the slope t -> grad(x + t d) . d.
+    """(value, gradient, line, face) of the objective; line(x, d) is the slope t -> grad(x + t d) . d.
 
     Shannon and fiducial objectives are the Shannon entropy of one linear image
     R x: R = I for Shannon, and for a fiducial objective every measurement's
     outcome rows stacked once, here. A line then computes R x and R d once, so
-    each slope trial is one pass over the outcome probabilities.
+    each slope trial is one pass over the outcome probabilities. face(x, atoms)
+    is the Hessian A H A^T over weights on the rows of A = atoms, at x, with
+    H = -R^T diag(1/R x) R; a custom objective has none, and face is None.
     """
     obj = problem.objective
     if isinstance(obj, CustomObjective):
         def custom_line(x, d):
             return lambda t: float(obj.gradient(x + t * d) @ d)
 
-        return obj.value, obj.gradient, custom_line
+        return obj.value, obj.gradient, custom_line, None
     if isinstance(obj, Shannon):
         rows = None
     else:
@@ -547,7 +551,11 @@ def _objective_terms(problem: MaxEntProblem):
         rx, rd = image(x), image(d)
         return lambda t: float(-(1.0 + np.log(np.maximum(rx + t * rd, 1e-300))) @ rd)
 
-    return value, grad, line
+    def face(x, atoms):
+        ra = image(atoms.T)
+        return -(ra.T / np.maximum(image(x), 1e-300)) @ ra
+
+    return value, grad, line, face
 
 
 def _slope_search(slope: Callable[[float], float], t_max: float, slope0: float) -> float:
@@ -586,8 +594,45 @@ def _slope_search(slope: Callable[[float], float], t_max: float, slope0: float) 
     return lo
 
 
+def _face_newton(face, grad, line, x, atoms, mixes, alpha):
+    """At most ``_FACE_NEWTON_STEPS`` Newton steps on the active weights alpha over {alpha >= 0, sum alpha = 1}.
+
+    delta solves [Q, 1; 1^T, 0] (delta, nu) = (-A g, 0), Q = face(x, A), A = atoms, by ``lstsq`` (the vertices
+    can be affinely dependent), then is centred, since lstsq leaves sum delta up to 1e-4 max |delta| on sphere
+    polytopes. An exact line search stops at the first weight to reach zero, and drops that vertex. Fewer than
+    three vertices span a point or a segment, where the Frank-Wolfe line search is already exact: no step runs.
+    """
+    for _ in range(_FACE_NEWTON_STEPS):
+        k = len(alpha)
+        if k < 3:
+            break
+        g = grad(x)
+        kkt = np.ones((k + 1, k + 1))
+        kkt[:k, :k] = face(x, atoms)
+        kkt[k, k] = 0.0
+        delta = np.linalg.lstsq(kkt, np.append(-(atoms @ g), 0.0), rcond=None)[0][:k]
+        delta -= delta.mean()
+        d = delta @ atoms
+        slope0 = float(g @ d)
+        shrinking = np.flatnonzero(delta < 0.0)
+        if not (slope0 > 0.0 and shrinking.size):
+            break
+        ratios = alpha[shrinking] / -delta[shrinking]
+        t_max = float(ratios.min())
+        t = _slope_search(line(x, d), t_max, slope0)
+        if t == 0.0:
+            break
+        alpha = alpha + t * delta
+        if t == t_max:
+            alpha[shrinking[ratios.argmin()]] = 0.0
+        keep = alpha > 0.0
+        atoms, mixes, alpha = atoms[keep], mixes[keep], alpha[keep]
+        x = alpha @ atoms
+    return x, atoms, mixes, alpha
+
+
 def solve_polytope(problem: MaxEntProblem, config: SolverConfig = DEFAULT_SOLVER) -> MaxEntSolution:
-    """Away-step Frank-Wolfe maximization of a concave objective over the feasible hull.
+    """Away-step Frank-Wolfe with Newton steps on the active face: a concave objective maximized over the feasible hull.
 
     The iterate is a convex combination of an active set of feasible vertices
     (basic solutions of the mixing-weight system), starting from the one
@@ -602,8 +647,11 @@ def solve_polytope(problem: MaxEntProblem, config: SolverConfig = DEFAULT_SOLVER
     from the same linear image as its gradient (``_objective_terms``). A step
     that neither drops a vertex nor changes x (also when x + t d rounds back
     to x) ends the solve with NON_CONVERGENCE, as does ``fw_max_iter``.
-    Phase I runs once per solve, and each LP is a Phase II warm-started from
-    the previous optimal basis (Lacoste-Julien & Jaggi, NeurIPS 2015). Each
+    After each step a Shannon or fiducial objective takes Newton steps on the
+    active weights (``_face_newton``); a custom objective has no Hessian and
+    takes none. Phase I runs once per solve, and each LP is a Phase II warm-started
+    from the previous optimal basis (Lacoste-Julien & Jaggi, NeurIPS 2015;
+    Braun, Pokutta, Tu & Wright, ICML 2019, for the Newton steps). Each
     active vertex keeps the LP's mixing weights that produced it, so a
     polytope result is certified by alpha times those weights, which
     ``State`` checks in O(nk) instead of solving a membership LP.
@@ -630,7 +678,7 @@ def solve_polytope(problem: MaxEntProblem, config: SolverConfig = DEFAULT_SOLVER
     x = _weights_to_coords(model, w)
     atoms, mixes, alpha = x[None, :], w[None, :], np.ones(1)
 
-    value, grad, line = _objective_terms(problem)
+    value, grad, line, face = _objective_terms(problem)
     status = SolveStatus.NON_CONVERGENCE
     iterations = 0
     for iterations in range(1, config.fw_max_iter + 1):
@@ -673,6 +721,8 @@ def solve_polytope(problem: MaxEntProblem, config: SolverConfig = DEFAULT_SOLVER
         if np.array_equal(moved, x) and len(alpha) >= n_atoms:
             break
         x = moved
+        if face is not None:
+            x, atoms, mixes, alpha = _face_newton(face, grad, line, x, atoms, mixes, alpha)
 
     weights = alpha @ mixes if model.kind == POLYTOPE else None
     return _solution(problem, x, (), None, iterations, status, diag, float(value(x)), weights=weights)

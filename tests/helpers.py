@@ -34,7 +34,7 @@ from gmaxent.regions import (
     _state_from_weights,
     _weight_system,
 )
-from gmaxent.simplex import FEASIBILITY_TOL, INFEASIBLE, OPTIMAL, UNBOUNDED, LpResult
+from gmaxent.simplex import _BLOCK, FEASIBILITY_TOL, INFEASIBLE, OPTIMAL, UNBOUNDED, LpResult
 from gmaxent.solver import _RANK_PIVOT_TOL, _ClassicalEvaluation
 
 
@@ -145,8 +145,9 @@ def reference_hessian(ev):
 
 
 # ---------------------------------------------------------------------------
-# Dense-tableau two-phase simplex with Bland's rule: the reference the
-# revised simplex in ``gmaxent.simplex`` is checked against.
+# Dense-tableau two-phase simplex: the reference the revised simplex in
+# ``gmaxent.simplex`` is checked against. Its Phase I prices as that one's
+# does; its Phase II prices by Bland's rule throughout.
 # ---------------------------------------------------------------------------
 
 
@@ -158,15 +159,28 @@ def _tableau_pivot(tableau, basis, row, col):
     basis[row] = col
 
 
-def _tableau_simplex(tableau, basis, cost, pivot_tol):
-    """Minimize cost over the tableau in place. Returns OPTIMAL or UNBOUNDED."""
+def _tableau_simplex(tableau, basis, cost, pivot_tol, original=0):
+    """Minimize cost over the tableau in place. Returns OPTIMAL or UNBOUNDED.
+
+    With ``original`` = 0 it prices by Bland's rule throughout. Otherwise it
+    prices as the revised simplex does, its first ``original`` columns in
+    blocks of ``_BLOCK`` and the rest after them: the most negative reduced
+    cost in the first block with an improving column (among the rest, the
+    smallest improving index), and Bland's rule after a degenerate pivot.
+    """
     m = tableau.shape[0]
     n = tableau.shape[1] - 1
+    bland = original == 0
     for _ in range(200_000):
         reduced = cost - cost[basis] @ tableau[:, :n]
-        entering = next((j for j in range(n) if reduced[j] < -pivot_tol), -1)
-        if entering < 0:
+        improving = reduced < -pivot_tol
+        entering = int(improving.argmax())
+        if not improving[entering]:
             return OPTIMAL
+        if not bland and entering < original:
+            start = entering - entering % _BLOCK
+            block = slice(start, min(start + _BLOCK, original))
+            entering = start + int(np.where(improving[block], reduced[block], 0.0).argmin())
         leaving = -1
         best_ratio = np.inf
         for i in range(m):
@@ -181,6 +195,7 @@ def _tableau_simplex(tableau, basis, cost, pivot_tol):
         if leaving < 0:
             return UNBOUNDED
         _tableau_pivot(tableau, basis, leaving, entering)
+        bland = original == 0 or best_ratio <= pivot_tol
     raise RuntimeError("reference simplex exceeded the pivot budget")
 
 
@@ -194,7 +209,7 @@ def _tableau_phase_one(a_eq, b_eq, pivot_tol):
     tableau = np.hstack([a, np.eye(m), b[:, None]])
     basis = list(range(n, n + m))
     cost = np.concatenate([np.zeros(n), np.ones(m)])
-    _tableau_simplex(tableau, basis, cost, pivot_tol)
+    _tableau_simplex(tableau, basis, cost, pivot_tol, original=n)
     return tableau, basis, n, float(cost[basis] @ tableau[:, -1])
 
 

@@ -305,6 +305,20 @@ class TestState:
         with pytest.raises(InvalidState, match="unit functional"), np.errstate(invalid="ignore"):  # 0 * inf
             State(model, coords)
 
+    @pytest.mark.parametrize(
+        "model,coords",
+        [
+            (Classical(4), [np.nan, 0.5, 0.5, 0.0]),
+            (Quantum(2), [np.nan, 0.0, 0.0, 0.0]),
+            (squarebit_model(), [1.0, np.nan, 0.0]),
+        ],
+        ids=["classical", "quantum", "polytope"],
+    )
+    def test_nan_coordinates_are_not_inside_the_cone(self, model, coords):
+        # max(0, nan) is 0, which read as inside; the polytope's Phase I raised on the NaN.
+        residual = model.cone_residual(np.array(coords))
+        assert not residual <= 1e300
+
     @pytest.mark.parametrize("model", MODELS, ids=["classical", "quantum", "polytope"])
     def test_random_states_valid(self, model):
         rng = np.random.default_rng(11)

@@ -1,7 +1,7 @@
 """LP core tests: revised two-phase simplex.
 
-Phase I prices by Bland's rule; Phase II by the most negative reduced cost,
-with Bland's rule after a degenerate pivot.
+Both phases price by the most negative reduced cost in the first improving
+block, with Bland's rule after a degenerate pivot.
 """
 
 import numpy as np
@@ -9,7 +9,7 @@ import pytest
 
 from gmaxent import Classical, random_effect, random_state
 from gmaxent.regions import LinearConstraint, _weight_system
-from gmaxent.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, feasible_basis, phase_one, solve_lp
+from gmaxent.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, Basis, feasible_basis, phase_one, solve_lp
 
 from helpers import reference_phase_one, reference_solve_lp
 
@@ -75,12 +75,16 @@ def test_degenerate_fallback_terminates_on_beales_cycling_lp():
     # Beale's (1955) LP, slack columns first: from the slack basis, pricing by
     # the most negative reduced cost alone cycles through degenerate pivots.
     # Phase II switches to Bland's rule after a degenerate pivot, so it ends
-    # at the optimum that HiGHS reports.
+    # at the optimum that HiGHS reports. The slack basis is built by pivoting
+    # each slack column into its row of the all-artificial basis.
     a = [[1, 0, 0, 0.25, -8, -1, 9], [0, 1, 0, 0.5, -12, -0.5, 3], [0, 0, 1, 0, 0, 1, 0]]
     b = [0.0, 0.0, 1.0]
     c = [0.0, 0.0, 0.0, -0.75, 20.0, -0.5, 6.0]
-    basis = feasible_basis(a, b)
+    basis = Basis(a, b)
+    for row in range(3):
+        basis._pivot(row, row, basis._inv_x[:, :-1] @ basis._a[:, row])
     np.testing.assert_array_equal(basis._basis, [0, 1, 2])
+    np.testing.assert_array_equal(basis.x(), [0, 0, 1, 0, 0, 0, 0])
     start = basis._pivots
     result = basis.optimize(c)
     assert result.status == OPTIMAL
@@ -199,7 +203,7 @@ def _check_against_references(c, a, b, maximize):
     if x is not None:
         assert residual <= 1e-8
         assert np.max(np.abs(a @ x - b)) <= 1e-8
-        np.testing.assert_allclose(x, ref_x, atol=1e-9)  # the same Bland pivots as the reference
+        np.testing.assert_allclose(x, ref_x, atol=1e-9)  # the same Phase I pivots as the reference
     else:
         assert abs(residual - ref_residual) <= 1e-9 * max(1.0, ref_residual)
 
@@ -221,7 +225,7 @@ def test_wide_classical_weight_system():
     _, ref_x = reference_phase_one(a, b)
     assert residual <= 1e-12
     assert np.max(np.abs(a @ x - b)) <= 1e-8
-    np.testing.assert_allclose(x, ref_x, atol=1e-12)  # the same Bland pivots as the reference
+    np.testing.assert_allclose(x, ref_x, atol=1e-12)  # the same Phase I pivots as the reference
 
     c = rng.standard_normal(a.shape[1])
     result = solve_lp(c, a, b)
