@@ -4,7 +4,7 @@ Constraints are convex subsets of a model's state space (the kernel of an
 affine condition intersected with the states); the feasible set of a problem
 is their lattice meet, and the solvers maximize the model-appropriate entropy
 over it: Shannon (classical), von Neumann (quantum, via the exponential-family
-dual), or a pluggable concave objective (general polytope models).
+dual), or the outcome entropies of fiducial measurements (polytope models).
 """
 
 from .errors import (
@@ -62,7 +62,6 @@ from .regions import (
 )
 from .solver import (
     DEFAULT_SOLVER,
-    CustomObjective,
     FiducialMeasurementEntropy,
     MaxEntProblem,
     MaxEntSolution,

@@ -26,6 +26,7 @@ Problem files::
       "solver": {"tolerance": 1e-10, "max_iter": 500}  # optional; a "seed" key
     }                                                  # is accepted and ignored
 
+An outcome's label defaults to its index; the labels of one observable are distinct.
 "max_iter" caps Newton and Frank-Wolfe iterations alike; "tolerance" bounds
 the dual gradient of a Newton solve and the gap of a Frank-Wolfe solve.
 
@@ -313,6 +314,8 @@ def parse_problem(raw: dict) -> ParsedProblem:
             context = f"observable {name}, outcome {i}"
             functional = _parse_functional(model, entry, context)
             label = str(entry.get("label", i))
+            if any(out.label == label for out in outs):
+                raise SchemaError(f"{context}: duplicate label '{label}'")
             value = entry.get("value")
             value = None if value is None else _number(value, context)
             outs.append(Outcome(label, Effect(model, _sealed(functional), check=False), value))

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import Unsupported, UnsupportedRepresentation
 from .models import CLASSICAL, QUANTUM, State, _sealed
-from .solver import FiducialMeasurementEntropy, MaxEntProblem, Shannon, VonNeumann
+from .solver import MaxEntProblem
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
@@ -181,20 +181,14 @@ def oracle_maxent(problem: MaxEntProblem, resolution: float) -> OracleResult:
     if model.kind == CLASSICAL:
         if model.dim > _CLASSICAL_MAX_DIM:
             raise Unsupported(f"classical oracle capped at d = {_CLASSICAL_MAX_DIM}")
-        if not isinstance(problem.objective, Shannon):
-            raise Unsupported("classical oracle evaluates Shannon entropy")
         search = _ClassicalSearch(model, region, resolution)
     elif model.kind == QUANTUM:
         if model.dim != _QUANTUM_MAX_DIM:
             raise Unsupported(f"quantum oracle capped at d = {_QUANTUM_MAX_DIM}")
-        if not isinstance(problem.objective, VonNeumann):
-            raise Unsupported("quantum oracle evaluates von Neumann entropy")
         search = _QubitSearch(model, region, resolution)
     else:
         if model.vertices.shape[0] > _POLYTOPE_MAX_VERTICES:
             raise Unsupported(f"polytope oracle capped at {_POLYTOPE_MAX_VERTICES} vertices")
-        if not isinstance(problem.objective, FiducialMeasurementEntropy):
-            raise Unsupported("polytope oracle evaluates fiducial measurement entropy")
         search = _PolytopeSearch(model, region, resolution, problem.objective)
 
     nvar = search.nvar

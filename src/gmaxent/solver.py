@@ -9,16 +9,16 @@ Two routes:
   by damped Newton steps. The quantum Hessian is the Kubo-Mori covariance,
   computed from the divided-difference derivative of the matrix exponential.
   A single quantum condition is solved classically in its eigenbasis.
-* ``solve_polytope``: any concave objective with a gradient on classical or
-  polytope models via away-step Frank-Wolfe over mixing weights. One Phase
-  I per solve finds a feasible simplex basis, and its basic solution is the
-  first iterate; every linear subproblem is then a Phase II that starts
-  from the previous subproblem's optimal basis. The iterate is a convex
-  mixture of an active set of feasible vertices; each step moves toward the
-  Frank-Wolfe vertex or away from the worst active one, by an exact line
-  search on the objective's slope, and Shannon and fiducial objectives then
-  take Newton steps on the active weights. Only the Frank-Wolfe gap
-  certifies convergence.
+* ``solve_polytope``: the Shannon entropy of a linear image R x of the state
+  on classical models (R = I) and polytope models (the outcome rows of a
+  fiducial objective) via away-step Frank-Wolfe over mixing weights. One
+  Phase I per solve finds a feasible simplex basis, and its basic solution
+  is the first iterate; every linear subproblem is then a Phase II that
+  starts from the previous subproblem's optimal basis. The iterate is a
+  convex mixture of an active set of feasible vertices; each step moves
+  toward the Frank-Wolfe vertex or away from the worst active one, by an
+  exact line search on the objective's slope, and then Newton steps on the
+  active weights follow. Only the Frank-Wolfe gap certifies convergence.
 
 A brute-force grid oracle for small instances lives in ``oracle.py``.
 """
@@ -103,15 +103,7 @@ class FiducialMeasurementEntropy:
     measurements: tuple[Observable, ...]
 
 
-@dataclass(frozen=True)
-class CustomObjective:
-    """A caller-supplied concave functional of the state coordinates."""
-
-    value: Callable[[np.ndarray], float]
-    gradient: Callable[[np.ndarray], np.ndarray]
-
-
-Objective = Shannon | VonNeumann | FiducialMeasurementEntropy | CustomObjective
+Objective = Shannon | VonNeumann | FiducialMeasurementEntropy
 
 
 @dataclass(frozen=True)
@@ -129,8 +121,8 @@ class MaxEntProblem:
             raise IncompatibleObjective("Shannon entropy is the classical objective")
         if isinstance(obj, VonNeumann) and kind != QUANTUM:
             raise IncompatibleObjective("von Neumann entropy is the quantum objective")
-        if isinstance(obj, (FiducialMeasurementEntropy, CustomObjective)) and kind != POLYTOPE:
-            raise IncompatibleObjective("measurement/custom objectives are for polytope models")
+        if isinstance(obj, FiducialMeasurementEntropy) and kind != POLYTOPE:
+            raise IncompatibleObjective("fiducial measurement entropy is the polytope objective")
         if isinstance(obj, FiducialMeasurementEntropy):
             if not obj.measurements:
                 raise DegenerateInput("a fiducial objective needs at least one measurement")
@@ -517,24 +509,17 @@ _FACE_NEWTON_STEPS = 3  # at most this many Newton steps on the active face afte
 
 
 def _objective_terms(problem: MaxEntProblem):
-    """(value, gradient, line, face) of the objective; line(x, d) is the slope t -> grad(x + t d) . d.
+    """(value, gradient, line, face) of the objective, the Shannon entropy of one linear image R x.
 
-    Shannon and fiducial objectives are the Shannon entropy of one linear image
-    R x: R = I for Shannon, and for a fiducial objective every measurement's
-    outcome rows stacked once, here. A line then computes R x and R d once, so
-    each slope trial is one pass over the outcome probabilities. face(x, atoms)
-    is the Hessian A H A^T over weights on the rows of A = atoms, at x, with
-    H = -R^T diag(1/R x) R; a custom objective has none, and face is None.
+    R = I for Shannon, and for a fiducial objective every measurement's outcome
+    rows stacked once, here. line(x, d) is the slope t -> grad(x + t d) . d; it
+    computes R x and R d once, so each slope trial is one pass over the outcome
+    probabilities. face(x, atoms) is the Hessian A H A^T over weights on the
+    rows of A = atoms, at x, with H = -R^T diag(1/R x) R.
     """
     obj = problem.objective
-    if isinstance(obj, CustomObjective):
-        def custom_line(x, d):
-            return lambda t: float(obj.gradient(x + t * d) @ d)
-
-        return obj.value, obj.gradient, custom_line, None
-    if isinstance(obj, Shannon):
-        rows = None
-    else:
+    rows = None
+    if not isinstance(obj, Shannon):
         rows = np.array([out.effect.functional for m in obj.measurements for out in m.outcomes])
 
     def image(v):
@@ -632,7 +617,7 @@ def _face_newton(face, grad, line, x, atoms, mixes, alpha):
 
 
 def solve_polytope(problem: MaxEntProblem, config: SolverConfig = DEFAULT_SOLVER) -> MaxEntSolution:
-    """Away-step Frank-Wolfe with Newton steps on the active face: a concave objective maximized over the feasible hull.
+    """Away-step Frank-Wolfe with Newton steps on the active face: the entropy of R x maximized over the feasible hull.
 
     The iterate is a convex combination of an active set of feasible vertices
     (basic solutions of the mixing-weight system), starting from the one
@@ -647,14 +632,13 @@ def solve_polytope(problem: MaxEntProblem, config: SolverConfig = DEFAULT_SOLVER
     from the same linear image as its gradient (``_objective_terms``). A step
     that neither drops a vertex nor changes x (also when x + t d rounds back
     to x) ends the solve with NON_CONVERGENCE, as does ``fw_max_iter``.
-    After each step a Shannon or fiducial objective takes Newton steps on the
-    active weights (``_face_newton``); a custom objective has no Hessian and
-    takes none. Phase I runs once per solve, and each LP is a Phase II warm-started
-    from the previous optimal basis (Lacoste-Julien & Jaggi, NeurIPS 2015;
-    Braun, Pokutta, Tu & Wright, ICML 2019, for the Newton steps). Each
-    active vertex keeps the LP's mixing weights that produced it, so a
-    polytope result is certified by alpha times those weights, which
-    ``State`` checks in O(nk) instead of solving a membership LP.
+    After each step, Newton steps on the active weights follow
+    (``_face_newton``). Phase I runs once per solve, and each LP is a Phase
+    II warm-started from the previous optimal basis (Lacoste-Julien & Jaggi,
+    NeurIPS 2015; Braun, Pokutta, Tu & Wright, ICML 2019, for the Newton
+    steps). Each active vertex keeps the LP's mixing weights that produced
+    it, so a polytope result is certified by alpha times those weights,
+    which ``State`` checks in O(nk) instead of solving a membership LP.
     """
     if problem.model.kind not in (CLASSICAL, POLYTOPE):
         raise IncompatibleObjective("solve_polytope handles classical and polytope models")
@@ -720,9 +704,7 @@ def solve_polytope(problem: MaxEntProblem, config: SolverConfig = DEFAULT_SOLVER
         moved = alpha @ atoms
         if np.array_equal(moved, x) and len(alpha) >= n_atoms:
             break
-        x = moved
-        if face is not None:
-            x, atoms, mixes, alpha = _face_newton(face, grad, line, x, atoms, mixes, alpha)
+        x, atoms, mixes, alpha = _face_newton(face, grad, line, moved, atoms, mixes, alpha)
 
     weights = alpha @ mixes if model.kind == POLYTOPE else None
     return _solution(problem, x, (), None, iterations, status, diag, float(value(x)), weights=weights)

@@ -387,6 +387,23 @@ def fiducial_gradient(objective, coords):
     return g
 
 
+def fake_objective_terms(value, gradient):
+    """A stand-in for ``solver._objective_terms`` that has ``solve_polytope`` maximize value, whose gradient is gradient.
+
+    Frank-Wolfe's safety exits need an objective with a kink, which no entropy
+    has. The face Hessian is zero, so ``_face_newton`` takes no step: the
+    ``lstsq`` direction of its KKT system is 0.
+    """
+
+    def line(x, d):
+        return lambda t: float(gradient(x + t * d) @ d)
+
+    def face(x, atoms):
+        return np.zeros((len(atoms), len(atoms)))
+
+    return lambda problem: (value, gradient, line, face)
+
+
 def highs_fw_gap(problem, coords):
     """The Frank-Wolfe gap of a fiducial polytope problem at coords, its LP solved by HiGHS."""
     from scipy.optimize import linprog

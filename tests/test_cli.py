@@ -22,6 +22,8 @@ MEAN_CONDITION = json.dumps({
     "conditions": [{"observable": "A", "type": "mean", "target": "TARGET"}],
 })
 
+UNIT_SQUARE = {"kind": "polytope", "vertices": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]}
+
 # (validate, solve) exit codes of the shipped files; every other file gives (0, 0).
 SHIPPED_EXIT_CODES = {"povm_invalid": (1, 1), "boundary_sigmaz": (0, 4), "infeasible_bloch": (0, 3)}
 
@@ -66,6 +68,23 @@ class TestValidate:
             "condition 0: FAIL (mean condition on unvalued observable)",
             "condition 1: FAIL (probability target 1.5 outside [0, 1])",
         ]
+
+    @pytest.mark.parametrize(
+        "point,expected,logged",
+        [
+            ([0.5, 0.5], (0, "state p: PASS\n"), ""),
+            ([2.0, 0.5], (1, "state p: FAIL (cone membership violated by 1)\n"), ""),
+            # Neither a bare point (2 entries) nor homogeneous coordinates (3 entries).
+            ([0.5, 0.5, 0.1, 0.2], (2, ""), "schema error: state p: bad state vector shape (4,)"),
+        ],
+        ids=["inside", "outside", "length-4"],
+    )
+    def test_polytope_state_is_a_bare_point(self, tmp_path, capsys, caplog, point, expected, logged):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"model": UNIT_SQUARE, "states": {"p": {"vector": point}}}))
+        assert run(capsys, "validate", str(path)) == expected
+        assert logged in caplog.text
+        assert "Traceback" not in caplog.text
 
     def test_malformed_json(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -150,6 +169,11 @@ class TestValidate:
             },
             {"model": {"kind": "polytope", "vertices": []}},
             {"model": {"kind": "polytope", "vertices": [1, -1]}},
+            {
+                "model": {"kind": "classical", "dimension": 2},
+                "observables": {"A": {"outcomes": [{"label": "x", "vector": [1, 0]}, {"label": "x", "vector": [0, 1]}]}},
+                "conditions": [{"observable": "A", "type": "probability", "outcome": "x", "target": 0.2}],
+            },
         ],
         ids=["state-dimension", "vector-entry", "target", "dimension-zero",
              "observables-array", "condition-number", "max-iter-text", "outcomes-number", "measurements-number",
@@ -157,7 +181,7 @@ class TestValidate:
              "target-overflow", "matrix-nan", "dimension-float", "dimension-bool", "dimension-string",
              "max-iter-float", "max-iter-bool", "max-iter-string", "target-string", "tolerance-string",
              "vector-bool", "value-bool", "matrix-string", "vertices-string", "vertices-empty",
-             "vertices-flat"],
+             "vertices-flat", "duplicate-label"],
     )
     def test_malformed_file_is_a_schema_error(self, tmp_path, capsys, command, raw):
         bad = tmp_path / "bad.json"

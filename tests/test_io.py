@@ -257,8 +257,15 @@ class TestSchemaErrors:
              "objective: unknown measurement 'MZ'"),
             (lambda r: r["observables"]["MX"]["outcomes"][0].update(vector=[[0.5, 0.5], [0.0]]),
              "observable MX, outcome 0: vector entries must be numbers$"),
+            (lambda r: r["observables"]["MX"]["outcomes"][1].update(label="+"),
+             "observable MX, outcome 1: duplicate label '\\+'$"),
+            # Outcome 1's default label is its index, which outcome 0 already carries.
+            (lambda r: (r["observables"]["MY"]["outcomes"][0].update(label="1"),
+                        r["observables"]["MY"]["outcomes"][1].pop("label")),
+             "observable MY, outcome 1: duplicate label '1'$"),
         ],
-        ids=["condition-type", "outcome-label", "objective-name", "fiducial-measurement", "ragged-vector"],
+        ids=["condition-type", "outcome-label", "objective-name", "fiducial-measurement", "ragged-vector",
+             "duplicate-label", "duplicate-default-label"],
     )
     def test_unknown_names_and_ragged_arrays(self, change, message):
         raw = load_json("problems/squarebit_center.json")

@@ -5,7 +5,6 @@ import pytest
 
 from gmaxent import (
     Classical,
-    CustomObjective,
     Effect,
     MaxEntProblem,
     Quantum,
@@ -94,12 +93,6 @@ class TestOracleCaps:
         model = Classical(5)
         with pytest.raises(Unsupported):
             oracle_maxent(MaxEntProblem(model, whole_space(model), Shannon()), 1e-2)
-
-    def test_polytope_needs_a_fiducial_objective(self):
-        model = squarebit_model()
-        custom = CustomObjective(lambda c: 0.0, lambda c: np.zeros(3))
-        with pytest.raises(Unsupported, match="fiducial"):
-            oracle_maxent(MaxEntProblem(model, whole_space(model), custom), 1e-1)
 
     def test_grid_size_cap(self):
         # unconstrained qubit at 1e-3 would need ~8e9 points

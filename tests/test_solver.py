@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from gmaxent import (
     Classical,
     ConvexRegion,
-    CustomObjective,
     DegenerateInput,
     FiducialMeasurementEntropy,
     IncompatibleObjective,
@@ -66,6 +65,7 @@ from gmaxent.solver import (
 )
 
 from helpers import (
+    fake_objective_terms,
     fiducial_gradient,
     fiducial_polytope_problem,
     frechet_exp_directional,
@@ -1225,24 +1225,6 @@ class TestSolvePolytope:
         sol = solve_polytope(squarebit_problem(region, model))
         assert sol.status == SolveStatus.INFEASIBLE
 
-    def test_custom_objective(self):
-        model = squarebit_model()
-        target = np.array([0.3, 0.2])
-
-        def value(coords):
-            return -float(np.sum((coords[1:] - target) ** 2))
-
-        def gradient(coords):
-            g = np.zeros_like(coords)
-            g[1:] = -2.0 * (coords[1:] - target)
-            return g
-
-        problem = MaxEntProblem(model, whole_space(model), CustomObjective(value, gradient))
-        sol = solve_polytope(problem)
-        assert sol.status == SolveStatus.CONVERGED
-        np.testing.assert_allclose(sol.state.point(), target, atol=1e-3)
-        assert sol.entropy == pytest.approx(0.0, abs=1e-6)
-
     def test_one_phase_one_per_solve(self, monkeypatch):
         import gmaxent.simplex
         import gmaxent.solver
@@ -1309,12 +1291,13 @@ class TestSolvePolytope:
             assert sol.status == SolveStatus.CONVERGED
             assert len(calls) == sol.iterations
 
-    def test_stalled_search_is_not_converged(self):
+    def test_stalled_search_is_not_converged(self, monkeypatch):
         # The objective peaks with a kink at the first iterate, the Phase I
         # vertex, which is the origin here, so no trial point rounds back onto
         # it. The supergradient reported there has a Frank-Wolfe gap in
         # (fw_gap_tol, 10 fw_gap_tol], but every step lowers the objective, so
         # the gap never falls to fw_gap_tol and convergence is not certified.
+        import gmaxent.solver
         from gmaxent.regions import _weight_system, _weights_to_coords
         from gmaxent.simplex import feasible_basis
 
@@ -1330,14 +1313,19 @@ class TestSolvePolytope:
         def gradient(coords):
             return slope - np.sign(coords - start)
 
-        sol = solve_polytope(MaxEntProblem(model, region, CustomObjective(value, gradient)))
+        # The fake maximizes value in place of the entropy of this measurement.
+        objective = FiducialMeasurementEntropy((random_povm(model, np.random.default_rng(0)),))
+        monkeypatch.setattr(gmaxent.solver, "_objective_terms", fake_objective_terms(value, gradient))
+        sol = solve_polytope(MaxEntProblem(model, region, objective))
         assert DEFAULT_SOLVER.fw_gap_tol < sol.diagnostics.fw_gap <= 10 * DEFAULT_SOLVER.fw_gap_tol
         assert sol.status == SolveStatus.NON_CONVERGENCE
         np.testing.assert_array_equal(sol.state.coords, start)
 
-    def test_step_that_rounds_back_ends_the_solve(self):
+    def test_step_that_rounds_back_ends_the_solve(self, monkeypatch):
         # The kink sits at the square's centre, reached in a few steps; from
         # there every accepted step t > 0 is too small to change the iterate.
+        import gmaxent.solver
+
         model = Polytope([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         centre = np.array([1.0, 0.5, 0.5])
         slope = 5.0 * DEFAULT_SOLVER.fw_gap_tol * np.array([0.0, 1.0, -2.0])
@@ -1348,7 +1336,9 @@ class TestSolvePolytope:
         def gradient(coords):
             return slope - np.sign(coords - centre)
 
-        sol = solve_polytope(MaxEntProblem(model, whole_space(model), CustomObjective(value, gradient)))
+        objective = FiducialMeasurementEntropy((random_povm(model, np.random.default_rng(0)),))
+        monkeypatch.setattr(gmaxent.solver, "_objective_terms", fake_objective_terms(value, gradient))
+        sol = solve_polytope(MaxEntProblem(model, whole_space(model), objective))
         assert sol.status == SolveStatus.NON_CONVERGENCE
         assert sol.iterations <= 10
         np.testing.assert_allclose(sol.state.coords, centre, atol=1e-12)
@@ -1481,9 +1471,15 @@ class TestSolvePolytope:
             basis.optimize = recorded
             return basis
 
+        terms = gmaxent.solver._objective_terms
+
+        def recording_terms(problem):
+            _, _, line, face = terms(problem)
+            return value, gradient, line, face
+
         monkeypatch.setattr(gmaxent.solver, "feasible_basis", recording_basis)
-        problem = MaxEntProblem(model, fiducial.region, CustomObjective(value, gradient))
-        sol = solve_polytope(problem)
+        monkeypatch.setattr(gmaxent.solver, "_objective_terms", recording_terms)
+        sol = solve_polytope(fiducial)
         assert sol.status == SolveStatus.CONVERGED
         # The objective's value is read once, for the reported entropy.
         assert len(value_calls) == 1
@@ -1493,7 +1489,7 @@ class TestSolvePolytope:
         assert len(iterates) == sol.iterations
         values = [value(p) for p in iterates]
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
-        (condition,) = problem.region.h_rep
+        (condition,) = fiducial.region.h_rep
         for p in iterates:  # value() built a State at each, so each lies in the polytope
             assert abs(float(condition.functional @ p) - condition.target) <= 1e-9
         # The result is the last iterate: the active-set mixture that was certified.
@@ -1507,6 +1503,8 @@ class TestSolvePolytope:
         with pytest.raises(IncompatibleObjective):
             MaxEntProblem(Quantum(2), whole_space(Quantum(2)), Shannon())
         model = squarebit_model()
+        with pytest.raises(IncompatibleObjective):
+            MaxEntProblem(model, whole_space(model), Shannon())
         with pytest.raises(IncompatibleObjective):
             solve_dual(squarebit_problem())
         with pytest.raises(IncompatibleObjective):
@@ -1570,26 +1568,6 @@ class TestObjectiveTerms:
         h = 1e-6
         columns = [(grad(x + h * a) - grad(x - h * a)) / (2.0 * h) for a in atoms]
         np.testing.assert_allclose(face(x, atoms), atoms @ np.array(columns).T, rtol=1e-6, atol=1e-8)
-
-    def test_custom_objective_slopes_go_through_its_gradient(self):
-        model = squarebit_model()
-        calls = []
-
-        def gradient(coords):
-            calls.append(np.array(coords))
-            return np.array([0.0, 1.0, -2.0]) * coords
-
-        problem = MaxEntProblem(model, whole_space(model), CustomObjective(lambda c: 0.0, gradient))
-        value, grad, line, face = _objective_terms(problem)
-        assert value is problem.objective.value and grad is gradient
-        assert face is None
-        x, d = np.array([1.0, 0.2, 0.3]), np.array([0.0, 0.5, -0.25])
-        expected = float(gradient(x + 0.4 * d) @ d)
-        slope = line(x, d)
-        calls.clear()
-        assert slope(0.4) == expected
-        assert len(calls) == 1
-        np.testing.assert_array_equal(calls[0], x + 0.4 * d)
 
 
 class TestEntropy:
