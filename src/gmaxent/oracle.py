@@ -22,6 +22,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import Unsupported, UnsupportedRepresentation
+from .hermitian import _LOG_ZERO_FLOOR
 from .models import CLASSICAL, QUANTUM, State, _sealed
 from .solver import MaxEntProblem
 
@@ -49,7 +50,7 @@ class OracleResult:
 
 
 def _xlogx_entropy(p: np.ndarray) -> np.ndarray:
-    q = np.maximum(p, 1e-300)
+    q = np.maximum(p, _LOG_ZERO_FLOOR)
     return -np.sum(np.where(p > 0.0, q * np.log(q), 0.0), axis=-1)
 
 

@@ -11,14 +11,14 @@ Two routes:
   A single quantum condition is solved classically in its eigenbasis.
 * ``solve_polytope``: the Shannon entropy of a linear image R x of the state
   on classical models (R = I) and polytope models (the outcome rows of a
-  fiducial objective) via away-step Frank-Wolfe over mixing weights. One
-  Phase I per solve finds a feasible simplex basis, and its basic solution
-  is the first iterate; every linear subproblem is then a Phase II that
-  starts from the previous subproblem's optimal basis. The iterate is a
-  convex mixture of an active set of feasible vertices; each step moves
-  toward the Frank-Wolfe vertex or away from the worst active one, by an
-  exact line search on the objective's slope, and then Newton steps on the
-  active weights follow. Only the Frank-Wolfe gap certifies convergence.
+  fiducial objective) via Frank-Wolfe over mixing weights. One Phase I per
+  solve finds a feasible simplex basis, and its basic solution is the first
+  iterate; every linear subproblem is then a Phase II that starts from the
+  previous subproblem's optimal basis. The iterate is a convex mixture of an
+  active set of feasible vertices; each step moves toward the Frank-Wolfe
+  vertex by an exact line search on the objective's slope, and then Newton
+  steps on the active weights follow, which drop the vertices whose weights
+  reach zero. Only the Frank-Wolfe gap certifies convergence.
 
 A brute-force grid oracle for small instances lives in ``oracle.py``.
 """
@@ -39,7 +39,7 @@ from .errors import (
     ModelMismatch,
     UnsupportedRepresentation,
 )
-from .hermitian import _divided_difference, _eigh, entropy_from_spectrum
+from .hermitian import _LOG_ZERO_FLOOR, _divided_difference, _eigh, entropy_from_spectrum
 from .models import (
     CLASSICAL,
     POLYTOPE,
@@ -105,6 +105,9 @@ class FiducialMeasurementEntropy:
 
 Objective = Shannon | VonNeumann | FiducialMeasurementEntropy
 
+# The one objective type each model kind takes.
+_OBJECTIVE_TYPES = {CLASSICAL: Shannon, QUANTUM: VonNeumann, POLYTOPE: FiducialMeasurementEntropy}
+
 
 @dataclass(frozen=True)
 class MaxEntProblem:
@@ -115,14 +118,10 @@ class MaxEntProblem:
     def __post_init__(self):
         if self.region.model != self.model:
             raise ModelMismatch("region belongs to a different model")
-        kind = self.model.kind
         obj = self.objective
-        if isinstance(obj, Shannon) and kind != CLASSICAL:
-            raise IncompatibleObjective("Shannon entropy is the classical objective")
-        if isinstance(obj, VonNeumann) and kind != QUANTUM:
-            raise IncompatibleObjective("von Neumann entropy is the quantum objective")
-        if isinstance(obj, FiducialMeasurementEntropy) and kind != POLYTOPE:
-            raise IncompatibleObjective("fiducial measurement entropy is the polytope objective")
+        expected = _OBJECTIVE_TYPES[self.model.kind]
+        if not isinstance(obj, expected):
+            raise IncompatibleObjective(f"a {self.model.kind} model takes {expected.__name__}, not {type(obj).__name__}")
         if isinstance(obj, FiducialMeasurementEntropy):
             if not obj.measurements:
                 raise DegenerateInput("a fiducial objective needs at least one measurement")
@@ -156,11 +155,9 @@ class MaxEntSolution:
 
 
 def default_objective(model: ModelSpace) -> Objective:
-    if model.kind == CLASSICAL:
-        return Shannon()
-    if model.kind == QUANTUM:
-        return VonNeumann()
-    raise IncompatibleObjective("polytope models need an explicit objective")
+    if model.kind == POLYTOPE:
+        raise IncompatibleObjective("polytope models need an explicit objective")
+    return _OBJECTIVE_TYPES[model.kind]()
 
 
 # ---------------------------------------------------------------------------
@@ -529,16 +526,16 @@ def _objective_terms(problem: MaxEntProblem):
         return entropy_from_spectrum(image(x))
 
     def grad(x):
-        g = -(1.0 + np.log(np.maximum(image(x), 1e-300)))
+        g = -(1.0 + np.log(np.maximum(image(x), _LOG_ZERO_FLOOR)))
         return g if rows is None else g @ rows
 
     def line(x, d):
         rx, rd = image(x), image(d)
-        return lambda t: float(-(1.0 + np.log(np.maximum(rx + t * rd, 1e-300))) @ rd)
+        return lambda t: float(-(1.0 + np.log(np.maximum(rx + t * rd, _LOG_ZERO_FLOOR))) @ rd)
 
     def face(x, atoms):
         ra = image(atoms.T)
-        return -(ra.T / np.maximum(image(x), 1e-300)) @ ra
+        return -(ra.T / np.maximum(image(x), _LOG_ZERO_FLOOR)) @ ra
 
     return value, grad, line, face
 
@@ -617,28 +614,29 @@ def _face_newton(face, grad, line, x, atoms, mixes, alpha):
 
 
 def solve_polytope(problem: MaxEntProblem, config: SolverConfig = DEFAULT_SOLVER) -> MaxEntSolution:
-    """Away-step Frank-Wolfe with Newton steps on the active face: the entropy of R x maximized over the feasible hull.
+    """Frank-Wolfe with Newton steps on the active face: the entropy of R x maximized over the feasible hull.
 
     The iterate is a convex combination of an active set of feasible vertices
     (basic solutions of the mixing-weight system), starting from the one
     vertex that Phase I finds. Each iteration takes the Frank-Wolfe vertex s
     from an LP over mixing weights; the gap g.(s - x) is the stopping
     certificate, and CONVERGED means it is at most ``fw_gap_tol``. It then
-    moves toward s, or away from the active vertex v that minimizes g.v when
-    g.(x - v) is the larger gap, and a step that reaches its bound drops a
-    vertex. The step is an exact line search on the objective's slope
-    (``_slope_search``, at most ``_MAX_BACKTRACKS`` slope trials), so the
-    objective never decreases; its value is evaluated once, for the result,
-    from the same linear image as its gradient (``_objective_terms``). A step
-    that neither drops a vertex nor changes x (also when x + t d rounds back
-    to x) ends the solve with NON_CONVERGENCE, as does ``fw_max_iter``.
-    After each step, Newton steps on the active weights follow
-    (``_face_newton``). Phase I runs once per solve, and each LP is a Phase
-    II warm-started from the previous optimal basis (Lacoste-Julien & Jaggi,
-    NeurIPS 2015; Braun, Pokutta, Tu & Wright, ICML 2019, for the Newton
-    steps). Each active vertex keeps the LP's mixing weights that produced
-    it, so a polytope result is certified by alpha times those weights,
-    which ``State`` checks in O(nk) instead of solving a membership LP.
+    moves toward s by an exact line search on the objective's slope over
+    [0, 1] (``_slope_search``, at most ``_MAX_BACKTRACKS`` slope trials), so
+    the objective never decreases; a full step makes s the only active
+    vertex. The objective's value is evaluated once, for the result, from the
+    same linear image as its gradient (``_objective_terms``). A step that
+    leaves x unchanged (also when x + t d rounds back to x) ends the solve
+    with NON_CONVERGENCE, as does ``fw_max_iter``. After each step, Newton
+    steps on the active weights follow (``_face_newton``); their exact line
+    search stops at the first weight to reach zero and drops that vertex, as
+    fully corrective Frank-Wolfe variants shrink the active set
+    (Lacoste-Julien & Jaggi, NeurIPS 2015; Braun, Pokutta, Tu & Wright, ICML
+    2019). Phase I runs once per solve, and each LP is a Phase II
+    warm-started from the previous optimal basis. Each active vertex keeps
+    the LP's mixing weights that produced it, so a polytope result is
+    certified by alpha times those weights, which ``State`` checks in O(nk)
+    instead of solving a membership LP.
     """
     if problem.model.kind not in (CLASSICAL, POLYTOPE):
         raise IncompatibleObjective("solve_polytope handles classical and polytope models")
@@ -676,33 +674,20 @@ def solve_polytope(problem: MaxEntProblem, config: SolverConfig = DEFAULT_SOLVER
         if gap <= config.fw_gap_tol:
             status = SolveStatus.CONVERGED
             break
-        scores = atoms @ g
-        away = int(np.argmin(scores))
-        toward = gap >= float(g @ x) - scores[away]
-        if toward:
-            d, t_max = s - x, 1.0
-        else:
-            d, t_max = x - atoms[away], alpha[away] / (1.0 - alpha[away])
-        t = _slope_search(line(x, d), t_max, float(g @ d))
+        t = _slope_search(line(x, s - x), 1.0, gap)
         if t == 0.0:
             break
-        n_atoms = len(alpha)
-        if toward and t == t_max:
+        if t == 1.0:
             atoms, mixes, alpha = s[None, :], lp.x[None, :], np.ones(1)
-        elif toward:
+        else:
             alpha *= 1.0 - t
             same = np.flatnonzero(np.max(np.abs(atoms - s), axis=1) <= _ATOM_ATOL)
             if same.size:
                 alpha[same[0]] += t
             else:
                 atoms, mixes, alpha = np.vstack([atoms, s]), np.vstack([mixes, lp.x]), np.append(alpha, t)
-        else:
-            alpha *= 1.0 + t
-            alpha[away] -= t
-            if t == t_max or alpha[away] <= 0.0:
-                atoms, mixes, alpha = (np.delete(a, away, axis=0) for a in (atoms, mixes, alpha))
         moved = alpha @ atoms
-        if np.array_equal(moved, x) and len(alpha) >= n_atoms:
+        if np.array_equal(moved, x):
             break
         x, atoms, mixes, alpha = _face_newton(face, grad, line, moved, atoms, mixes, alpha)
 

@@ -3,6 +3,7 @@
 import glob
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -527,6 +528,15 @@ def test_shipped_file_exit_codes(capsys, path):
 def test_missing_file(capsys):
     code, _ = run(capsys, "solve", "problems/does_not_exist.json")
     assert code == 2
+
+
+def test_module_entry_point(capsys, monkeypatch):
+    # python -m gmaxent reads its arguments from sys.argv and exits with main's code.
+    monkeypatch.setattr(sys, "argv", ["gmaxent", "solve", "problems/infeasible_bloch.json"])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_module("gmaxent", run_name="__main__")
+    assert exit_info.value.code == 3
+    assert json.loads(capsys.readouterr().out)["status"] == "infeasible"
 
 
 # Runs one solve per GMAXENT_LOG level given on the command line, all in one
