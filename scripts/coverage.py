@@ -1,20 +1,21 @@
 #!/usr/bin/env python3
 """Line coverage of src/gmaxent under the Tier-1 suite, checked against an allowlist.
 
-Run from anywhere as ``python scripts/coverage.py``; extra arguments go to
-pytest. The scan uses the standard library only: a ``sys.settrace`` (and
-``threading.settrace``) hook records the lines run in frames whose code lies
-under src/gmaxent while ``pytest.main`` runs tests/, then each module's
-executable lines are read from ``co_lines()`` of its compiled code objects.
+Run from anywhere as ``python scripts/coverage.py``. The scan uses the
+standard library only: a ``sys.settrace`` (and ``threading.settrace``) hook
+records the lines run in frames whose code lies under src/gmaxent while
+``pytest.main`` runs tests/, then each module's executable lines are read
+from ``co_lines()`` of its compiled code objects.
 Blank lines and lines holding only closing brackets are not counted.
 
 An unrun line is keyed by its module, the function that holds it and its
-stripped text, so edits elsewhere in a file do not shift it; the n-th line of
-one function with the same text, n > 1, has " #n" appended. The script exits
-1 when pytest fails or when an unrun line is missing from ``ALLOWED``, and
-names every such line. Allowed lines that now run are listed too: delete
-them, since the allowlist only shrinks. Hypothesis runs at a fixed seed, so
-the scan is repeatable on one machine.
+stripped text, so edits elsewhere in a file do not shift it; ``ALLOWED``
+counts how many unrun lines of each key it permits, so a function with two
+identical unrun lines names its key twice. The script exits 1 when pytest
+fails, when more lines of a key are unrun than ``ALLOWED`` permits, or when
+fewer are, so that an allowlist entry is deleted as soon as its line runs and
+the allowlist only shrinks; it names every such key. Hypothesis runs at a
+fixed seed, so the scan is repeatable on one machine.
 """
 
 import os
@@ -29,11 +30,11 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "gmaxent"
 
 # (module, function, stripped line text) of each line Tier-1 does not run; "<module>" is module level.
-ALLOWED = {
+ALLOWED = Counter([
     # Defensive exits that no Tier-1 instance reaches: an exhausted dual line search, a zero Newton step on the
     # face, a Frank-Wolfe LP that is not optimal, the simplex pivot budget and an unbounded Phase I.
-    ("solver.py", "solve_dual", "break #4"),
-    ("solver.py", "_face_newton", "break #3"),
+    ("solver.py", "solve_dual", "break"),
+    ("solver.py", "_face_newton", "break"),
     ("solver.py", "solve_polytope", "break"),
     ("simplex.py", "Basis._run", 'raise NumericalFailure("simplex exceeded the pivot budget")'),
     ("simplex.py", "_phase_one", 'raise NumericalFailure("phase-I subproblem unbounded")  # cannot happen: cost >= 0'),
@@ -83,7 +84,7 @@ ALLOWED = {
     ("models.py", "_equal_by_value", "return NotImplemented"),
     ("models.py", "check_state_axioms", "add_res = 0.0"),
     ("models.py", "random_effect", "return Effect(model, _sealed(0.5 * model.unit_functional))"),
-}
+])
 
 
 def _trace():
@@ -133,39 +134,35 @@ def _executable_lines(path: Path) -> dict:
     return found
 
 
-def main(argv) -> int:
+def main() -> int:
     hits = _trace()
     sys.path.insert(0, str(PACKAGE.parent))
     os.chdir(ROOT)  # the tests read problems/ relative to the repository root
-    code = pytest.main(["-q", "-p", "no:cacheprovider", "--hypothesis-seed=0", str(ROOT / "tests"), *argv])
+    code = pytest.main(["-q", "-p", "no:cacheprovider", "--hypothesis-seed=0", str(ROOT / "tests")])
     sys.settrace(None)
     threading.settrace(None)
 
-    unrun = {}
+    unrun = Counter()
+    where = defaultdict(list)
     for path in sorted(PACKAGE.glob("*.py")):
         text = path.read_text().splitlines()
         run = hits.get(str(path.resolve()), set())
-        seen = Counter()
         for line, qualname in sorted(_executable_lines(path).items()):
             stripped = text[line - 1].strip()
-            if not stripped.strip(")]}, "):
-                continue
-            seen[qualname, stripped] += 1
-            n = seen[qualname, stripped]
-            if line not in run:
-                unrun[path.name, qualname, stripped if n == 1 else f"{stripped} #{n}"] = line
+            if stripped.strip(")]}, ") and line not in run:
+                key = path.name, qualname, stripped
+                unrun[key] += 1
+                where[key].append(line)
 
-    missing = sorted(unrun.keys() - ALLOWED)
-    print(f"{len(unrun)} executable lines of {PACKAGE.relative_to(ROOT)} unrun, {len(ALLOWED)} allowed")
-    for key in missing:
-        print(f"NOT ALLOWED: {key[0]}:{unrun[key]} {key!r}")
-    for key in sorted(ALLOWED - unrun.keys()):
-        print(f"now run, delete from ALLOWED: {key!r}")
+    print(f"{unrun.total()} executable lines of {PACKAGE.relative_to(ROOT)} unrun, {ALLOWED.total()} allowed")
+    for key, n in sorted((unrun - ALLOWED).items()):
+        print(f"NOT ALLOWED ({n} more unrun than allowed): {key[0]}:{where[key]} {key!r}")
+    for key, n in sorted((ALLOWED - unrun).items()):
+        print(f"NOW RUN, delete {n} from ALLOWED: {key!r}")
     if code != 0:
         print(f"pytest exited {int(code)}")
-        return 1
-    return 1 if missing else 0
+    return 0 if code == 0 and unrun == ALLOWED else 1
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -1393,8 +1393,8 @@ class TestSolvePolytope:
         **{(64, 3, s): n for s, n in enumerate((4, 2, 6, 4))},
         **{(64, 4, s): n for s, n in enumerate((7, 2, 13, 2))},
     }
-    # Each test id ends with a fixed fourth number that an earlier version of
-    # this table carried, so that the ids stay stable; no assertion reads it.
+    # Each test id ends with a fixed fourth number so that the suite's test
+    # names stay as they were; no assertion reads it.
     _STABLE_ID_SUFFIXES = (612, 4547, 14, 2, 191, 8, 2, 3, 4, 3, 30, 132, 174, 3, 93, 2)
 
     @pytest.mark.parametrize(
