@@ -67,9 +67,7 @@ log = logging.getLogger("gmaxent")
 
 
 def _configure_logging():
-    level = {"quiet": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}.get(
-        os.environ.get("GMAXENT_LOG", "info"), logging.INFO
-    )
+    level = logging.ERROR if os.environ.get("GMAXENT_LOG") == "quiet" else logging.INFO
     # basicConfig installs the stderr handler once per process; the level is
     # set on the package logger so that every call applies GMAXENT_LOG.
     logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(message)s")

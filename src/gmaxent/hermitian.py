@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import NumericalFailure
 
-_HERMITICITY_ATOL = 1e-12     # construction check |A - A^dagger|
+_HERMITICITY_ATOL = 1e-10     # |A - A^dagger| in any entry, for HermitianMatrix and io's file matrices
 _LOG_ZERO_FLOOR = 1e-300      # eigenvalues below this contribute ln = 0
 _DD_DEGENERACY_RTOL = 1e-9    # divided-difference pair merging
 
@@ -24,7 +24,7 @@ class HermitianMatrix:
     """A dim x dim complex Hermitian matrix, symmetrized at construction.
 
     Raises ValueError when the input deviates from its conjugate transpose by
-    more than 1e-12 in any entry; smaller deviations are averaged away so
+    more than 1e-10 in any entry; smaller deviations are averaged away so
     the stored array is exactly Hermitian.
     """
 

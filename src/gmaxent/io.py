@@ -23,7 +23,7 @@ Problem files::
       ],
       "objective": {"name": "von_neumann"},            # shannon | von_neumann |
                                                        # fiducial (+"measurements")
-      "solver": {"tolerance": 1e-10, "max_iter": 500}  # optional; a "seed" key
+      "solver": {"tolerance": 1e-9, "max_iter": 500}   # optional; a "seed" key
     }                                                  # is accepted and ignored
 
 An outcome's label defaults to its index; the labels of one observable are distinct.
@@ -49,6 +49,7 @@ from typing import Any, Optional
 import numpy as np
 
 from .errors import GmaxentError
+from .hermitian import _HERMITICITY_ATOL
 from .models import (
     CLASSICAL,
     POLYTOPE,
@@ -229,7 +230,7 @@ def _quantum_coords(model: Quantum, raw: dict, context: str) -> np.ndarray:
     matrix = parse_complex_matrix(_require(raw, "matrix", context), context)
     if matrix.shape[0] != model.dim:
         raise SchemaError(f"{context}: matrix dimension {matrix.shape[0]} != model {model.dim}")
-    if np.max(np.abs(matrix - matrix.conj().T)) > 1e-10:
+    if np.max(np.abs(matrix - matrix.conj().T)) > _HERMITICITY_ATOL:
         raise SchemaError(f"{context}: matrix is not Hermitian")
     return model.matrix_to_coords(matrix)
 

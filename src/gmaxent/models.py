@@ -49,16 +49,12 @@ POLYTOPE = "polytope"
 
 _SQRT_HALF = np.sqrt(0.5)
 
-_UNIT_ATOL = 1e-10              # |u(omega) - 1|
-_CONE_ATOL = 1e-10              # classical/quantum cone membership slack
-_EFFECT_RANGE_ATOL = 1e-10      # effect spectrum slack outside [0, 1]
-_COMPLETENESS_ATOL = 1e-10      # POVM sum-to-unit residual, componentwise
-_CLAMP_ATOL = 1e-10             # evaluate() clamps within this of [0, 1]
+_UNIT_ATOL = 1e-10              # normalization: how far u(omega), a weight sum or a POVM sum may miss u
+_RANGE_ATOL = 1e-10             # positivity: how far a value over the states may leave its range (cone, [0, 1])
 _PROJECTION_ATOL = 1e-8         # axiom checker: |P^2 - P| and |P_i P_j|
 _AXIOM_ATOL = 1e-9              # axiom residual pass threshold
 _EIGENVALUE_MERGE_RTOL = 1e-9   # spectral_observable: one projector per eigenvalue cluster
-_RECONSTRUCTION_RTOL = 1e-10    # spectral_observable: |U diag(k) U^dagger - A| / (1 + max|k|)
-_UNITARITY_ATOL = 1e-10         # spectral_observable: |U^dagger U - I|
+_EIGH_CHECK_TOL = 1e-10         # spectral_observable: |U diag(k) U^dagger - A| / (1 + max|k|) and |U^dagger U - I|
 
 
 def _read_only(values) -> np.ndarray:
@@ -293,7 +289,7 @@ class State:
             _check_certificate(self.model, c, weights, factor)
         else:
             residual = self.model.cone_residual(c)
-            tol = FEASIBILITY_TOL if self.model.kind == POLYTOPE else _CONE_ATOL
+            tol = FEASIBILITY_TOL if self.model.kind == POLYTOPE else _RANGE_ATOL
             if residual > tol:
                 raise InvalidState(f"cone membership violated by {residual:.3g}")
         object.__setattr__(self, "coords", c)
@@ -319,7 +315,7 @@ def _check_certificate(model: ModelSpace, coords: np.ndarray, weights, factor) -
         if b.ndim != 2 or len(b) != model.dim:
             raise InvalidState(f"expected a factor of {model.dim} rows, got shape {b.shape}")
         gap = float(np.linalg.norm(model.matrix_to_coords(b @ b.conj().T) - coords))
-        if not gap <= _CONE_ATOL:
+        if not gap <= _RANGE_ATOL:
             raise InvalidState(f"factor misses the state by {gap:.3g}")
         return
     w = np.asarray(weights, dtype=float)
@@ -357,7 +353,7 @@ class Effect:
         if self.check:
             lo, hi = _state_range(self.model, f)
             # Written so that a NaN fails it, as each range and completeness test below.
-            if not (-lo <= _EFFECT_RANGE_ATOL and hi - 1.0 <= _EFFECT_RANGE_ATOL):
+            if not (-lo <= _RANGE_ATOL and hi - 1.0 <= _RANGE_ATOL):
                 raise InvalidEffect(f"effect range [{lo:.6g}, {hi:.6g}] leaves [0, 1]")
 
 
@@ -400,7 +396,7 @@ class Observable:
                 raise ModelMismatch("outcome effect belongs to a different model")
         if self.check:
             residual = self.completeness_residual()
-            if not residual <= _COMPLETENESS_ATOL:
+            if not residual <= _UNIT_ATOL:
                 raise InvalidObservable(f"effects miss the unit functional by {residual:.3g}")
 
     def completeness_residual(self) -> float:
@@ -423,9 +419,9 @@ def evaluate(e: Effect, s: State) -> float:
     if e.model != s.model:
         raise ModelMismatch("effect and state live on different models")
     p = float(e.functional @ s.coords)
-    if -_CLAMP_ATOL <= p < 0.0:
+    if -_RANGE_ATOL <= p < 0.0:
         return 0.0
-    if 1.0 < p <= 1.0 + _CLAMP_ATOL:
+    if 1.0 < p <= 1.0 + _RANGE_ATOL:
         return 1.0
     return p
 
@@ -460,12 +456,12 @@ def validate_povm(obs: Observable) -> PovmValidation:
     above = []
     for idx, out in enumerate(obs.outcomes):
         lo, hi = _state_range(obs.model, out.effect.functional)
-        if not -lo <= _EFFECT_RANGE_ATOL:
+        if not -lo <= _RANGE_ATOL:
             negative.append((idx, lo))
-        if not hi - 1.0 <= _EFFECT_RANGE_ATOL:
+        if not hi - 1.0 <= _RANGE_ATOL:
             above.append((idx, hi))
     return PovmValidation(
-        completeness_residual=0.0 if residual <= _COMPLETENESS_ATOL else residual,
+        completeness_residual=0.0 if residual <= _UNIT_ATOL else residual,
         negative_effects=tuple(negative),
         above_unit_effects=tuple(above),
     )
@@ -536,9 +532,9 @@ def spectral_observable(model: Quantum, matrix) -> Observable:
     """
     m = matrix if isinstance(matrix, HermitianMatrix) else HermitianMatrix(matrix)
     k, u = _eigh(m.entries)
-    if np.max(np.abs((u * k) @ u.conj().T - m.entries)) > _RECONSTRUCTION_RTOL * (1.0 + np.max(np.abs(k))):
+    if np.max(np.abs((u * k) @ u.conj().T - m.entries)) > _EIGH_CHECK_TOL * (1.0 + np.max(np.abs(k))):
         raise NumericalFailure("eigendecomposition failed the reconstruction bound")
-    if np.max(np.abs(u.conj().T @ u - np.eye(m.dim))) > _UNITARITY_ATOL:
+    if np.max(np.abs(u.conj().T @ u - np.eye(m.dim))) > _EIGH_CHECK_TOL:
         raise NumericalFailure("eigenvector matrix is not unitary within tolerance")
     outcomes = []
     i = 0

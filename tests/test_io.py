@@ -9,6 +9,7 @@ import pytest
 
 from gmaxent import (
     FiducialMeasurementEntropy,
+    HermitianMatrix,
     MaxEntProblem,
     MaxEntSolution,
     Polytope,
@@ -117,6 +118,10 @@ class TestDumps17g:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             dumps_17g({"x": float("nan")})
+
+    def test_rejects_other_types(self):
+        with pytest.raises(TypeError, match="cannot serialize <class 'set'>"):
+            dumps_17g({"x": {1.0}})
 
     def test_golden_layout(self):
         # Every layout branch: empty containers, a list short enough for one
@@ -244,6 +249,22 @@ class TestSchemaErrors:
         with pytest.raises(SchemaError):
             parse_problem(raw)
 
+    @pytest.mark.parametrize("asymmetry,accepted", [(5e-11, True), (2e-10, False)], ids=["5e-11", "2e-10"])
+    def test_one_hermiticity_bound(self, asymmetry, accepted):
+        # A file matrix and a HermitianMatrix pass the same bound on |A - A^dagger|.
+        plus = [[0.5, 0.5], [0.5 + asymmetry, 0.5]]
+        minus = [[0.5, -0.5], [-0.5, 0.5]]
+        outcomes = [{"matrix": [[[x, 0.0] for x in row] for row in m]} for m in (plus, minus)]
+        raw = {"model": {"kind": "quantum", "dimension": 2}, "observables": {"X": {"outcomes": outcomes}}}
+        if accepted:
+            parse_problem(raw)
+            m = HermitianMatrix(plus).entries
+            assert np.array_equal(m, m.conj().T)
+        else:
+            with pytest.raises(SchemaError, match="observable X, outcome 0: matrix is not Hermitian"):
+                parse_problem(raw)
+            with pytest.raises(ValueError, match="not Hermitian"):
+                HermitianMatrix(plus)
 
     @pytest.mark.parametrize(
         "change,message",
@@ -263,9 +284,13 @@ class TestSchemaErrors:
             (lambda r: (r["observables"]["MY"]["outcomes"][0].update(label="1"),
                         r["observables"]["MY"]["outcomes"][1].pop("label")),
              "observable MY, outcome 1: duplicate label '1'$"),
+            (lambda r: r["conditions"].append({"observable": "MX", "type": "mean", "target": [0.5]}),
+             "expected a number, got \\[0.5\\]$"),
+            (lambda r: r["observables"]["MX"]["outcomes"][0].update(vector=[0.5, 0.5]),
+             "observable MX, outcome 0: expected 3 components \\(constant, then linear part\\), got \\(2,\\)$"),
         ],
         ids=["condition-type", "outcome-label", "objective-name", "fiducial-measurement", "ragged-vector",
-             "duplicate-label", "duplicate-default-label"],
+             "duplicate-label", "duplicate-default-label", "list-target", "short-vector"],
     )
     def test_unknown_names_and_ragged_arrays(self, change, message):
         raw = load_json("problems/squarebit_center.json")

@@ -687,6 +687,56 @@ class TestStateAxioms:
         with pytest.raises(NotOrthogonal):
             check_state_axioms(maximally_mixed(Quantum(2)), family)
 
+    def test_empty_family(self):
+        report = check_state_axioms(maximally_mixed(Quantum(2)), [])
+        assert report.additivity_residual == 0.0
+        assert report.passed
+
+
+class TestArgumentChecks:
+    @pytest.mark.parametrize(
+        "call,error,message",
+        [
+            (lambda: Classical(0), ValueError, "^dimension must be positive$"),
+            (lambda: Quantum(0), ValueError, "^dimension must be positive$"),
+            (lambda: Quantum(2).coords_to_matrix(np.zeros(3)), ValueError,
+             r"^expected 4 coordinates, got shape \(3,\)$"),
+            (lambda: Quantum(2).matrix_to_coords(np.zeros((2, 3))), ValueError,
+             r"^expected a 2 x 2 matrix, got shape \(2, 3\)$"),
+            (lambda: State(Classical(2), np.ones(3) / 3), InvalidState, r"^expected 2 coordinates, got \(3,\)$"),
+            (lambda: Effect(Classical(2), np.zeros(3)), InvalidEffect, r"^expected 2 components, got \(3,\)$"),
+            (lambda: maximally_mixed(Classical(2)).density_matrix(), ModelMismatch, "quantum states only$"),
+            (lambda: maximally_mixed(Quantum(2)).point(), ModelMismatch, "polytope states only$"),
+            (lambda: Observable(Classical(2), ()), InvalidObservable, "^observable needs at least one outcome$"),
+            (lambda: Observable(Classical(2), (Outcome("0", Effect(Classical(3), np.ones(3))),)), ModelMismatch,
+             "^outcome effect belongs to a different model$"),
+            (lambda: check_state_axioms(maximally_mixed(Classical(2)), []), ModelMismatch,
+             "^state axioms are stated over quantum projections$"),
+            (lambda: random_povm(Classical(2), np.random.default_rng(0), 1), ValueError,
+             "^a POVM needs at least two outcomes$"),
+            # The base class names no model, so two bare instances have no key to compare.
+            (lambda: models.ModelSpace(2, np.ones(2)) == models.ModelSpace(2, np.ones(2)), NotImplementedError, None),
+        ],
+        ids=["classical-0", "quantum-0", "coords-shape", "matrix-shape", "state-shape", "effect-shape",
+             "classical-density-matrix", "quantum-point", "empty-observable", "mixed-observable",
+             "classical-axioms", "one-outcome-povm", "bare-model-spaces"],
+    )
+    def test_rejected(self, call, error, message):
+        with pytest.raises(error, match=message):
+            call()
+
+    def test_repr_names_the_model(self):
+        assert repr(Classical(3)) == "Classical(ambient_dim=3)"
+        assert repr(Quantum(2)) == "Quantum(ambient_dim=4)"
+
+    def test_state_is_not_equal_to_another_type(self):
+        assert maximally_mixed(Classical(2)) != 1
+
+    def test_random_effect_on_a_one_vertex_polytope(self):
+        # Every functional is constant on one vertex, so no rescaling into [0, 1] exists.
+        e = random_effect(Polytope([[0.0]]), np.random.default_rng(0))
+        np.testing.assert_array_equal(e.functional, [0.5, 0.0])
+
 
 def test_unit_effect_evaluates_to_one():
     for model in MODELS:

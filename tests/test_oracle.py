@@ -26,6 +26,7 @@ from helpers import (
     indicator_observable,
     random_classical_problem,
     random_quantum_problem,
+    regular_polygon,
     squarebit_measurements,
     squarebit_model,
     squarebit_problem,
@@ -93,6 +94,15 @@ class TestOracleCaps:
         model = Classical(5)
         with pytest.raises(Unsupported):
             oracle_maxent(MaxEntProblem(model, whole_space(model), Shannon()), 1e-2)
+
+    def test_polytope_vertex_cap(self):
+        with pytest.raises(Unsupported, match="^polytope oracle capped at 4 vertices$"):
+            oracle_maxent(squarebit_problem(model=regular_polygon(5)), 1e-1)
+
+    @pytest.mark.parametrize("resolution", [0.0, np.nan])
+    def test_resolution_must_be_positive_and_finite(self, resolution):
+        with pytest.raises(ValueError, match="^resolution must be positive and finite$"):
+            oracle_maxent(gibbs_problem(), resolution)
 
     def test_grid_size_cap(self):
         # unconstrained qubit at 1e-3 would need ~8e9 points

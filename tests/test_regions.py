@@ -51,6 +51,7 @@ from gmaxent.models import _state_range
 from gmaxent.regions import (
     _SCREEN_BLOCK,
     LinearConstraint,
+    affine_hull_constraints,
     _dedup_constraints,
 )
 from gmaxent.simplex import FEASIBILITY_TOL
@@ -107,6 +108,30 @@ class TestConstraints:
         ConvexRegion(model, (constraint,), (good,))
         with pytest.raises(ValueError):
             ConvexRegion(model, (constraint,), (bad,))
+
+
+class TestArgumentChecks:
+    @pytest.mark.parametrize(
+        "call,error,message",
+        [
+            (lambda: LinearConstraint(Classical(2), np.ones(3), 0.5), ValueError,
+             r"^expected 2 components, got \(3,\)$"),
+            (lambda: ConvexRegion(Classical(2), (LinearConstraint(Classical(3), np.ones(3), 1.0),)), ModelMismatch,
+             "^constraint belongs to a different model$"),
+            (lambda: ConvexRegion(Classical(2), (), (maximally_mixed(Classical(3)),)), ModelMismatch,
+             "^generator belongs to a different model$"),
+            (lambda: affine_hull_constraints(Classical(2), ()), DegenerateInput,
+             "^affine hull of an empty generator list$"),
+            (lambda: includes(whole_space(Classical(2)), whole_space(Classical(3))), ModelMismatch,
+             "^regions live on different models$"),
+            (lambda: join(whole_space(Classical(2)), whole_space(Classical(3))), ModelMismatch,
+             "^regions live on different models$"),
+        ],
+        ids=["constraint-shape", "constraint-model", "generator-model", "empty-hull", "includes-models", "join-models"],
+    )
+    def test_rejected(self, call, error, message):
+        with pytest.raises(error, match=message):
+            call()
 
 
 class TestRegionBuilders:

@@ -243,6 +243,13 @@ def test_cost_shape_checked_before_phase_one(monkeypatch):
         solve_lp([1.0, 2.0, 3.0], [[1.0, 1.0]], [1.0])
 
 
+def test_basis_checks_its_shapes():
+    with pytest.raises(ValueError, match="^inconsistent LP shapes$"):
+        Basis([[1.0, 1.0]], [1.0, 2.0])
+    with pytest.raises(ValueError, match="^inconsistent LP shapes$"):
+        Basis([[1.0, 1.0]], [1.0]).optimize([1.0, 2.0, 3.0])
+
+
 def test_constant_large_cost_is_optimal_at_once():
     # c is 100 times the condition's row, so c . x is the same at every feasible
     # x; its reduced costs are rounding noise of order 1e-10, below the floor

@@ -1393,15 +1393,7 @@ class TestSolvePolytope:
         **{(64, 3, s): n for s, n in enumerate((4, 2, 6, 4))},
         **{(64, 4, s): n for s, n in enumerate((7, 2, 13, 2))},
     }
-    # Each test id ends with a fixed fourth number so that the suite's test
-    # names stay as they were; no assertion reads it.
-    _STABLE_ID_SUFFIXES = (612, 4547, 14, 2, 191, 8, 2, 3, 4, 3, 30, 132, 174, 3, 93, 2)
-
-    @pytest.mark.parametrize(
-        "nv,dim,seed",
-        list(_FACE_STEP_CAPS),
-        ids=[f"{nv}-{dim}-{seed}-{n}" for (nv, dim, seed), n in zip(_FACE_STEP_CAPS, _STABLE_ID_SUFFIXES)],
-    )
+    @pytest.mark.parametrize("nv,dim,seed", list(_FACE_STEP_CAPS))
     def test_baseline_sphere_instances_converge(self, nv, dim, seed):
         pytest.importorskip("scipy")
         rng = np.random.default_rng(seed)
