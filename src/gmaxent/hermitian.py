@@ -23,9 +23,9 @@ _DD_DEGENERACY_RTOL = 1e-9    # divided-difference pair merging
 class HermitianMatrix:
     """A dim x dim complex Hermitian matrix, symmetrized at construction.
 
-    Raises ValueError when the input deviates from its conjugate transpose by
-    more than 1e-10 in any entry; smaller deviations are averaged away so
-    the stored array is exactly Hermitian.
+    Raises ValueError when an entry is not finite, or when the input deviates
+    from its conjugate transpose by more than 1e-10 in any entry; smaller
+    deviations are averaged away so the stored array is exactly Hermitian.
     """
 
     entries: np.ndarray
@@ -34,7 +34,9 @@ class HermitianMatrix:
         a = np.asarray(self.entries, dtype=complex)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
-        if np.max(np.abs(a - a.conj().T)) > _HERMITICITY_ATOL:
+        if not np.isfinite(a).all():  # checked first: inf - inf is a NaN, which passes any "> tol" test
+            raise ValueError("matrix entries must be finite")
+        if not np.max(np.abs(a - a.conj().T)) <= _HERMITICITY_ATOL:
             raise ValueError("matrix is not Hermitian within tolerance")
         a = (a + a.conj().T) / 2.0
         a.setflags(write=False)
@@ -71,20 +73,19 @@ def _divided_difference(k: np.ndarray) -> np.ndarray:
     Near-degenerate pairs use exp((x + y)/2), second-order accurate and free
     of catastrophic cancellation.
     """
-    x = k[:, None]
-    y = k[None, :]
-    dx = x - y
-    close = np.abs(dx) <= _DD_DEGENERACY_RTOL * np.maximum(1.0, np.maximum(np.abs(x), np.abs(y)))
-    safe = np.where(close, 1.0, dx)
+    dx = np.subtract.outer(k, k)
+    scale = np.maximum(np.abs(k), 1.0)
+    close = np.abs(dx) <= _DD_DEGENERACY_RTOL * np.maximum.outer(scale, scale)
+    dx[close] = 1.0
     e = np.exp(k)
-    phi = (e[:, None] - e[None, :]) / safe
-    return np.where(close, np.exp((x + y) / 2.0), phi)
+    phi = np.subtract.outer(e, e) / dx
+    np.copyto(phi, np.exp(np.add.outer(k, k) / 2.0), where=close)
+    return phi
 
 
 def entropy_from_spectrum(eigenvalues: np.ndarray) -> float:
     """-sum k ln k over a probability-like spectrum, with 0 ln 0 = 0."""
     k = np.asarray(eigenvalues, dtype=float)
-    k = np.where(k > _LOG_ZERO_FLOOR, k, 0.0)
-    nz = k[k > 0.0]
+    nz = k[k > _LOG_ZERO_FLOOR]
     # 0 - s rather than -s: a pure spectrum has entropy +0.0, not -0.0.
     return 0.0 - float(np.sum(nz * np.log(nz)))

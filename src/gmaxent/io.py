@@ -43,7 +43,10 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _json_string  # json.dumps of a str, without the encoder set-up
 from typing import Any, Optional
 
 import numpy as np
@@ -87,10 +90,10 @@ class SchemaError(GmaxentError):
 
 
 def _format_float(x: float) -> str:
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         raise ValueError("cannot serialize non-finite float")
     text = format(float(x), ".17g")
-    if not any(ch in text for ch in ".eE"):
+    if "." not in text and "e" not in text:  # an integral value; "g" writes no "E"
         text += ".0"
     return text
 
@@ -99,34 +102,33 @@ def dumps_17g(obj: Any) -> str:
     """JSON text with floats at 17 significant digits (lossless round trip)."""
 
     def emit(o, depth):
-        pad = "  " * depth
+        kind = type(o)  # a report's floats, lists and dicts are matched by exact type before the isinstance chain
+        if kind is float:
+            return _format_float(o)
+        if kind is not list and kind is not dict:
+            if o is None:
+                return "null"
+            if isinstance(o, bool):
+                return "true" if o else "false"
+            if isinstance(o, (int, np.integer)):
+                return str(int(o))
+            if isinstance(o, (float, np.floating)):
+                return _format_float(float(o))
+            if isinstance(o, str):
+                return _json_string(o)
+            if not isinstance(o, (list, tuple, dict)):
+                raise TypeError(f"cannot serialize {type(o)!r}")
+        if not o:
+            return "{}" if isinstance(o, dict) else "[]"
         pad_in = "  " * (depth + 1)
-        if o is None:
-            return "null"
-        if isinstance(o, bool):
-            return "true" if o else "false"
-        if isinstance(o, (int, np.integer)):
-            return str(int(o))
-        if isinstance(o, (float, np.floating)):
-            return _format_float(float(o))
-        if isinstance(o, str):
-            return json.dumps(o)
-        if isinstance(o, (list, tuple)):
-            if not o:
-                return "[]"
-            parts = [emit(v, depth + 1) for v in o]
-            inner = ", ".join(parts)
-            if len(inner) <= 72 and "\n" not in inner:
-                return f"[{inner}]"
-            body = (",\n" + pad_in).join(parts)
-            return "[\n" + pad_in + body + "\n" + pad + "]"
         if isinstance(o, dict):
-            if not o:
-                return "{}"
-            items = [f"{json.dumps(str(k))}: {emit(v, depth + 1)}" for k, v in o.items()]
-            body = (",\n" + pad_in).join(items)
-            return "{\n" + pad_in + body + "\n" + pad + "}"
-        raise TypeError(f"cannot serialize {type(o)!r}")
+            parts = [f"{_json_string(str(k))}: {emit(v, depth + 1)}" for k, v in o.items()]
+            return "{\n" + pad_in + (",\n" + pad_in).join(parts) + "\n" + "  " * depth + "}"
+        parts = [emit(v, depth + 1) for v in o]
+        inner = ", ".join(parts)
+        if len(inner) <= 72 and "\n" not in inner:
+            return f"[{inner}]"
+        return "[\n" + pad_in + (",\n" + pad_in).join(parts) + "\n" + "  " * depth + "]"
 
     return emit(obj, 0) + "\n"
 
@@ -155,19 +157,26 @@ def _require(mapping: dict, key: str, context: str):
     return mapping[key]
 
 
+def _shape(raw, context: str, expected: str) -> tuple[int, ...]:
+    """The shape of nested lists of JSON numbers; a ragged nesting, a string, a boolean or any other leaf, and an
+    integer past the float range, are schema errors."""
+    shape, level = [], [raw]
+    while level and isinstance(level[0], list):
+        n = len(level[0])
+        if not all(isinstance(item, list) and len(item) == n for item in level):
+            raise SchemaError(f"{context}: {expected}")
+        shape.append(n)
+        level = [x for item in level for x in item]
+    for x in level:
+        if not (isinstance(x, float) or (isinstance(x, int) and not isinstance(x, bool) and abs(x) <= sys.float_info.max)):
+            raise SchemaError(f"{context}: {expected}, got {x!r}")
+    return tuple(shape)
+
+
 def _numbers(raw, context: str, expected: str) -> np.ndarray:
-    """Nested lists of JSON numbers as a float array; a string, a boolean or any other leaf is a schema error."""
-    pending = [raw]
-    while pending:
-        item = pending.pop()
-        if isinstance(item, list):
-            pending.extend(item)
-        elif isinstance(item, bool) or not isinstance(item, (int, float)):
-            raise SchemaError(f"{context}: {expected}, got {item!r}")
-    try:
-        return np.asarray(raw, dtype=float)
-    except (ValueError, OverflowError) as exc:
-        raise SchemaError(f"{context}: {expected}") from exc
+    """Nested lists of JSON numbers as a float array, checked by ``_shape``."""
+    _shape(raw, context, expected)
+    return np.asarray(raw, dtype=float)
 
 
 def _number(raw, context: str) -> float:
@@ -194,15 +203,8 @@ def _real_vector(raw: dict, context: str) -> np.ndarray:
     return _numbers(_require(raw, "vector", context), context, "vector entries must be numbers")
 
 
-def parse_complex_matrix(raw, context: str) -> np.ndarray:
-    arr = _numbers(raw, context, "matrix entries must be [re, im] pairs of numbers")
-    if arr.ndim != 3 or arr.shape[0] != arr.shape[1] or arr.shape[2] != 2:
-        raise SchemaError(f"{context}: expected d x d x 2 nested arrays, got {arr.shape}")
-    return arr[..., 0] + 1j * arr[..., 1]
-
-
 def complex_matrix_to_jsonable(m: np.ndarray) -> list:
-    return np.stack([m.real, m.imag], axis=-1).tolist()
+    return np.ascontiguousarray(m, dtype=complex).view(float).reshape(*np.shape(m), 2).tolist()
 
 
 def parse_model(raw: dict) -> ModelSpace:
@@ -225,32 +227,41 @@ def model_to_jsonable(model: ModelSpace) -> dict:
     return {"kind": model.kind, "dimension": model.dim}
 
 
-def _quantum_coords(model: Quantum, raw: dict, context: str) -> np.ndarray:
-    """Coordinates of a Hermitian "matrix" entry of the model's dimension."""
-    matrix = parse_complex_matrix(_require(raw, "matrix", context), context)
-    if matrix.shape[0] != model.dim:
-        raise SchemaError(f"{context}: matrix dimension {matrix.shape[0]} != model {model.dim}")
-    if np.max(np.abs(matrix - matrix.conj().T)) > _HERMITICITY_ATOL:
-        raise SchemaError(f"{context}: matrix is not Hermitian")
-    return model.matrix_to_coords(matrix)
+def _quantum_coords(model: Quantum, entries: list, contexts: list) -> list[np.ndarray]:
+    """Coordinates of each entry's Hermitian "matrix", read as one stack by one conversion, one complex build and one
+    Hermiticity check; an error names the context of the first entry at fault. Each matrix gets its own
+    ``matrix_to_coords``, since a product over stacked rows can round apart from the same product over one."""
+    raws = [_require(entry, "matrix", context) for entry, context in zip(entries, contexts)]
+    for raw, context in zip(raws, contexts):
+        shape = _shape(raw, context, "matrix entries must be [re, im] pairs of numbers")
+        if len(shape) != 3 or shape[0] != shape[1] or shape[2] != 2:
+            raise SchemaError(f"{context}: expected d x d x 2 nested arrays, got {shape}")
+        if shape[0] != model.dim:
+            raise SchemaError(f"{context}: matrix dimension {shape[0]} != model {model.dim}")
+    pairs = np.array(raws, dtype=float).reshape(len(raws), model.dim, model.dim, 2)
+    matrices = pairs[..., 0] + 1j * pairs[..., 1]
+    asymmetry = np.abs(matrices - matrices.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+    for context, gap in zip(contexts, asymmetry):
+        if not gap <= _HERMITICITY_ATOL:
+            raise SchemaError(f"{context}: matrix is not Hermitian")
+    return [model.matrix_to_coords(m) for m in matrices]
 
 
-def _parse_functional(model: ModelSpace, raw: dict, context: str) -> np.ndarray:
+def _functionals(model: ModelSpace, entries: list, contexts: list) -> list[np.ndarray]:
+    """Each entry's functional: a quantum "matrix", or a classical or polytope "vector"."""
     if model.kind == QUANTUM:
-        return _quantum_coords(model, raw, context)
-    vec = _real_vector(raw, context)
-    if vec.shape != (model.ambient_dim,):
-        raise SchemaError(
-            f"{context}: expected {model.ambient_dim} components"
-            + (" (constant, then linear part)" if model.kind == POLYTOPE else "")
-            + f", got {vec.shape}"
-        )
-    return vec
+        return _quantum_coords(model, entries, contexts)
+    functionals = [_real_vector(entry, context) for entry, context in zip(entries, contexts)]
+    for vec, context in zip(functionals, contexts):
+        if vec.shape != (model.ambient_dim,):
+            layout = " (constant, then linear part)" if model.kind == POLYTOPE else ""
+            raise SchemaError(f"{context}: expected {model.ambient_dim} components{layout}, got {vec.shape}")
+    return functionals
 
 
 def _parse_state_coords(model: ModelSpace, raw: dict, context: str) -> np.ndarray:
     if model.kind == QUANTUM:
-        return _quantum_coords(model, raw, context)
+        return _quantum_coords(model, [raw], [context])[0]
     vec = _real_vector(raw, context)
     if model.kind == POLYTOPE and vec.shape == (model.ambient_dim - 1,):
         return model.embed_point(vec)
@@ -310,10 +321,10 @@ def parse_problem(raw: dict) -> ParsedProblem:
     observables: dict[str, Observable] = {}
     for name, body in _section(raw, "observables", dict).items():
         outs = []
-        outcomes = _require(body, "outcomes", f"observable {name}")
-        for i, entry in enumerate(_of_type(outcomes, list, f"observable {name} outcomes")):
-            context = f"observable {name}, outcome {i}"
-            functional = _parse_functional(model, entry, context)
+        entries = _of_type(_require(body, "outcomes", f"observable {name}"), list, f"observable {name} outcomes")
+        contexts = [f"observable {name}, outcome {i}" for i in range(len(entries))]
+        functionals = _functionals(model, entries, contexts)
+        for i, (entry, context, functional) in enumerate(zip(entries, contexts, functionals)):
             label = str(entry.get("label", i))
             if any(out.label == label for out in outs):
                 raise SchemaError(f"{context}: duplicate label '{label}'")
@@ -347,7 +358,7 @@ def parse_problem(raw: dict) -> ParsedProblem:
 def _finite_float(text: str) -> float:
     """A JSON number literal or the constant NaN, Infinity or -Infinity, accepted only when finite."""
     value = float(text)
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise SchemaError(f"number {text} is not finite")
     return value
 
@@ -362,11 +373,9 @@ def load_problem(path) -> ParsedProblem:
 
 
 def build_region(parsed: ParsedProblem) -> ConvexRegion:
-    """The meet of all condition regions."""
-    region = whole_space(parsed.model)
-    for cond in parsed.conditions:
-        region = meet(region, _condition_region(cond, parsed.observables))
-    return region
+    """The meet of all condition regions, taken as one meet of their constraints: a chain of meets keeps the same."""
+    constraints = tuple(c for cond in parsed.conditions for c in _condition_region(cond, parsed.observables).h_rep)
+    return meet(whole_space(parsed.model), ConvexRegion(parsed.model, constraints))
 
 
 def build_objective(parsed: ParsedProblem) -> Objective:
@@ -413,7 +422,7 @@ def parse_region(raw: dict) -> ConvexRegion:
     for i, entry in enumerate(_section(section, "constraints", list)):
         context = f"region constraint {i}"
         if "functional" in _of_type(entry, dict, context):
-            functional = _parse_functional(model, entry["functional"], context)
+            (functional,) = _functionals(model, [entry["functional"]], [context])
             target = _number(_require(entry, "target", context), context)
             constraints.append(LinearConstraint(model, _sealed(functional), target))
         else:

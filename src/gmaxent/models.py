@@ -357,15 +357,23 @@ class Effect:
                 raise InvalidEffect(f"effect range [{lo:.6g}, {hi:.6g}] leaves [0, 1]")
 
 
-def _state_range(model: ModelSpace, functional: np.ndarray) -> tuple[float, float]:
-    """Min and max of a functional over the states: of its entries, its matrix's eigenvalues or its vertex values."""
+def _state_ranges(model: ModelSpace, funcs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Min and max over the states of each row of funcs: of its entries, its matrix's eigenvalues (one batched
+    ``eigvalsh``) or its vertex values. A quantum row with a non-finite entry reads (nan, nan); it enters the stack
+    as zeros, since LAPACK can return finite eigenvalues for a NaN matrix."""
     if model.kind == QUANTUM:
-        if not np.isfinite(functional).all():  # LAPACK can return finite eigenvalues for a NaN matrix
-            return np.nan, np.nan
-        k = np.linalg.eigvalsh(model.coords_to_matrix(functional).entries)
-        return float(k[0]), float(k[-1])
-    values = functional if model.kind == CLASSICAL else model.vertices @ functional
-    return float(np.min(values)), float(np.max(values))
+        finite = np.isfinite(funcs).all(axis=1)
+        values = np.linalg.eigvalsh(model.coords_to_matrices(np.where(finite[:, None], funcs, 0.0)))
+        values[~finite] = np.nan
+        return values[:, 0], values[:, -1]
+    values = funcs if model.kind == CLASSICAL else (model.vertices @ funcs.T).T
+    return values.min(axis=1), values.max(axis=1)
+
+
+def _state_range(model: ModelSpace, functional: np.ndarray) -> tuple[float, float]:
+    """Min and max of one functional over the states, as ``_state_ranges`` reads them."""
+    lo, hi = _state_ranges(model, np.asarray(functional, dtype=float)[None])
+    return float(lo[0]), float(hi[0])
 
 
 def effect_from_matrix(model: Quantum, matrix) -> Effect:
@@ -404,14 +412,18 @@ class Observable:
 
         Quantum residuals are reported in matrix form (entries of sum E - I).
         """
-        total = np.sum([out.effect.functional for out in self.outcomes], axis=0)
-        gap = total - self.model.unit_functional
-        if self.model.kind == QUANTUM:
-            return float(np.max(np.abs(self.model.coords_to_matrix(gap).entries)))
-        return float(np.max(np.abs(gap)))
+        return _completeness_residual(self.model, np.array([out.effect.functional for out in self.outcomes]))
 
     def has_values(self) -> bool:
         return all(out.value is not None for out in self.outcomes)
+
+
+def _completeness_residual(model: ModelSpace, funcs: np.ndarray) -> float:
+    """Max |entry| of the gap between the sum of the rows of funcs and u, of its matrix for a quantum model."""
+    gap = funcs.sum(axis=0) - model.unit_functional
+    if model.kind == QUANTUM:
+        gap = model.coords_to_matrices(gap[None])
+    return float(np.abs(gap).max())
 
 
 def evaluate(e: Effect, s: State) -> float:
@@ -450,20 +462,14 @@ class PovmValidation:
 
 
 def validate_povm(obs: Observable) -> PovmValidation:
-    """Check completeness and the [0, 1] range of every effect, as a report."""
-    residual = obs.completeness_residual()
-    negative = []
-    above = []
-    for idx, out in enumerate(obs.outcomes):
-        lo, hi = _state_range(obs.model, out.effect.functional)
-        if not -lo <= _RANGE_ATOL:
-            negative.append((idx, lo))
-        if not hi - 1.0 <= _RANGE_ATOL:
-            above.append((idx, hi))
+    """Check completeness and the [0, 1] range of every effect, as a report; both read one stack of the functionals."""
+    funcs = np.array([out.effect.functional for out in obs.outcomes])
+    residual = _completeness_residual(obs.model, funcs)
+    lows, highs = _state_ranges(obs.model, funcs)
     return PovmValidation(
         completeness_residual=0.0 if residual <= _UNIT_ATOL else residual,
-        negative_effects=tuple(negative),
-        above_unit_effects=tuple(above),
+        negative_effects=tuple((i, float(lo)) for i, lo in enumerate(lows) if not -lo <= _RANGE_ATOL),
+        above_unit_effects=tuple((i, float(hi)) for i, hi in enumerate(highs) if not hi - 1.0 <= _RANGE_ATOL),
     )
 
 

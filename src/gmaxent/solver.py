@@ -165,29 +165,38 @@ def default_objective(model: ModelSpace) -> Objective:
 # ---------------------------------------------------------------------------
 
 
+class _cached(cached_property):
+    """``cached_property`` without the lock that Python 3.10 and 3.11 take on every first read."""
+
+    def __get__(self, instance, owner=None):
+        value = instance.__dict__[self.attrname] = self.func(instance)
+        return value
+
+
 class _DualEvaluation:
     """The dual at one multiplier vector.
 
     ``lnz``, ``spectrum`` (classical probabilities or quantum eigenvalues)
     and ``top``, the largest eigenvalue of the exponent -sum_i lambda_i R_i,
-    are set on construction from the exponent's eigenvalues; the means, the
-    state coordinates and the Hessian are computed on first use and cached.
-    A rejected line-search trial reads only ``lnz``. A single quantum
-    condition is evaluated classically in its eigenbasis.
+    are set on construction from the exponent's eigenvalues; the means and the
+    state coordinates are computed on first use and cached, and the Hessian,
+    which a solve reads once per iterate, on each call. A rejected line-search
+    trial reads only ``lnz``. A single quantum condition is evaluated
+    classically in its eigenbasis.
     """
 
     def _gibbs(self, energy: np.ndarray) -> np.ndarray:
         """Set ``top``, ``lnz`` and ``spectrum`` from the exponent's eigenvalues ``energy``; return energy - top."""
         self.top = float(energy.max())
         shifted = energy - self.top
-        weights = np.exp(shifted)
-        self._z = float(weights.sum())
+        self.spectrum = np.exp(shifted)
+        self._z = float(self.spectrum.sum())
         self.lnz = self.top + float(np.log(self._z))
-        self.spectrum = weights / self._z
+        self.spectrum /= self._z
         return shifted
 
     def hessian(self) -> np.ndarray:
-        return self._hessian
+        return self._hessian()
 
 
 class _ClassicalEvaluation(_DualEvaluation):
@@ -199,11 +208,10 @@ class _ClassicalEvaluation(_DualEvaluation):
     def state_coords(self) -> np.ndarray:
         return self.spectrum
 
-    @cached_property
+    @_cached
     def means(self) -> np.ndarray:
         return self._funcs @ self.spectrum
 
-    @cached_property
     def _hessian(self) -> np.ndarray:
         # Covariance as one symmetric product S S^T (BLAS syrk): S the
         # centered functionals scaled by sqrt(p).
@@ -216,11 +224,11 @@ class _EigenbasisReadout:
     """The state of a quantum evaluation, rho = U diag(p) U^H = B B^H with B = U diag(sqrt(p)), read from the
     eigenbasis U of its exponent; U is None for the standard basis, at lambda = 0."""
 
-    @cached_property
+    @_cached
     def _rho(self) -> np.ndarray:
         return np.diag(self.spectrum) if self._u is None else (self._u * self.spectrum) @ self._u.conj().T
 
-    @cached_property
+    @_cached
     def state_coords(self) -> np.ndarray:
         return self._model.matrix_to_coords(self._rho)
 
@@ -245,12 +253,11 @@ class _QuantumEvaluation(_EigenbasisReadout, _DualEvaluation):
         k, self._u = _eigh((-lambdas @ operators.reshape(-1, d * d)).reshape(d, d))
         self._shifted = self._gibbs(k)
 
-    @cached_property
+    @_cached
     def means(self) -> np.ndarray:
         # tr(R rho) = sum_jk R_jk conj(rho_jk), rho being Hermitian.
         return (self._operators.reshape(-1, self._model.ambient_dim) @ self._rho.ravel().conj()).real
 
-    @cached_property
     def _hessian(self) -> np.ndarray:
         # Kubo-Mori covariance as one symmetric product S S^T (BLAS syrk): S the
         # rotated operators scaled by sqrt(phi), phi > 0 the divided differences
@@ -261,7 +268,7 @@ class _QuantumEvaluation(_EigenbasisReadout, _DualEvaluation):
             scaled = (self._u.conj().T @ self._operators @ self._u).reshape(scaled.shape)
             scaled *= np.sqrt(_divided_difference(self._shifted).ravel())
         scaled = scaled.view(float)
-        return (scaled @ scaled.T) / self._z - np.outer(self.means, self.means)
+        return (scaled @ scaled.T) / self._z - np.multiply.outer(self.means, self.means)
 
 
 class _CommutingEvaluation(_EigenbasisReadout, _ClassicalEvaluation):
@@ -409,6 +416,7 @@ def solve_dual(problem: MaxEntProblem, config: SolverConfig = DEFAULT_SOLVER) ->
     r = targets[kept]
     dual_at = _evaluator(problem.model, funcs[kept] if dropped else funcs)
     lambdas = np.zeros(len(kept))
+    ridge = _HESSIAN_RIDGE * np.eye(len(kept))
     ev = dual_at(lambdas)
     status = SolveStatus.NON_CONVERGENCE
     iterations = 0
@@ -425,7 +433,7 @@ def solve_dual(problem: MaxEntProblem, config: SolverConfig = DEFAULT_SOLVER) ->
 
         h = ev.hessian()
         try:
-            direction = np.linalg.solve(h + _HESSIAN_RIDGE * np.eye(len(g)), g)
+            direction = np.linalg.solve(h + ridge, g)
             slope = float(g @ direction)
         except np.linalg.LinAlgError:
             slope = 0.0

@@ -561,3 +561,28 @@ def reference_select_independent(funcs, targets, config):
             return kept, dropped, True
         dropped.append(i)
     return kept, dropped, False
+
+
+def reference_povm_validation(obs):
+    """(completeness residual, [(min, max) of each effect over the states]) of obs, read one effect at a time.
+
+    The per-effect loop that ``validate_povm`` replaced: each quantum effect gets its own matrix and ``eigvalsh``,
+    and one with a non-finite entry reads (nan, nan) without an eigensolver call.
+    """
+    model = obs.model
+    ranges = []
+    for out in obs.outcomes:
+        f = out.effect.functional
+        if model.kind == "quantum":
+            if not np.isfinite(f).all():
+                ranges.append((np.nan, np.nan))
+                continue
+            k = np.linalg.eigvalsh(model.coords_to_matrix(f).entries)
+            ranges.append((float(k[0]), float(k[-1])))
+        else:
+            values = f if model.kind == "classical" else model.vertices @ f
+            ranges.append((float(np.min(values)), float(np.max(values))))
+    gap = np.sum([out.effect.functional for out in obs.outcomes], axis=0) - model.unit_functional
+    if model.kind == "quantum":
+        gap = model.coords_to_matrix(gap).entries
+    return float(np.max(np.abs(gap))), ranges

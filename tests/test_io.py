@@ -6,6 +6,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gmaxent import (
     FiducialMeasurementEntropy,
@@ -33,7 +35,7 @@ from gmaxent.io import (
     solver_config_from,
 )
 
-from helpers import region_eq
+from helpers import random_hermitian, region_eq
 
 PROBLEM_FILES = [p for p in sorted(glob.glob("problems/*.json")) if "region_" not in p]
 REGION_FILES = [p for p in sorted(glob.glob("problems/region_*.json"))]
@@ -122,6 +124,30 @@ class TestDumps17g:
     def test_rejects_other_types(self):
         with pytest.raises(TypeError, match="cannot serialize <class 'set'>"):
             dumps_17g({"x": {1.0}})
+
+    @pytest.mark.parametrize(
+        "obj,text",
+        [
+            (np.float64(0.1), "0.10000000000000001\n"),
+            (np.int64(-7), "-7\n"),
+            (True, "true\n"),
+            ((1, 2.5, "a"), '[1, 2.5, "a"]\n'),
+            ([], "[]\n"),
+            ({}, "{}\n"),
+            (
+                [[0.1, 0.2, 0.30000000000000004], [1e-300, -2.5, (3, np.float64(4.0))], [[], {}]],
+                "[\n  [0.10000000000000001, 0.20000000000000001, 0.30000000000000004],\n"
+                "  [1e-300, -2.5, [3, 4.0]],\n  [[], {}]\n]\n",
+            ),
+            ([np.float64(2.0), (np.int64(3),), {"k": (True, False, None)}],
+             '[\n  2.0,\n  [3],\n  {\n    "k": [true, false, null]\n  }\n]\n'),
+        ],
+        ids=["float64", "int64", "true", "tuple", "empty-list", "empty-dict", "wrapped-nest", "mixed"],
+    )
+    def test_golden_types(self, obj, text):
+        # Numpy scalars, booleans and tuples take the isinstance path, the report's floats, lists and dicts
+        # the exact-type one; both print the same text. The nest's inline form passes 72 characters, so it wraps.
+        assert dumps_17g(obj) == text
 
     def test_golden_layout(self):
         # Every layout branch: empty containers, a list short enough for one
@@ -265,6 +291,37 @@ class TestSchemaErrors:
                 parse_problem(raw)
             with pytest.raises(ValueError, match="not Hermitian"):
                 HermitianMatrix(plus)
+
+    @pytest.mark.parametrize(
+        "outcome,message",
+        [
+            ([[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]], "matrix entries must be \\[re, im\\] pairs of numbers$"),
+            ([[[0.0, 0.0], ["0", 0.0]], [[0.0, 0.0], [0.0, 0.0]]], "matrix entries must be \\[re, im\\] pairs of numbers, got '0'$"),
+            ([[[0.0, 0.0], [2e-10, 0.0]], [[0.0, 0.0], [0.0, 0.0]]], "matrix is not Hermitian$"),
+        ],
+        ids=["ragged", "string-entry", "asymmetry-2e-10"],
+    )
+    def test_stacked_outcomes_keep_their_context(self, outcome, message):
+        # The outcomes of an observable are read as one stack; an error still names the outcome at fault.
+        diagonal = [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]], [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]
+        outcomes = [{"matrix": m} for m in diagonal + [outcome]]
+        raw = {"model": {"kind": "quantum", "dimension": 2}, "observables": {"X": {"outcomes": outcomes}}}
+        with pytest.raises(SchemaError, match="^observable X, outcome 2: " + message):
+            parse_problem(raw)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 5))
+    def test_stacked_coordinates_are_each_outcomes_own(self, seed, d, n):
+        # A product over stacked rows can round apart from the same product over one row, so every outcome's
+        # coordinates must be those that matrix_to_coords gives its matrix alone, bit for bit.
+        rng = np.random.default_rng(seed)
+        model = Quantum(d)
+        matrices = [random_hermitian(rng, d).entries for _ in range(n)]
+        outcomes = [{"matrix": np.stack([m.real, m.imag], axis=-1).tolist()} for m in matrices]
+        raw = {"model": {"kind": "quantum", "dimension": d}, "observables": {"X": {"outcomes": outcomes}}}
+        parsed = parse_problem(raw)
+        for out, m in zip(parsed.observables["X"].outcomes, matrices):
+            assert np.array_equal(out.effect.functional, model.matrix_to_coords(m))
 
     @pytest.mark.parametrize(
         "change,message",

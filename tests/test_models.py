@@ -46,6 +46,7 @@ from helpers import (
     random_density,
     random_projector_family,
     random_quantum_problem,
+    reference_povm_validation,
     squarebit_model,
 )
 
@@ -454,6 +455,56 @@ class TestNanFailsEveryCheck:
         assert not report.valid
         assert [i for i, _ in report.negative_effects] == [0] == [i for i, _ in report.above_unit_effects]
         assert "completeness residual nan" in report.issues()
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: HermitianMatrix([[np.nan, 0.0], [0.0, 1.0]]),
+            lambda: HermitianMatrix([[np.inf, 0.0], [0.0, 1.0]]),
+            lambda: spectral_observable(Quantum(2), [[np.nan, 0.0], [0.0, 1.0]]),
+        ],
+        ids=["hermitian-nan", "hermitian-inf", "spectral-nan"],
+    )
+    def test_hermitian_checks(self, build):
+        # inf - inf is a NaN, and a NaN passes "> tol": a non-finite entry is rejected before the asymmetry test.
+        with pytest.raises(ValueError, match="must be finite"):
+            build()
+
+
+class TestBatchedPovmCheck:
+    """validate_povm reads every range from one stack and agrees with the per-effect reference."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["classical", "quantum", "polytope"]),
+        st.integers(1, 6),
+        st.integers(2, 5),
+        st.lists(st.sampled_from(["keep", "scale", "shift", "nan"]), min_size=5, max_size=5),
+    )
+    def test_matches_per_effect_reference(self, seed, kind, d, n, changes):
+        rng = np.random.default_rng(seed)
+        model = {"classical": Classical(d), "quantum": Quantum(d), "polytope": squarebit_model()}[kind]
+        funcs = [out.effect.functional.copy() for out in random_povm(model, rng, n).outcomes]
+        for f, change in zip(funcs, changes):
+            if change == "scale":  # out of range on both sides for most draws
+                f *= rng.uniform(-3.0, 3.0)
+            elif change == "shift":
+                f += rng.uniform(-0.5, 0.5) * model.unit_functional
+            elif change == "nan":
+                f[rng.integers(len(f))] = np.nan
+        obs = Observable(model, tuple(Outcome(str(i), Effect(model, f, check=False)) for i, f in enumerate(funcs)), check=False)
+        residual, ranges = reference_povm_validation(obs)
+        same = lambda got, want: (np.isnan(got) and np.isnan(want)) or abs(got - want) <= 1e-14 * (1.0 + abs(want))
+        for (lo, hi), got_lo, got_hi in zip(ranges, *models._state_ranges(model, np.array(funcs))):
+            assert same(got_lo, lo) and same(got_hi, hi)
+        report = validate_povm(obs)
+        # The residual is read from the same coordinate sum as the reference's, so it is equal, not just close.
+        want = 0.0 if residual <= 1e-10 else residual
+        assert report.completeness_residual == want or (np.isnan(want) and np.isnan(report.completeness_residual))
+        assert [i for i, _ in report.negative_effects] == [i for i, (lo, _) in enumerate(ranges) if not -lo <= 1e-10]
+        assert [i for i, _ in report.above_unit_effects] == [i for i, (_, hi) in enumerate(ranges) if not hi - 1.0 <= 1e-10]
+        assert report.valid == (want == 0.0 and not report.negative_effects and not report.above_unit_effects)
 
 
 class TestEvaluate:
