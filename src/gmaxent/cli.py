@@ -88,10 +88,6 @@ def _emit(text: str, output_path):
             raise _WriteFailure(f"cannot write {output_path}: {exc.strerror or exc}") from exc
 
 
-def _computational_basis(dim: int) -> list[HermitianMatrix]:
-    return [HermitianMatrix(np.diag(e).astype(complex)) for e in np.eye(dim)]
-
-
 def cmd_validate(args) -> int:
     parsed = load_problem(args.path)
     failed = False
@@ -111,7 +107,8 @@ def cmd_validate(args) -> int:
             lines.append(f"state {name}: FAIL ({exc})")
             continue
         if parsed.model.kind == QUANTUM:
-            axioms = check_state_axioms(state, _computational_basis(parsed.model.dim))
+            basis = [HermitianMatrix(np.diag(e).astype(complex)) for e in np.eye(parsed.model.dim)]
+            axioms = check_state_axioms(state, basis)
             failed |= not axioms.passed
             verdict = "PASS" if axioms.passed else "FAIL"
             lines.append(f"state {name}: {verdict} (axiom residual {axioms.max_residual():.3g})")
@@ -156,15 +153,14 @@ def cmd_lattice(args) -> int:
     region_a = load_region(args.path_a)
     region_b = load_region(args.path_b)
     if args.op == "leq":
-        _emit(dumps_17g({"result": bool(includes(region_b, region_a))}), args.output)
-        return EXIT_OK
-    if args.op == "meet":
+        report = {"result": bool(includes(region_b, region_a))}
+    elif args.op == "meet":
         result_region = meet(region_a, region_b)
         dedup = len(_effective_h_rep(region_a)) + len(_effective_h_rep(region_b)) - len(result_region.h_rep)
-        _emit(dumps_17g(region_report(result_region, deduplicated=dedup)), args.output)
-        return EXIT_OK
-    result_region = join(region_a, region_b)
-    _emit(dumps_17g(region_report(result_region)), args.output)
+        report = region_report(result_region, deduplicated=dedup)
+    else:
+        report = region_report(join(region_a, region_b))
+    _emit(dumps_17g(report), args.output)
     return EXIT_OK
 
 
@@ -194,8 +190,9 @@ def build_parser() -> argparse.ArgumentParser:
     """The ``gmaxent`` argument parser, built once per process; parsing leaves it unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", help="also write the report to this path")
-    common.add_argument("--tolerance", type=float, help="Newton gradient and Frank-Wolfe gap tolerance override")
-    common.add_argument("--max-iter", type=int, help="Newton and Frank-Wolfe iteration cap override")
+    solving = argparse.ArgumentParser(add_help=False)  # the flags of the commands that solve
+    solving.add_argument("--tolerance", type=float, help="Newton gradient and Frank-Wolfe gap tolerance override")
+    solving.add_argument("--max-iter", type=int, help="Newton and Frank-Wolfe iteration cap override")
 
     parser = argparse.ArgumentParser(
         prog="gmaxent",
@@ -207,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_validate.add_argument("path")
     p_validate.set_defaults(func=cmd_validate)
 
-    p_solve = sub.add_parser("solve", parents=[common], help="solve the MaxEnt problem in a file")
+    p_solve = sub.add_parser("solve", parents=[common, solving], help="solve the MaxEnt problem in a file")
     p_solve.add_argument("path")
     p_solve.set_defaults(func=cmd_solve)
 
@@ -217,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lattice.add_argument("path_b")
     p_lattice.set_defaults(func=cmd_lattice)
 
-    p_oracle = sub.add_parser("oracle", parents=[common], help="brute-force grid search for small instances")
+    p_oracle = sub.add_parser("oracle", parents=[common, solving], help="brute-force grid search for small instances")
     p_oracle.add_argument("path")
     p_oracle.add_argument("--resolution", type=float, default=1e-3)
     p_oracle.add_argument("--compare", action="store_true", help="also run the solver and report the delta")

@@ -158,8 +158,8 @@ def _require(mapping: dict, key: str, context: str):
 
 
 def _shape(raw, context: str, expected: str) -> tuple[int, ...]:
-    """The shape of nested lists of JSON numbers; a ragged nesting, a string, a boolean or any other leaf, and an
-    integer past the float range, are schema errors."""
+    """The shape of nested lists of JSON numbers; a ragged nesting, a string, a boolean or any other leaf, a NaN or
+    an infinity, and an integer past the float range, are schema errors."""
     shape, level = [], [raw]
     while level and isinstance(level[0], list):
         n = len(level[0])
@@ -168,7 +168,7 @@ def _shape(raw, context: str, expected: str) -> tuple[int, ...]:
         shape.append(n)
         level = [x for item in level for x in item]
     for x in level:
-        if not (isinstance(x, float) or (isinstance(x, int) and not isinstance(x, bool) and abs(x) <= sys.float_info.max)):
+        if not (isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max):
             raise SchemaError(f"{context}: {expected}, got {x!r}")
     return tuple(shape)
 
@@ -210,10 +210,9 @@ def complex_matrix_to_jsonable(m: np.ndarray) -> list:
 def parse_model(raw: dict) -> ModelSpace:
     kind = _require(raw, "kind", "model")
     try:
-        if kind == CLASSICAL:
-            return Classical(_integer(_require(raw, "dimension", "model"), "model dimension", 1))
-        if kind == QUANTUM:
-            return Quantum(_integer(_require(raw, "dimension", "model"), "model dimension", 1))
+        if kind in (CLASSICAL, QUANTUM):
+            dim = _integer(_require(raw, "dimension", "model"), "model dimension", 1)
+            return Classical(dim) if kind == CLASSICAL else Quantum(dim)
         if kind == POLYTOPE:
             return Polytope(_numbers(_require(raw, "vertices", "model"), "model", "vertex coordinates must be numbers"))
     except (TypeError, ValueError) as exc:
@@ -310,7 +309,7 @@ class ParsedProblem:
     observables: dict[str, Observable]
     state_coords: dict[str, np.ndarray]
     conditions: list[ParsedCondition]
-    objective_raw: Optional[dict]
+    objective: Optional[Objective]  # None only for a polytope file with neither an objective nor observables
     solver_settings: dict  # SolverConfig fields set by the "solver" section
 
 
@@ -339,20 +338,29 @@ def parse_problem(raw: dict) -> ParsedProblem:
         _parse_condition(entry, observables, f"condition {i}")
         for i, entry in enumerate(_section(raw, "conditions", list))
     ]
-    objective_raw = raw.get("objective")
-    if objective_raw is not None:
-        name = _require(objective_raw, "name", "objective")
-        if name not in ("shannon", "von_neumann", "fiducial"):
-            raise SchemaError(f"objective: unknown name '{name}'")
-        if name == "fiducial":
-            measurements = _of_type(_require(objective_raw, "measurements", "objective"), list, "objective")
-            if not measurements:
-                raise SchemaError("objective: a fiducial objective needs at least one measurement")
-            for m in measurements:
-                if not isinstance(m, str) or m not in observables:
-                    raise SchemaError(f"objective: unknown measurement '{m}'")
+    objective = _parse_objective(raw.get("objective"), model, observables)
     solver_settings = _solver_settings(_section(raw, "solver", dict))
-    return ParsedProblem(model, observables, state_coords, conditions, objective_raw, solver_settings)
+    return ParsedProblem(model, observables, state_coords, conditions, objective, solver_settings)
+
+
+def _parse_objective(raw: Optional[dict], model: ModelSpace, observables: dict[str, Observable]) -> Optional[Objective]:
+    """The "objective" section, or the default: for a polytope, fiducial on every observable by name (None if none)."""
+    if raw is None:
+        if model.kind != POLYTOPE:
+            return default_objective(model)
+        return FiducialMeasurementEntropy(tuple(observables[k] for k in sorted(observables))) if observables else None
+    name = _require(raw, "name", "objective")
+    if name in ("shannon", "von_neumann"):
+        return Shannon() if name == "shannon" else VonNeumann()
+    if name != "fiducial":
+        raise SchemaError(f"objective: unknown name '{name}'")
+    measurements = _of_type(_require(raw, "measurements", "objective"), list, "objective")
+    if not measurements:
+        raise SchemaError("objective: a fiducial objective needs at least one measurement")
+    for m in measurements:
+        if not isinstance(m, str) or m not in observables:
+            raise SchemaError(f"objective: unknown measurement '{m}'")
+    return FiducialMeasurementEntropy(tuple(observables[m] for m in measurements))
 
 
 def _finite_float(text: str) -> float:
@@ -379,17 +387,9 @@ def build_region(parsed: ParsedProblem) -> ConvexRegion:
 
 
 def build_objective(parsed: ParsedProblem) -> Objective:
-    raw = parsed.objective_raw
-    if raw is None:
-        if parsed.model.kind == POLYTOPE:
-            measurements = tuple(parsed.observables[k] for k in sorted(parsed.observables))
-            if not measurements:
-                raise SchemaError("polytope problems need observables or an explicit objective")
-            return FiducialMeasurementEntropy(measurements)
-        return default_objective(parsed.model)
-    if raw["name"] != "fiducial":
-        return {"shannon": Shannon, "von_neumann": VonNeumann}[raw["name"]]()
-    return FiducialMeasurementEntropy(tuple(parsed.observables[k] for k in raw["measurements"]))
+    if parsed.objective is None:
+        raise SchemaError("polytope problems need observables or an explicit objective")
+    return parsed.objective
 
 
 def _solver_settings(raw: dict, names=("solver tolerance", "solver max_iter")) -> dict:
@@ -398,7 +398,7 @@ def _solver_settings(raw: dict, names=("solver tolerance", "solver max_iter")) -
     if "tolerance" in raw:
         settings["grad_tol"] = settings["fw_gap_tol"] = positive_finite(raw["tolerance"], names[0])
     if "max_iter" in raw:
-        settings["max_iter"] = settings["fw_max_iter"] = _integer(raw["max_iter"], names[1], 0)
+        settings["max_iter"] = _integer(raw["max_iter"], names[1], 0)
     return settings
 
 

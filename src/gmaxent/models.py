@@ -79,6 +79,15 @@ def _equal_by_value(a, b):
     return all(np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y for x, y in pairs)
 
 
+def _dimension(dim) -> int:
+    """dim as an int when it is an integer >= 1; a float or a boolean raises TypeError, and dim < 1 ValueError."""
+    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)):
+        raise TypeError(f"dimension must be an integer, got {dim!r}")
+    if dim < 1:
+        raise ValueError("dimension must be positive")
+    return int(dim)
+
+
 class ModelSpace:
     """Base model: ambient dimension, unit functional, cone membership."""
 
@@ -86,9 +95,7 @@ class ModelSpace:
 
     def __init__(self, ambient_dim: int, unit_functional: np.ndarray):
         self.ambient_dim = int(ambient_dim)
-        u = np.asarray(unit_functional, dtype=float)
-        u.setflags(write=False)
-        self.unit_functional = u
+        self.unit_functional = _sealed(np.asarray(unit_functional, dtype=float))
 
     def unit_value(self, coords: np.ndarray) -> float:
         return float(self.unit_functional @ coords)
@@ -122,10 +129,8 @@ class Classical(ModelSpace):
     kind = CLASSICAL
 
     def __init__(self, dim: int):
-        if dim < 1:
-            raise ValueError("dimension must be positive")
-        super().__init__(dim, np.ones(dim))
-        self.dim = int(dim)
+        self.dim = _dimension(dim)
+        super().__init__(self.dim, np.ones(self.dim))
 
     def _key(self):
         return (CLASSICAL, self.dim)
@@ -166,9 +171,7 @@ class Quantum(ModelSpace):
     kind = QUANTUM
 
     def __init__(self, dim: int):
-        if dim < 1:
-            raise ValueError("dimension must be positive")
-        d = self.dim = int(dim)
+        d = self.dim = _dimension(dim)
         self._upper, self._lower, self._diagonal_coords, self._diagonal_map, unit = _quantum_tables(d)
         self._off = slice(1, d * d - d + 1)
         super().__init__(d * d, unit)
@@ -229,9 +232,7 @@ class Polytope(ModelSpace):
             raise ValueError(f"vertices must be a list of points, got a {pts.ndim}-D array")
         if not np.isfinite(pts).all():
             raise ValueError("vertex coordinates must be finite")
-        emb = np.hstack([np.ones((pts.shape[0], 1)), pts])
-        emb.setflags(write=False)
-        self.vertices = emb
+        emb = self.vertices = _sealed(np.hstack([np.ones((pts.shape[0], 1)), pts]))
         self._vertex_key = (POLYTOPE, emb.shape, tuple(np.round(emb, 12).ravel()))
         unit = np.zeros(pts.shape[1] + 1)
         unit[0] = 1.0

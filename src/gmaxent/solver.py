@@ -1,6 +1,6 @@
 """Maximum-entropy solvers over the meet of condition regions.
 
-Two routes:
+Two routes, which share one iteration cap, ``SolverConfig.max_iter``:
 
 * ``solve_dual``: Shannon/von Neumann entropy on classical/quantum models via
   the exponential-family dual. The solved state has the Gibbs form
@@ -29,7 +29,7 @@ import logging
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, partial
-from typing import Callable, Optional, Sequence
+from typing import Callable, ClassVar, Optional, Sequence
 
 import numpy as np
 
@@ -59,16 +59,15 @@ log = logging.getLogger("gmaxent")
 class SolverConfig:
     """Dual-Newton and Frank-Wolfe controls, the one record a caller overrides.
 
-    ``--tolerance``, ``--max-iter`` and a problem file's ``solver`` section set its tolerances and
-    iteration caps. No flag sets ``residual_tol``, the redundancy and certificate bound, which the
-    benchmark checks dual residuals against. Every other threshold is a private module constant.
+    ``--tolerance`` and a problem file's ``solver`` "tolerance" set ``grad_tol`` and ``fw_gap_tol``;
+    ``--max-iter`` and "max_iter" set ``max_iter``, the one cap on Newton and Frank-Wolfe iterations.
+    Every other threshold is a constant.
     """
 
     grad_tol: float = 1e-10             # stop when the dual gradient inf-norm is below
-    residual_tol: float = 1e-8          # redundancy consistency; certificate c < -this => Infeasible
+    residual_tol: ClassVar[float] = 1e-8  # redundancy and certificate bound; a constant the benchmark reads here
     max_iter: int = 500
     fw_gap_tol: float = 1e-7
-    fw_max_iter: int = 5000
 
 
 DEFAULT_SOLVER = SolverConfig()
@@ -132,12 +131,11 @@ class MaxEntProblem:
 
 @dataclass
 class SolveDiagnostics:
-    """The constraints a dual solve kept and dropped, its steepest-descent fallbacks, the last Frank-Wolfe gap."""
+    """The constraints a dual solve kept and dropped, and its steepest-descent fallbacks."""
 
     kept_indices: tuple[int, ...] = ()
     dropped_indices: tuple[int, ...] = ()
     gradient_fallbacks: int = 0
-    fw_gap: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -635,7 +633,7 @@ def solve_polytope(problem: MaxEntProblem, config: SolverConfig = DEFAULT_SOLVER
     vertex. The objective's value is evaluated once, for the result, from the
     same linear image as its gradient (``_objective_terms``). A step that
     leaves x unchanged (also when x + t d rounds back to x) ends the solve
-    with NON_CONVERGENCE, as does ``fw_max_iter``. After each step, Newton
+    with NON_CONVERGENCE, as does the shared ``max_iter``. After each step, Newton
     steps on the active weights follow (``_face_newton``); their exact line
     search stops at the first weight to reach zero and drops that vertex, as
     fully corrective Frank-Wolfe variants shrink the active set
@@ -644,7 +642,10 @@ def solve_polytope(problem: MaxEntProblem, config: SolverConfig = DEFAULT_SOLVER
     warm-started from the previous optimal basis. Each active vertex keeps
     the LP's mixing weights that produced it, so a polytope result is
     certified by alpha times those weights, which ``State`` checks in O(nk)
-    instead of solving a membership LP.
+    instead of solving a membership LP. The polytopes of the tests and the
+    benchmark converge within 13 iterations, but a classical model takes
+    about d - m, so at the default cap of 500 Classical(d >~ 500) ends with
+    NON_CONVERGENCE; ``solve`` sends Shannon problems to the dual instead.
     """
     if problem.model.kind not in (CLASSICAL, POLYTOPE):
         raise IncompatibleObjective("solve_polytope handles classical and polytope models")
@@ -671,14 +672,13 @@ def solve_polytope(problem: MaxEntProblem, config: SolverConfig = DEFAULT_SOLVER
     value, grad, line, face = _objective_terms(problem)
     status = SolveStatus.NON_CONVERGENCE
     iterations = 0
-    for iterations in range(1, config.fw_max_iter + 1):
+    for iterations in range(1, config.max_iter + 1):
         g = grad(x)
         lp = basis.optimize(_weight_rows(model, g), maximize=True)
         if lp.status != OPTIMAL:
             break
         s = _weights_to_coords(model, lp.x)
         gap = float(g @ (s - x))
-        diag.fw_gap = gap
         if gap <= config.fw_gap_tol:
             status = SolveStatus.CONVERGED
             break

@@ -448,6 +448,11 @@ class TestOracle:
         assert report["status"] == "feasible"
         assert report["entropy_delta"] <= 2e-3
 
+    def test_compare_takes_the_solver_flags(self, capsys):
+        code, out = run(capsys, "oracle", "problems/gibbs_qubit.json", "--compare", "--max-iter", "0", "--tolerance", "1e-3")
+        assert code == 0
+        assert json.loads(out)["solver_status"] == "non_convergence"
+
     def test_classical_compare(self, capsys):
         code, out = run(capsys, "oracle", "problems/classical_d3_mean.json", "--resolution", "1e-3", "--compare")
         assert code == 0
@@ -508,6 +513,30 @@ class TestRepeatedCalls:
         code, out = run(capsys, "solve", "problems/gibbs_qubit.json")
         assert code == 0
         assert json.loads(out)["status"] == "converged"
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["validate", "problems/validate_demo.json"], ["--tolerance", "1e-3"]),
+            (["validate", "problems/validate_demo.json"], ["--max-iter=-1"]),
+            (["lattice", "leq", "problems/region_sigmaz_mean0.json", "problems/region_whole_quantum.json"],
+             ["--max-iter", "3"]),
+            (["lattice", "meet", "problems/region_classical3_plane.json", "problems/region_classical3_pair.json"],
+             ["--tolerance", "1e-3"]),
+        ],
+        ids=["validate-tolerance", "validate-max-iter", "lattice-max-iter", "lattice-tolerance"],
+    )
+    def test_solver_flags_only_on_commands_that_solve(self, capsys, argv, flag):
+        # validate and lattice solve nothing, so they reject the flags instead of ignoring them.
+        with pytest.raises(SystemExit) as exc:
+            main(argv + flag)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments" in captured.err
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert out
 
     def test_good_call_after_argument_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -3,6 +3,7 @@
 import dataclasses
 import glob
 import json
+import math
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gmaxent import (
+    DEFAULT_SOLVER,
     FiducialMeasurementEntropy,
     HermitianMatrix,
     MaxEntProblem,
@@ -298,8 +300,10 @@ class TestSchemaErrors:
             ([[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]], "matrix entries must be \\[re, im\\] pairs of numbers$"),
             ([[[0.0, 0.0], ["0", 0.0]], [[0.0, 0.0], [0.0, 0.0]]], "matrix entries must be \\[re, im\\] pairs of numbers, got '0'$"),
             ([[[0.0, 0.0], [2e-10, 0.0]], [[0.0, 0.0], [0.0, 0.0]]], "matrix is not Hermitian$"),
+            # A caller's dict is not read by the JSON parser, so a NaN reaches the reader.
+            ([[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [math.nan, 0.0]]], "matrix entries must be \\[re, im\\] pairs of numbers, got nan$"),
         ],
-        ids=["ragged", "string-entry", "asymmetry-2e-10"],
+        ids=["ragged", "string-entry", "asymmetry-2e-10", "nan-entry"],
     )
     def test_stacked_outcomes_keep_their_context(self, outcome, message):
         # The outcomes of an observable are read as one stack; an error still names the outcome at fault.
@@ -355,6 +359,31 @@ class TestSchemaErrors:
         with pytest.raises(SchemaError, match=message):
             parse_problem(raw)
 
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            (lambda r: r["observables"]["A"]["outcomes"][0].update(vector=[math.nan, 0.0]),
+             "^observable A, outcome 0: vector entries must be numbers, got nan$"),
+            (lambda r: r["observables"]["A"]["outcomes"][1].update(vector=[0.0, math.inf]),
+             "^observable A, outcome 1: vector entries must be numbers, got inf$"),
+            (lambda r: r["conditions"][0].update(target=math.nan), "^condition 0: expected a number, got nan$"),
+            (lambda r: r["observables"]["A"]["outcomes"][0].update(value=-math.inf),
+             "^observable A, outcome 0: expected a number, got -inf$"),
+        ],
+        ids=["nan-vector", "inf-vector", "nan-target", "inf-value"],
+    )
+    def test_non_finite_numbers_from_a_dict(self, change, message):
+        # A caller's dict is not read by the JSON parser, so its floats reach the reader as they are.
+        raw = {
+            "model": {"kind": "classical", "dimension": 2},
+            "observables": {"A": {"outcomes": [{"vector": [1.0, 0.0], "value": 0.0}, {"vector": [0.0, 1.0], "value": 1.0}]}},
+            "conditions": [{"observable": "A", "type": "mean", "target": 0.5}],
+        }
+        parse_problem(raw)
+        change(raw)
+        with pytest.raises(SchemaError, match=message):
+            parse_problem(raw)
+
     @pytest.mark.parametrize("raw", [[], "problem", 3])
     def test_problem_file_not_an_object(self, raw):
         with pytest.raises(SchemaError, match="problem file must be a JSON object"):
@@ -402,10 +431,21 @@ class TestReports:
 
 class TestSolverSection:
     def test_every_field_has_a_caller(self):
-        # --tolerance, --max-iter and the solver section set four fields; the
-        # benchmark checks dual residuals against residual_tol.
+        # --tolerance, --max-iter and the solver section set every field.
         names = [f.name for f in dataclasses.fields(SolverConfig)]
-        assert names == ["grad_tol", "residual_tol", "max_iter", "fw_gap_tol", "fw_max_iter"]
+        assert names == ["grad_tol", "max_iter", "fw_gap_tol"]
+
+    def test_residual_tol_is_a_constant(self):
+        # The benchmark checks dual residuals against residual_tol; no caller sets it.
+        assert DEFAULT_SOLVER.residual_tol == SolverConfig.residual_tol == 1e-8
+        with pytest.raises(TypeError):
+            SolverConfig(residual_tol=1e-6)
+        with pytest.raises(TypeError):
+            dataclasses.replace(DEFAULT_SOLVER, residual_tol=1e-6)
+
+    def test_one_iteration_cap(self):
+        with pytest.raises(TypeError):
+            SolverConfig(fw_max_iter=9)
 
     def test_overrides(self):
         parsed = load_problem("problems/gibbs_qubit.json")
@@ -416,11 +456,11 @@ class TestSolverSection:
 
     def test_max_iter_caps_frank_wolfe(self):
         parsed = load_problem("problems/squarebit_x09.json")
-        assert solver_config_from(parsed).fw_max_iter == 5000
-        assert solver_config_from(parsed, max_iter=17).fw_max_iter == 17
+        assert solver_config_from(parsed).max_iter == 500
+        assert solver_config_from(parsed, max_iter=17).max_iter == 17
         raw = load_json("problems/squarebit_x09.json")
         raw["solver"] = {"max_iter": 9}
-        assert solver_config_from(parse_problem(raw)).fw_max_iter == 9
+        assert solver_config_from(parse_problem(raw)).max_iter == 9
 
     def test_tolerance_sets_both_solvers(self):
         parsed = load_problem("problems/squarebit_x09.json")

@@ -750,6 +750,11 @@ class TestArgumentChecks:
         [
             (lambda: Classical(0), ValueError, "^dimension must be positive$"),
             (lambda: Quantum(0), ValueError, "^dimension must be positive$"),
+            (lambda: Classical(2.5), TypeError, "^dimension must be an integer, got 2.5$"),
+            (lambda: Quantum(2.5), TypeError, "^dimension must be an integer, got 2.5$"),
+            (lambda: Classical(True), TypeError, "^dimension must be an integer, got True$"),
+            (lambda: Quantum(True), TypeError, "^dimension must be an integer, got True$"),
+            (lambda: Quantum("2"), TypeError, "^dimension must be an integer, got '2'$"),
             (lambda: Quantum(2).coords_to_matrix(np.zeros(3)), ValueError,
              r"^expected 4 coordinates, got shape \(3,\)$"),
             (lambda: Quantum(2).matrix_to_coords(np.zeros((2, 3))), ValueError,
@@ -768,13 +773,18 @@ class TestArgumentChecks:
             # The base class names no model, so two bare instances have no key to compare.
             (lambda: models.ModelSpace(2, np.ones(2)) == models.ModelSpace(2, np.ones(2)), NotImplementedError, None),
         ],
-        ids=["classical-0", "quantum-0", "coords-shape", "matrix-shape", "state-shape", "effect-shape",
+        ids=["classical-0", "quantum-0", "classical-float", "quantum-float", "classical-bool", "quantum-bool",
+             "quantum-string", "coords-shape", "matrix-shape", "state-shape", "effect-shape",
              "classical-density-matrix", "quantum-point", "empty-observable", "mixed-observable",
              "classical-axioms", "one-outcome-povm", "bare-model-spaces"],
     )
     def test_rejected(self, call, error, message):
         with pytest.raises(error, match=message):
             call()
+
+    def test_numpy_integer_dimension(self):
+        for model in (Classical(np.int64(3)), Quantum(np.int64(3))):
+            assert model.dim == 3 and type(model.dim) is int
 
     def test_repr_names_the_model(self):
         assert repr(Classical(3)) == "Classical(ambient_dim=3)"

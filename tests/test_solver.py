@@ -1202,6 +1202,13 @@ class TestLineSearch:
 
 
 class TestSolvePolytope:
+    @pytest.mark.parametrize("max_iter", [0, 1])
+    def test_max_iter_caps_frank_wolfe(self, max_iter):
+        # The square-bit centre takes two iterations; max_iter, the Newton cap, caps Frank-Wolfe too.
+        sol = solve_polytope(squarebit_problem(), SolverConfig(max_iter=max_iter))
+        assert sol.status == SolveStatus.NON_CONVERGENCE
+        assert sol.iterations == max_iter
+
     def test_squarebit_center(self):
         sol = solve_polytope(squarebit_problem())
         assert sol.status == SolveStatus.CONVERGED
@@ -1318,9 +1325,11 @@ class TestSolvePolytope:
         objective = FiducialMeasurementEntropy((random_povm(model, np.random.default_rng(0)),))
         monkeypatch.setattr(gmaxent.solver, "_objective_terms", fake_objective_terms(value, gradient))
         sol = solve_polytope(MaxEntProblem(model, region, objective))
-        assert DEFAULT_SOLVER.fw_gap_tol < sol.diagnostics.fw_gap <= 10 * DEFAULT_SOLVER.fw_gap_tol
         assert sol.status == SolveStatus.NON_CONVERGENCE
         np.testing.assert_array_equal(sol.state.coords, start)
+        # The last Frank-Wolfe gap, g . (s - x) at the iterate, which is start.
+        gap = max(float(gradient(start) @ (vertex - start)) for vertex in model.vertices)
+        assert DEFAULT_SOLVER.fw_gap_tol < gap <= 10 * DEFAULT_SOLVER.fw_gap_tol
 
     def test_step_that_rounds_back_ends_the_solve(self, monkeypatch):
         # The kink sits at the square's centre, reached in a few steps; from
