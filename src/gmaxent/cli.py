@@ -71,7 +71,8 @@ def _configure_logging():
     # basicConfig installs the stderr handler once per process; the level is
     # set on the package logger so that every call applies GMAXENT_LOG.
     logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(message)s")
-    log.setLevel(level)
+    if log.level != level:  # setLevel clears every logger's level cache
+        log.setLevel(level)
 
 
 class _WriteFailure(Exception):
@@ -186,8 +187,8 @@ def cmd_oracle(args) -> int:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The ``gmaxent`` argument parser, built once per process; parsing leaves it unchanged."""
+def build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The ``gmaxent`` parser and its subparser per command, built once per process; parsing leaves them unchanged."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--output", help="also write the report to this path")
     solving = argparse.ArgumentParser(add_help=False)  # the flags of the commands that solve
@@ -219,12 +220,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--resolution", type=float, default=1e-3)
     p_oracle.add_argument("--compare", action="store_true", help="also run the solver and report the delta")
     p_oracle.set_defaults(func=cmd_oracle)
-    return parser
+    return parser, sub.choices
+
+
+def _parse_args(argv) -> argparse.Namespace:
+    """``parse_args(argv)`` of the ``gmaxent`` parser; argv that starts with a command goes to its subparser alone."""
+    parser, commands = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    if not argv or argv[0] not in commands:
+        return parser.parse_args(argv)
+    args, extra = commands[argv[0]].parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extra:  # worded as parse_args words it
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
 
 
 def main(argv=None) -> int:
     _configure_logging()
-    args = build_parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         return args.func(args)
     except json.JSONDecodeError as exc:

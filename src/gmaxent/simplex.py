@@ -230,7 +230,7 @@ class Basis:
 
 
 def _phase_one(a_eq, b_eq) -> tuple[Basis, float]:
-    """Phase I: minimize the sum of artificials from the all-artificial basis.
+    """Phase I: minimize the sum of artificials from the all-artificial basis, then drive out those left when feasible.
 
     Returns the final basis and |a_eq x - b_eq|_1 at its basic solution x, recomputed from A and b
     rather than read from the updated x_B, so that rounding cannot flip a feasibility verdict.
@@ -238,16 +238,16 @@ def _phase_one(a_eq, b_eq) -> tuple[Basis, float]:
     basis = Basis(a_eq, b_eq)
     if basis._run(np.concatenate([np.zeros(basis.n), np.ones(len(basis._b))])) != OPTIMAL:
         raise NumericalFailure("phase-I subproblem unbounded")  # cannot happen: cost >= 0
-    return basis, float(np.sum(np.abs(basis._a @ basis.x() - basis._b)))
+    residual = float(np.sum(np.abs(basis._a @ basis.x() - basis._b)))
+    if residual <= FEASIBILITY_TOL:
+        basis._drive_out_artificials()
+    return basis, residual
 
 
 def feasible_basis(a_eq, b_eq) -> Basis | None:
     """A Phase-II-ready basis of {x >= 0 : a_eq x = b_eq}, or None when it is empty."""
     basis, residual = _phase_one(a_eq, b_eq)
-    if residual > FEASIBILITY_TOL:
-        return None
-    basis._drive_out_artificials()
-    return basis
+    return None if residual > FEASIBILITY_TOL else basis
 
 
 def solve_lp(c, a_eq, b_eq, maximize: bool = False) -> LpResult:

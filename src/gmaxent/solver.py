@@ -431,7 +431,8 @@ def solve_dual(problem: MaxEntProblem, config: SolverConfig = DEFAULT_SOLVER) ->
 
         h = ev.hessian()
         try:
-            direction = np.linalg.solve(h + ridge, g)
+            # m = 1: h + ridge > 0 (h is a sum of squares), and dividing skips np.linalg.solve's wrapper, bit for bit
+            direction = g / (h[0, 0] + _HESSIAN_RIDGE) if len(g) == 1 else np.linalg.solve(h + ridge, g)
             slope = float(g @ direction)
         except np.linalg.LinAlgError:
             slope = 0.0

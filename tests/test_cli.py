@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, report contents, determinism."""
 
+import argparse
 import glob
 import json
 import os
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import gmaxent
-from gmaxent.cli import main
+from gmaxent.cli import _parse_args, build_parser, main
 
 GIBBS_ENTROPY = -(0.7 * np.log(0.7) + 0.3 * np.log(0.3))
 
@@ -545,6 +546,77 @@ class TestRepeatedCalls:
         code, out = run(capsys, "solve", "problems/gibbs_qubit.json")
         assert code == 0
         assert json.loads(out)["status"] == "converged"
+
+
+# argv that parse, per command with options before and after the positionals; files are named, not read.
+GOOD_ARGV = {
+    "validate": ["validate", "p.json"],
+    "validate-output-first": ["validate", "--output", "o.json", "p.json"],
+    "validate-output-equals": ["validate", "p.json", "--output=o.json"],
+    "solve": ["solve", "p.json"],
+    "solve-flags-after": ["solve", "p.json", "--tolerance", "1e-3", "--max-iter", "3", "--output", "o.json"],
+    "solve-flags-first-equals": ["solve", "--max-iter=3", "--tolerance=1e-3", "--output=o.json", "p.json"],
+    "lattice": ["lattice", "meet", "a.json", "b.json"],
+    "lattice-output-after": ["lattice", "join", "a.json", "b.json", "--output", "o.json"],
+    "lattice-output-first-equals": ["lattice", "--output=o.json", "leq", "a.json", "b.json"],
+    "oracle": ["oracle", "p.json"],
+    "oracle-flags-after": ["oracle", "p.json", "--resolution", "1e-2", "--compare", "--max-iter", "4"],
+    "oracle-flags-first-equals": ["oracle", "--compare", "--resolution=1e-2", "--tolerance=1e-3", "p.json"],
+}
+
+# argv that exit: help exits 0, every other row 2.
+BAD_ARGV = {
+    "no-argv": [],
+    "unknown-command": ["nosuch", "p.json"],
+    "help": ["-h"],
+    "validate-help": ["validate", "-h"],
+    "solve-help": ["solve", "--help"],
+    "lattice-help": ["lattice", "-h"],
+    "oracle-help": ["oracle", "p.json", "-h"],
+    "missing-path": ["solve"],
+    "lattice-missing-path": ["lattice", "meet", "a.json"],
+    "max-iter-many": ["solve", "p.json", "--max-iter", "many"],
+    "validate-unknown-flag": ["validate", "p.json", "--bogus"],
+    "solve-unknown-flag": ["solve", "p.json", "--bogus"],
+    "lattice-unknown-flag": ["lattice", "leq", "a.json", "b.json", "--bogus", "x"],
+    "oracle-unknown-flag": ["oracle", "p.json", "--bogus"],
+    "lattice-bogus-op": ["lattice", "bogus", "a.json", "b.json"],
+}
+
+
+def parse_outcome(capsys, parse, argv):
+    """(the Namespace or the SystemExit code, stdout, stderr) of one parse."""
+    try:
+        result = parse(argv)
+    except SystemExit as exc:
+        result = exc.code
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv,parses",
+    [(argv, True) for argv in GOOD_ARGV.values()] + [(argv, False) for argv in BAD_ARGV.values()],
+    ids=[*GOOD_ARGV, *BAD_ARGV],
+)
+def test_command_parse_matches_parse_args(capsys, monkeypatch, argv, parses):
+    # Every argv parses, or exits with the same code and output, as the top-level parse_args has it; a known
+    # command is parsed by its subparser alone.
+    parser, commands = build_parser()
+    expected = parse_outcome(capsys, parser.parse_args, argv)
+    assert isinstance(expected[0], argparse.Namespace) == parses
+    parse_known_args, parsers = argparse.ArgumentParser.parse_known_args, []
+
+    def recorded(self, *args):
+        parsers.append(self)
+        return parse_known_args(self, *args)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", recorded)
+    assert parse_outcome(capsys, _parse_args, argv) == expected
+    if argv and argv[0] in commands:
+        assert parsers == [commands[argv[0]]]
+    else:
+        assert parsers[0] is parser
 
 
 @pytest.mark.parametrize("path", sorted(glob.glob("problems/*.json")))

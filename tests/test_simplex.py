@@ -9,7 +9,7 @@ import pytest
 
 from gmaxent import Classical, random_effect, random_state
 from gmaxent.regions import LinearConstraint, _weight_system
-from gmaxent.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, Basis, feasible_basis, phase_one, solve_lp
+from gmaxent.simplex import FEASIBILITY_TOL, INFEASIBLE, OPTIMAL, UNBOUNDED, Basis, feasible_basis, phase_one, solve_lp
 
 from helpers import reference_phase_one, reference_solve_lp
 
@@ -97,6 +97,18 @@ def test_phase_one_feasible():
     residual, x = phase_one([[1.0, 1.0]], [1.0])
     assert residual <= 1e-12
     assert x is not None and abs(x.sum() - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("scale", [100.0, 1e4])
+def test_phase_one_witness_meets_the_system(scale):
+    # Classical(3) with s (0, 1, 2) . x = 2 s - 1e-9: Phase I ends with an artificial basic at about -1e-9, within
+    # FEASIBILITY_TOL; the witness is read once it is driven out, so it is the exact vertex that feasible_basis gives.
+    a = np.array([[1.0, 1.0, 1.0], [0.0, scale, 2.0 * scale]])
+    b = np.array([1.0, 2.0 * scale - 1e-9])
+    residual, x = phase_one(a, b)
+    assert 0.0 < residual <= FEASIBILITY_TOL
+    assert np.abs(a @ x - b).max() <= 1e-12
+    np.testing.assert_array_equal(x, feasible_basis(a, b).x())
 
 
 def test_phase_one_infeasible_reports_residual():

@@ -513,16 +513,16 @@ def decomposed_evaluation(model, funcs, lambdas):
     return ev
 
 
-def counted_eigh(monkeypatch):
-    """Route np.linalg.eigh through a counter; returns the list it appends to."""
-    eigh = np.linalg.eigh
+def counted_linalg(monkeypatch, name):
+    """Route np.linalg.<name> through a counter; returns the list it appends to."""
+    original = getattr(np.linalg, name)
     calls = []
 
-    def counted(a):
+    def counted(*args):
         calls.append(1)
-        return eigh(a)
+        return original(*args)
 
-    monkeypatch.setattr(np.linalg, "eigh", counted)
+    monkeypatch.setattr(np.linalg, name, counted)
     return calls
 
 
@@ -535,7 +535,7 @@ class TestMaximallyMixedStart:
         model = Quantum(d)
         rng = np.random.default_rng(100 * d + m)
         funcs = np.array([random_effect(model, rng).functional for _ in range(m)]).reshape(m, model.ambient_dim)
-        calls = counted_eigh(monkeypatch)
+        calls = counted_linalg(monkeypatch, "eigh")
         ev = _QuantumEvaluation(model, model.coords_to_matrices(funcs), np.zeros(m))
         closed = (ev.lnz, ev.top, ev.spectrum, ev.means, ev.hessian(), ev.state_coords)
         assert calls == []
@@ -554,7 +554,7 @@ class TestMaximallyMixedStart:
         # One condition commutes with itself: its one eigh runs when the evaluator is built, none per evaluation.
         model = Quantum(d)
         funcs = random_effect(model, np.random.default_rng(d)).functional[None]
-        calls = counted_eigh(monkeypatch)
+        calls = counted_linalg(monkeypatch, "eigh")
         ev = _evaluator(model, funcs)(np.zeros(1))
         closed = (ev.means, ev.hessian(), ev.state_coords)
         factor = ev.factor()
@@ -628,7 +628,7 @@ class TestCommutingReduction:
         model = Quantum(4)
         diagonals = np.random.default_rng(m).uniform(-1, 1, (m, 4))
         funcs = commuting_funcs(model, diagonals, np.eye(4)).reshape(m, model.ambient_dim)
-        calls = counted_eigh(monkeypatch)
+        calls = counted_linalg(monkeypatch, "eigh")
         dual_at = _evaluator(model, funcs)
         assert dual_at.func is _QuantumEvaluation
         assert calls == []
@@ -679,7 +679,7 @@ class TestCommutingSolves:
 
     @staticmethod
     def assert_same_solve(monkeypatch, problem, config=DEFAULT_SOLVER):
-        calls = counted_eigh(monkeypatch)
+        calls = counted_linalg(monkeypatch, "eigh")
         sol = solve_dual(problem, config)
         assert calls == [1]
         ref = kubo_mori_solve(monkeypatch, problem, config)
@@ -1155,6 +1155,29 @@ class TestSteepestDescentFallback:
         assert sol.diagnostics.gradient_fallbacks == 1
         assert sol.status == reference.status == SolveStatus.CONVERGED
         assert np.max(np.abs(sol.state.coords - reference.state.coords)) <= 1e-10
+
+
+class TestNewtonSystem:
+    """One condition's Newton step is a division; two or more conditions solve their system with LAPACK."""
+
+    @pytest.mark.parametrize("family", ["classical", "sigmaz"])
+    @pytest.mark.parametrize("t", [0.3, 1.0 - 1e-6, 1.0])
+    def test_one_condition_runs_no_linalg_solve(self, monkeypatch, family, t):
+        calls = counted_linalg(monkeypatch, "solve")
+        sol = solve_dual(near_boundary_problem(family, t))
+        assert calls == []
+        assert sol.iterations > 0
+        assert sol.status == (SolveStatus.BOUNDARY_ONLY if t == 1.0 else SolveStatus.CONVERGED)
+
+    @pytest.mark.parametrize("family", ["classical", "quantum"])
+    def test_two_conditions_solve_once_per_newton_step(self, monkeypatch, family):
+        problem = trajectory_problem(family, 2)
+        calls = counted_linalg(monkeypatch, "solve")
+        sol = solve_dual(problem)
+        assert sol.status == SolveStatus.CONVERGED
+        assert sol.diagnostics.kept_indices == (0, 1)
+        assert sol.iterations > 0
+        assert len(calls) == sol.iterations
 
 
 class TestLineSearch:
