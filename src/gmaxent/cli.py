@@ -1,9 +1,11 @@
 """Batch front door: validate, solve, lattice queries, and oracle runs.
 
-Exit codes: 0 ok/converged, 1 validation failure, 2 parse error or an
---output path that cannot be written, 3 infeasible, 4 boundary-only,
-5 non-convergence, 6 unsupported representation, 7 unsupported instance
-(oracle grid cap, or a vertex walk past its cap on bases).
+Exit codes: 0 ok/converged, 1 validation failure, 2 parse error, an input
+file that cannot be read (a directory, no permission, bytes that are not
+UTF-8) or an --output path that cannot be written, 3 infeasible,
+4 boundary-only, 5 non-convergence, 6 unsupported representation,
+7 unsupported instance (oracle grid cap, or a vertex walk past its cap on
+bases).
 """
 
 from __future__ import annotations
@@ -249,8 +251,8 @@ def main(argv=None) -> int:
     except _WriteFailure as exc:
         log.error("%s", exc)
         return EXIT_PARSE
-    except FileNotFoundError as exc:
-        log.error("cannot read %s", exc.filename)
+    except (OSError, UnicodeDecodeError) as exc:  # reading an input file: _emit raises a failed write as _WriteFailure
+        log.error("cannot read input: %s", exc)
         return EXIT_PARSE
     except UnsupportedRepresentation as exc:
         log.error("unsupported representation: %s", exc)

@@ -303,13 +303,26 @@ _BOUNDARY_RESIDUAL_TOL = 1e-3 # past the bound, no certificate, residual below =
 _ARMIJO_C = 1e-4
 _CURVATURE_C = 0.25           # a unit step whose slope keeps more than this share extrapolates
 _MAX_BACKTRACKS = 60          # also the slope-trial cap of a Frank-Wolfe line search
+_QR_BLOCK_BYTES = 256 * 1024  # a column block of the condition stack this size stays in cache
+
+
+def _stack_r(stack: np.ndarray) -> np.ndarray:
+    """R of a Householder QR of stack.T as a tall-skinny QR (TSQR; Demmel, Grigori, Hoemmen & Langou 2012).
+
+    ``np.linalg.qr`` copies its whole input twice, so column blocks of about ``_QR_BLOCK_BYTES`` are factored in cache
+    and their stacked R factors once more. A stack that fits one block is one ``np.linalg.qr`` call on it.
+    """
+    width = max(len(stack), _QR_BLOCK_BYTES // (len(stack) * stack.itemsize))
+    blocks = [np.linalg.qr(stack[:, s : s + width].T, mode="r") for s in range(0, stack.shape[1], width)]
+    return blocks[0] if len(blocks) == 1 else np.linalg.qr(np.concatenate(blocks), mode="r")
 
 
 def _select_independent(funcs: np.ndarray, norms: Sequence[float], targets: np.ndarray, config: SolverConfig):
     """Greedy rank filter over the rows of funcs, whose 2-norms are norms; returns (kept, dropped, contradiction?).
 
-    The rule is ``solve_dual``'s. One QR's pivots are read up to the first below the floor (a lone row's is its
-    norm, a row past the width has none); past it the factor rests on a noise reflector, so refactor without it.
+    The rule is ``solve_dual``'s. The pivots of one blocked QR, ``_stack_r``, are read up to the first below the floor
+    (a lone row's is its norm, a row past the width has none); past it the factor rests on a noise reflector, so
+    refactor without it. Its blocks stay in cache, where one ``np.linalg.qr`` would copy a Classical(10^4) stack twice.
     """
     kept: list[int] = []
     dropped: list[int] = []
@@ -317,7 +330,7 @@ def _select_independent(funcs: np.ndarray, norms: Sequence[float], targets: np.n
     while start < len(funcs):
         rows = kept + list(range(start, len(funcs)))
         stack = funcs[rows] if dropped else funcs
-        pivots = np.abs(np.linalg.qr(stack.T, mode="r").diagonal()) if len(rows) > 1 else [norms[start]]
+        pivots = np.abs(_stack_r(stack).diagonal()) if len(rows) > 1 else [norms[start]]
         start = len(funcs)
         for j, i in enumerate(rows[len(kept):], len(kept)):
             if j < len(pivots) and pivots[j] > _RANK_PIVOT_TOL * max(1.0, norms[i]):
@@ -381,7 +394,9 @@ def solve_dual(problem: MaxEntProblem, config: SolverConfig = DEFAULT_SOLVER) ->
     before it, |R_ii| of a Householder QR, exceeds ``_RANK_PIVOT_TOL`` *
     max(1, |f_i|); otherwise it is dropped when the kept ones imply its target
     within ``residual_tol`` * max(1, |r_i|), and the solve is INFEASIBLE when
-    they do not. ``iterations`` counts the Newton steps taken. A quantum
+    they do not. The QR is a blocked tall-skinny one, ``_stack_r``, since
+    ``np.linalg.qr`` copies the whole condition stack twice and a block of
+    it stays in cache. ``iterations`` counts the Newton steps taken. A quantum
     result's state is certified by its factor U diag(sqrt(p)) from the last
     ``eigh``; no eigensolver reruns. A single kept operator R = U diag(a) U^H
     commutes with itself: it is diagonalized once, and the dual is the

@@ -631,6 +631,22 @@ def test_missing_file(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["validate", "solve", "lattice", "oracle"])
+@pytest.mark.parametrize("input_kind", ["directory", "utf-16", "missing"])
+def test_unreadable_input_is_a_parse_error(tmp_path, capsys, caplog, command, input_kind):
+    # A path that cannot be opened or decoded as UTF-8 exits 2 with one log line, empty stdout, no traceback.
+    path = tmp_path / "input.json"
+    if input_kind == "directory":
+        path.mkdir()
+    elif input_kind == "utf-16":
+        path.write_bytes(b"\xff\xfe" + json.dumps(UNIT_SQUARE).encode("utf-16-le"))
+    argv = ["lattice", "leq", "problems/gibbs_qubit.json", str(path)] if command == "lattice" else [command, str(path)]
+    code, out = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert [(r.levelname, r.getMessage().split(":")[0]) for r in caplog.records] == [("ERROR", "cannot read input")]
+    assert "Traceback" not in caplog.text
+
+
 def test_module_entry_point(capsys, monkeypatch):
     # python -m gmaxent reads its arguments from sys.argv and exits with main's code.
     monkeypatch.setattr(sys, "argv", ["gmaxent", "solve", "problems/infeasible_bloch.json"])

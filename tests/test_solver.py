@@ -63,6 +63,7 @@ from gmaxent.solver import (
     _face_newton,
     _objective_terms,
     _select_independent,
+    _stack_r,
 )
 
 from helpers import (
@@ -957,7 +958,8 @@ def _rank_filter_case(name):
         return _random_effect_constraints(Classical(10_000), m, rng), (list(range(m)), [], False)
     if name == "quantum-8":
         return _random_effect_constraints(Quantum(8), 6, rng), (list(range(6)), [], False)
-    model = Classical(10_000) if name in ("planted", "conflicting") else Classical(20)
+    wide = name in ("planted", "conflicting") or name.endswith("-wide")
+    model = Classical(10_000) if wide else Classical(20)
     base = _random_effect_constraints(model, 5, rng)
     funcs = _functional_matrix(model, base)
     targets = np.array([c.target for c in base])
@@ -972,12 +974,12 @@ def _rank_filter_case(name):
         expected = ([0, 1, 2], [], True) if shift else ([0, 1, 2, 4, 5], [3, 6], False)
         return constraints, expected
     # A row whose residual off the span of the others sits just above or
-    # just below _RANK_PIVOT_TOL times its norm.
+    # just below _RANK_PIVOT_TOL times its norm; a -wide stack spans several QR blocks.
     u = _orthogonal_unit(funcs, rng)
-    factor = 1.01 if name == "pivot-above" else 0.99
+    factor = 1.01 if name.startswith("pivot-above") else 0.99
     f = funcs[0] + factor * _RANK_PIVOT_TOL * np.linalg.norm(funcs[0]) * u
     constraints = base + [LinearConstraint(model, f, base[0].target)]
-    expected = (list(range(6)), [], False) if name == "pivot-above" else (list(range(5)), [5], False)
+    expected = (list(range(6)), [], False) if name.startswith("pivot-above") else (list(range(5)), [5], False)
     return constraints, expected
 
 
@@ -1017,7 +1019,18 @@ class TestSelectIndependent:
     """The rank filter reads the stored norms and matches the reference that norms every row itself."""
 
     @pytest.mark.parametrize(
-        "name", ["classical-4", "classical-32", "quantum-8", "planted", "pivot-above", "pivot-below", "conflicting"]
+        "name",
+        [
+            "classical-4",
+            "classical-32",
+            "quantum-8",
+            "planted",
+            "pivot-above",
+            "pivot-below",
+            "pivot-above-wide",
+            "pivot-below-wide",
+            "conflicting",
+        ],
     )
     def test_matches_reference(self, name):
         constraints, expected = _rank_filter_case(name)
@@ -1078,7 +1091,8 @@ class TestSelectIndependent:
         constraints, (_, dropped, _) = _rank_filter_case(name)
         funcs = _functional_matrix(constraints[0].model, constraints)
         targets = np.array([c.target for c in constraints])
-        monkeypatch.setattr(np.linalg, "qr", counted(np.linalg.qr, "qr"))
+        # "qr" counts whole factorizations, each one blocked QR of the stack.
+        monkeypatch.setattr("gmaxent.solver._stack_r", counted(_stack_r, "qr"))
         monkeypatch.setattr(np.linalg, "lstsq", counted(np.linalg.lstsq, "lstsq"))
         _select_independent(funcs, [c.norm for c in constraints], targets, DEFAULT_SOLVER)
         # planted drops rows 3 and 6 of 7: row 3 refactors the rest, row 6 is last.
@@ -1086,6 +1100,37 @@ class TestSelectIndependent:
         calls.update(qr=0, lstsq=0)
         _select_independent(funcs[:1], [constraints[0].norm], targets[:1], DEFAULT_SOLVER)
         assert calls == {"qr": 0, "lstsq": 0}
+
+
+class TestBlockedFactorization:
+    """``_stack_r`` is ``np.linalg.qr(stack.T, mode="r")`` factored in column blocks: the same |R_jj|."""
+
+    @pytest.mark.parametrize("m", [2, 4, 16, 32, 40])
+    def test_wide_pivots_match_one_qr(self, m):
+        # m = 2 fits one 256 KB block; m = 4, 16, 32 and 40 span 2, 5, 10 and 13.
+        model = Classical(10_000)
+        funcs = _functional_matrix(model, _random_effect_constraints(model, m, np.random.default_rng(m)))
+        np.testing.assert_allclose(
+            np.abs(_stack_r(funcs).diagonal()), np.abs(np.linalg.qr(funcs.T, mode="r").diagonal()), rtol=1e-13, atol=0
+        )
+
+    def test_planted_dependent_row(self):
+        # Row 3 is a combination of rows 0-2. The filter reads pivots up to it and refactors
+        # without it, since every later pivot rests on its noise reflector.
+        constraints, _ = _rank_filter_case("planted")
+        funcs = _functional_matrix(constraints[0].model, constraints)
+        ours = np.abs(_stack_r(funcs).diagonal())[:4]
+        ref = np.abs(np.linalg.qr(funcs.T, mode="r").diagonal())[:4]
+        np.testing.assert_allclose(ours[:3], ref[:3], rtol=1e-13, atol=0)
+        # Both of its pivots are rounding noise, within 1e-13 of its norm and far below the floor.
+        norm = np.linalg.norm(funcs[3])
+        assert abs(ours[3] - ref[3]) < 1e-13 * norm
+        assert max(ours[3], ref[3]) < 1e-3 * _RANK_PIVOT_TOL * norm
+
+    @pytest.mark.parametrize("model", [Quantum(8), Classical(20)], ids=["quantum-8", "classical-20"])
+    def test_one_block_is_one_qr_bit_for_bit(self, model):
+        funcs = _functional_matrix(model, _random_effect_constraints(model, 6, np.random.default_rng(3)))
+        assert np.array_equal(_stack_r(funcs), np.linalg.qr(funcs.T, mode="r"))
 
 
 def trajectory_problem(family, size):
