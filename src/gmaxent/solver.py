@@ -176,11 +176,12 @@ class _DualEvaluation:
 
     ``lnz``, ``spectrum`` (classical probabilities or quantum eigenvalues)
     and ``top``, the largest eigenvalue of the exponent -sum_i lambda_i R_i,
-    are set on construction from the exponent's eigenvalues; the means and the
-    state coordinates are computed on first use and cached, and the Hessian,
-    which a solve reads once per iterate, on each call. A rejected line-search
-    trial reads only ``lnz``. A single quantum condition is evaluated
-    classically in its eigenbasis.
+    are set on construction from the exponent's eigenvalues, and in closed form
+    at lambda = 0, where every solve starts: spectrum 1/n and ln Z = ln n. The
+    means and the state coordinates are computed on first use and cached, and
+    the Hessian, which a solve reads once per iterate after the first, on each
+    call. A rejected line-search trial reads only ``lnz``. A single quantum
+    condition is evaluated classically in its eigenbasis.
     """
 
     def _gibbs(self, energy: np.ndarray) -> np.ndarray:
@@ -193,13 +194,22 @@ class _DualEvaluation:
         self.spectrum /= self._z
         return shifted
 
+    def _uniform(self, n: int) -> None:
+        """``_gibbs`` of the zero exponent of length n, in closed form and bit for bit: spectrum 1/n, ln Z = ln n."""
+        self.top, self._z = 0.0, float(n)
+        self.lnz = float(np.log(self._z))
+        self.spectrum = np.full(n, 1.0 / n)
+
     def hessian(self) -> np.ndarray:
         return self._hessian()
 
 
 class _ClassicalEvaluation(_DualEvaluation):
     def __init__(self, funcs: np.ndarray, lambdas: np.ndarray):
-        self._gibbs(-(lambdas @ funcs))
+        if any(lambdas):  # the builtin: ndarray.any costs about 1 us per evaluation, which tiny models notice
+            self._gibbs(-(lambdas @ funcs))
+        else:
+            self._uniform(funcs.shape[1])
         self._funcs = funcs
 
     @property
@@ -237,16 +247,15 @@ class _EigenbasisReadout:
 class _QuantumEvaluation(_EigenbasisReadout, _DualEvaluation):
     """The quantum dual, read in the eigenbasis U of the exponent.
 
-    At lambda = 0, where every solve starts, the state is I/d: the spectrum is
-    uniform and U = I, exactly what ``eigh`` of the zero exponent returns, so
-    ``eigh`` does not run. The means are tr(R_i rho); only a Hessian rotates R_i.
+    At lambda = 0 the state is I/d and U = I, what ``eigh`` of the zero exponent returns, so ``eigh`` does not run.
+    The means are tr(R_i rho); only a Hessian rotates R_i.
     """
 
     def __init__(self, model, operators: np.ndarray, lambdas: np.ndarray):
         d = model.dim
         self._model, self._operators, self._u = model, operators, None
-        if not lambdas.any():
-            self._shifted = self._gibbs(np.zeros(d))
+        if not any(lambdas):
+            self._uniform(d)
             return
         k, self._u = _eigh((-lambdas @ operators.reshape(-1, d * d)).reshape(d, d))
         self._shifted = self._gibbs(k)
@@ -317,20 +326,36 @@ def _stack_r(stack: np.ndarray) -> np.ndarray:
     return blocks[0] if len(blocks) == 1 else np.linalg.qr(np.concatenate(blocks), mode="r")
 
 
-def _select_independent(funcs: np.ndarray, norms: Sequence[float], targets: np.ndarray, config: SolverConfig):
-    """Greedy rank filter over the rows of funcs, whose 2-norms are norms; returns (kept, dropped, contradiction?).
+def _centre(model: ModelSpace, funcs: np.ndarray) -> np.ndarray:
+    """Centre each row f of funcs in place modulo the unit functional u, to f - s u with s = f . u / u . u, and return
+    the shifts s. u . u is the dimension: a classical row (u = 1) loses its mean, a quantum row (u = sqrt(d) e_0) its
+    coordinate 0."""
+    shift = funcs @ model.unit_functional / model.dim
+    if model.kind == CLASSICAL:
+        funcs -= shift[:, None]
+    else:
+        funcs[:, 0] = 0.0
+    return shift
 
-    The rule is ``solve_dual``'s. The pivots of one blocked QR, ``_stack_r``, are read up to the first below the floor
-    (a lone row's is its norm, a row past the width has none); past it the factor rests on a noise reflector, so
-    refactor without it. Its blocks stay in cache, where one ``np.linalg.qr`` would copy a Classical(10^4) stack twice.
+
+def _select_independent(funcs: np.ndarray, norms: Sequence[float], targets: np.ndarray, config: SolverConfig):
+    """Greedy rank filter over the rows of funcs, centred modulo the unit functional: (kept, dropped, witness, R).
+
+    The rule is ``solve_dual``'s, with norms the raw functionals' 2-norms and targets shifted as the rows are. The
+    pivots of one blocked QR, ``_stack_r``, are read up to the first below the floor (a lone row's is its centred norm,
+    a row past the width has none); past it the factor rests on a noise reflector, so refactor without it. witness is
+    None, or y, the ``lstsq`` coefficients on the kept rows and -1 on the first row they contradict, which ends the
+    filter and is appended to kept. R is then None, and otherwise the kept rows' factor, the leading square of the last.
     """
     kept: list[int] = []
     dropped: list[int] = []
+    r = np.zeros((0, 0))
     start = 0
     while start < len(funcs):
         rows = kept + list(range(start, len(funcs)))
         stack = funcs[rows] if dropped else funcs
-        pivots = np.abs(_stack_r(stack).diagonal()) if len(rows) > 1 else [norms[start]]
+        r = _stack_r(stack) if len(rows) > 1 else np.sqrt(stack @ stack.T)
+        pivots = np.abs(r.diagonal())
         start = len(funcs)
         for j, i in enumerate(rows[len(kept):], len(kept)):
             if j < len(pivots) and pivots[j] > _RANK_PIVOT_TOL * max(1.0, norms[i]):
@@ -338,12 +363,12 @@ def _select_independent(funcs: np.ndarray, norms: Sequence[float], targets: np.n
                 continue
             coeff, *_ = np.linalg.lstsq(funcs[kept].T, funcs[i], rcond=None)
             if abs(float(coeff @ targets[kept]) - targets[i]) > config.residual_tol * max(1.0, abs(targets[i])):
-                return kept, dropped, True
+                return kept + [i], dropped, np.append(coeff, -1.0), None
             dropped.append(i)
             log.warning("dropping redundant constraint %d (consistent with kept set)", i)
             start = i + 1
             break
-    return kept, dropped, False
+    return kept, dropped, None, r[: len(kept), : len(kept)]
 
 
 def _solution(problem, coords, multipliers, lambda0, iterations, status, diag, value, **certificate) -> MaxEntSolution:
@@ -389,19 +414,19 @@ def solve_dual(problem: MaxEntProblem, config: SolverConfig = DEFAULT_SOLVER) ->
     witness (Boyd & Vandenberghe, Convex Optimization, 5.8); otherwise the
     status is BOUNDARY_ONLY when the residuals are within
     ``_BOUNDARY_RESIDUAL_TOL``, else NON_CONVERGENCE, as at the iteration cap,
-    which also ends a solve whose cap comes before the bound. Before any
-    Newton step, condition i is kept when its residual off the kept ones
-    before it, |R_ii| of a Householder QR, exceeds ``_RANK_PIVOT_TOL`` *
-    max(1, |f_i|); otherwise it is dropped when the kept ones imply its target
-    within ``residual_tol`` * max(1, |r_i|), and the solve is INFEASIBLE when
-    they do not. The QR is a blocked tall-skinny one, ``_stack_r``, since
-    ``np.linalg.qr`` copies the whole condition stack twice and a block of
-    it stays in cache. ``iterations`` counts the Newton steps taken. A quantum
-    result's state is certified by its factor U diag(sqrt(p)) from the last
-    ``eigh``; no eigensolver reruns. A single kept operator R = U diag(a) U^H
-    commutes with itself: it is diagonalized once, and the dual is the
-    classical one on a, with the same statuses and steps; the factor is then
-    U diag(sqrt(p)). Two or more kept operators take the Kubo-Mori path.
+    which also ends a solve whose cap comes before the bound.
+
+    Before any Newton step the conditions are taken modulo the unit functional u: f_i becomes f_i - s_i u and r_i
+    becomes r_i - s_i, s_i = f_i . u / u . u, which changes neither lambda nor the certificate, and lambda0 is read as
+    ln Z of the centred exponent minus lambda . s. Condition i is kept when its residual off u and the kept ones before
+    it, |R_ii| of one blocked Householder QR (``_stack_r``), exceeds ``_RANK_PIVOT_TOL`` * max(1, |f_i|); otherwise
+    it is dropped when the kept ones imply its target within ``residual_tol`` * max(1, |r_i - s_i|), and else the solve
+    is INFEASIBLE with witness y, the implied coefficients and -1 on i: sum_j y_j f_j is constant on the states, and
+    y . r misses it. The kept rows' R is the first Newton Hessian, R^T R / u . u at the uniform state where each solve
+    starts. ``iterations`` counts the Newton steps taken. A quantum result's state is certified by its factor
+    U diag(sqrt(p)) from the last ``eigh``; no eigensolver reruns. A single kept operator R = U diag(a) U^H commutes
+    with itself: it is diagonalized once, and the dual is the classical one on a, with the same statuses and steps;
+    the factor is then U diag(sqrt(p)). Two or more kept operators take the Kubo-Mori path.
     """
     if not isinstance(problem.objective, (Shannon, VonNeumann)):
         raise IncompatibleObjective("solve_dual handles Shannon and von Neumann objectives")
@@ -419,14 +444,16 @@ def solve_dual(problem: MaxEntProblem, config: SolverConfig = DEFAULT_SOLVER) ->
     # of RSS each, 9.3 KB when allocated after the functional stack).
     coords = np.empty(problem.model.ambient_dim) if problem.model.kind == QUANTUM else None
     constraints = region.h_rep
-    targets = np.array([c.target for c in constraints])
     funcs = _functional_matrix(problem.model, constraints)
-    kept, dropped, contradiction = _select_independent(funcs, [c.norm for c in constraints], targets, config)
-    if contradiction:
-        return _infeasible(diag)
+    shift = _centre(problem.model, funcs)
+    targets = np.array([c.target for c in constraints]) - shift
+    kept, dropped, witness, qr_r = _select_independent(funcs, [c.norm for c in constraints], targets, config)
     diag.kept_indices = tuple(kept)
     diag.dropped_indices = tuple(dropped)
+    if witness is not None:
+        return _infeasible(diag, witness)
     r = targets[kept]
+    first_hessian = (qr_r.T @ qr_r) / problem.model.dim  # the covariance at the uniform state, where every solve starts
     dual_at = _evaluator(problem.model, funcs[kept] if dropped else funcs)
     lambdas = np.zeros(len(kept))
     ridge = _HESSIAN_RIDGE * np.eye(len(kept))
@@ -444,7 +471,7 @@ def solve_dual(problem: MaxEntProblem, config: SolverConfig = DEFAULT_SOLVER) ->
         if iterations == config.max_iter:
             break
 
-        h = ev.hessian()
+        h = ev.hessian() if iterations else first_hessian
         try:
             # m = 1: h + ridge > 0 (h is a sum of squares), and dividing skips np.linalg.solve's wrapper, bit for bit
             direction = g / (h[0, 0] + _HESSIAN_RIDGE) if len(g) == 1 else np.linalg.solve(h + ridge, g)
@@ -509,7 +536,8 @@ def solve_dual(problem: MaxEntProblem, config: SolverConfig = DEFAULT_SOLVER) ->
     else:
         coords[:], factor = ev.state_coords, ev.factor()
     entropy = entropy_from_spectrum(ev.spectrum)
-    return _solution(problem, coords, lambdas, ev.lnz, iterations, status, diag, entropy, factor=factor)
+    lambda0 = ev.lnz - float(lambdas @ shift[kept])
+    return _solution(problem, coords, lambdas, lambda0, iterations, status, diag, entropy, factor=factor)
 
 
 # ---------------------------------------------------------------------------

@@ -16,14 +16,17 @@ from gmaxent import (
     Polytope,
     Quantum,
     Shannon,
+    SolveStatus,
     VonNeumann,
     evaluate,
     includes,
+    meet,
     random_effect,
     random_povm,
     random_state,
     region_from_effect,
     region_from_mean,
+    solve_dual,
     whole_space,
 )
 from gmaxent.hermitian import _LOG_ZERO_FLOOR, _divided_difference
@@ -130,7 +133,8 @@ def reference_classical_hessian(ev):
 
 def reference_quantum_hessian(ev):
     """The Kubo-Mori dual Hessian as the complex contraction Re(R^H (phi * R)) / Z - m m^T."""
-    phi = _divided_difference(ev._shifted)
+    # At lambda = 0, U = I and the exponent is zero, so every divided difference of exp is 1.
+    phi = _divided_difference(np.zeros(len(ev.spectrum)) if ev._u is None else ev._shifted)
     u = np.eye(len(phi)) if ev._u is None else ev._u
     rotated = (u.conj().T @ ev._operators @ u).reshape(-1, phi.size)
     h = ((rotated.conj() * phi.ravel()) @ rotated.T).real / ev._z
@@ -539,14 +543,17 @@ def reference_dedup_constraints(constraints):
     return tuple(kept[i][0] for i in sorted(kept)), empty
 
 
-def reference_select_independent(funcs, targets, config):
-    """The greedy rank filter ``solver._select_independent`` must agree with:
-    Gram-Schmidt row by row, norming every row and residual itself (the solver
-    reads the residuals as the pivots of one QR, and the norms stored on the
-    constraints). Returns (kept, dropped, contradiction?)."""
+def reference_select_independent(funcs, targets, unit, config):
+    """The greedy rank filter ``solver._select_independent`` must agree with, modulo the unit functional u:
+    Gram-Schmidt row by row on the raw rows from a basis seeded with u/|u|, norming every row and residual itself
+    (the solver centres the rows, reads the residuals as the pivots of one QR, and the norms stored on the
+    constraints), and a ``lstsq`` re-check that carries u as a column with target 1. Its tolerance scale is
+    max(1, |t_i - s_i|), s_i = f_i . u / u . u, the target shifted as the solver's is. Returns (kept, dropped,
+    witness): witness is None, or the coefficients on the kept rows and -1 on the row they contradict, which
+    is appended to kept."""
     kept: list[int] = []
     dropped: list[int] = []
-    basis: list[np.ndarray] = []
+    basis = [unit / np.linalg.norm(unit)]
     for i, f in enumerate(funcs):
         res = f.astype(float).copy()
         for q in basis:
@@ -555,12 +562,59 @@ def reference_select_independent(funcs, targets, config):
             basis.append(res / np.linalg.norm(res))
             kept.append(i)
             continue
-        coeff, *_ = np.linalg.lstsq(funcs[kept].T, f, rcond=None)
-        implied = float(coeff @ targets[kept])
-        if abs(implied - targets[i]) > config.residual_tol * max(1.0, abs(targets[i])):
-            return kept, dropped, True
+        coeff, *_ = np.linalg.lstsq(np.vstack([funcs[kept], unit]).T, f, rcond=None)
+        implied = float(coeff @ np.append(targets[kept], 1.0))
+        scale = max(1.0, abs(targets[i] - float(f @ unit) / float(unit @ unit)))
+        if abs(implied - targets[i]) > config.residual_tol * scale:
+            return kept + [i], dropped, np.append(coeff[:-1], -1.0)
         dropped.append(i)
-    return kept, dropped, False
+    return kept, dropped, None
+
+
+def infeasibility_witness(problem, solution):
+    """(spread, margin) of an INFEASIBLE dual result's multipliers y on its kept conditions, read without the solver.
+
+    phi = sum_j y_j f_j takes the value y . t on every state that meets the kept conditions, so y . t outside the
+    range of phi over the states rules every state out: margin, the distance of y . t outside that range, is then
+    positive. The range is spanned by phi's entries on a classical model and by its eigenvalues (``eigvalsh``) on
+    a quantum one, and spread is its width: 0, up to rounding, for the rank filter's witness, whose phi is constant
+    on the states. The test is symmetric in y, so the recession certificate's lambda reads the same way.
+    """
+    model = problem.model
+    kept = [problem.region.h_rep[i] for i in solution.diagnostics.kept_indices]
+    y = np.asarray(solution.multipliers, dtype=float)
+    phi = y @ np.array([c.functional for c in kept])
+    values = phi if model.kind == "classical" else np.linalg.eigvalsh(model.coords_to_matrix(phi).entries)
+    implied = float(y @ np.array([c.target for c in kept]))
+    lo, hi = float(values.min()), float(values.max())
+    return hi - lo, max(lo - implied, implied - hi)
+
+
+def consistency_repro_draws(n_trials):
+    """The draws of a consistency repro on Classical(2..4), from ``default_rng(11)``, as {trial: (region, g, sigma_a)}.
+
+    Per trial: d in 2..4 and a ``random_state`` sigma; d - 1 random effects, each with its probability in sigma as
+    target, met left to right into region; its MaxEnt state sigma_a, and the trial is skipped unless that solve
+    converges; then one more random effect g with target clip(g . sigma_a, 0, 1), returned as its region.
+    """
+    rng = np.random.default_rng(11)
+    draws = {}
+    for trial in range(n_trials):
+        d = int(rng.integers(2, 5))
+        model = Classical(d)
+        sigma = random_state(model, rng)
+        region = None
+        for _ in range(d - 1):
+            e = random_effect(model, rng)
+            condition = region_from_effect(e, evaluate(e, sigma))
+            region = condition if region is None else meet(region, condition)
+        sol = solve_dual(MaxEntProblem(model, region, Shannon()))
+        if sol.status is not SolveStatus.CONVERGED:
+            continue
+        g = random_effect(model, rng)
+        target = float(np.clip(g.functional @ sol.state.coords, 0.0, 1.0))
+        draws[trial] = (region, region_from_effect(g, target), sol.state)
+    return draws
 
 
 def reference_povm_validation(obs):
